@@ -24,6 +24,7 @@ from .io import (
 from .linalg import (
     StandardizeInfo,
     least_squares,
+    least_squares_with_fallback,
     matmul,
     ridge_fallback,
     standardize_columns,

@@ -9,10 +9,13 @@ unsigned bytes); gzipped files are handled transparently by extension.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import gzip
 import json
+import os
+import secrets
 import struct
 from dataclasses import dataclass
 
@@ -27,21 +30,24 @@ MODEL_SCHEMA_VERSION = 1
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-REPORT_CSV_COLUMNS = [
-    "run_id",
-    "algorithm",
-    "activation",
-    "n_redundant",
-    "n_sparse",
-    "compression_ratio",
-    "preservation_max",
-    "preservation_rms",
-    "sparse_stop_reason",
-    "acc_parent",
-    "acc_post_morph",
-    "acc_after_finetune",
-    "wall_time_s",
-]
+REPORT_CSV_COLUMNS = [f.name for f in dataclasses.fields(MorphReport)]
+
+
+@contextlib.contextmanager
+def _atomic_open(path, newline=None):
+    """Open a fresh temporary file next to `path` for text writing. When the
+    block finishes it replaces `path` in one step; when the block raises it
+    is removed, so `path` keeps its old contents either way."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 @dataclass
@@ -89,7 +95,7 @@ def save_model(mlp: Mlp, path, metadata: dict | None = None) -> None:
         ],
         "metadata": dict(metadata or {}),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -262,33 +268,18 @@ def _format_value(value) -> str:
 
 
 def write_report_csv(reports: list[MorphReport], path) -> None:
-    """Emit one row per report with the fixed column set."""
+    """Emit one row per report, one column per MorphReport field."""
     if not reports:
         raise ValueError("no reports to write")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_CSV_COLUMNS)
         for rep in reports:
-            row = [
-                rep.run_id,
-                rep.algorithm,
-                rep.activation,
-                rep.n_redundant,
-                rep.n_sparse,
-                rep.compression_ratio,
-                rep.preservation_max,
-                rep.preservation_rms,
-                rep.sparse_stop_reason,
-                rep.acc_parent,
-                rep.acc_post_morph,
-                rep.acc_after_finetune,
-                rep.wall_time_s,
-            ]
-            writer.writerow([_format_value(v) for v in row])
+            writer.writerow([_format_value(getattr(rep, name)) for name in REPORT_CSV_COLUMNS])
 
 
 def save_report_json(report: MorphReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         json.dump(dataclasses.asdict(report), fh, indent=1)
         fh.write("\n")
 

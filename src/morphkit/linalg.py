@@ -48,13 +48,7 @@ def matmul(a, b) -> np.ndarray:
     return ensure_finite(a @ b, "matmul result")
 
 
-def least_squares(x, y, ridge: float = 0.0) -> np.ndarray:
-    """Solve argmin_W ||y - xW||_F^2 + ridge*||W||_F^2 via normal equations.
-
-    Uses a Cholesky factorization of x.T x + ridge*I. With ridge == 0 a
-    rank-deficient system raises SingularMatrixError; callers can retry
-    with `ridge_fallback(x)`.
-    """
+def _checked_design(x, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     if x.shape[0] != y.shape[0]:
@@ -65,20 +59,62 @@ def least_squares(x, y, ridge: float = 0.0) -> np.ndarray:
         raise ShapeError("least_squares requires at least one row")
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    gram = x.T @ x
+    return x, y
+
+
+def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray | None:
+    """Solve (gram + ridge*I) w = rhs; None when the matrix is not positive
+    definite."""
     if ridge > 0:
-        gram = gram + ridge * np.eye(x.shape[1])
-    rhs = x.T @ y
+        gram = gram + ridge * np.eye(gram.shape[0])
     try:
         factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"normal equations for a {x.shape[0]}x{x.shape[1]} design are "
-            f"singular; retry with ridge > 0 (ridge_fallback(x) suggests "
-            f"{ridge_fallback(x):.3e})"
-        ) from exc
+    except scipy.linalg.LinAlgError:
+        return None
     w = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
     return ensure_finite(w, "least_squares solution")
+
+
+def _singular(x: np.ndarray, ridge: float) -> SingularMatrixError:
+    return SingularMatrixError(
+        f"normal equations for a {x.shape[0]}x{x.shape[1]} design are "
+        f"singular at ridge {ridge:.3e}; retry with a larger ridge "
+        f"(ridge_fallback(x) suggests {ridge_fallback(x):.3e})"
+    )
+
+
+def least_squares(x, y, ridge: float = 0.0) -> np.ndarray:
+    """Solve argmin_W ||y - xW||_F^2 + ridge*||W||_F^2 via normal equations.
+
+    Uses a Cholesky factorization of x.T x + ridge*I. With ridge == 0 a
+    rank-deficient system raises SingularMatrixError; callers can retry
+    with `ridge_fallback(x)`, or call `least_squares_with_fallback`.
+    """
+    x, y = _checked_design(x, y, ridge)
+    w = _cholesky_solve(x.T @ x, x.T @ y, ridge)
+    if w is None:
+        raise _singular(x, ridge)
+    return w
+
+
+def least_squares_with_fallback(x, y, ridge: float = 0.0) -> tuple[np.ndarray, bool]:
+    """`least_squares` that retries a singular system once at ridge +
+    ridge_fallback(x), reusing the Gram matrix and right-hand side.
+
+    Returns (w, fell_back). Raises SingularMatrixError if the retry fails
+    too, as it does for an all-zero x, whose fallback ridge is 0.
+    """
+    x, y = _checked_design(x, y, ridge)
+    gram = x.T @ x
+    rhs = x.T @ y
+    w = _cholesky_solve(gram, rhs, ridge)
+    if w is not None:
+        return w, False
+    ridge += ridge_fallback(x)
+    w = _cholesky_solve(gram, rhs, ridge)
+    if w is None:
+        raise _singular(x, ridge)
+    return w, True
 
 
 def ridge_fallback(x) -> float:

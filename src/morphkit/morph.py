@@ -13,7 +13,8 @@ They differ in how the inserted width is selected:
   downstream reconstruction and prunes matched column/row pairs.
 * `morph_baseline` keeps the full width (no sparsification).
 
-Parents are never mutated; identical inputs produce bit-identical children.
+Parents are never mutated; at a fixed BLAS thread count identical inputs
+produce bit-identical children.
 """
 
 from __future__ import annotations
@@ -24,8 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyLayerError, MorphkitError, ShapeError, SingularMatrixError
-from .linalg import as_matrix, least_squares, ridge_fallback, standardize_columns, vectorize
+from .errors import EmptyLayerError, MorphkitError, ShapeError
+from .linalg import (
+    as_matrix,
+    least_squares_with_fallback,
+    ridge_fallback,
+    standardize_columns,
+    vectorize,
+)
 from .network import Layer, Mlp, apply_activation, forward, init_weights
 from .sparse import SparseConfig, iilasso_diag, iilasso_residual, refit_w1, similarity_matrix
 
@@ -63,11 +70,13 @@ class MorphSpec:
             raise ValueError("alg3_row_sample must be >= 1 when set")
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MorphReport:
     """Outcome of one insertion run; accuracy fields are filled by the
-    experiment harness, not by the morph itself."""
+    experiment harness, not by the morph itself. Field order is the column
+    order of report.csv."""
 
+    run_id: str = ""
     algorithm: str
     activation: str
     n_redundant: int
@@ -76,12 +85,11 @@ class MorphReport:
     preservation_max: float
     preservation_rms: float
     sparse_stop_reason: str
-    wall_time_s: float
     ridge_fallbacks: int = 0
-    run_id: str = ""
     acc_parent: float = float("nan")
     acc_post_morph: float = float("nan")
     acc_after_finetune: float = float("nan")
+    wall_time_s: float
 
 
 def sample_rows(n_total: int, count: int | None, seed: int) -> np.ndarray:
@@ -135,7 +143,20 @@ def preservation_error(parent: Mlp, child: Mlp, probe, at_layer: int) -> tuple[f
         forward(child, probe).pre_activations[child_idx]
         - forward(parent, probe).pre_activations[parent_idx]
     )
+    return _error_stats(diff)
+
+
+def _error_stats(diff: np.ndarray) -> tuple[float, float]:
     return float(np.abs(diff).max()), float(np.linalg.norm(diff) / np.sqrt(diff.size))
+
+
+def _preservation_from_taps(child: Mlp, p: int, a1, downstream_pre) -> tuple[float, float]:
+    """`preservation_error` of a child built by insertion after layer p,
+    from the parent taps `_prepare` already holds: the child's layers up to
+    p are the parent's, so only the inserted and downstream layers run
+    again, and the result has the same bits."""
+    sub = Mlp(child.layers[p + 1 : p + 3])
+    return _error_stats(forward(sub, a1).pre_activations[1] - downstream_pre)
 
 
 def _prepare(mlp: Mlp, spec: MorphSpec, probe, w1_init):
@@ -175,15 +196,8 @@ def _fit_readout(a_new, target, with_bias: bool, forced: bool):
     n = a_new.shape[0]
     design = np.hstack([a_new, np.ones((n, 1))]) if with_bias else a_new
     ridge = ridge_fallback(design) if forced else 0.0
-    fallbacks = 1 if forced else 0
-    try:
-        sol = least_squares(design, target, ridge)
-    except SingularMatrixError:
-        extra = ridge_fallback(design)
-        if extra <= 0.0:
-            raise
-        sol = least_squares(design, target, ridge + extra)
-        fallbacks += 1
+    sol, fell_back = least_squares_with_fallback(design, target, ridge)
+    fallbacks = int(forced) + int(fell_back)
     if with_bias:
         return sol[:-1], sol[-1], fallbacks
     return sol, None, fallbacks
@@ -226,7 +240,7 @@ def _diag_select(x, response, cfg: SparseConfig, beta_warm=None):
     return beta_full, sol.stop_reason
 
 
-def _finalize_diag(mlp, spec, probe, a1, downstream_pre, w1, beta_full, forced, stop_reason, t0, algorithm):
+def _finalize_diag(mlp, spec, a1, downstream_pre, w1, beta_full, forced, stop_reason, t0, algorithm):
     active = beta_full != 0
     _require_survivors(active)
     w1_kept = w1[:, active]
@@ -236,7 +250,7 @@ def _finalize_diag(mlp, spec, probe, a1, downstream_pre, w1, beta_full, forced, 
     with_bias = mlp.layers[spec.insert_after + 1].bias is not None
     w2, b2, fallbacks = _fit_readout(a_new, downstream_pre, with_bias, forced)
     child = _assemble_child(mlp, spec.insert_after, w1_kept, spec.activation, w2, b2)
-    pres_max, pres_rms = preservation_error(mlp, child, probe, spec.insert_after)
+    pres_max, pres_rms = _preservation_from_taps(child, spec.insert_after, a1, downstream_pre)
     n_sparse = int(active.sum())
     report = MorphReport(
         algorithm=algorithm,
@@ -261,7 +275,7 @@ def morph_alg1(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, Mor
     candidate_out = a1 @ w1
     beta_full, stop_reason = _diag_select(candidate_out, candidate_out, spec.sparse)
     return _finalize_diag(
-        mlp, spec, probe, a1, downstream_pre, w1, beta_full, forced, stop_reason, t0, "alg1"
+        mlp, spec, a1, downstream_pre, w1, beta_full, forced, stop_reason, t0, "alg1"
     )
 
 
@@ -293,7 +307,7 @@ def morph_alg2(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, Mor
         w_cur = refit_w1(a1, response, beta_full)
         x = a1 @ w_cur
     return _finalize_diag(
-        mlp, spec, probe, a1, downstream_pre, w_cur, beta_full, forced, stop_reason, t0, "alg2"
+        mlp, spec, a1, downstream_pre, w_cur, beta_full, forced, stop_reason, t0, "alg2"
     )
 
 
@@ -365,7 +379,7 @@ def morph_alg3(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, Mor
     w2_kept = w2[active] * effective[active][:, None]
     b2_kept = None if b2 is None else b2 + center
     child = _assemble_child(mlp, spec.insert_after, w1_kept, spec.activation, w2_kept, b2_kept)
-    pres_max, pres_rms = preservation_error(mlp, child, probe, spec.insert_after)
+    pres_max, pres_rms = _preservation_from_taps(child, spec.insert_after, a1, downstream_pre)
     n_sparse = int(active.sum())
     report = MorphReport(
         algorithm="alg3",
@@ -391,7 +405,7 @@ def morph_baseline(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp,
     with_bias = mlp.layers[spec.insert_after + 1].bias is not None
     w2, b2, fallbacks = _fit_readout(a_new, downstream_pre, with_bias, forced)
     child = _assemble_child(mlp, spec.insert_after, w1, spec.activation, w2, b2)
-    pres_max, pres_rms = preservation_error(mlp, child, probe, spec.insert_after)
+    pres_max, pres_rms = _preservation_from_taps(child, spec.insert_after, a1, downstream_pre)
     report = MorphReport(
         algorithm="baseline",
         activation=spec.activation,

@@ -17,12 +17,13 @@ objective averages over all of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFiniteError, ShapeError, SingularMatrixError, StandardizationError
-from .linalg import as_matrix, least_squares, ridge_fallback, vectorize
+from .errors import NotFiniteError, ShapeError, StandardizationError
+from .linalg import as_matrix, least_squares_with_fallback, vectorize
 
 # Column norms may deviate from the nominal value by this relative amount
 # before the input is rejected as unstandardized.
@@ -105,10 +106,16 @@ def coordinate_update(rho: float, threshold: float, r_jj: float, cfg: SparseConf
     """Closed-form minimizer of either objective restricted to one
     coefficient: S(rho, threshold) / (1 + alpha * lam * R_jj).
 
-    R_jj is zero by construction so the denominator is exactly 1; the
-    written form is kept deliberately.
+    The shrinkage is scalar Python arithmetic with the same bits as
+    `soft_threshold`, -0.0 included: np.sign maps both zeros to +0.0 and
+    np.maximum propagates NaN. R_jj is zero by construction so the
+    denominator is exactly 1; the written form is kept deliberately.
     """
-    return float(soft_threshold(rho, threshold)) / (1.0 + cfg.alpha * cfg.lam * r_jj)
+    shrunk = abs(rho) - threshold
+    if shrunk <= 0.0:
+        shrunk = 0.0
+    value = math.copysign(shrunk, rho) if rho != 0.0 else 0.0 * shrunk
+    return value / (1.0 + cfg.alpha * cfg.lam * r_jj)
 
 
 def coordinate_threshold(r_row: np.ndarray, beta: np.ndarray, j: int, cfg: SparseConfig) -> float:
@@ -194,18 +201,39 @@ def iilasso_diag(x, o, r, cfg: SparseConfig, beta0=None) -> SparseSolution:
     if beta.shape != (d,):
         raise ShapeError(f"beta0 has shape {beta.shape}, expected ({d},)")
 
-    trace = [diag_objective(x, o, beta, r, cfg)]
+    # Sufficient statistics of the data term: per column,
+    # ||o_j - b x_j||^2 / N = o_j.T o_j / N - 2 b corr_j + b^2 x_j.T x_j / N,
+    # so each sweep's objective costs O(D) plus the penalty's R|beta|.
+    oo = float(np.einsum("ij,ij->", o, o)) / n
+    col_sq = norms / n
+
+    def objective(b: np.ndarray) -> float:
+        data = 0.5 * oo - float(corr @ b) + 0.5 * float(col_sq @ (b * b))
+        return data + _penalty(b, r, cfg)
+
+    # The sweep runs on Python floats and keeps |beta| as one array updated
+    # in place; each threshold and update is the same float that
+    # coordinate_threshold and coordinate_update give for these arguments.
+    lam, alpha = cfg.lam, cfg.alpha
+    rows = list(r)
+    r_diag = r.diagonal().tolist()
+    rho = corr.tolist()
+    b = beta.tolist()
+    abs_beta = np.abs(beta)
+    trace = [objective(beta)]
     sweeps = 0
     reason = _stop_reason(beta, np.inf, sweeps, cfg)
     while reason is None:
         max_delta = 0.0
         for j in range(d):
-            thr = coordinate_threshold(r[j], beta, j, cfg)
-            new = coordinate_update(corr[j], thr, r[j, j], cfg)
-            max_delta = max(max_delta, abs(new - beta[j]))
-            beta[j] = new
+            cross = float(rows[j] @ abs_beta) - r_diag[j] * abs(b[j])
+            new = coordinate_update(rho[j], lam * (1.0 + alpha * cross), r_diag[j], cfg)
+            max_delta = max(max_delta, abs(new - b[j]))
+            b[j] = new
+            abs_beta[j] = abs(new)
         sweeps += 1
-        obj = diag_objective(x, o, beta, r, cfg)
+        beta = np.array(b)
+        obj = objective(beta)
         if not np.isfinite(obj):
             raise NotFiniteError(
                 f"objective became non-finite at sweep {sweeps}; trace so far: {trace}"
@@ -303,10 +331,7 @@ def refit_w1(a1, o_new, beta, ridge: float = 0.0) -> np.ndarray:
         )
     if not np.isfinite(beta).all():
         raise NotFiniteError("beta contains non-finite entries")
-    try:
-        w_ls = least_squares(a1, o_new, ridge)
-    except SingularMatrixError:
-        w_ls = least_squares(a1, o_new, ridge + ridge_fallback(a1))
+    w_ls, _ = least_squares_with_fallback(a1, o_new, ridge)
     w = np.zeros_like(w_ls)
     active = beta != 0
     w[:, active] = w_ls[:, active] / beta[active]

@@ -1,6 +1,7 @@
 """Serialization, IDX ingestion, synthetic data, and report CSV tests."""
 
 import csv
+import dataclasses
 import gzip
 import json
 import struct
@@ -8,12 +9,15 @@ import struct
 import numpy as np
 import pytest
 
+from morphkit import io as mio
 from morphkit.errors import IdxFormatError, ModelFormatError
 from morphkit.io import (
     Dataset,
     load_model,
+    load_report_json,
     read_idx,
     save_model,
+    save_report_json,
     synth_dataset,
     synth_lowrank_dataset,
     write_report_csv,
@@ -276,8 +280,8 @@ class TestReportCsv:
         assert len(lines) == 2
         assert lines[0] == (
             "run_id,algorithm,activation,n_redundant,n_sparse,compression_ratio,"
-            "preservation_max,preservation_rms,sparse_stop_reason,acc_parent,"
-            "acc_post_morph,acc_after_finetune,wall_time_s"
+            "preservation_max,preservation_rms,sparse_stop_reason,ridge_fallbacks,"
+            "acc_parent,acc_post_morph,acc_after_finetune,wall_time_s"
         )
 
     def test_ratio_column_consistent(self, tmp_path):
@@ -300,6 +304,14 @@ class TestReportCsv:
         assert float(rows[1]["wall_time_s"]) == reports[1].wall_time_s
         assert rows[1]["algorithm"] == "alg3"
 
+    def test_header_is_every_report_field(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report_csv([sample_report(ridge_fallbacks=2)], path)
+        with open(path, newline="") as fh:
+            header, row = list(csv.reader(fh))
+        assert header == [f.name for f in dataclasses.fields(MorphReport)]
+        assert dict(zip(header, row))["ridge_fallbacks"] == "2"
+
     def test_empty_list_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_report_csv([], tmp_path / "empty.csv")
@@ -313,3 +325,43 @@ class TestDatasetValidation:
     def test_negative_labels(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([0, -1]))
+
+
+def _failing_dump(doc, fh, **kw):
+    fh.write('{"partial": ')
+    raise RuntimeError("interrupted mid-write")
+
+
+class TestAtomicWrites:
+    """An interrupted write leaves the previous file and no temporary."""
+
+    def test_model_write_interrupted(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.model"
+        save_model(random_net(0), path, metadata={"v": 1})
+        before = path.read_bytes()
+        monkeypatch.setattr(mio.json, "dump", _failing_dump)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            save_model(random_net(1), path, metadata={"v": 2})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.model"]
+        monkeypatch.undo()
+        assert load_model(path)[1] == {"v": 1}
+
+    def test_report_write_interrupted(self, tmp_path, monkeypatch):
+        path = tmp_path / "child.report.json"
+        save_report_json(sample_report(), path)
+        before = path.read_bytes()
+        monkeypatch.setattr(mio.json, "dump", _failing_dump)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            save_report_json(sample_report(acc_post_morph=0.5), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["child.report.json"]
+        monkeypatch.undo()
+        assert load_report_json(path) == sample_report()
+
+    def test_completed_write_replaces_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "child.report.json"
+        save_report_json(sample_report(), path)
+        save_report_json(sample_report(acc_post_morph=0.5), path)
+        assert load_report_json(path).acc_post_morph == 0.5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["child.report.json"]

@@ -6,6 +6,7 @@ import pytest
 from morphkit.errors import NotFiniteError, ShapeError, SingularMatrixError
 from morphkit.linalg import (
     least_squares,
+    least_squares_with_fallback,
     matmul,
     ridge_fallback,
     standardize_columns,
@@ -129,6 +130,28 @@ class TestLeastSquares:
         x = rng.normal(size=(12, 4))
         expected = 1e-8 * np.trace(x.T @ x) / 4
         np.testing.assert_allclose(ridge_fallback(x), expected, rtol=1e-12)
+
+    def test_fallback_not_needed_matches_plain_solve(self):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(30, 5))
+        y = rng.normal(size=(30, 2))
+        for ridge in (0.0, 0.25):
+            w, fell_back = least_squares_with_fallback(x, y, ridge)
+            assert not fell_back
+            assert w.tobytes() == least_squares(x, y, ridge).tobytes()
+
+    def test_fallback_retries_once_at_the_same_ridge(self):
+        x = np.ones((10, 3))
+        y = np.arange(10.0)[:, None]
+        w, fell_back = least_squares_with_fallback(x, y)
+        assert fell_back
+        assert w.tobytes() == least_squares(x, y, ridge_fallback(x)).tobytes()
+        with pytest.raises(SingularMatrixError):
+            least_squares(x, y)  # the plain solve still refuses at ridge 0
+
+    def test_fallback_impossible_for_zero_design(self):
+        with pytest.raises(SingularMatrixError, match="ridge"):
+            least_squares_with_fallback(np.zeros((5, 2)), np.ones((5, 1)))
 
     def test_negative_ridge_rejected(self):
         with pytest.raises(ValueError):

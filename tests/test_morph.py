@@ -320,6 +320,45 @@ class TestPreservationError:
             preservation_error(parent, parent, probe, 5)
 
 
+class TestReportedPreservation:
+    """Morphs compute their reported preservation from the parent taps they
+    already hold; it must equal a fresh preservation_error bit for bit."""
+
+    VARIANTS = [
+        ("alg1", {}),
+        ("alg2", {"fold_beta": True}),
+        ("alg3", {}),
+        ("alg3", {"alg3_row_sample": 40}),
+        ("baseline", {}),
+    ]
+
+    @staticmethod
+    def assert_matches_fresh(parent, spec, probe):
+        child, report = morph(parent, spec, probe)
+        fresh = preservation_error(parent, child, probe, spec.insert_after)
+        reported = (report.preservation_max, report.preservation_rms)
+        assert [v.hex() for v in reported] == [v.hex() for v in fresh]
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("alg,extra", VARIANTS)
+    def test_two_layer_parent(self, alg, extra, bias):
+        parent = random_parent(61, bias=bias)
+        self.assert_matches_fresh(parent, spec_for(alg, **extra), probe_for(62, 80, 6))
+
+    @pytest.mark.parametrize("downstream_bias", [True, False])
+    @pytest.mark.parametrize("alg,extra", VARIANTS)
+    def test_insert_after_one_of_three(self, alg, extra, downstream_bias):
+        rng = np.random.default_rng(63)
+        parent = Mlp([
+            Layer(rng.normal(size=(6, 7)) * 0.7, rng.normal(size=7) * 0.2, "relu"),
+            Layer(rng.normal(size=(7, 5)) * 0.7, rng.normal(size=5) * 0.2, "tanh"),
+            Layer(rng.normal(size=(5, 3)) * 0.7,
+                  rng.normal(size=3) * 0.2 if downstream_bias else None, "identity"),
+        ])
+        spec = dataclasses.replace(spec_for(alg, **extra), insert_after=1)
+        self.assert_matches_fresh(parent, spec, probe_for(64, 80, 6))
+
+
 class TestFoldBeta:
     def test_all_ones_is_identity(self):
         rng = np.random.default_rng(49)

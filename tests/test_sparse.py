@@ -1,8 +1,12 @@
 """Sparse-solver tests: similarity matrix, shrinkage, both coordinate
 solvers against grid-search / KKT / plain-Lasso oracles."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphkit.errors import ShapeError, StandardizationError
 from morphkit.linalg import standardize_columns, vectorize
@@ -387,3 +391,142 @@ class TestRefitW1:
         o = rng.normal(size=(20, 2))
         w = refit_w1(a1, o, np.ones(2))
         assert np.isfinite(w).all()
+
+
+def float_bits(value) -> bytes:
+    return struct.pack("<d", float(value))
+
+
+def reference_diag_loop(x, o, r, cfg, beta0=None):
+    """iilasso_diag's documented sweep written with the public per-coordinate
+    functions: Gauss-Seidel order, stop on nonzero count, then largest
+    change, then sweep budget. Returns (beta, sweeps, stop_reason, betas),
+    where betas holds the iterate at the start and after every sweep."""
+    n, d = x.shape
+    corr = np.einsum("ij,ij->j", o, x) / n
+    beta = np.ones(d) if beta0 is None else np.array(beta0, dtype=np.float64)
+    betas = [beta.copy()]
+    sweeps = 0
+    max_delta = np.inf
+    while True:
+        if np.count_nonzero(beta) <= cfg.target_nnz:
+            reason = "target_nnz"
+        elif max_delta < cfg.tol:
+            reason = "converged"
+        elif sweeps >= cfg.max_itr:
+            reason = "max_itr"
+        else:
+            reason = None
+        if reason is not None:
+            return beta, sweeps, reason, betas
+        max_delta = 0.0
+        for j in range(d):
+            thr = coordinate_threshold(r[j], beta, j, cfg)
+            new = coordinate_update(corr[j], thr, r[j, j], cfg)
+            max_delta = max(max_delta, abs(new - beta[j]))
+            beta[j] = new
+        sweeps += 1
+        betas.append(beta.copy())
+
+
+def assert_solver_matches_reference(x, o, r, cfg, beta0=None):
+    sol = iilasso_diag(x, o, r, cfg, beta0=beta0)
+    beta, sweeps, reason, betas = reference_diag_loop(x, o, r, cfg, beta0)
+    assert sol.beta.tobytes() == beta.tobytes()  # bitwise, so -0.0 too
+    assert (sol.sweeps_run, sol.stop_reason) == (sweeps, reason)
+    assert len(sol.objective_trace) == len(betas)
+    for got, b in zip(sol.objective_trace, betas):
+        want = diag_objective(x, o, b, r, cfg)
+        assert abs(got - want) <= 1e-12 * abs(want)
+    return sol
+
+
+def diag_case(seed, n, d, negative=False):
+    rng = np.random.default_rng(seed)
+    x = standardized(rng, n, d)
+    sign = -1.0 if negative else 1.0
+    o, _ = standardize_columns(sign * x + rng.normal(size=(n, d)) * rng.uniform(0.2, 2.0))
+    return rng, x, o
+
+
+class TestDiagSolverBitIdentity:
+    """iilasso_diag runs its sweep on scalars and takes the objective trace
+    from sufficient statistics; the iterates must stay those of the
+    per-coordinate functions, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cold_start(self, seed):
+        _, x, o = diag_case(seed, 40, 12)
+        cfg = SparseConfig(lam=0.1, alpha=0.2, tol=1e-10, max_itr=500)
+        assert_solver_matches_reference(x, o, similarity_matrix(x, cfg), cfg)
+
+    def test_self_response_warm_start(self):
+        rng, x, _ = diag_case(11, 50, 15)
+        cfg = SparseConfig(lam=0.05, alpha=0.1)
+        r = similarity_matrix(x, cfg)
+        beta0 = rng.uniform(-1, 1, size=15)
+        beta0[::4] = 0.0
+        assert_solver_matches_reference(x, x, r, cfg, beta0=beta0)
+
+    def test_all_zero_start_stops_at_once(self):
+        _, x, o = diag_case(12, 30, 6)
+        cfg = SparseConfig(lam=0.1, alpha=0.1)
+        sol = assert_solver_matches_reference(x, o, similarity_matrix(x, cfg), cfg, np.zeros(6))
+        assert sol.sweeps_run == 0 and sol.stop_reason == "target_nnz"
+
+    def test_negative_correlations_give_negative_zeros(self):
+        _, x, o = diag_case(13, 30, 6, negative=True)
+        cfg = SparseConfig(lam=2.0, alpha=0.1)  # every |corr| <= 1 < lam
+        sol = assert_solver_matches_reference(x, o, similarity_matrix(x, cfg), cfg)
+        assert (sol.beta == 0).all() and np.signbit(sol.beta).all()
+
+    def test_alpha_zero(self):
+        _, x, o = diag_case(14, 30, 8)
+        cfg = SparseConfig(lam=0.15, alpha=0.0, tol=1e-12, max_itr=2000)
+        assert_solver_matches_reference(x, o, similarity_matrix(x, cfg), cfg)
+
+    def test_target_nnz_stop(self):
+        _, x, _ = diag_case(15, 40, 20)
+        cfg = SparseConfig(lam=0.5, alpha=0.5, target_nnz=16)
+        sol = assert_solver_matches_reference(x, x, similarity_matrix(x, cfg), cfg)
+        assert sol.stop_reason == "target_nnz"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 30),
+        d=st.integers(1, 8),
+        lam=st.floats(0.01, 1.5),
+        alpha=st.sampled_from([0.0, 0.1, 1.0, 5.0]),
+        negative=st.booleans(),
+        start=st.sampled_from(["ones", "zeros", "warm"]),
+        target_nnz=st.integers(0, 3),
+    )
+    def test_generated_instances(self, seed, n, d, lam, alpha, negative, start, target_nnz):
+        rng, x, o = diag_case(seed, n, d, negative)
+        cfg = SparseConfig(lam=lam, alpha=alpha, target_nnz=target_nnz, tol=1e-9, max_itr=300)
+        beta0 = {"ones": None, "zeros": np.zeros(d), "warm": rng.uniform(-1, 1, size=d)}[start]
+        assert_solver_matches_reference(x, o, similarity_matrix(x, cfg), cfg, beta0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rho=st.floats(allow_nan=True, allow_infinity=True),
+        thr=st.floats(allow_nan=True, allow_infinity=True),
+        r_jj=st.sampled_from([0.0, 0.5, 3.0, 1e6]),
+    )
+    def test_update_matches_numpy_shrinkage(self, rho, thr, r_jj):
+        cfg = SparseConfig(lam=0.3, alpha=0.7)
+        with np.errstate(all="ignore"):
+            want = float(soft_threshold(rho, thr)) / (1.0 + cfg.alpha * cfg.lam * np.float64(r_jj))
+        got = coordinate_update(rho, thr, r_jj, cfg)
+        if np.isnan(want):
+            assert np.isnan(got)
+        else:
+            assert float_bits(got) == float_bits(want)
+
+    def test_update_signed_zeros(self):
+        cfg = SparseConfig()
+        assert float_bits(coordinate_update(-0.05, 0.1, 0.0, cfg)) == float_bits(-0.0)
+        assert float_bits(coordinate_update(0.05, 0.1, 0.0, cfg)) == float_bits(0.0)
+        assert float_bits(coordinate_update(-0.0, 0.1, 0.0, cfg)) == float_bits(0.0)
+        assert float_bits(coordinate_update(-0.0, -0.1, 0.0, cfg)) == float_bits(0.0)
