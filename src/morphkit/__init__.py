@@ -25,10 +25,8 @@ from .linalg import (
     StandardizeInfo,
     least_squares,
     least_squares_with_fallback,
-    matmul,
     ridge_fallback,
     standardize_columns,
-    unstandardize_columns,
     vectorize,
 )
 from .morph import (
@@ -36,10 +34,6 @@ from .morph import (
     MorphSpec,
     fold_beta,
     morph,
-    morph_alg1,
-    morph_alg2,
-    morph_alg3,
-    morph_baseline,
     preservation_error,
     sample_rows,
 )

@@ -24,12 +24,10 @@ import numpy as np
 
 from . import io as mio
 from .errors import EmptyLayerError, MorphkitError
-from .morph import MorphSpec, morph, sample_rows
+from .morph import ALGORITHM_NAMES, MorphSpec, morph, sample_rows
 from .network import ACTIVATION_KINDS, Layer, Mlp, TrainConfig, evaluate, init_weights, train_sgd
 from .sparse import SparseConfig
 from .verify import CHECKS, run_checks
-
-log = logging.getLogger("morphkit")
 
 ACC_FIELDS = ("acc_parent", "acc_post_morph", "acc_after_finetune")
 
@@ -345,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="0-based index of the layer after which to insert")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--act", choices=ACTIVATION_KINDS, default="relu")
-    p.add_argument("--alg", choices=("alg1", "alg2", "alg3", "baseline"), default="alg2")
+    p.add_argument("--alg", choices=ALGORITHM_NAMES, default="alg2")
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--max-itr", type=int, default=1000)

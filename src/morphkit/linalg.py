@@ -1,4 +1,4 @@
-"""Dense matrix kernel: products, normal-equation least squares, column
+"""Dense matrix kernel: normal-equation least squares, column
 standardization, and column-stacking vectorization.
 
 Matrices are plain 2-D float64 numpy arrays, validated at API boundaries:
@@ -34,18 +34,6 @@ def ensure_finite(arr: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NotFiniteError(f"{name}: produced non-finite entries")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product a @ b with conformance and finiteness checks."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by "
-            f"{b.shape[0]}x{b.shape[1]}: inner dimensions differ"
-        )
-    return ensure_finite(a @ b, "matmul result")
 
 
 def _checked_design(x, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
@@ -136,13 +124,12 @@ class StandardizeInfo:
     constant_mask: np.ndarray
 
 
-def standardize_columns(m, mode: str = "center_and_scale") -> tuple[np.ndarray, StandardizeInfo]:
-    """Center each column; with mode="center_and_scale" also rescale so that
-    col.T col equals the row count. Zero-variance columns are flagged in the
-    returned info and left at scale 1 rather than rejected.
+def standardize_columns(m) -> tuple[np.ndarray, StandardizeInfo]:
+    """Center each column and rescale it so that col.T col equals the row
+    count; invert with out * info.scales + info.means. Zero-variance columns
+    are flagged in the returned info and left at scale 1 rather than
+    rejected.
     """
-    if mode not in ("center_only", "center_and_scale"):
-        raise ValueError(f"unknown standardization mode: {mode!r}")
     m = as_matrix(m, "m")
     n = m.shape[0]
     if n < 2:
@@ -152,19 +139,8 @@ def standardize_columns(m, mode: str = "center_and_scale") -> tuple[np.ndarray, 
     # col.T col / n after centering; sqrt gives the scale that maps to col.T col == n
     meansq = np.einsum("ij,ij->j", centered, centered) / n
     constant = np.sqrt(meansq) <= CONSTANT_COLUMN_TOL * np.maximum(1.0, np.abs(means))
-    if mode == "center_only":
-        scales = np.ones(m.shape[1])
-        out = centered
-    else:
-        scales = np.where(constant, 1.0, np.sqrt(np.where(constant, 1.0, meansq)))
-        out = centered / scales
-    return out, StandardizeInfo(means=means, scales=scales, constant_mask=constant)
-
-
-def unstandardize_columns(m, info: StandardizeInfo) -> np.ndarray:
-    """Invert standardize_columns: m * scales + means."""
-    m = as_matrix(m, "m")
-    return m * info.scales + info.means
+    scales = np.where(constant, 1.0, np.sqrt(np.where(constant, 1.0, meansq)))
+    return centered / scales, StandardizeInfo(means=means, scales=scales, constant_mask=constant)
 
 
 def vectorize(m) -> np.ndarray:

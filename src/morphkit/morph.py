@@ -1,17 +1,18 @@
 """Function-preserving layer insertion with compact width selection.
 
-All four entry points insert one hidden layer after a chosen position in a
-trained parent and refit the downstream layer by least squares so the
-child's downstream pre-activations track the parent's on a probe batch.
-They differ in how the inserted width is selected:
+`morph` inserts one hidden layer after a chosen position in a trained
+parent and fits the downstream layer by least squares so the child's
+downstream pre-activations track the parent's on a probe batch. All
+algorithms share that pipeline and differ only in the selector, named by
+`spec.algorithm`, that picks which inserted neurons to keep:
 
-* `morph_alg1` scores each candidate neuron against its own output with
-  the similarity-penalized solver and drops zero-coefficient columns.
-* `morph_alg2` alternates that scoring with a least-squares refit of the
-  inserted weights, re-deriving the candidate outputs after each refit.
-* `morph_alg3` scores each candidate by its rank-one contribution to the
+* `alg1` scores each candidate neuron against its own output with the
+  similarity-penalized solver and keeps the nonzero-coefficient columns.
+* `alg2` makes alg1's selection, then one least-squares refit of the kept
+  inserted weights.
+* `alg3` scores each candidate by its rank-one contribution to the
   downstream reconstruction and prunes matched column/row pairs.
-* `morph_baseline` keeps the full width (no sparsification).
+* `baseline` keeps the full width (no sparsification).
 
 Parents are never mutated; at a fixed BLAS thread count identical inputs
 produce bit-identical children.
@@ -19,6 +20,8 @@ produce bit-identical children.
 
 from __future__ import annotations
 
+import functools
+import logging
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -27,16 +30,14 @@ import numpy as np
 
 from .errors import EmptyLayerError, MorphkitError, ShapeError
 from .linalg import (
-    as_matrix,
-    least_squares_with_fallback,
-    ridge_fallback,
-    standardize_columns,
-    vectorize,
+    as_matrix, least_squares_with_fallback, ridge_fallback, standardize_columns, vectorize,
 )
 from .network import Layer, Mlp, apply_activation, forward, init_weights
 from .sparse import SparseConfig, iilasso_diag, iilasso_residual, refit_w1, similarity_matrix
 
-# Largest candidate-count * probe-rows * downstream-width product morph_alg3
+log = logging.getLogger(__name__)
+
+# Largest candidate-count * probe-rows * downstream-width product alg3
 # will materialize without row sampling.
 ALG3_VALUE_BUDGET = 2**27
 
@@ -186,7 +187,7 @@ def _prepare(mlp: Mlp, spec: MorphSpec, probe, w1_init):
     taps = forward(mlp, probe)
     a1 = taps.activations[spec.insert_after]
     downstream_pre = taps.pre_activations[spec.insert_after + 1]
-    return probe, a1, downstream_pre, w1, forced
+    return a1, downstream_pre, w1, forced
 
 
 def _fit_readout(a_new, target, with_bias: bool, forced: bool):
@@ -221,94 +222,35 @@ def _require_survivors(active: np.ndarray):
         )
 
 
-def _diag_select(x, response, cfg: SparseConfig, beta_warm=None):
-    """Standardize design and response, drop constant candidates, solve the
-    diagonal-design problem, and re-embed coefficients at full width."""
-    xs, xinfo = standardize_columns(x, "center_and_scale")
-    if response is x:
-        os_, oinfo = xs, xinfo
-    else:
-        os_, oinfo = standardize_columns(response, "center_and_scale")
-    live = ~(xinfo.constant_mask | oinfo.constant_mask)
+def _diag_select(x, cfg: SparseConfig):
+    """Standardize the candidate outputs, drop constant ones, score each
+    remaining column against itself with the diagonal-design solver, and
+    re-embed the coefficients at full width."""
+    xs, info = standardize_columns(x)
+    live = ~info.constant_mask
     beta_full = np.zeros(x.shape[1])
     if not live.any():
         return beta_full, "target_nnz"
-    r = similarity_matrix(xs[:, live], cfg)
-    warm = None if beta_warm is None else beta_warm[live]
-    sol = iilasso_diag(xs[:, live], os_[:, live], r, cfg, beta0=warm)
+    xs_live = xs[:, live]
+    r = similarity_matrix(xs_live, cfg)
+    sol = iilasso_diag(xs_live, xs_live, r, cfg)
     beta_full[live] = sol.beta
     return beta_full, sol.stop_reason
 
 
-def _finalize_diag(mlp, spec, a1, downstream_pre, w1, beta_full, forced, stop_reason, t0, algorithm):
+def _select_diag(spec, a1, downstream_pre, w1, with_bias, forced, refit: bool):
+    """alg1, and with `refit` alg2: keep the nonzero-coefficient columns of
+    the diagonal-design solve; alg2 first refits the inserted weights
+    against the candidate outputs with the coefficients held fixed."""
+    response = a1 @ w1
+    beta_full, stop_reason = _diag_select(response, spec.sparse)
+    if refit:
+        w1 = refit_w1(a1, response, beta_full)
     active = beta_full != 0
-    _require_survivors(active)
     w1_kept = w1[:, active]
     if spec.fold_beta:
         w1_kept = fold_beta(w1_kept, beta_full[active], spec.activation)
-    a_new = apply_activation(spec.activation, a1 @ w1_kept)
-    with_bias = mlp.layers[spec.insert_after + 1].bias is not None
-    w2, b2, fallbacks = _fit_readout(a_new, downstream_pre, with_bias, forced)
-    child = _assemble_child(mlp, spec.insert_after, w1_kept, spec.activation, w2, b2)
-    pres_max, pres_rms = _preservation_from_taps(child, spec.insert_after, a1, downstream_pre)
-    n_sparse = int(active.sum())
-    report = MorphReport(
-        algorithm=algorithm,
-        activation=spec.activation,
-        n_redundant=spec.width,
-        n_sparse=n_sparse,
-        compression_ratio=n_sparse / spec.width,
-        preservation_max=pres_max,
-        preservation_rms=pres_rms,
-        sparse_stop_reason=stop_reason,
-        ridge_fallbacks=fallbacks,
-        wall_time_s=time.perf_counter() - t0,
-    )
-    return child, report
-
-
-def morph_alg1(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphReport]:
-    """Insert a layer, sparsify its columns against their own outputs, then
-    refit the downstream layer by least squares."""
-    t0 = time.perf_counter()
-    probe, a1, downstream_pre, w1, forced = _prepare(mlp, spec, probe, w1_init)
-    candidate_out = a1 @ w1
-    beta_full, stop_reason = _diag_select(candidate_out, candidate_out, spec.sparse)
-    return _finalize_diag(
-        mlp, spec, a1, downstream_pre, w1, beta_full, forced, stop_reason, t0, "alg1"
-    )
-
-
-def morph_alg2(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphReport]:
-    """Like morph_alg1, but alternates the coefficient solve with a
-    least-squares refit of the inserted weights until the coefficient
-    vector settles (same stopping rule as the solver)."""
-    t0 = time.perf_counter()
-    cfg = spec.sparse
-    probe, a1, downstream_pre, w1, forced = _prepare(mlp, spec, probe, w1_init)
-    response = a1 @ w1
-    w_cur = w1
-    x = response
-    beta_full = np.ones(spec.width)
-    stop_reason = "max_itr"
-    for outer in range(1, cfg.max_itr + 1):
-        prev = beta_full
-        beta_full, inner_reason = _diag_select(x, response, cfg, beta_warm=prev)
-        delta = float(np.abs(beta_full - prev).max())
-        if int(np.count_nonzero(beta_full)) <= cfg.target_nnz:
-            stop_reason = "target_nnz"
-            break
-        if delta < cfg.tol:
-            stop_reason = "converged"
-            break
-        if outer >= cfg.max_itr:
-            stop_reason = "max_itr"
-            break
-        w_cur = refit_w1(a1, response, beta_full)
-        x = a1 @ w_cur
-    return _finalize_diag(
-        mlp, spec, a1, downstream_pre, w_cur, beta_full, forced, stop_reason, t0, "alg2"
-    )
+    return w1_kept, None, stop_reason
 
 
 def contribution_matrices(a_new, w2) -> np.ndarray:
@@ -323,19 +265,16 @@ def contribution_matrices(a_new, w2) -> np.ndarray:
     return a_new.T[:, :, None] * w2[:, None, :]
 
 
-def morph_alg3(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphReport]:
-    """Insert a layer, fit the downstream weights, then sparsify by scoring
+def _select_alg3(spec, a1, downstream_pre, w1, with_bias, forced):
+    """Fit the downstream weights at full width, then sparsify by scoring
     each neuron's rank-one contribution to the downstream reconstruction.
     Zero-coefficient neurons lose both their inserted column and their
     downstream row; surviving rows absorb their coefficients exactly."""
-    t0 = time.perf_counter()
     cfg = spec.sparse
-    probe, a1, downstream_pre, w1, forced = _prepare(mlp, spec, probe, w1_init)
     a_new_full = apply_activation(spec.activation, a1 @ w1)
-    with_bias = mlp.layers[spec.insert_after + 1].bias is not None
     w2, b2, fallbacks = _fit_readout(a_new_full, downstream_pre, with_bias, forced)
 
-    rows = sample_rows(probe.shape[0], spec.alg3_row_sample, spec.seed + 1)
+    rows = sample_rows(a1.shape[0], spec.alg3_row_sample, spec.seed + 1)
     n_rows = rows.shape[0]
     d2 = downstream_pre.shape[1]
     if spec.width * n_rows * d2 > ALG3_VALUE_BUDGET and spec.alg3_row_sample is None:
@@ -346,12 +285,11 @@ def morph_alg3(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, Mor
         )
 
     target = downstream_pre[rows]
+    center = 0.0
     if with_bias:
         target = target - b2
         center = float(target.mean())
         target = target - center
-    else:
-        center = 0.0
 
     t = contribution_matrices(a_new_full[rows], w2)
     sq_norms = np.einsum("ijk,ijk->i", t, t)
@@ -363,9 +301,7 @@ def morph_alg3(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, Mor
         m = n_rows * d2
         scales = np.sqrt(m / sq_norms[live])
         t_scaled = t[live] * scales[:, None, None]
-        stacked = np.stack(
-            [vectorize(t_scaled[i]) for i in range(t_scaled.shape[0])], axis=1
-        )
+        stacked = np.stack([vectorize(ti) for ti in t_scaled], axis=1)
         r = similarity_matrix(stacked, cfg)
         sol = iilasso_residual(t_scaled, target, r, cfg)
         beta_full[live] = sol.beta
@@ -375,14 +311,48 @@ def morph_alg3(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, Mor
     active = beta_full != 0
     _require_survivors(active)
     effective = beta_full * scales_full  # coefficients on the unscaled contributions
-    w1_kept = w1[:, active]
     w2_kept = w2[active] * effective[active][:, None]
     b2_kept = None if b2 is None else b2 + center
-    child = _assemble_child(mlp, spec.insert_after, w1_kept, spec.activation, w2_kept, b2_kept)
+    return w1[:, active], (w2_kept, b2_kept, fallbacks), stop_reason
+
+
+def _select_baseline(spec, a1, downstream_pre, w1, with_bias, forced):
+    return w1, None, "none"
+
+
+# selector(spec, a1, downstream_pre, w1, with_bias, forced) -> (kept inserted
+# columns, readout (w2, b2 or None, fallbacks) or None for `morph` to fit, stop reason)
+_SELECTORS = {
+    "alg1": functools.partial(_select_diag, refit=False),
+    "alg2": functools.partial(_select_diag, refit=True),
+    "alg3": _select_alg3,
+    "baseline": _select_baseline,
+}
+
+
+def morph(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphReport]:
+    """Insert a layer of `spec.width` candidate neurons after layer
+    `spec.insert_after`, keep the ones the `spec.algorithm` selector picks,
+    and fit the downstream layer so the child tracks the parent on `probe`."""
+    t0 = time.perf_counter()
+    a1, downstream_pre, w1, forced = _prepare(mlp, spec, probe, w1_init)
+    with_bias = mlp.layers[spec.insert_after + 1].bias is not None
+    select = _SELECTORS[spec.algorithm]
+    w1, readout, stop_reason = select(spec, a1, downstream_pre, w1, with_bias, forced)
+    if readout is None:
+        a_new = apply_activation(spec.activation, a1 @ w1)
+        if spec.algorithm != "baseline":
+            # a neuron silent on every probe row is an all-zero readout column
+            live = a_new.any(axis=0)
+            _require_survivors(live)
+            w1, a_new = w1[:, live], a_new[:, live]
+        readout = _fit_readout(a_new, downstream_pre, with_bias, forced)
+    w2, b2, fallbacks = readout
+    child = _assemble_child(mlp, spec.insert_after, w1, spec.activation, w2, b2)
     pres_max, pres_rms = _preservation_from_taps(child, spec.insert_after, a1, downstream_pre)
-    n_sparse = int(active.sum())
+    n_sparse = w1.shape[1]
     report = MorphReport(
-        algorithm="alg3",
+        algorithm=spec.algorithm,
         activation=spec.activation,
         n_redundant=spec.width,
         n_sparse=n_sparse,
@@ -393,42 +363,8 @@ def morph_alg3(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, Mor
         ridge_fallbacks=fallbacks,
         wall_time_s=time.perf_counter() - t0,
     )
-    return child, report
-
-
-def morph_baseline(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphReport]:
-    """Insert the full requested width and refit the downstream layer by
-    least squares; no sparsification."""
-    t0 = time.perf_counter()
-    probe, a1, downstream_pre, w1, forced = _prepare(mlp, spec, probe, w1_init)
-    a_new = apply_activation(spec.activation, a1 @ w1)
-    with_bias = mlp.layers[spec.insert_after + 1].bias is not None
-    w2, b2, fallbacks = _fit_readout(a_new, downstream_pre, with_bias, forced)
-    child = _assemble_child(mlp, spec.insert_after, w1, spec.activation, w2, b2)
-    pres_max, pres_rms = _preservation_from_taps(child, spec.insert_after, a1, downstream_pre)
-    report = MorphReport(
-        algorithm="baseline",
-        activation=spec.activation,
-        n_redundant=spec.width,
-        n_sparse=spec.width,
-        compression_ratio=1.0,
-        preservation_max=pres_max,
-        preservation_rms=pres_rms,
-        sparse_stop_reason="none",
-        ridge_fallbacks=fallbacks,
-        wall_time_s=time.perf_counter() - t0,
+    log.info(
+        "%s: width %d -> %d, preservation max %.3e rms %.3e, stop %s, %d ridge fallbacks",
+        spec.algorithm, spec.width, n_sparse, pres_max, pres_rms, stop_reason, fallbacks,
     )
     return child, report
-
-
-_ALGORITHMS = {
-    "alg1": morph_alg1,
-    "alg2": morph_alg2,
-    "alg3": morph_alg3,
-    "baseline": morph_baseline,
-}
-
-
-def morph(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphReport]:
-    """Dispatch to the algorithm named in `spec.algorithm`."""
-    return _ALGORITHMS[spec.algorithm](mlp, spec, probe, w1_init=w1_init)

@@ -1,4 +1,4 @@
-"""Dense-kernel tests: products, least squares, standardization, vec."""
+"""Dense-kernel tests: least squares, standardization, vec."""
 
 import numpy as np
 import pytest
@@ -7,24 +7,10 @@ from morphkit.errors import NotFiniteError, ShapeError, SingularMatrixError
 from morphkit.linalg import (
     least_squares,
     least_squares_with_fallback,
-    matmul,
     ridge_fallback,
     standardize_columns,
-    unstandardize_columns,
     vectorize,
 )
-
-
-def naive_matmul(a, b):
-    """Triple-loop reference product."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            s = 0.0
-            for k in range(a.shape[1]):
-                s += a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
 
 
 def gauss_solve(a, b):
@@ -45,38 +31,6 @@ def gauss_solve(a, b):
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        b = rng.normal(size=(3, 4))
-        np.testing.assert_array_equal(matmul(np.eye(3), b), b)
-
-    def test_hand_example(self):
-        out = matmul([[1, 2], [3, 4]], [[1], [1]])
-        np.testing.assert_array_equal(out, [[3], [7]])
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(7, 5))
-        b = rng.normal(size=(5, 3))
-        assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() <= 1e-12
-
-    def test_dimension_mismatch_names_shapes(self):
-        with pytest.raises(ShapeError, match=r"7x5.*3x2"):
-            matmul(np.ones((7, 5)), np.ones((3, 2)))
-
-    def test_associativity(self):
-        rng = np.random.default_rng(2)
-        a, b, c = rng.normal(size=(4, 6)), rng.normal(size=(6, 5)), rng.normal(size=(5, 2))
-        np.testing.assert_allclose(
-            matmul(matmul(a, b), c), matmul(a, matmul(b, c)), rtol=1e-9
-        )
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NotFiniteError):
-            matmul([[np.nan, 1.0]], [[1.0], [1.0]])
 
 
 class TestLeastSquares:
@@ -153,26 +107,29 @@ class TestLeastSquares:
         with pytest.raises(SingularMatrixError, match="ridge"):
             least_squares_with_fallback(np.zeros((5, 2)), np.ones((5, 1)))
 
+    def test_row_mismatch_names_counts(self):
+        with pytest.raises(ShapeError, match=r"7 rows.*3"):
+            least_squares(np.ones((7, 5)), np.ones((3, 2)))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NotFiniteError):
+            least_squares([[np.nan, 1.0]], [[1.0]])
+
     def test_negative_ridge_rejected(self):
         with pytest.raises(ValueError):
             least_squares(np.eye(3), np.eye(3), ridge=-1.0)
 
 
 class TestStandardize:
-    def test_center_only_example(self):
-        out, info = standardize_columns(np.array([[1.0], [2.0], [3.0]]), "center_only")
-        np.testing.assert_allclose(out[:, 0], [-1.0, 0.0, 1.0], atol=1e-15)
-        assert info.scales[0] == 1.0
-
     def test_center_and_scale_example(self):
-        out, _ = standardize_columns(np.array([[0.0], [2.0]]), "center_and_scale")
+        out, _ = standardize_columns(np.array([[0.0], [2.0]]))
         np.testing.assert_allclose(out[:, 0], [-1.0, 1.0], atol=1e-15)
         assert out[:, 0] @ out[:, 0] == pytest.approx(2.0)
 
     def test_random_matrix_normalization(self):
         rng = np.random.default_rng(9)
         m = rng.normal(size=(20, 4)) * [1.0, 5.0, 0.1, 2.0]
-        out, _ = standardize_columns(m, "center_and_scale")
+        out, _ = standardize_columns(m)
         assert np.abs(out.mean(axis=0)).max() <= 1e-12
         norms = np.einsum("ij,ij->j", out, out)
         np.testing.assert_allclose(norms, 20.0, atol=1e-9)
@@ -180,15 +137,12 @@ class TestStandardize:
     def test_roundtrip(self):
         rng = np.random.default_rng(10)
         m = rng.normal(size=(15, 5)) * rng.uniform(0.1, 8.0, size=5) + rng.normal(size=5)
-        for mode in ("center_only", "center_and_scale"):
-            out, info = standardize_columns(m, mode)
-            np.testing.assert_allclose(
-                unstandardize_columns(out, info), m, rtol=1e-12, atol=1e-12
-            )
+        out, info = standardize_columns(m)
+        np.testing.assert_allclose(out * info.scales + info.means, m, rtol=1e-12, atol=1e-12)
 
     def test_constant_column_flagged_not_rejected(self):
         m = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
-        out, info = standardize_columns(m, "center_and_scale")
+        out, info = standardize_columns(m)
         assert info.constant_mask.tolist() == [True, False]
         assert info.scales[0] == 1.0
         np.testing.assert_allclose(out[:, 0], 0.0, atol=1e-15)
@@ -196,10 +150,6 @@ class TestStandardize:
     def test_too_few_rows(self):
         with pytest.raises(ShapeError):
             standardize_columns(np.ones((1, 2)))
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            standardize_columns(np.ones((3, 2)), "scale_only")
 
 
 class TestVectorize:

@@ -3,6 +3,7 @@ preservation metrics, folding, and determinism."""
 
 import dataclasses
 import importlib
+import logging
 
 import numpy as np
 import pytest
@@ -16,10 +17,6 @@ from morphkit.morph import (
     contribution_matrices,
     fold_beta,
     morph,
-    morph_alg1,
-    morph_alg2,
-    morph_alg3,
-    morph_baseline,
     preservation_error,
     sample_rows,
 )
@@ -69,7 +66,7 @@ class TestPreservationConstructions:
             insert_after=0, width=5, activation="identity", algorithm="alg1",
             sparse=SparseConfig(lam=0.0, alpha=0.0), seed=2,
         )
-        _, report = morph_alg1(parent, spec, probe)
+        _, report = morph(parent, spec, probe)
         assert report.preservation_max <= 1e-6
         assert report.n_sparse == 5
 
@@ -82,7 +79,7 @@ class TestPreservationConstructions:
             insert_after=0, width=2 * d1, activation="relu", algorithm="alg1",
             sparse=SparseConfig(lam=0.0, alpha=0.0), seed=5,
         )
-        _, report = morph_alg1(parent, spec, probe, w1_init=mirror)
+        _, report = morph(parent, spec, probe, w1_init=mirror)
         assert report.preservation_max <= 1e-6
 
     def test_baseline_identity_exact(self):
@@ -90,7 +87,7 @@ class TestPreservationConstructions:
         probe = probe_for(7, 60, 6)
         spec = MorphSpec(insert_after=0, width=5, activation="identity",
                          algorithm="baseline", seed=8)
-        _, report = morph_baseline(parent, spec, probe)
+        _, report = morph(parent, spec, probe)
         assert report.preservation_max <= 1e-6
 
 
@@ -99,12 +96,12 @@ class TestAlg1:
         parent = random_parent(9)
         probe = probe_for(10, 60, 6)
         with pytest.raises(EmptyLayerError, match="lambda too large"):
-            morph_alg1(parent, spec_for("alg1", lam=1e9), probe)
+            morph(parent, spec_for("alg1", lam=1e9), probe)
 
     def test_child_structure(self):
         parent = random_parent(11)
         probe = probe_for(12, 90, 6)
-        child, report = morph_alg1(parent, spec_for("alg1"), probe)
+        child, report = morph(parent, spec_for("alg1"), probe)
         assert len(child.layers) == len(parent.layers) + 1
         assert child.layers[1].d_out == report.n_sparse
         assert child.layers[1].bias is None
@@ -117,28 +114,76 @@ class TestAlg1:
         parent = random_parent(13)
         probe = probe_for(14, 40, 6)
         with pytest.raises(ShapeError):
-            morph_alg1(parent, dataclasses.replace(spec_for("alg1"), insert_after=1), probe)
+            morph(parent, dataclasses.replace(spec_for("alg1"), insert_after=1), probe)
 
     def test_underdetermined_probe_warns(self):
         parent = random_parent(15)
         probe = probe_for(16, 6, 6)  # fewer rows than inserted width
         with pytest.warns(RuntimeWarning, match="ridge"):
-            morph_alg1(parent, spec_for("alg1", lam=0.0), probe)
+            morph(parent, spec_for("alg1", lam=0.0), probe)
+
+    @pytest.mark.parametrize("alg", ["alg1", "alg2"])
+    def test_probe_dead_neuron_dropped(self, alg):
+        # a relu parent's activations are nonnegative, so a column of
+        # negative weights never fires on the probe; the solver, which
+        # scores pre-activations, keeps it
+        parent = random_parent(57)
+        probe = probe_for(58, 90, 6)
+        w1 = init_weights(5, 8, "relu", 59)
+        w1[:, 3] = -np.abs(w1[:, 3])
+        spec = spec_for(alg, lam=0.0, alpha=0.0)
+        child, report = morph(parent, spec, probe, w1_init=w1)
+        assert report.n_sparse == 7
+        assert child.layers[1].d_out == 7
+        assert report.ridge_fallbacks == 0
+        assert not (child.layers[1].weight <= 0).all(axis=0).any()
 
 
 class TestAlg2:
-    def test_single_outer_iteration_matches_alg1(self):
+    @staticmethod
+    def counting(monkeypatch, name):
+        calls = []
+        original = getattr(morph_mod, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(morph_mod, name, counted)
+        return calls
+
+    def test_one_solve_and_one_refit(self, monkeypatch):
         parent = random_parent(17)
         probe = probe_for(18, 90, 6)
-        cfg = SparseConfig(lam=0.1, alpha=0.1, max_itr=1)
-        spec1 = MorphSpec(insert_after=0, width=8, activation="relu",
-                          algorithm="alg1", sparse=cfg, seed=19)
-        spec2 = dataclasses.replace(spec1, algorithm="alg2")
-        child1, rep1 = morph_alg1(parent, spec1, probe)
-        child2, rep2 = morph_alg2(parent, spec2, probe)
-        assert rep1.n_sparse == rep2.n_sparse
-        for l1, l2 in zip(child1.layers, child2.layers):
-            np.testing.assert_array_equal(l1.weight, l2.weight)
+        solves = self.counting(monkeypatch, "iilasso_diag")
+        refits = self.counting(monkeypatch, "refit_w1")
+        morph(parent, spec_for("alg2"), probe)
+        assert len(solves) == 1
+        assert len(refits) == 1
+
+    def test_n_sparse_matches_alg1(self):
+        parent = random_parent(17)
+        probe = probe_for(18, 90, 6)
+        for lam in (0.05, 0.1, 0.3):
+            spec1 = spec_for("alg1", lam=lam, seed=19)
+            _, rep1 = morph(parent, spec1, probe)
+            _, rep2 = morph(parent, dataclasses.replace(spec1, algorithm="alg2"), probe)
+            assert rep2.n_sparse == rep1.n_sparse
+            assert rep2.sparse_stop_reason == rep1.sparse_stop_reason
+
+    def test_folded_downstream_matches_alg1(self):
+        # the refit target a1 @ w1 lies in the span of a1, so the refit only
+        # rescales the kept columns and the readout absorbs the scale
+        parent = random_parent(17)
+        probe = probe_for(18, 90, 6)
+        spec1 = spec_for("alg1", seed=19, fold_beta=True)
+        child1, _ = morph(parent, spec1, probe)
+        child2, _ = morph(parent, dataclasses.replace(spec1, algorithm="alg2"), probe)
+        np.testing.assert_allclose(
+            forward(child2, probe).pre_activations[2],
+            forward(child1, probe).pre_activations[2],
+            rtol=0, atol=1e-9,
+        )
 
     def test_alternation_objective_non_increasing(self):
         # replay the documented alternation on a random 20x4 parent
@@ -167,7 +212,7 @@ class TestAlg2:
     def test_reports_sparsity_bounds(self):
         parent = random_parent(23)
         probe = probe_for(24, 90, 6)
-        _, report = morph_alg2(parent, spec_for("alg2"), probe)
+        _, report = morph(parent, spec_for("alg2"), probe)
         assert 0 < report.n_sparse <= report.n_redundant
 
 
@@ -177,7 +222,7 @@ class TestAlg3:
         probe = probe_for(26, 70, 6)
         spec = MorphSpec(insert_after=0, width=1, activation="relu",
                          algorithm="alg3", sparse=SparseConfig(lam=0.0, alpha=0.0), seed=27)
-        child, _ = morph_alg3(parent, spec, probe)
+        child, _ = morph(parent, spec, probe)
         taps = forward(parent, probe)
         a_new = apply_activation("relu", taps.activations[0] @ child.layers[1].weight)
         direct = a_new @ child.layers[2].weight + child.layers[2].bias
@@ -209,8 +254,8 @@ class TestAlg3:
         probe = probe_for(31, 80, 6)
         spec_plain = spec_for("alg3")
         spec_full = dataclasses.replace(spec_plain, alg3_row_sample=80)
-        child_a, rep_a = morph_alg3(parent, spec_plain, probe)
-        child_b, rep_b = morph_alg3(parent, spec_full, probe)
+        child_a, rep_a = morph(parent, spec_plain, probe)
+        child_b, rep_b = morph(parent, spec_full, probe)
         assert reports_equal(rep_a, rep_b)
         for la, lb in zip(child_a.layers, child_b.layers):
             np.testing.assert_array_equal(la.weight, lb.weight)
@@ -221,7 +266,7 @@ class TestAlg3:
         parent = random_parent(32)
         probe = probe_for(33, 90, 6)
         spec = spec_for("alg3", lam=0.3)
-        child, report = morph_alg3(parent, spec, probe)
+        child, report = morph(parent, spec, probe)
         assert report.n_sparse < spec.width  # something was pruned
         w1_full = init_weights(parent.layers[0].d_out, spec.width, "relu", spec.seed)
         kept = child.layers[1].weight
@@ -249,11 +294,11 @@ class TestAlg3:
         probe = probe_for(35, 50, 6)
         monkeypatch.setattr(morph_mod, "ALG3_VALUE_BUDGET", 100)
         with pytest.raises(MorphkitError, match="alg3_row_sample"):
-            morph_alg3(parent, spec_for("alg3"), probe)
+            morph(parent, spec_for("alg3"), probe)
         # row sampling lifts the guard
         spec = dataclasses.replace(spec_for("alg3"), alg3_row_sample=4)
         monkeypatch.setattr(morph_mod, "ALG3_VALUE_BUDGET", 4 * 8 * 3 + 1)
-        child, _ = morph_alg3(parent, spec, probe)
+        child, _ = morph(parent, spec, probe)
         assert len(child.layers) == 3
 
 
@@ -261,7 +306,7 @@ class TestBaseline:
     def test_compression_ratio_is_one(self):
         parent = random_parent(36)
         probe = probe_for(37, 60, 6)
-        _, report = morph_baseline(parent, spec_for("baseline"), probe)
+        _, report = morph(parent, spec_for("baseline"), probe)
         assert report.compression_ratio == 1.0
         assert report.n_sparse == report.n_redundant == 8
 
@@ -269,7 +314,7 @@ class TestBaseline:
         parent = random_parent(38)
         probe = probe_for(39, 80, 6)
         spec = spec_for("baseline")
-        child, report = morph_baseline(parent, spec, probe)
+        child, report = morph(parent, spec, probe)
         w1 = child.layers[1].weight
         w2_random = init_weights(spec.width, 3, "identity", spec.seed)
         random_child = Mlp(
@@ -306,7 +351,7 @@ class TestPreservationError:
     def test_row_permutation_invariant(self):
         parent = random_parent(44)
         probe = probe_for(45, 50, 6)
-        child, _ = morph_alg1(parent, spec_for("alg1"), probe)
+        child, _ = morph(parent, spec_for("alg1"), probe)
         a = preservation_error(parent, child, probe, 0)
         perm = np.random.default_rng(46).permutation(50)
         b = preservation_error(parent, child, probe[perm], 0)
@@ -387,8 +432,8 @@ class TestFoldBeta:
         probe = probe_for(52, 90, 6)
         plain = spec_for("alg1")
         folded = dataclasses.replace(plain, fold_beta=True)
-        child_a, rep_a = morph_alg1(parent, plain, probe)
-        child_b, rep_b = morph_alg1(parent, folded, probe)
+        child_a, rep_a = morph(parent, plain, probe)
+        child_b, rep_b = morph(parent, folded, probe)
         assert rep_a.n_sparse == rep_b.n_sparse
         # folding rescales columns but preserves the function after refit
         assert rep_b.preservation_rms <= rep_a.preservation_rms * 1.5 + 1e-9
@@ -429,6 +474,18 @@ class TestDeterminism:
             morph(parent, spec_for(alg), probe)
         for before, layer in zip(snapshot, parent.layers):
             np.testing.assert_array_equal(before, layer.weight)
+
+
+class TestLogging:
+    def test_one_info_record_per_morph(self, caplog):
+        parent = random_parent(60)
+        probe = probe_for(61, 90, 6)
+        with caplog.at_level(logging.INFO, logger="morphkit"):
+            for alg in morph_mod.ALGORITHM_NAMES:
+                morph(parent, spec_for(alg), probe)
+        records = [r for r in caplog.records if r.name.startswith("morphkit")]
+        assert [r.levelno for r in records] == [logging.INFO] * 4
+        assert [r.getMessage().split(":")[0] for r in records] == list(morph_mod.ALGORITHM_NAMES)
 
 
 class TestSpecValidation:

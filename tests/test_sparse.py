@@ -26,7 +26,7 @@ from morphkit.sparse import (
 
 
 def standardized(rng, n, d):
-    out, _ = standardize_columns(rng.normal(size=(n, d)), "center_and_scale")
+    out, _ = standardize_columns(rng.normal(size=(n, d)))
     return out
 
 
