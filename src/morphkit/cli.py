@@ -235,7 +235,14 @@ def cmd_morph(args) -> int:
             "activation": args.act,
             "lambda": args.lam,
             "alpha": args.alpha,
+            "max_itr": args.max_itr,
+            "target_nnz": args.target_nnz,
+            "tol": args.tol,
+            "r_cap": args.r_cap,
             "seed": args.seed,
+            "fold_beta": args.fold_beta,
+            "row_sample": args.row_sample,
+            "probe_size": args.probe_size,
         },
     )
     report_path = _out_path(args, args.report or (args.out + ".report.json"))
@@ -354,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probe-size", type=int, default=4096)
     p.add_argument("--fold-beta", action="store_true")
     p.add_argument("--row-sample", type=int, default=None,
-                   help="probe-row subsample for alg3")
+                   help="probe rows alg3 scores contributions on (default: all); "
+                        "fewer rows trade selection accuracy for speed")
     p.add_argument("--run-id", default="")
     p.add_argument("--out", default="child.model")
     p.add_argument("--report", default=None, help="report JSON path")

@@ -11,7 +11,8 @@ algorithms share that pipeline and differ only in the selector, named by
 * `alg2` makes alg1's selection, then one least-squares refit of the kept
   inserted weights.
 * `alg3` scores each candidate by its rank-one contribution to the
-  downstream reconstruction and prunes matched column/row pairs.
+  downstream reconstruction, in Gram form built from the factors (the
+  stacked design is never formed), and prunes matched column/row pairs.
 * `baseline` keeps the full width (no sparsification).
 
 Parents are never mutated; at a fixed BLAS thread count identical inputs
@@ -29,17 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyLayerError, MorphkitError, ShapeError
-from .linalg import (
-    as_matrix, least_squares_with_fallback, ridge_fallback, standardize_columns, vectorize,
-)
+from .linalg import as_matrix, least_squares_with_fallback, ridge_fallback, standardize_columns
 from .network import Layer, Mlp, apply_activation, forward, init_weights
-from .sparse import SparseConfig, iilasso_diag, iilasso_residual, refit_w1, similarity_matrix
+from .sparse import (
+    SparseConfig, gram_similarity, iilasso_diag, iilasso_residual, refit_w1, similarity_matrix,
+)
 
 log = logging.getLogger(__name__)
-
-# Largest candidate-count * probe-rows * downstream-width product alg3
-# will materialize without row sampling.
-ALG3_VALUE_BUDGET = 2**27
 
 # Contribution matrices with squared norm at or below this are dead.
 DEAD_CONTRIBUTION_TOL = 1e-30
@@ -255,7 +252,8 @@ def _select_diag(spec, a1, downstream_pre, w1, with_bias, forced, refit: bool):
 
 def contribution_matrices(a_new, w2) -> np.ndarray:
     """Rank-one contribution of each inserted neuron to the downstream
-    pre-activations: stack of outer products a_new[:, i] w2[i, :]."""
+    pre-activations: stack of outer products a_new[:, i] w2[i, :]. alg3
+    uses their Gram form (`_contribution_gram`); this is its reference."""
     a_new = as_matrix(a_new, "a_new")
     w2 = as_matrix(w2, "w2")
     if a_new.shape[1] != w2.shape[0]:
@@ -263,6 +261,15 @@ def contribution_matrices(a_new, w2) -> np.ndarray:
             f"a_new has {a_new.shape[1]} columns but w2 has {w2.shape[0]} rows"
         )
     return a_new.T[:, :, None] * w2[:, None, :]
+
+
+def _contribution_gram(a_new, w2, target) -> tuple[np.ndarray, np.ndarray]:
+    """Z.T Z and Z.T vec(target) for the stacked contributions
+    z_i = vec(a_new[:, i] w2[i, :]) without building Z: since each z_i is a
+    rank-one outer product, z_i.T z_j = (a_i.T a_j)(w2_i.T w2_j), so
+    Z.T Z = (a_new.T a_new) * (w2 w2.T) and Z.T vec(target) =
+    rowsum((a_new.T target) * w2)."""
+    return (a_new.T @ a_new) * (w2 @ w2.T), np.einsum("ij,ij->i", a_new.T @ target, w2)
 
 
 def _select_alg3(spec, a1, downstream_pre, w1, with_bias, forced):
@@ -275,15 +282,6 @@ def _select_alg3(spec, a1, downstream_pre, w1, with_bias, forced):
     w2, b2, fallbacks = _fit_readout(a_new_full, downstream_pre, with_bias, forced)
 
     rows = sample_rows(a1.shape[0], spec.alg3_row_sample, spec.seed + 1)
-    n_rows = rows.shape[0]
-    d2 = downstream_pre.shape[1]
-    if spec.width * n_rows * d2 > ALG3_VALUE_BUDGET and spec.alg3_row_sample is None:
-        raise MorphkitError(
-            f"contribution stack would hold {spec.width * n_rows * d2} values "
-            f"(budget {ALG3_VALUE_BUDGET}); set alg3_row_sample to subsample "
-            f"probe rows"
-        )
-
     target = downstream_pre[rows]
     center = 0.0
     if with_bias:
@@ -291,29 +289,21 @@ def _select_alg3(spec, a1, downstream_pre, w1, with_bias, forced):
         center = float(target.mean())
         target = target - center
 
-    t = contribution_matrices(a_new_full[rows], w2)
-    sq_norms = np.einsum("ijk,ijk->i", t, t)
+    gram, corr = _contribution_gram(a_new_full[rows], w2, target)
+    sq_norms = gram.diagonal()
     live = sq_norms > DEAD_CONTRIBUTION_TOL
-    beta_full = np.zeros(spec.width)
-    scales_full = np.zeros(spec.width)
-    stop_reason = "target_nnz"
-    if live.any():
-        m = n_rows * d2
-        scales = np.sqrt(m / sq_norms[live])
-        t_scaled = t[live] * scales[:, None, None]
-        stacked = np.stack([vectorize(ti) for ti in t_scaled], axis=1)
-        r = similarity_matrix(stacked, cfg)
-        sol = iilasso_residual(t_scaled, target, r, cfg)
-        beta_full[live] = sol.beta
-        scales_full[live] = scales
-        stop_reason = sol.stop_reason
-
-    active = beta_full != 0
+    # scale each live contribution to squared stacked norm M: G = S Z.T Z S / M
+    m = target.size
+    scales = np.sqrt(m / sq_norms[live])
+    g = gram[np.ix_(live, live)] * scales[:, None] * scales[None, :] / m
+    sol = iilasso_residual(g, corr[live] * scales / m, gram_similarity(g, cfg), cfg)
+    effective = np.zeros(spec.width)  # coefficients on the unscaled contributions
+    effective[live] = sol.beta * scales
+    active = effective != 0
     _require_survivors(active)
-    effective = beta_full * scales_full  # coefficients on the unscaled contributions
     w2_kept = w2[active] * effective[active][:, None]
     b2_kept = None if b2 is None else b2 + center
-    return w1[:, active], (w2_kept, b2_kept, fallbacks), stop_reason
+    return w1[:, active], (w2_kept, b2_kept, fallbacks), sol.stop_reason
 
 
 def _select_baseline(spec, a1, downstream_pre, w1, with_bias, forced):

@@ -1,18 +1,20 @@
 """Similarity-penalized sparse solvers for neuron selection.
 
-Two cyclic coordinate-descent solvers minimize a least-squares data term
-plus lambda * (||beta||_1 + (alpha/2) |beta|^T R |beta|), where R is a
-pairwise similarity penalty built from column correlations. The penalty
-discourages keeping groups of near-duplicate neurons: as two columns
-approach collinearity their R entry blows up (capped at r_cap) and one of
-the pair is driven to zero. alpha = 0 recovers plain Lasso.
+Both solvers minimize a least-squares data term plus
+lambda * (||beta||_1 + (alpha/2) |beta|^T R |beta|), where R is a pairwise
+similarity penalty built from column correlations. The penalty discourages
+keeping groups of near-duplicate neurons: as two columns approach
+collinearity their R entry blows up (capped at r_cap) and one of the pair
+is driven to zero. alpha = 0 recovers plain Lasso.
 
-`iilasso_diag` handles the diagonal design, one response column per
-coefficient: (1/2N) sum_j ||o_j - beta_j x_j||^2. `iilasso_residual`
-handles a shared response reconstructed by a weighted sum of rank-one
-contribution matrices: after column-stacking each contribution, it is a
-standard design-matrix problem over N*q stacked entries, and the tracked
-objective averages over all of them.
+One coordinate-descent kernel serves both solvers. In covariance form
+(glmnet's "covariance updates") the data term is const - c^T beta +
+(1/2) beta^T G beta with a unit-diagonal Gram matrix G. `iilasso_diag`
+handles the diagonal design, one response column per coefficient
+((1/2N) sum_j ||o_j - beta_j x_j||^2, so G = I). `iilasso_residual` takes
+G and c of a shared response reconstructed by a weighted sum of rank-one
+contribution matrices, which the caller forms from their factors without
+stacking them.
 """
 
 from __future__ import annotations
@@ -76,24 +78,39 @@ def soft_threshold(a, b):
     return np.sign(a) * np.maximum(np.abs(a) - b, 0.0)
 
 
+def _check_norms(sq_norms: np.ndarray, nominal, what: str, fix: str) -> None:
+    """Reject squared norms off `nominal` by more than NORM_RTOL relative."""
+    off = np.abs(sq_norms - nominal)
+    if off.size and off.max() > NORM_RTOL * nominal:
+        worst = int(off.argmax())
+        raise StandardizationError(
+            f"{what} {worst} has squared norm {sq_norms[worst]:.6g}, "
+            f"expected {nominal}; {fix}"
+        )
+
+
 def similarity_matrix(x, cfg: SparseConfig) -> np.ndarray:
     """Pairwise similarity penalties R from a column-normalized matrix.
 
-    With r_jk = |x_j.T x_k| / N in [0, 1], off-diagonal entries are
-    r / (1 - r) capped at cfg.r_cap; the diagonal is exactly zero. Columns
-    must satisfy col.T col == N (the row count) up to a small tolerance.
+    Columns must satisfy col.T col == N (the row count) up to a small
+    tolerance; R is then `gram_similarity` of x.T x / N.
     """
     x = as_matrix(x, "x")
     n = x.shape[0]
     gram = x.T @ x
-    norms = np.diag(gram)
-    if np.abs(norms - n).max() > NORM_RTOL * n:
-        worst = int(np.abs(norms - n).argmax())
-        raise StandardizationError(
-            f"column {worst} has squared norm {norms[worst]:.6g}, expected "
-            f"{n}; normalize columns before building the similarity matrix"
-        )
-    r = np.clip(np.abs(gram) / n, 0.0, 1.0)
+    _check_norms(
+        np.diag(gram), n, "column", "normalize columns before building the similarity matrix"
+    )
+    return gram_similarity(gram / n, cfg)
+
+
+def gram_similarity(gram, cfg: SparseConfig) -> np.ndarray:
+    """Pairwise similarity penalties R from a unit-diagonal Gram matrix.
+
+    With r_jk = |G_jk| clipped to [0, 1], off-diagonal entries are
+    r / (1 - r) capped at cfg.r_cap; the diagonal is exactly zero.
+    """
+    r = np.clip(np.abs(as_matrix(gram, "gram")), 0.0, 1.0)
     with np.errstate(divide="ignore"):
         penalties = np.where(r < 1.0, r / np.maximum(1.0 - r, 1e-300), np.inf)
     penalties = np.minimum(penalties, cfg.r_cap)
@@ -146,23 +163,6 @@ def stacked_objective(z, y_vec, beta, r, cfg: SparseConfig) -> float:
     return 0.5 / resid.shape[0] * float(resid @ resid) + _penalty(np.asarray(beta), r, cfg)
 
 
-def _check_square(r: np.ndarray, d: int) -> np.ndarray:
-    r = as_matrix(r, "similarity matrix")
-    if r.shape != (d, d):
-        raise ShapeError(f"similarity matrix is {r.shape}, expected ({d}, {d})")
-    return r
-
-
-def _finish(beta, trace, sweeps, reason) -> SparseSolution:
-    return SparseSolution(
-        beta=beta,
-        active_set=np.flatnonzero(beta),
-        objective_trace=np.asarray(trace),
-        sweeps_run=sweeps,
-        stop_reason=reason,
-    )
-
-
 def _stop_reason(beta, max_delta, sweeps, cfg: SparseConfig) -> str | None:
     if int(np.count_nonzero(beta)) <= cfg.target_nnz:
         return "target_nnz"
@@ -173,15 +173,75 @@ def _stop_reason(beta, max_delta, sweeps, cfg: SparseConfig) -> str | None:
     return None
 
 
+def _coordinate_descent(corr, gram, r, cfg: SparseConfig, beta, data) -> SparseSolution:
+    """Cyclic coordinate descent on data(beta) + penalty, where data(beta) =
+    const - corr.T beta + (1/2) beta.T G beta and G has a unit diagonal;
+    gram=None stands for G = I.
+
+    Each update sets beta_j = S(rho_j, lam * (1 + alpha * sum_{c != j}
+    R_jc |beta_c|)) / (1 + alpha lam R_jj) with rho_j = corr_j - G_j.beta +
+    beta_j (just corr_j when G = I), the exact minimizer over that
+    coefficient with the others held at their current values. `data`
+    evaluates the data term for the objective trace.
+    """
+    d = corr.shape[0]
+    r = as_matrix(r, "similarity matrix")
+    if r.shape != (d, d):
+        raise ShapeError(f"similarity matrix is {r.shape}, expected ({d}, {d})")
+
+    def objective(b: np.ndarray) -> float:
+        return data(b) + _penalty(b, r, cfg)
+
+    # The sweep runs on Python floats and keeps |beta| (and, with a Gram
+    # matrix, the signed beta) as arrays updated in place; each threshold and
+    # update is the same float that coordinate_threshold and
+    # coordinate_update give for these arguments.
+    lam, alpha = cfg.lam, cfg.alpha
+    rows = list(r)
+    r_diag = r.diagonal().tolist()
+    c = corr.tolist()
+    gram_rows = None if gram is None else list(gram)
+    signed = beta.copy()
+    b = beta.tolist()
+    abs_beta = np.abs(beta)
+    trace = [objective(beta)]
+    sweeps = 0
+    reason = _stop_reason(beta, np.inf, sweeps, cfg)
+    while reason is None:
+        max_delta = 0.0
+        for j in range(d):
+            rho = c[j] if gram_rows is None else c[j] - float(gram_rows[j] @ signed) + b[j]
+            cross = float(rows[j] @ abs_beta) - r_diag[j] * abs(b[j])
+            new = coordinate_update(rho, lam * (1.0 + alpha * cross), r_diag[j], cfg)
+            max_delta = max(max_delta, abs(new - b[j]))
+            b[j] = new
+            abs_beta[j] = abs(new)
+            if gram_rows is not None:
+                signed[j] = new
+        sweeps += 1
+        beta = np.array(b)
+        obj = objective(beta)
+        if not np.isfinite(obj):
+            raise NotFiniteError(
+                f"objective became non-finite at sweep {sweeps}; trace so far: {trace}"
+            )
+        trace.append(obj)
+        reason = _stop_reason(beta, max_delta, sweeps, cfg)
+    return SparseSolution(
+        beta=beta,
+        active_set=np.flatnonzero(beta),
+        objective_trace=np.asarray(trace),
+        sweeps_run=sweeps,
+        stop_reason=reason,
+    )
+
+
 def iilasso_diag(x, o, r, cfg: SparseConfig, beta0=None) -> SparseSolution:
     """Coordinate descent on the diagonal-design objective.
 
     x holds the candidate columns (normalized to col.T col == N), o the
-    per-column response; coefficient j only ever multiplies x_j. Each
-    update sets beta_j = S((1/N) o_j.T x_j, lam * (1 + alpha *
-    sum_{c != j} R_jc |beta_c|)) / (1 + alpha lam R_jj), which is the exact
-    minimizer over that coefficient with the others held at their current
-    values.
+    per-column response; coefficient j only ever multiplies x_j, so G = I
+    and corr_j = (1/N) o_j.T x_j. The trace is the full objective.
     """
     x = as_matrix(x, "x")
     o = as_matrix(o, "o")
@@ -189,13 +249,7 @@ def iilasso_diag(x, o, r, cfg: SparseConfig, beta0=None) -> SparseSolution:
         raise ShapeError(f"x is {x.shape} but o is {o.shape}; shapes must match")
     n, d = x.shape
     norms = np.einsum("ij,ij->j", x, x)
-    if d and np.abs(norms - n).max() > NORM_RTOL * n:
-        worst = int(np.abs(norms - n).argmax())
-        raise StandardizationError(
-            f"design column {worst} has squared norm {norms[worst]:.6g}, "
-            f"expected {n}; standardize before solving"
-        )
-    r = _check_square(r, d)
+    _check_norms(norms, n, "design column", "standardize before solving")
     corr = np.einsum("ij,ij->j", o, x) / n
     beta = np.ones(d) if beta0 is None else np.asarray(beta0, dtype=np.float64).copy()
     if beta.shape != (d,):
@@ -207,40 +261,10 @@ def iilasso_diag(x, o, r, cfg: SparseConfig, beta0=None) -> SparseSolution:
     oo = float(np.einsum("ij,ij->", o, o)) / n
     col_sq = norms / n
 
-    def objective(b: np.ndarray) -> float:
-        data = 0.5 * oo - float(corr @ b) + 0.5 * float(col_sq @ (b * b))
-        return data + _penalty(b, r, cfg)
+    def data(b: np.ndarray) -> float:
+        return 0.5 * oo - float(corr @ b) + 0.5 * float(col_sq @ (b * b))
 
-    # The sweep runs on Python floats and keeps |beta| as one array updated
-    # in place; each threshold and update is the same float that
-    # coordinate_threshold and coordinate_update give for these arguments.
-    lam, alpha = cfg.lam, cfg.alpha
-    rows = list(r)
-    r_diag = r.diagonal().tolist()
-    rho = corr.tolist()
-    b = beta.tolist()
-    abs_beta = np.abs(beta)
-    trace = [objective(beta)]
-    sweeps = 0
-    reason = _stop_reason(beta, np.inf, sweeps, cfg)
-    while reason is None:
-        max_delta = 0.0
-        for j in range(d):
-            cross = float(rows[j] @ abs_beta) - r_diag[j] * abs(b[j])
-            new = coordinate_update(rho[j], lam * (1.0 + alpha * cross), r_diag[j], cfg)
-            max_delta = max(max_delta, abs(new - b[j]))
-            b[j] = new
-            abs_beta[j] = abs(new)
-        sweeps += 1
-        beta = np.array(b)
-        obj = objective(beta)
-        if not np.isfinite(obj):
-            raise NotFiniteError(
-                f"objective became non-finite at sweep {sweeps}; trace so far: {trace}"
-            )
-        trace.append(obj)
-        reason = _stop_reason(beta, max_delta, sweeps, cfg)
-    return _finish(beta, trace, sweeps, reason)
+    return _coordinate_descent(corr, None, r, cfg, beta, data)
 
 
 def stack_contributions(t) -> np.ndarray:
@@ -253,65 +277,32 @@ def stack_contributions(t) -> np.ndarray:
     return np.stack([vectorize(t[i]) for i in range(t.shape[0])], axis=1)
 
 
-def iilasso_residual(t, y, r, cfg: SparseConfig, beta0=None) -> SparseSolution:
-    """Coordinate descent on the shared-response objective.
+def iilasso_residual(gram, corr, r, cfg: SparseConfig) -> SparseSolution:
+    """Coordinate descent on the shared-response objective in Gram form.
 
-    t is a sequence of D contribution matrices (N, q), each scaled so its
-    stacked column z_i = vec(t_i) has squared norm M = N*q; y is the (N, q)
-    response, centered by the caller. The model is y ~ sum_i beta_i t_i.
-    Each update sets beta_j = S((1/M) [vec(y) - sum_{i != j} beta_i
-    vec(t_i)].T vec(t_j), lam * (1 + alpha sum_{c != j} R_jc |beta_c|)) /
-    (1 + alpha lam R_jj), the exact minimizer over that coefficient.
+    For stacked contributions z_i = vec(t_i), each scaled to squared norm
+    M = N*q, and the (N, q) response y centered by the caller, the caller
+    passes gram = Z.T Z / M (unit diagonal) and corr = Z.T vec(y) / M; the
+    model is y ~ sum_i beta_i t_i. The objective trace leaves out the
+    constant ||y||^2 / 2M of (1/2M) ||vec(y) - Z beta||^2, so it is that
+    objective minus a constant; its differences are the same.
     """
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 3:
-        raise ShapeError(f"t must be a sequence of matrices, got ndim={t.ndim}")
-    if not np.isfinite(t).all():
-        raise NotFiniteError("contribution matrices contain non-finite entries")
-    y = as_matrix(y, "y")
-    d = t.shape[0]
-    if t.shape[1:] != y.shape:
+    gram = as_matrix(gram, "gram")
+    corr = np.asarray(corr, dtype=np.float64)
+    if corr.ndim != 1 or gram.shape != (corr.shape[0], corr.shape[0]):
         raise ShapeError(
-            f"contribution matrices are {t.shape[1:]} but the response is {y.shape}"
+            f"gram is {gram.shape} and corr is {corr.shape}; expected (D, D) and (D,)"
         )
-    z = stack_contributions(t)
-    y_vec = vectorize(y)
-    m = y_vec.shape[0]
-    norms = np.einsum("ij,ij->j", z, z)
-    if d and np.abs(norms - m).max() > NORM_RTOL * m:
-        worst = int(np.abs(norms - m).argmax())
-        raise StandardizationError(
-            f"contribution {worst} has squared stacked norm "
-            f"{norms[worst]:.6g}, expected {m}; rescale before solving"
-        )
-    r = _check_square(r, d)
-    beta = np.ones(d) if beta0 is None else np.asarray(beta0, dtype=np.float64).copy()
-    if beta.shape != (d,):
-        raise ShapeError(f"beta0 has shape {beta.shape}, expected ({d},)")
+    if not np.isfinite(corr).all():
+        raise NotFiniteError("corr contains non-finite entries")
+    _check_norms(
+        gram.diagonal(), 1.0, "contribution", "rescale to unit stacked norm before solving"
+    )
 
-    resid = y_vec - z @ beta
-    trace = [stacked_objective(z, y_vec, beta, r, cfg)]
-    sweeps = 0
-    reason = _stop_reason(beta, np.inf, sweeps, cfg)
-    while reason is None:
-        max_delta = 0.0
-        for j in range(d):
-            rho = float(resid @ z[:, j]) / m + beta[j]
-            thr = coordinate_threshold(r[j], beta, j, cfg)
-            new = coordinate_update(rho, thr, r[j, j], cfg)
-            if new != beta[j]:
-                resid -= (new - beta[j]) * z[:, j]
-                max_delta = max(max_delta, abs(new - beta[j]))
-                beta[j] = new
-        sweeps += 1
-        obj = 0.5 / m * float(resid @ resid) + _penalty(beta, r, cfg)
-        if not np.isfinite(obj):
-            raise NotFiniteError(
-                f"objective became non-finite at sweep {sweeps}; trace so far: {trace}"
-            )
-        trace.append(obj)
-        reason = _stop_reason(beta, max_delta, sweeps, cfg)
-    return _finish(beta, trace, sweeps, reason)
+    def data(b: np.ndarray) -> float:
+        return 0.5 * float(b @ gram @ b) - float(corr @ b)
+
+    return _coordinate_descent(corr, gram, r, cfg, np.ones(corr.shape[0]), data)
 
 
 def refit_w1(a1, o_new, beta, ridge: float = 0.0) -> np.ndarray:

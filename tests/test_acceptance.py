@@ -200,7 +200,7 @@ def coordinate_replays():
                 worst_increase = max(
                     worst_increase, stacked_objective(z, y_vec, beta, r, cfg) - before
                 )
-        sol = iilasso_residual(t, y, r, cfg)
+        sol = iilasso_residual(z.T @ z / m, z.T @ y_vec / m, r, cfg)
         if sol.stop_reason == "converged":
             converged += 1
             resid_corr = (y_vec - z @ sol.beta) @ z / m

@@ -74,7 +74,8 @@ class TestMorph:
         code = run(
             "morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
             "--at", "1", "--width", "20", "--act", "relu", "--alg", "alg2",
-            "--lambda", "0.1", "--alpha", "0.1", "--seed", "2",
+            "--lambda", "0.1", "--alpha", "0.1", "--seed", "2", "--max-itr", "800",
+            "--tol", "1e-8", "--r-cap", "1e5", "--probe-size", "250", "--row-sample", "60",
             "--out", "child.model", "--out-dir", str(parent_dir),
         )
         assert code == 0
@@ -84,6 +85,14 @@ class TestMorph:
         child, meta = load_model(parent_dir / "child.model")
         assert len(child.layers) == len(parent.layers) + 1
         assert meta["algorithm"] == "alg2"
+        request = {key: meta[key] for key in (
+            "insert_after", "width", "activation", "lambda", "alpha", "max_itr", "target_nnz",
+            "tol", "r_cap", "seed", "fold_beta", "row_sample", "probe_size")}
+        assert request == {
+            "insert_after": 1, "width": 20, "activation": "relu", "lambda": 0.1, "alpha": 0.1,
+            "max_itr": 800, "target_nnz": 0, "tol": 1e-8, "r_cap": 1e5, "seed": 2,
+            "fold_beta": False, "row_sample": 60, "probe_size": 250,
+        }
         report = load_report_json(parent_dir / "child.model.report.json")
         assert 0 < report.n_sparse <= 20
 
@@ -189,6 +198,26 @@ class TestVerify:
         monkeypatch.setattr(verify_mod, "CHECKS", [("always-fails", broken)])
         assert run("verify") == 2
         assert "FAIL" in capsys.readouterr().out
+
+    def test_check_seeds_follow_names_not_positions(self, monkeypatch):
+        import morphkit.verify as verify_mod
+
+        def seeds_seen(checks):
+            seen = {}
+            recording = [
+                (name, lambda seed, name=name: seen.setdefault(name, seed))
+                for name, _ in checks
+            ]
+            monkeypatch.setattr(verify_mod, "CHECKS", recording)
+            verify_mod.run_checks(7)
+            return seen
+
+        full = list(verify_mod.CHECKS)
+        everything = seeds_seen(full)
+        assert len(set(everything.values())) == len(full)
+        for sublist in (full[1::2], full[::-1], full[5:]):
+            seen = seeds_seen(sublist)
+            assert seen == {name: everything[name] for name, _ in sublist}
 
 
 class TestReport:

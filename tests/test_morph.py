@@ -4,11 +4,17 @@ preservation metrics, folding, and determinism."""
 import dataclasses
 import importlib
 import logging
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 morph_mod = importlib.import_module("morphkit.morph")
+sparse_mod = importlib.import_module("morphkit.sparse")
 from morphkit.errors import EmptyLayerError, MorphkitError, ShapeError
 from morphkit.linalg import standardize_columns, vectorize
 from morphkit.morph import (
@@ -21,7 +27,9 @@ from morphkit.morph import (
     sample_rows,
 )
 from morphkit.network import Layer, Mlp, apply_activation, forward, init_weights
-from morphkit.sparse import SparseConfig, iilasso_diag, refit_w1, similarity_matrix
+from morphkit.sparse import (
+    SparseConfig, iilasso_diag, refit_w1, similarity_matrix, stack_contributions,
+)
 
 
 def random_parent(seed, widths=(6, 5, 3), hidden="relu", bias=True):
@@ -289,17 +297,51 @@ class TestAlg3:
             atol=1e-12,
         )
 
-    def test_memory_guard(self, monkeypatch):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        width=st.integers(1, 6),
+        d2=st.integers(1, 5),
+        dead=st.integers(0, 5),
+    )
+    def test_contribution_gram_matches_stack(self, seed, n, width, d2, dead):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, width))
+        a[:, dead % width] = 0.0  # a neuron silent on every row
+        w2 = rng.normal(size=(width, d2))
+        target = rng.normal(size=(n, d2))
+        gram, corr = morph_mod._contribution_gram(a, w2, target)
+        z = stack_contributions(contribution_matrices(a, w2))
+        want_gram, want_corr = z.T @ z, z.T @ vectorize(target)
+        assert np.abs(gram - want_gram).max() <= 1e-12 * np.abs(want_gram).max()
+        assert np.abs(corr - want_corr).max() <= 1e-12 * max(np.abs(want_corr).max(), 1e-300)
+        assert gram[dead % width].tolist() == [0.0] * width
+        assert corr[dead % width] == 0.0
+
+    def test_every_contribution_dead_raises_empty_layer(self):
+        # negative weights over relu activations never fire: the solver gets
+        # an empty problem and nothing survives
+        parent = random_parent(57)
+        probe = probe_for(58, 90, 6)
+        w1 = -np.abs(init_weights(5, 8, "relu", 59))
+        with pytest.raises(EmptyLayerError):
+            morph(parent, spec_for("alg3"), probe, w1_init=w1)
+
+    @pytest.mark.parametrize("row_sample", [None, 20])
+    def test_runs_without_contribution_stack(self, monkeypatch, row_sample):
         parent = random_parent(34)
         probe = probe_for(35, 50, 6)
-        monkeypatch.setattr(morph_mod, "ALG3_VALUE_BUDGET", 100)
-        with pytest.raises(MorphkitError, match="alg3_row_sample"):
-            morph(parent, spec_for("alg3"), probe)
-        # row sampling lifts the guard
-        spec = dataclasses.replace(spec_for("alg3"), alg3_row_sample=4)
-        monkeypatch.setattr(morph_mod, "ALG3_VALUE_BUDGET", 4 * 8 * 3 + 1)
-        child, _ = morph(parent, spec, probe)
-        assert len(child.layers) == 3
+        spec = dataclasses.replace(spec_for("alg3"), alg3_row_sample=row_sample)
+        _, want = morph(parent, spec, probe)
+
+        def stack_built(*args):
+            raise AssertionError("alg3 built the contribution stack")
+
+        monkeypatch.setattr(morph_mod, "contribution_matrices", stack_built)
+        monkeypatch.setattr(sparse_mod, "stack_contributions", stack_built)
+        _, report = morph(parent, spec, probe)
+        assert reports_equal(report, want)
 
 
 class TestBaseline:
@@ -465,6 +507,35 @@ class TestDeterminism:
             np.testing.assert_array_equal(la.weight, lb.weight)
             if la.bias is not None:
                 np.testing.assert_array_equal(la.bias, lb.bias)
+
+    def test_fresh_interpreters_give_identical_bytes(self):
+        # two processes with the same pinned BLAS thread count train a parent
+        # and morph it; the children's weight bytes must agree
+        script = (
+            "import hashlib, numpy as np, morphkit as mk\n"
+            "data = mk.synth_dataset(4, 300, 12, 3)\n"
+            "net = mk.Mlp([mk.Layer(mk.init_weights(12, 16, 'relu', 1), np.zeros(16), 'relu'),\n"
+            "              mk.Layer(mk.init_weights(16, 3, 'identity', 2), np.zeros(3), 'identity')])\n"
+            "parent, _ = mk.train_sgd(net, data, mk.TrainConfig(epochs=2, batch_size=32, seed=3))\n"
+            "h = hashlib.sha256()\n"
+            "for alg in ('alg1', 'alg3'):\n"
+            "    spec = mk.MorphSpec(insert_after=0, width=24, algorithm=alg, seed=5)\n"
+            "    child, _ = mk.morph(parent, spec, data.features[:200])\n"
+            "    for layer in child.layers:\n"
+            "        h.update(layer.weight.tobytes())\n"
+            "        h.update(b'' if layer.bias is None else layer.bias.tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        digests = [
+            subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, check=True, timeout=120).stdout.strip()
+            for _ in range(2)
+        ]
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
     def test_parent_never_mutated(self):
         parent = random_parent(55)

@@ -119,8 +119,7 @@ def replay_updates(kind, x_or_t, o_or_y, r, cfg, sweeps=2):
                 yield j, corr[j], thr, old, new, before, objective(beta)
     else:
         t, y = x_or_t, o_or_y
-        z = stack_contributions(t)
-        y_vec = vectorize(y)
+        z, y_vec, gram, corr = gram_form(t, y)
         m = y_vec.shape[0]
         d = z.shape[1]
         beta = np.ones(d)
@@ -128,6 +127,8 @@ def replay_updates(kind, x_or_t, o_or_y, r, cfg, sweeps=2):
         for _ in range(sweeps):
             for j in range(d):
                 rho = float(resid @ z[:, j]) / m + beta[j]
+                # the solver's Gram-form rho is the same quantity
+                assert abs(corr[j] - gram[j] @ beta + beta[j] - rho) <= 1e-12 * (1 + abs(rho))
                 thr = coordinate_threshold(r[j], beta, j, cfg)
                 before = stacked_objective(z, y_vec, beta, r, cfg)
                 new = coordinate_update(rho, thr, r[j, j], cfg)
@@ -281,12 +282,22 @@ def scaled_contributions(rng, d, n, q):
     return t / norms[:, None, None]
 
 
+def gram_form(t, y):
+    """The stacked design z of contributions t and the solver's Gram-form
+    input built from it: (z, vec(y), z.T z / M, z.T vec(y) / M)."""
+    z = stack_contributions(t)
+    y_vec = vectorize(y)
+    m = y_vec.shape[0]
+    return z, y_vec, z.T @ z / m, z.T @ y_vec / m
+
+
 class TestResidualSolver:
     def test_single_contribution_recovered(self):
         rng = np.random.default_rng(15)
         t = scaled_contributions(rng, 1, 12, 3)
         cfg = SparseConfig(lam=0.0, alpha=0.0)
-        sol = iilasso_residual(t, t[0], np.zeros((1, 1)), cfg)
+        _, _, gram, corr = gram_form(t, t[0])
+        sol = iilasso_residual(gram, corr, np.zeros((1, 1)), cfg)
         np.testing.assert_allclose(sol.beta, [1.0], atol=1e-12)
 
     def test_orthogonal_response_gives_zero(self):
@@ -300,7 +311,8 @@ class TestResidualSolver:
         y = y_vec.reshape((10, 2), order="F")
         cfg = SparseConfig(lam=0.05, alpha=0.0)
         r = similarity_matrix(z, cfg)
-        sol = iilasso_residual(t, y, r, cfg)
+        _, _, gram, corr = gram_form(t, y)
+        sol = iilasso_residual(gram, corr, r, cfg)
         np.testing.assert_array_equal(sol.beta, np.zeros(3))
 
     def test_kkt_stationarity_alpha_zero(self):
@@ -309,11 +321,11 @@ class TestResidualSolver:
         y = rng.normal(size=(20, 2)) + 0.8 * t[0] - 0.5 * t[2]
         y = y - y.mean()
         cfg = SparseConfig(lam=0.2, alpha=0.0, tol=1e-12, max_itr=5000)
-        z = stack_contributions(t)
+        z, y_vec, gram, corr = gram_form(t, y)
         r = similarity_matrix(z, cfg)
-        sol = iilasso_residual(t, y, r, cfg)
+        sol = iilasso_residual(gram, corr, r, cfg)
         m = z.shape[0]
-        resid_corr = (vectorize(y) - z @ sol.beta) @ z / m
+        resid_corr = (y_vec - z @ sol.beta) @ z / m
         for j, bj in enumerate(sol.beta):
             if bj == 0:
                 assert abs(resid_corr[j]) <= cfg.lam + 1e-6
@@ -335,6 +347,20 @@ class TestResidualSolver:
                 assert value <= grid_best + 1e-6
                 assert after <= before + 1e-10
 
+    def test_trace_is_stacked_objective_less_a_constant(self):
+        rng = np.random.default_rng(26)
+        t = scaled_contributions(rng, 5, 14, 3)
+        y = rng.normal(size=(14, 3)) + 0.6 * t[1]
+        y -= y.mean()
+        cfg = SparseConfig(lam=0.05, alpha=0.3, max_itr=1)
+        z, y_vec, gram, corr = gram_form(t, y)
+        r = similarity_matrix(z, cfg)
+        sol = iilasso_residual(gram, corr, r, cfg)
+        constant = 0.5 / y_vec.shape[0] * float(y_vec @ y_vec)
+        for got, b in zip(sol.objective_trace, [np.ones(5), sol.beta]):
+            want = stacked_objective(z, y_vec, b, r, cfg)
+            assert abs(got + constant - want) <= 1e-12 * abs(want)
+
     def test_frobenius_and_stacked_forms_agree(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
@@ -349,14 +375,20 @@ class TestResidualSolver:
     def test_unscaled_contributions_rejected(self):
         rng = np.random.default_rng(20)
         t = rng.normal(size=(3, 10, 2)) * 4
+        _, _, gram, corr = gram_form(t, rng.normal(size=(10, 2)))
         with pytest.raises(StandardizationError):
-            iilasso_residual(t, rng.normal(size=(10, 2)), np.zeros((3, 3)), SparseConfig())
+            iilasso_residual(gram, corr, np.zeros((3, 3)), SparseConfig())
 
     def test_inconsistent_shapes_rejected(self):
         rng = np.random.default_rng(21)
         t = scaled_contributions(rng, 3, 10, 2)
+        _, _, gram, corr = gram_form(t, rng.normal(size=(10, 2)))
         with pytest.raises(ShapeError):
-            iilasso_residual(t, rng.normal(size=(9, 2)), np.zeros((3, 3)), SparseConfig())
+            iilasso_residual(gram, corr[:2], np.zeros((3, 3)), SparseConfig())
+        with pytest.raises(ShapeError):
+            iilasso_residual(gram[:, :2], corr, np.zeros((3, 3)), SparseConfig())
+        with pytest.raises(ShapeError):
+            iilasso_residual(gram, corr, np.zeros((2, 2)), SparseConfig())
 
 
 class TestRefitW1:
