@@ -10,10 +10,14 @@ algorithms share that pipeline and differ only in the selector, named by
   similarity-penalized solver and keeps the nonzero-coefficient columns.
 * `alg2` makes alg1's selection, then one least-squares refit of the kept
   inserted weights.
-* `alg3` scores each candidate by its rank-one contribution to the
-  downstream reconstruction, in Gram form built from the factors (the
-  stacked design is never formed), and prunes matched column/row pairs.
+* `alg3` fits a full-width readout only to score each candidate by its
+  rank-one contribution to the downstream reconstruction, in Gram form
+  built from the factors (the stacked design is never formed), and keeps
+  the nonzero-coefficient neurons.
 * `baseline` keeps the full width (no sparsification).
+
+Selectors return only the kept neurons. `morph` then drops those silent on
+every probe row (except for `baseline`) and makes the one readout fit.
 
 Parents are never mutated; at a fixed BLAS thread count identical inputs
 produce bit-identical children.
@@ -71,8 +75,9 @@ class MorphSpec:
 @dataclass(kw_only=True)
 class MorphReport:
     """Outcome of one insertion run; accuracy fields are filled by the
-    experiment harness, not by the morph itself. Field order is the column
-    order of report.csv."""
+    experiment harness, not by the morph itself. `ridge_fallbacks` counts
+    every ridged least-squares fit of the morph, alg3's scoring fit
+    included. Field order is the column order of report.csv."""
 
     run_id: str = ""
     algorithm: str
@@ -92,6 +97,8 @@ class MorphReport:
 
 def sample_rows(n_total: int, count: int | None, seed: int) -> np.ndarray:
     """Sorted uniform row subsample; a count covering every row is a no-op."""
+    if count is not None and count < 1:
+        raise ValueError(f"cannot sample {count} probe rows; ask for at least 1")
     if count is None or count >= n_total:
         return np.arange(n_total)
     rng = np.random.default_rng(seed)
@@ -164,6 +171,11 @@ def _prepare(mlp: Mlp, spec: MorphSpec, probe, w1_init):
             f"of a {len(mlp.layers)}-layer network"
         )
     probe = as_matrix(probe, "probe")
+    if probe.shape[0] < 2:
+        raise ShapeError(
+            f"probe has {probe.shape[0]} rows; a morph needs at least 2 "
+            f"(use a larger probe)"
+        )
     d1 = mlp.layers[spec.insert_after].d_out
     forced = probe.shape[0] < max(spec.width, d1)
     if forced:
@@ -211,49 +223,37 @@ def _assemble_child(parent: Mlp, p: int, w1, act: str, w2, b2) -> Mlp:
     return Mlp(layers)
 
 
-def _require_survivors(active: np.ndarray):
-    if not active.any():
-        raise EmptyLayerError(
-            "lambda too large; child layer would be empty (no candidate "
-            "neuron survived sparsification)"
-        )
-
-
-def _diag_select(x, cfg: SparseConfig):
-    """Standardize the candidate outputs, drop constant ones, score each
-    remaining column against itself with the diagonal-design solver, and
-    re-embed the coefficients at full width."""
-    xs, info = standardize_columns(x)
-    live = ~info.constant_mask
-    beta_full = np.zeros(x.shape[1])
-    if not live.any():
-        return beta_full, "target_nnz"
-    xs_live = xs[:, live]
-    r = similarity_matrix(xs_live, cfg)
-    sol = iilasso_diag(xs_live, xs_live, r, cfg)
-    beta_full[live] = sol.beta
-    return beta_full, sol.stop_reason
-
-
 def _select_diag(spec, a1, downstream_pre, w1, with_bias, forced, refit: bool):
-    """alg1, and with `refit` alg2: keep the nonzero-coefficient columns of
-    the diagonal-design solve; alg2 first refits the inserted weights
-    against the candidate outputs with the coefficients held fixed."""
+    """alg1, and with `refit` alg2: standardize the candidate outputs, drop
+    constant ones, score each remaining column against itself with the
+    diagonal-design solver, and keep the nonzero-coefficient columns; alg2
+    first refits the inserted weights against the candidate outputs with
+    the coefficients held fixed."""
     response = a1 @ w1
-    beta_full, stop_reason = _diag_select(response, spec.sparse)
+    xs, info = standardize_columns(response)
+    live = ~info.constant_mask
+    beta_full = np.zeros(response.shape[1])
+    stop_reason = "target_nnz"
+    if live.any():
+        xs_live = xs[:, live]
+        sol = iilasso_diag(xs_live, xs_live, similarity_matrix(xs_live, spec.sparse), spec.sparse)
+        beta_full[live] = sol.beta
+        stop_reason = sol.stop_reason
     if refit:
         w1 = refit_w1(a1, response, beta_full)
     active = beta_full != 0
     w1_kept = w1[:, active]
     if spec.fold_beta:
         w1_kept = fold_beta(w1_kept, beta_full[active], spec.activation)
-    return w1_kept, None, stop_reason
+    return w1_kept, stop_reason, 0
 
 
 def contribution_matrices(a_new, w2) -> np.ndarray:
     """Rank-one contribution of each inserted neuron to the downstream
-    pre-activations: stack of outer products a_new[:, i] w2[i, :]. alg3
-    uses their Gram form (`_contribution_gram`); this is its reference."""
+    pre-activations of a readout w2: stack of outer products
+    a_new[:, i] w2[i, :]. alg3 scores neurons on their Gram form
+    (`_contribution_gram`) under its full-width scoring readout; this is
+    its reference."""
     a_new = as_matrix(a_new, "a_new")
     w2 = as_matrix(w2, "w2")
     if a_new.shape[1] != w2.shape[0]:
@@ -273,21 +273,18 @@ def _contribution_gram(a_new, w2, target) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _select_alg3(spec, a1, downstream_pre, w1, with_bias, forced):
-    """Fit the downstream weights at full width, then sparsify by scoring
-    each neuron's rank-one contribution to the downstream reconstruction.
-    Zero-coefficient neurons lose both their inserted column and their
-    downstream row; surviving rows absorb their coefficients exactly."""
+    """Fit a scoring readout at full width, then keep the neurons whose
+    rank-one contributions to that readout's downstream reconstruction get
+    a nonzero coefficient. `morph` refits the readout on the kept neurons."""
     cfg = spec.sparse
     a_new_full = apply_activation(spec.activation, a1 @ w1)
     w2, b2, fallbacks = _fit_readout(a_new_full, downstream_pre, with_bias, forced)
 
     rows = sample_rows(a1.shape[0], spec.alg3_row_sample, spec.seed + 1)
     target = downstream_pre[rows]
-    center = 0.0
     if with_bias:
         target = target - b2
-        center = float(target.mean())
-        target = target - center
+        target = target - float(target.mean())
 
     gram, corr = _contribution_gram(a_new_full[rows], w2, target)
     sq_norms = gram.diagonal()
@@ -297,21 +294,17 @@ def _select_alg3(spec, a1, downstream_pre, w1, with_bias, forced):
     scales = np.sqrt(m / sq_norms[live])
     g = gram[np.ix_(live, live)] * scales[:, None] * scales[None, :] / m
     sol = iilasso_residual(g, corr[live] * scales / m, gram_similarity(g, cfg), cfg)
-    effective = np.zeros(spec.width)  # coefficients on the unscaled contributions
-    effective[live] = sol.beta * scales
-    active = effective != 0
-    _require_survivors(active)
-    w2_kept = w2[active] * effective[active][:, None]
-    b2_kept = None if b2 is None else b2 + center
-    return w1[:, active], (w2_kept, b2_kept, fallbacks), sol.stop_reason
+    active = np.zeros(spec.width, dtype=bool)
+    active[live] = sol.beta != 0
+    return w1[:, active], sol.stop_reason, fallbacks
 
 
 def _select_baseline(spec, a1, downstream_pre, w1, with_bias, forced):
-    return w1, None, "none"
+    return w1, "none", 0
 
 
 # selector(spec, a1, downstream_pre, w1, with_bias, forced) -> (kept inserted
-# columns, readout (w2, b2 or None, fallbacks) or None for `morph` to fit, stop reason)
+# columns, stop reason, ridge fallbacks of the fits the selector made itself)
 _SELECTORS = {
     "alg1": functools.partial(_select_diag, refit=False),
     "alg2": functools.partial(_select_diag, refit=True),
@@ -328,16 +321,19 @@ def morph(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphRep
     a1, downstream_pre, w1, forced = _prepare(mlp, spec, probe, w1_init)
     with_bias = mlp.layers[spec.insert_after + 1].bias is not None
     select = _SELECTORS[spec.algorithm]
-    w1, readout, stop_reason = select(spec, a1, downstream_pre, w1, with_bias, forced)
-    if readout is None:
-        a_new = apply_activation(spec.activation, a1 @ w1)
-        if spec.algorithm != "baseline":
-            # a neuron silent on every probe row is an all-zero readout column
-            live = a_new.any(axis=0)
-            _require_survivors(live)
-            w1, a_new = w1[:, live], a_new[:, live]
-        readout = _fit_readout(a_new, downstream_pre, with_bias, forced)
-    w2, b2, fallbacks = readout
+    w1, stop_reason, fallbacks = select(spec, a1, downstream_pre, w1, with_bias, forced)
+    a_new = apply_activation(spec.activation, a1 @ w1)
+    if spec.algorithm != "baseline":
+        # a neuron silent on every probe row is an all-zero readout column
+        live = a_new.any(axis=0)
+        if not live.any():
+            raise EmptyLayerError(
+                "lambda too large; child layer would be empty (no candidate "
+                "neuron survived sparsification)"
+            )
+        w1, a_new = w1[:, live], a_new[:, live]
+    w2, b2, readout_fallbacks = _fit_readout(a_new, downstream_pre, with_bias, forced)
+    fallbacks += readout_fallbacks
     child = _assemble_child(mlp, spec.insert_after, w1, spec.activation, w2, b2)
     pres_max, pres_rms = _preservation_from_taps(child, spec.insert_after, a1, downstream_pre)
     n_sparse = w1.shape[1]

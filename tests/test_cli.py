@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -118,6 +120,17 @@ class TestMorph:
         assert "lambda" in err
         assert not (parent_dir / "never.model").exists()
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_probe_size_below_one_exits_with_hint(self, parent_dir, capsys, size):
+        code = run(
+            "morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
+            "--at", "1", "--width", "10", "--probe-size", size,
+            "--out", "never.model", "--out-dir", str(parent_dir),
+        )
+        assert code == 1
+        assert "probe" in capsys.readouterr().err
+        assert not (parent_dir / "never.model").exists()
+
     def test_unreadable_model_is_user_error(self, tmp_path):
         code = run("morph", "--model", str(tmp_path / "nope.model"), "--data", SYNTH,
                    "--at", "0", "--width", "4", "--out-dir", str(tmp_path))
@@ -179,6 +192,19 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "diag-coordinate-oracle" in out
         assert "PASS" not in out
+
+    def test_module_entry_point_runs(self):
+        import morphkit.verify as verify_mod
+
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "morphkit.cli", "verify", "--list"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        names = [name for name, _ in verify_mod.CHECKS]
+        assert len(names) == 12
+        assert proc.stdout.splitlines() == names
 
     def test_default_run_passes(self, capsys):
         assert run("verify") == 0

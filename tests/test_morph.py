@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 morph_mod = importlib.import_module("morphkit.morph")
 sparse_mod = importlib.import_module("morphkit.sparse")
 from morphkit.errors import EmptyLayerError, MorphkitError, ShapeError
-from morphkit.linalg import standardize_columns, vectorize
+from morphkit.linalg import vectorize
 from morphkit.morph import (
     MorphReport,
     MorphSpec,
@@ -27,9 +27,7 @@ from morphkit.morph import (
     sample_rows,
 )
 from morphkit.network import Layer, Mlp, apply_activation, forward, init_weights
-from morphkit.sparse import (
-    SparseConfig, iilasso_diag, refit_w1, similarity_matrix, stack_contributions,
-)
+from morphkit.sparse import SparseConfig, stack_contributions
 
 
 def random_parent(seed, widths=(6, 5, 3), hidden="relu", bias=True):
@@ -193,30 +191,6 @@ class TestAlg2:
             rtol=0, atol=1e-9,
         )
 
-    def test_alternation_objective_non_increasing(self):
-        # replay the documented alternation on a random 20x4 parent
-        parent = random_parent(20, widths=(5, 4, 3))
-        probe = probe_for(21, 20, 5)
-        cfg = SparseConfig(lam=0.05, alpha=0.1)
-        a1 = forward(parent, probe).activations[0]
-        w1 = init_weights(4, 6, "relu", 22)
-        response = a1 @ w1
-        os_, _ = standardize_columns(response)
-        x = response
-        beta = np.ones(6)
-        values = []
-        for _ in range(4):
-            xs, info = standardize_columns(x)
-            live = ~info.constant_mask
-            r = similarity_matrix(xs[:, live], cfg)
-            sol = iilasso_diag(xs[:, live], os_[:, live], r, cfg, beta0=beta[live])
-            beta = np.zeros(6)
-            beta[live] = sol.beta
-            values.append(sol.objective_trace[-1])
-            w1 = refit_w1(a1, response, beta)
-            x = a1 @ w1
-        assert all(b <= a + 1e-8 for a, b in zip(values, values[1:]))
-
     def test_reports_sparsity_bounds(self):
         parent = random_parent(23)
         probe = probe_for(24, 90, 6)
@@ -246,16 +220,6 @@ class TestAlg3:
         assert t.shape == (3, 7, 4)
         for i in range(3):
             np.testing.assert_allclose(t[i], np.outer(a[:, i], w2[i]), atol=1e-15)
-
-    def test_dual_path_loss_agreement(self):
-        rng = np.random.default_rng(29)
-        t = rng.normal(size=(5, 12, 3))
-        y = rng.normal(size=(12, 3))
-        beta = rng.normal(size=5)
-        frob = np.linalg.norm(y - np.einsum("i,ijk->jk", beta, t)) ** 2
-        z = np.stack([vectorize(t[i]) for i in range(5)], axis=1)
-        stacked = np.linalg.norm(vectorize(y) - z @ beta) ** 2
-        np.testing.assert_allclose(frob, stacked, rtol=1e-10)
 
     def test_full_row_sample_is_identity(self):
         parent = random_parent(30)
@@ -383,6 +347,28 @@ class TestRefitBenefit:
         _, fresh_rms = preservation_error(parent, fresh, probe, 0)
         assert report.preservation_rms <= fresh_rms + 1e-10
 
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("alg", ["alg1", "alg2", "alg3"])
+    def test_readout_is_least_squares_on_kept_columns(self, alg, bias):
+        # the downstream layer solves the normal equations on the kept
+        # activations; column 3 never fires, so alg3's full-width scoring
+        # fit is singular and falls back to the ridge, while the readout
+        # fit on the kept columns is not
+        parent = random_parent(65, bias=bias)
+        probe = probe_for(66, 120, 6)
+        w1 = init_weights(5, 8, "relu", 67)
+        w1[:, 3] = -np.abs(w1[:, 3])
+        child, report = morph(parent, spec_for(alg), probe, w1_init=w1)
+        taps = forward(child, probe)
+        design = taps.activations[1]
+        assert design.shape[1] == report.n_sparse < 8
+        if bias:
+            design = np.hstack([design, np.ones((len(probe), 1))])
+        residual = taps.pre_activations[2] - forward(parent, probe).pre_activations[1]
+        scale = np.linalg.norm(design) * np.linalg.norm(forward(parent, probe).pre_activations[1])
+        assert np.abs(design.T @ residual).max() <= 1e-10 * scale
+        assert report.ridge_fallbacks == (1 if alg == "alg3" else 0)
+
 
 class TestPreservationError:
     def test_identical_networks_give_zero(self):
@@ -487,6 +473,11 @@ class TestSampleRows:
         np.testing.assert_array_equal(sample_rows(10, 99, 0), np.arange(10))
         np.testing.assert_array_equal(sample_rows(10, None, 0), np.arange(10))
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_count_below_one_rejected(self, count):
+        with pytest.raises(ValueError, match="probe rows"):
+            sample_rows(10, count, 0)
+
     def test_sorted_unique_subset(self):
         rows = sample_rows(100, 30, 7)
         assert rows.shape == (30,)
@@ -557,6 +548,15 @@ class TestLogging:
         records = [r for r in caplog.records if r.name.startswith("morphkit")]
         assert [r.levelno for r in records] == [logging.INFO] * 4
         assert [r.getMessage().split(":")[0] for r in records] == list(morph_mod.ALGORITHM_NAMES)
+
+
+class TestProbeValidation:
+    @pytest.mark.parametrize("rows", [0, 1])
+    @pytest.mark.parametrize("alg", ["alg1", "alg2", "alg3", "baseline"])
+    def test_fewer_than_two_rows_rejected(self, alg, rows):
+        parent = random_parent(68)
+        with pytest.raises(ShapeError, match=f"probe has {rows} rows; .* at least 2"):
+            morph(parent, spec_for(alg), probe_for(69, rows, 6))
 
 
 class TestSpecValidation:
