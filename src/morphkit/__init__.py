@@ -22,11 +22,9 @@ from .io import (
     write_report_csv,
 )
 from .linalg import (
-    StandardizeInfo,
     least_squares,
     least_squares_with_fallback,
     ridge_fallback,
-    standardize_columns,
     vectorize,
 )
 from .morph import (

@@ -415,10 +415,7 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
     try:
         return args.func(args)
-    except MorphkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (MorphkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,5 @@
-"""Dense matrix kernel: normal-equation least squares, column
-standardization, and column-stacking vectorization.
+"""Dense matrix kernel: normal-equation least squares, the constant-column
+rule, column standardization, and column-stacking vectorization.
 
 Matrices are plain 2-D float64 numpy arrays, validated at API boundaries:
 every operation checks that its inputs and outputs are finite. All
@@ -111,6 +111,13 @@ def ridge_fallback(x) -> float:
     return 1e-8 * float(np.einsum("ij,ij->", x, x)) / x.shape[1]
 
 
+def constant_columns(means, variances) -> np.ndarray:
+    """Mask of the columns whose standard deviation is at most
+    CONSTANT_COLUMN_TOL * max(1, |mean|); rounded negative variances count as 0."""
+    spread = np.sqrt(np.maximum(np.asarray(variances, dtype=np.float64), 0.0))
+    return spread <= CONSTANT_COLUMN_TOL * np.maximum(1.0, np.abs(means))
+
+
 @dataclass(frozen=True)
 class StandardizeInfo:
     """Per-column centering/scaling parameters and constant-column flags.
@@ -138,7 +145,7 @@ def standardize_columns(m) -> tuple[np.ndarray, StandardizeInfo]:
     centered = m - means
     # col.T col / n after centering; sqrt gives the scale that maps to col.T col == n
     meansq = np.einsum("ij,ij->j", centered, centered) / n
-    constant = np.sqrt(meansq) <= CONSTANT_COLUMN_TOL * np.maximum(1.0, np.abs(means))
+    constant = constant_columns(means, meansq)
     scales = np.where(constant, 1.0, np.sqrt(np.where(constant, 1.0, meansq)))
     return centered / scales, StandardizeInfo(means=means, scales=scales, constant_mask=constant)
 

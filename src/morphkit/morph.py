@@ -6,8 +6,10 @@ downstream pre-activations track the parent's on a probe batch. All
 algorithms share that pipeline and differ only in the selector, named by
 `spec.algorithm`, that picks which inserted neurons to keep:
 
-* `alg1` scores each candidate neuron against its own output with the
-  similarity-penalized solver and keeps the nonzero-coefficient columns.
+* `alg1` scores each candidate neuron's standardized output against itself
+  with the similarity-penalized solver and keeps the nonzero-coefficient
+  columns. That data term is the same for every candidate, so only the
+  similarity penalty, built from the probe covariance, tells them apart.
 * `alg2` makes alg1's selection, then one least-squares refit of the kept
   inserted weights.
 * `alg3` fits a full-width readout only to score each candidate by its
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyLayerError, MorphkitError, ShapeError
-from .linalg import as_matrix, least_squares_with_fallback, ridge_fallback, standardize_columns
+from .linalg import as_matrix, constant_columns, least_squares_with_fallback, ridge_fallback
 from .network import Layer, Mlp, apply_activation, forward, init_weights
 from .sparse import (
     SparseConfig, gram_similarity, iilasso_diag, iilasso_residual, refit_w1, similarity_matrix,
@@ -177,14 +179,6 @@ def _prepare(mlp: Mlp, spec: MorphSpec, probe, w1_init):
             f"(use a larger probe)"
         )
     d1 = mlp.layers[spec.insert_after].d_out
-    forced = probe.shape[0] < max(spec.width, d1)
-    if forced:
-        warnings.warn(
-            f"probe has {probe.shape[0]} rows but the regressions involve up "
-            f"to {max(spec.width, d1)} unknowns; applying an automatic ridge",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     if w1_init is None:
         w1 = init_weights(d1, spec.width, spec.activation, spec.seed)
     else:
@@ -196,18 +190,22 @@ def _prepare(mlp: Mlp, spec: MorphSpec, probe, w1_init):
     taps = forward(mlp, probe)
     a1 = taps.activations[spec.insert_after]
     downstream_pre = taps.pre_activations[spec.insert_after + 1]
-    return a1, downstream_pre, w1, forced
+    return a1, downstream_pre, w1
 
 
-def _fit_readout(a_new, target, with_bias: bool, forced: bool):
-    """Least-squares fit of the downstream layer, with an automatic ridge
-    when the normal equations are singular (or the probe underdetermined).
-    Returns (weight, bias or None, fallback_count)."""
+def _fit_readout(a_new, target, with_bias: bool):
+    """Least-squares fit of the downstream layer; an underdetermined design
+    (fewer rows than columns) is ridged with a warning, and singular normal
+    equations fall back to a ridge. Returns (weight, bias or None, fallbacks)."""
     n = a_new.shape[0]
     design = np.hstack([a_new, np.ones((n, 1))]) if with_bias else a_new
-    ridge = ridge_fallback(design) if forced else 0.0
+    underdetermined = n < design.shape[1]
+    if underdetermined:
+        warnings.warn(f"probe has {n} rows but a readout fit has {design.shape[1]} unknowns; "
+                      f"applying an automatic ridge", RuntimeWarning, stacklevel=3)
+    ridge = ridge_fallback(design) if underdetermined else 0.0
     sol, fell_back = least_squares_with_fallback(design, target, ridge)
-    fallbacks = int(forced) + int(fell_back)
+    fallbacks = int(underdetermined) + int(fell_back)
     if with_bias:
         return sol[:-1], sol[-1], fallbacks
     return sol, None, fallbacks
@@ -223,24 +221,30 @@ def _assemble_child(parent: Mlp, p: int, w1, act: str, w2, b2) -> Mlp:
     return Mlp(layers)
 
 
-def _select_diag(spec, a1, downstream_pre, w1, with_bias, forced, refit: bool):
-    """alg1, and with `refit` alg2: standardize the candidate outputs, drop
-    constant ones, score each remaining column against itself with the
-    diagonal-design solver, and keep the nonzero-coefficient columns; alg2
+def _candidate_moments(a1, w1) -> tuple[np.ndarray, np.ndarray]:
+    """Probe means and covariance of the candidate outputs a1 @ w1, from
+    those of a1, without forming the N x width outputs."""
+    mean = a1.mean(axis=0)
+    centered = a1 - mean
+    return mean @ w1, w1.T @ (centered.T @ centered / a1.shape[0]) @ w1
+
+
+def _select_diag(spec, a1, downstream_pre, w1, with_bias, refit: bool):
+    """alg1, and with `refit` alg2: drop the candidates constant on the
+    probe, score each remaining standardized output against itself with the
+    penalty-only solver, and keep the nonzero-coefficient columns; alg2
     first refits the inserted weights against the candidate outputs with
     the coefficients held fixed."""
-    response = a1 @ w1
-    xs, info = standardize_columns(response)
-    live = ~info.constant_mask
-    beta_full = np.zeros(response.shape[1])
+    means, cov = _candidate_moments(a1, w1)
+    live = ~constant_columns(means, cov.diagonal())
+    beta_full = np.zeros(w1.shape[1])
     stop_reason = "target_nnz"
     if live.any():
-        xs_live = xs[:, live]
-        sol = iilasso_diag(xs_live, xs_live, similarity_matrix(xs_live, spec.sparse), spec.sparse)
+        sol = iilasso_diag(similarity_matrix(cov[np.ix_(live, live)], spec.sparse), spec.sparse)
         beta_full[live] = sol.beta
         stop_reason = sol.stop_reason
     if refit:
-        w1 = refit_w1(a1, response, beta_full)
+        w1 = refit_w1(a1, a1 @ w1, beta_full)
     active = beta_full != 0
     w1_kept = w1[:, active]
     if spec.fold_beta:
@@ -272,13 +276,13 @@ def _contribution_gram(a_new, w2, target) -> tuple[np.ndarray, np.ndarray]:
     return (a_new.T @ a_new) * (w2 @ w2.T), np.einsum("ij,ij->i", a_new.T @ target, w2)
 
 
-def _select_alg3(spec, a1, downstream_pre, w1, with_bias, forced):
+def _select_alg3(spec, a1, downstream_pre, w1, with_bias):
     """Fit a scoring readout at full width, then keep the neurons whose
     rank-one contributions to that readout's downstream reconstruction get
     a nonzero coefficient. `morph` refits the readout on the kept neurons."""
     cfg = spec.sparse
     a_new_full = apply_activation(spec.activation, a1 @ w1)
-    w2, b2, fallbacks = _fit_readout(a_new_full, downstream_pre, with_bias, forced)
+    w2, b2, fallbacks = _fit_readout(a_new_full, downstream_pre, with_bias)
 
     rows = sample_rows(a1.shape[0], spec.alg3_row_sample, spec.seed + 1)
     target = downstream_pre[rows]
@@ -299,11 +303,11 @@ def _select_alg3(spec, a1, downstream_pre, w1, with_bias, forced):
     return w1[:, active], sol.stop_reason, fallbacks
 
 
-def _select_baseline(spec, a1, downstream_pre, w1, with_bias, forced):
+def _select_baseline(spec, a1, downstream_pre, w1, with_bias):
     return w1, "none", 0
 
 
-# selector(spec, a1, downstream_pre, w1, with_bias, forced) -> (kept inserted
+# selector(spec, a1, downstream_pre, w1, with_bias) -> (kept inserted
 # columns, stop reason, ridge fallbacks of the fits the selector made itself)
 _SELECTORS = {
     "alg1": functools.partial(_select_diag, refit=False),
@@ -318,10 +322,10 @@ def morph(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphRep
     `spec.insert_after`, keep the ones the `spec.algorithm` selector picks,
     and fit the downstream layer so the child tracks the parent on `probe`."""
     t0 = time.perf_counter()
-    a1, downstream_pre, w1, forced = _prepare(mlp, spec, probe, w1_init)
+    a1, downstream_pre, w1 = _prepare(mlp, spec, probe, w1_init)
     with_bias = mlp.layers[spec.insert_after + 1].bias is not None
     select = _SELECTORS[spec.algorithm]
-    w1, stop_reason, fallbacks = select(spec, a1, downstream_pre, w1, with_bias, forced)
+    w1, stop_reason, fallbacks = select(spec, a1, downstream_pre, w1, with_bias)
     a_new = apply_activation(spec.activation, a1 @ w1)
     if spec.algorithm != "baseline":
         # a neuron silent on every probe row is an all-zero readout column
@@ -332,7 +336,7 @@ def morph(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphRep
                 "neuron survived sparsification)"
             )
         w1, a_new = w1[:, live], a_new[:, live]
-    w2, b2, readout_fallbacks = _fit_readout(a_new, downstream_pre, with_bias, forced)
+    w2, b2, readout_fallbacks = _fit_readout(a_new, downstream_pre, with_bias)
     fallbacks += readout_fallbacks
     child = _assemble_child(mlp, spec.insert_after, w1, spec.activation, w2, b2)
     pres_max, pres_rms = _preservation_from_taps(child, spec.insert_after, a1, downstream_pre)

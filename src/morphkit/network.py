@@ -194,10 +194,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(_log_softmax(logits))
-
-
 def _backward(mlp: Mlp, taps: TapOutputs, labels: np.ndarray):
     logits = taps.activations[-1]
     n = logits.shape[0]

@@ -10,11 +10,12 @@ is driven to zero. alpha = 0 recovers plain Lasso.
 One coordinate-descent kernel serves both solvers. In covariance form
 (glmnet's "covariance updates") the data term is const - c^T beta +
 (1/2) beta^T G beta with a unit-diagonal Gram matrix G. `iilasso_diag`
-handles the diagonal design, one response column per coefficient
-((1/2N) sum_j ||o_j - beta_j x_j||^2, so G = I). `iilasso_residual` takes
-G and c of a shared response reconstructed by a weighted sum of rank-one
-contribution matrices, which the caller forms from their factors without
-stacking them.
+solves alg1's problem, each standardized candidate scored against itself:
+G = I and c = 1, so the data term is (1/2)||1 - beta||^2 and only R, built
+from the candidates' covariance (`similarity_matrix`), tells them apart.
+`iilasso_residual` takes G and c of a shared response reconstructed by a
+weighted sum of rank-one contribution matrices, which the caller forms
+from their factors without stacking them.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ import numpy as np
 
 from .errors import NotFiniteError, ShapeError, StandardizationError
 from .linalg import as_matrix, least_squares_with_fallback, vectorize
-
-# Column norms may deviate from the nominal value by this relative amount
-# before the input is rejected as unstandardized.
-NORM_RTOL = 1e-6
-
 
 @dataclass(frozen=True)
 class SparseConfig:
@@ -78,30 +74,22 @@ def soft_threshold(a, b):
     return np.sign(a) * np.maximum(np.abs(a) - b, 0.0)
 
 
-def _check_norms(sq_norms: np.ndarray, nominal, what: str, fix: str) -> None:
-    """Reject squared norms off `nominal` by more than NORM_RTOL relative."""
-    off = np.abs(sq_norms - nominal)
-    if off.size and off.max() > NORM_RTOL * nominal:
-        worst = int(off.argmax())
-        raise StandardizationError(
-            f"{what} {worst} has squared norm {sq_norms[worst]:.6g}, "
-            f"expected {nominal}; {fix}"
-        )
+def similarity_matrix(cov, cfg: SparseConfig) -> np.ndarray:
+    """Pairwise similarity penalties R from the covariance of the columns.
 
-
-def similarity_matrix(x, cfg: SparseConfig) -> np.ndarray:
-    """Pairwise similarity penalties R from a column-normalized matrix.
-
-    Columns must satisfy col.T col == N (the row count) up to a small
-    tolerance; R is then `gram_similarity` of x.T x / N.
+    The covariance is normalized by its diagonal into correlations, and R
+    is `gram_similarity` of those. Every variance must be positive.
     """
-    x = as_matrix(x, "x")
-    n = x.shape[0]
-    gram = x.T @ x
-    _check_norms(
-        np.diag(gram), n, "column", "normalize columns before building the similarity matrix"
-    )
-    return gram_similarity(gram / n, cfg)
+    cov = as_matrix(cov, "covariance")
+    if cov.shape[0] != cov.shape[1]:
+        raise ShapeError(f"covariance is {cov.shape}; expected a square matrix")
+    var = cov.diagonal()
+    bad = np.flatnonzero(var <= 0)
+    if bad.size:
+        raise StandardizationError(f"column {bad[0]} has variance {var[bad[0]]:.6g}; drop "
+                                   f"constant columns before building the similarity matrix")
+    inv_sd = 1.0 / np.sqrt(var)
+    return gram_similarity(cov * inv_sd[:, None] * inv_sd[None, :], cfg)
 
 
 def gram_similarity(gram, cfg: SparseConfig) -> np.ndarray:
@@ -145,16 +133,6 @@ def coordinate_threshold(r_row: np.ndarray, beta: np.ndarray, j: int, cfg: Spars
 def _penalty(beta: np.ndarray, r: np.ndarray, cfg: SparseConfig) -> float:
     ab = np.abs(beta)
     return cfg.lam * (float(ab.sum()) + 0.5 * cfg.alpha * float(ab @ r @ ab))
-
-
-def diag_objective(x, o, beta, r, cfg: SparseConfig) -> float:
-    """(1/2N) sum_j ||o_j - beta_j x_j||^2 plus the penalty."""
-    x = np.asarray(x)
-    o = np.asarray(o)
-    resid = o - x * np.asarray(beta)[None, :]
-    return 0.5 / x.shape[0] * float(np.einsum("ij,ij->", resid, resid)) + _penalty(
-        np.asarray(beta), r, cfg
-    )
 
 
 def stacked_objective(z, y_vec, beta, r, cfg: SparseConfig) -> float:
@@ -236,35 +214,17 @@ def _coordinate_descent(corr, gram, r, cfg: SparseConfig, beta, data) -> SparseS
     )
 
 
-def iilasso_diag(x, o, r, cfg: SparseConfig, beta0=None) -> SparseSolution:
-    """Coordinate descent on the diagonal-design objective.
-
-    x holds the candidate columns (normalized to col.T col == N), o the
-    per-column response; coefficient j only ever multiplies x_j, so G = I
-    and corr_j = (1/N) o_j.T x_j. The trace is the full objective.
-    """
-    x = as_matrix(x, "x")
-    o = as_matrix(o, "o")
-    if x.shape != o.shape:
-        raise ShapeError(f"x is {x.shape} but o is {o.shape}; shapes must match")
-    n, d = x.shape
-    norms = np.einsum("ij,ij->j", x, x)
-    _check_norms(norms, n, "design column", "standardize before solving")
-    corr = np.einsum("ij,ij->j", o, x) / n
-    beta = np.ones(d) if beta0 is None else np.asarray(beta0, dtype=np.float64).copy()
-    if beta.shape != (d,):
-        raise ShapeError(f"beta0 has shape {beta.shape}, expected ({d},)")
-
-    # Sufficient statistics of the data term: per column,
-    # ||o_j - b x_j||^2 / N = o_j.T o_j / N - 2 b corr_j + b^2 x_j.T x_j / N,
-    # so each sweep's objective costs O(D) plus the penalty's R|beta|.
-    oo = float(np.einsum("ij,ij->", o, o)) / n
-    col_sq = norms / n
+def iilasso_diag(r, cfg: SparseConfig) -> SparseSolution:
+    """Coordinate descent from beta = 1 on alg1's penalty-only problem
+    (1/2)||1 - beta||^2 + lam * (||beta||_1 + (alpha/2) |beta|^T R |beta|),
+    where corr_j = 1 and G = I. The trace is the exact objective."""
+    ones = np.ones(as_matrix(r, "similarity matrix").shape[0])
 
     def data(b: np.ndarray) -> float:
-        return 0.5 * oo - float(corr @ b) + 0.5 * float(col_sq @ (b * b))
+        resid = 1.0 - b
+        return 0.5 * float(resid @ resid)
 
-    return _coordinate_descent(corr, None, r, cfg, beta, data)
+    return _coordinate_descent(ones, None, r, cfg, ones, data)
 
 
 def stack_contributions(t) -> np.ndarray:
@@ -295,9 +255,11 @@ def iilasso_residual(gram, corr, r, cfg: SparseConfig) -> SparseSolution:
         )
     if not np.isfinite(corr).all():
         raise NotFiniteError("corr contains non-finite entries")
-    _check_norms(
-        gram.diagonal(), 1.0, "contribution", "rescale to unit stacked norm before solving"
-    )
+    off = np.abs(gram.diagonal() - 1.0)
+    if off.size and off.max() > 1e-6:  # a unit diagonal up to rounding
+        j = int(off.argmax())
+        raise StandardizationError(f"contribution {j} has squared norm {gram[j, j]:.6g}, "
+                                   f"expected 1; rescale to unit stacked norm before solving")
 
     def data(b: np.ndarray) -> float:
         return 0.5 * float(b @ gram @ b) - float(corr @ b)

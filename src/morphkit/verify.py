@@ -4,9 +4,11 @@ Each check builds small random instances from a seeded generator and
 asserts a property that must hold for a correct build: closed-form
 coordinate updates beat a dense 1-D grid, converged solutions satisfy
 stationarity, the two evaluation routes of the shared-response loss agree,
-exact-preservation constructions hold, and files round-trip. Seeds change
-the instances, never the expected outcome. A check's seed derives from the
-run seed and its name, so adding or removing a check moves no other.
+exact-preservation constructions hold, the covariance route to the
+similarity matrix matches the standardized one, and files round-trip.
+Seeds change the instances, never the expected outcome. A check's seed
+derives from the run seed and its name, so adding or removing a check
+moves no other.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ import zlib
 import numpy as np
 
 from . import io as mio
-from .linalg import least_squares, standardize_columns, vectorize
-from .morph import MorphSpec, morph
+from .linalg import constant_columns, least_squares, standardize_columns, vectorize
+from .morph import MorphSpec, _candidate_moments, morph
 from .network import Layer, Mlp, forward
 from .sparse import (
     SparseConfig,
     coordinate_threshold,
     coordinate_update,
+    gram_similarity,
     iilasso_diag,
     iilasso_residual,
     similarity_matrix,
@@ -48,14 +51,14 @@ def _check_coordinate_against_grid(rho, thr, r_jj, cfg, tol=1e-6):
     )
 
 
-def _random_diag_instance(rng, n=None, d=None):
-    n = n or int(rng.integers(10, 40))
-    d = d or int(rng.integers(2, 7))
-    x, _ = standardize_columns(rng.normal(size=(n, d)))
-    o, _ = standardize_columns(rng.normal(size=(n, d)) + 0.5 * x)
+def _random_diag_instance(rng):
+    # R of d mixed columns: the diagonal solver needs nothing else
+    n = int(rng.integers(10, 40))
+    d = int(rng.integers(2, 7))
+    x = rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
+    x = x - x.mean(axis=0)
     cfg = SparseConfig(lam=0.1, alpha=0.1, tol=1e-10, max_itr=2000)
-    r = similarity_matrix(x, cfg)
-    return x, o, r, cfg
+    return similarity_matrix(x.T @ x / n, cfg), cfg
 
 
 def _random_residual_instance(rng):
@@ -71,9 +74,9 @@ def _random_residual_instance(rng):
     cfg = SparseConfig(lam=0.05, alpha=0.1, tol=1e-10, max_itr=2000)
     z = stack_contributions(t)
     y_vec = vectorize(y)
-    r = similarity_matrix(z, cfg)
+    gram = z.T @ z / m
     # the residual solver's Gram-form input; the oracles below use z itself
-    return z, y_vec, z.T @ z / m, z.T @ y_vec / m, r, cfg
+    return z, y_vec, gram, z.T @ y_vec / m, similarity_matrix(gram, cfg), cfg
 
 
 def check_least_squares_stationarity(seed: int) -> None:
@@ -103,14 +106,12 @@ def check_vectorize_frobenius(seed: int) -> None:
 def check_diag_coordinate_oracle(seed: int) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(20):
-        x, o, r, cfg = _random_diag_instance(rng)
-        n = x.shape[0]
-        corr = np.einsum("ij,ij->j", o, x) / n
-        beta = rng.uniform(-1, 1, size=x.shape[1])
-        for j in range(x.shape[1]):
+        r, cfg = _random_diag_instance(rng)
+        beta = rng.uniform(-1, 1, size=r.shape[0])
+        for j in range(r.shape[0]):
             thr = coordinate_threshold(r[j], beta, j, cfg)
-            _check_coordinate_against_grid(corr[j], thr, r[j, j], cfg)
-            beta[j] = coordinate_update(corr[j], thr, r[j, j], cfg)
+            _check_coordinate_against_grid(1.0, thr, r[j, j], cfg)
+            beta[j] = coordinate_update(1.0, thr, r[j, j], cfg)
 
 
 def check_residual_coordinate_oracle(seed: int) -> None:
@@ -135,21 +136,21 @@ def check_diag_solver_stationarity(seed: int) -> None:
     rng = np.random.default_rng(seed)
     converged = 0
     for _ in range(10):
-        x, o, r, cfg = _random_diag_instance(rng)
-        sol = iilasso_diag(x, o, r, cfg)
+        r, cfg = _random_diag_instance(rng)
+        sol = iilasso_diag(r, cfg)
         trace = sol.objective_trace
         assert (np.diff(trace) <= 1e-10).all(), "objective trace increased"
         if sol.stop_reason != "converged":
             # a sparsity-target stop halts mid-descent; no stationarity claim
             continue
         converged += 1
-        corr = np.einsum("ij,ij->j", o, x) / x.shape[0]
         for j, bj in enumerate(sol.beta):
+            # KKT of the penalty-only problem, where every corr_j is 1
             thr = coordinate_threshold(r[j], sol.beta, j, cfg)
             if bj == 0:
-                assert abs(corr[j]) <= thr + 1e-6, f"coordinate {j} violates stationarity"
+                assert thr >= 1.0 - 1e-6, f"coordinate {j} violates stationarity"
             else:
-                resid = bj - corr[j] + thr * np.sign(bj)
+                resid = bj - (1.0 - thr)
                 assert abs(resid) <= 1e-6, f"coordinate {j} residual {resid:.3e}"
     assert converged >= 5, "too few instances converged"
 
@@ -179,8 +180,8 @@ def check_residual_solver_stationarity(seed: int) -> None:
 def check_relaxation_bounds(seed: int) -> None:
     rng = np.random.default_rng(seed)
     for _ in range(10):
-        x, _, r, cfg = _random_diag_instance(rng)
-        sol = iilasso_diag(x, x, r, cfg)
+        r, cfg = _random_diag_instance(rng)
+        sol = iilasso_diag(r, cfg)
         assert sol.beta.min() >= -1e-9 and sol.beta.max() <= 1 + 1e-9, (
             f"beta leaves [0, 1]: [{sol.beta.min():.3g}, {sol.beta.max():.3g}]"
         )
@@ -196,6 +197,39 @@ def check_stacked_loss_equivalence(seed: int) -> None:
         frob = 0.5 / n * np.linalg.norm(y - np.einsum("i,ijk->jk", beta, t)) ** 2
         stacked = 0.5 / n * np.linalg.norm(vectorize(y) - stack_contributions(t) @ beta) ** 2
         np.testing.assert_allclose(frob, stacked, rtol=1e-10)
+
+
+def redundant_w1(rng, d1, width):
+    """Inserted weights for inputs whose column 0 is constant: columns 0 and
+    1 are a duplicate pair (1 is a scaled copy of 0); columns 2 (zero) and 3
+    (reads only input 0) are constant candidates. Needs d1 >= 2, width >= 4."""
+    w1 = rng.normal(size=(d1, width))
+    w1[:, 1] = rng.uniform(0.5, 2.0) * w1[:, 0]
+    w1[:, 2:4] = 0.0
+    w1[0, 3] = rng.normal()
+    return w1
+
+
+def check_similarity_covariance(seed: int) -> None:
+    """alg1's R from the probe covariance matches R from the standardized
+    candidate outputs, and both routes flag the same constant candidates."""
+    rng = np.random.default_rng(seed)
+    cfg = SparseConfig()
+    for _ in range(10):
+        n, d1, width = int(rng.integers(10, 60)), int(rng.integers(2, 8)), int(rng.integers(4, 12))
+        a1 = rng.normal(size=(n, d1)) * rng.uniform(0.1, 5.0, size=d1) + rng.normal(size=d1)
+        a1[:, 0] = rng.normal()
+        w1 = redundant_w1(rng, d1, width)
+        means, cov = _candidate_moments(a1, w1)
+        live = ~constant_columns(means, cov.diagonal())
+        xs, info = standardize_columns(a1 @ w1)
+        want_live = [True, True, False, False] + [True] * (width - 4)
+        assert live.tolist() == (~info.constant_mask).tolist() == want_live, f"live {live}"
+        got = similarity_matrix(cov[np.ix_(live, live)], cfg)
+        want = gram_similarity(xs[:, live].T @ xs[:, live] / n, cfg)
+        off = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert off.max() <= 1e-9, f"R differs by {off.max():.3e} relative"
+        assert got[0, 1] == got[1, 0] == cfg.r_cap, f"duplicate pair R {got[0, 1]:.6g}"
 
 
 def _random_parent(rng, widths, act="relu"):
@@ -258,6 +292,7 @@ CHECKS = [
     ("residual-solver-stationarity", check_residual_solver_stationarity),
     ("relaxation-bounds", check_relaxation_bounds),
     ("stacked-loss-equivalence", check_stacked_loss_equivalence),
+    ("similarity-covariance", check_similarity_covariance),
     ("identity-preservation", check_identity_preservation),
     ("relu-mirror-preservation", check_relu_mirror_preservation),
     ("model-roundtrip", check_model_roundtrip),

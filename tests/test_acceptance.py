@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from morphkit.io import Dataset, synth_lowrank_dataset
-from morphkit.linalg import standardize_columns, vectorize
+from morphkit.linalg import vectorize
 from morphkit.morph import MorphSpec, morph, sample_rows
 from morphkit.network import (
     Layer,
@@ -30,7 +30,6 @@ from morphkit.sparse import (
     SparseConfig,
     coordinate_threshold,
     coordinate_update,
-    diag_objective,
     iilasso_diag,
     iilasso_residual,
     similarity_matrix,
@@ -119,12 +118,20 @@ def desk():
 
 
 def random_diag_instance(rng):
+    # the penalty-only solver sees nothing but R, from d mixed columns
     n = int(rng.integers(10, 51))
     d = int(rng.integers(2, 9))
-    x, _ = standardize_columns(rng.normal(size=(n, d)))
-    o, _ = standardize_columns(rng.normal(size=(n, d)) + 0.7 * x)
+    x = rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
+    x -= x.mean(axis=0)
     cfg = SparseConfig(lam=0.1, alpha=0.1, tol=1e-10, max_itr=3000)
-    return x, o, similarity_matrix(x, cfg), cfg
+    return similarity_matrix(x.T @ x / n, cfg), cfg
+
+
+def diag_objective(beta, r, cfg):
+    ab = np.abs(beta)
+    return 0.5 * float((1.0 - beta) @ (1.0 - beta)) + cfg.lam * (
+        ab.sum() + 0.5 * cfg.alpha * float(ab @ r @ ab)
+    )
 
 
 def random_residual_instance(rng):
@@ -136,7 +143,8 @@ def random_residual_instance(rng):
     y = rng.normal(size=(n, q))
     y -= y.mean()
     cfg = SparseConfig(lam=0.08, alpha=0.1, tol=1e-10, max_itr=3000)
-    return t, y, similarity_matrix(stack_contributions(t), cfg), cfg
+    z = stack_contributions(t)
+    return t, y, similarity_matrix(z.T @ z / (n * q), cfg), cfg
 
 
 def check_1d_optimal(rho, thr, r_jj, cfg):
@@ -158,29 +166,26 @@ def coordinate_replays():
     converged = 0
 
     for _ in range(200):
-        x, o, r, cfg = random_diag_instance(rng)
-        n, d = x.shape
-        corr = np.einsum("ij,ij->j", o, x) / n
-        beta = np.ones(d)
+        r, cfg = random_diag_instance(rng)
+        beta = np.ones(r.shape[0])
         for _ in range(2):
-            for j in range(d):
+            for j in range(r.shape[0]):
                 thr = coordinate_threshold(r[j], beta, j, cfg)
-                before = diag_objective(x, o, beta, r, cfg)
-                beta[j] = check_1d_optimal(corr[j], thr, r[j, j], cfg)
-                worst_increase = max(
-                    worst_increase, diag_objective(x, o, beta, r, cfg) - before
-                )
+                before = diag_objective(beta, r, cfg)
+                beta[j] = check_1d_optimal(1.0, thr, r[j, j], cfg)
+                worst_increase = max(worst_increase, diag_objective(beta, r, cfg) - before)
         # stationarity is promised at convergence; a sparsity-target stop
-        # (all-zero beta with target_nnz=0) halts mid-descent by design
-        sol = iilasso_diag(x, o, r, cfg)
+        # (all-zero beta with target_nnz=0) halts mid-descent by design.
+        # Every corr_j is 1: beta_j = 0 needs thr_j >= 1, else beta_j = 1 - thr_j
+        sol = iilasso_diag(r, cfg)
         if sol.stop_reason == "converged":
             converged += 1
             for j, bj in enumerate(sol.beta):
                 thr = coordinate_threshold(r[j], sol.beta, j, cfg)
                 if bj == 0:
-                    assert abs(corr[j]) <= thr + 1e-6
+                    assert thr >= 1.0 - 1e-6
                 else:
-                    assert abs(bj - corr[j] + thr * np.sign(bj)) <= 1e-6
+                    assert abs(bj - (1.0 - thr)) <= 1e-6
 
     for _ in range(200):
         t, y, r, cfg = random_residual_instance(rng)
@@ -248,14 +253,14 @@ def test_relaxation_bounds():
     rng = np.random.default_rng(88)
     low, high = 0.0, 1.0
     for _ in range(100):
-        x, _, r, cfg = random_diag_instance(rng)
-        sol = iilasso_diag(x, x, r, cfg)
+        r, cfg = random_diag_instance(rng)
+        sol = iilasso_diag(r, cfg)
         low = min(low, sol.beta.min())
         high = max(high, sol.beta.max())
         assert sol.beta.min() >= -1e-9
         assert sol.beta.max() <= 1 + 1e-9
     print(f"PASS  relaxation bounds: beta stayed within "
-          f"[{low:.2e}, {high:.6f}] on 100 self-response instances")
+          f"[{low:.2e}, {high:.6f}] on 100 penalty-only instances")
 
 
 def random_parent(rng, d_in, d_hidden, d_out, hidden):

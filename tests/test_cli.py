@@ -203,7 +203,7 @@ class TestVerify:
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         names = [name for name, _ in verify_mod.CHECKS]
-        assert len(names) == 12
+        assert len(names) == 13
         assert proc.stdout.splitlines() == names
 
     def test_default_run_passes(self, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from morphkit.errors import NotFiniteError, ShapeError, SingularMatrixError
 from morphkit.linalg import (
+    constant_columns,
     least_squares,
     least_squares_with_fallback,
     ridge_fallback,
@@ -150,6 +151,11 @@ class TestStandardize:
     def test_too_few_rows(self):
         with pytest.raises(ShapeError):
             standardize_columns(np.ones((1, 2)))
+
+    def test_constant_rule_reads_rounded_negative_variance_as_zero(self):
+        # a covariance product can round a zero variance to a tiny negative
+        mask = constant_columns(np.array([3.0, 0.0, 0.0]), np.array([-1e-30, 0.0, 1e-6]))
+        assert mask.tolist() == [True, True, False]
 
 
 class TestVectorize:

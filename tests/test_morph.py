@@ -7,6 +7,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from morphkit.morph import (
 )
 from morphkit.network import Layer, Mlp, apply_activation, forward, init_weights
 from morphkit.sparse import SparseConfig, stack_contributions
+from morphkit.verify import check_similarity_covariance, redundant_w1
 
 
 def random_parent(seed, widths=(6, 5, 3), hidden="relu", bias=True):
@@ -124,9 +126,49 @@ class TestAlg1:
 
     def test_underdetermined_probe_warns(self):
         parent = random_parent(15)
-        probe = probe_for(16, 6, 6)  # fewer rows than inserted width
+        probe = probe_for(16, 4, 6)  # fewer rows than the 5 kept neurons and the bias
         with pytest.warns(RuntimeWarning, match="ridge"):
             morph(parent, spec_for("alg1", lam=0.0), probe)
+
+    @pytest.mark.parametrize("alg", ["alg1", "alg2"])
+    def test_selection_never_standardizes_candidate_outputs(self, monkeypatch, alg):
+        # the selection reads the probe covariance, not the N x width outputs
+        parent = random_parent(19)
+        probe = probe_for(20, 90, 6)
+        _, want = morph(parent, spec_for(alg), probe)
+
+        def standardized(*args):
+            raise AssertionError("the morph standardized the candidate outputs")
+
+        monkeypatch.setattr(importlib.import_module("morphkit.linalg"), "standardize_columns",
+                            standardized)
+        _, report = morph(parent, spec_for(alg), probe)
+        assert reports_equal(report, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lam=st.floats(0.01, 0.5),
+        alpha=st.floats(0.01, 1.0),
+    )
+    def test_redundant_candidates(self, seed, lam, alpha):
+        # R from the probe covariance matches the standardized outputs', so
+        # a duplicate pair sits at r_cap: alg1 keeps at most one of it, and
+        # never a candidate that is constant on the probe
+        check_similarity_covariance(seed)
+        rng = np.random.default_rng(seed)
+        d1, width = 6, 10
+        first = Layer(rng.normal(size=(5, d1)), rng.normal(size=d1), "identity")
+        first.weight[:, 0] = 0.0  # input 0 of the inserted layer is constant
+        parent = Mlp([first, Layer(rng.normal(size=(d1, 3)), rng.normal(size=3), "identity")])
+        w1 = redundant_w1(rng, d1, width)
+        spec = spec_for("alg1", width=width, lam=lam, alpha=alpha)
+        child, _ = morph(parent, spec, rng.normal(size=(40, 5)), w1_init=w1)
+        kept_w1 = child.layers[1].weight.T
+        kept = [j for j in range(width) if (kept_w1 == w1[:, j]).all(axis=1).any()]
+        assert len(kept) == len(kept_w1)
+        assert not {0, 1} <= set(kept)
+        assert 2 not in kept and 3 not in kept
 
     @pytest.mark.parametrize("alg", ["alg1", "alg2"])
     def test_probe_dead_neuron_dropped(self, alg):
@@ -351,23 +393,33 @@ class TestRefitBenefit:
     @pytest.mark.parametrize("alg", ["alg1", "alg2", "alg3"])
     def test_readout_is_least_squares_on_kept_columns(self, alg, bias):
         # the downstream layer solves the normal equations on the kept
-        # activations; column 3 never fires, so alg3's full-width scoring
-        # fit is singular and falls back to the ridge, while the readout
-        # fit on the kept columns is not
-        parent = random_parent(65, bias=bias)
-        probe = probe_for(66, 120, 6)
+        # activations, unridged, while alg3's full-width scoring fit is
+        # ridged and counted: singular where column 3 never fires, and
+        # underdetermined on the 6-row probe, which has fewer rows than
+        # candidates but at least as many as the kept neurons need
         w1 = init_weights(5, 8, "relu", 67)
         w1[:, 3] = -np.abs(w1[:, 3])
-        child, report = morph(parent, spec_for(alg), probe, w1_init=w1)
-        taps = forward(child, probe)
-        design = taps.activations[1]
-        assert design.shape[1] == report.n_sparse < 8
-        if bias:
-            design = np.hstack([design, np.ones((len(probe), 1))])
-        residual = taps.pre_activations[2] - forward(parent, probe).pre_activations[1]
-        scale = np.linalg.norm(design) * np.linalg.norm(forward(parent, probe).pre_activations[1])
-        assert np.abs(design.T @ residual).max() <= 1e-10 * scale
-        assert report.ridge_fallbacks == (1 if alg == "alg3" else 0)
+        cases = [
+            (random_parent(65, bias=bias), probe_for(66, 120, 6), spec_for(alg), w1),
+            (random_parent(15, bias=bias), probe_for(16, 6, 6), spec_for(alg, lam=0.3), None),
+        ]
+        for (parent, probe, spec, w1_init), underdetermined in zip(cases, [False, True]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                child, report = morph(parent, spec, probe, w1_init=w1_init)
+            # only alg3's full-width scoring fit on the 6-row probe lacks rows
+            assert len(caught) == int(underdetermined and alg == "alg3")
+            taps = forward(child, probe)
+            design = taps.activations[1]
+            assert design.shape[1] == report.n_sparse < 8
+            if bias:
+                design = np.hstack([design, np.ones((len(probe), 1))])
+            assert design.shape[0] >= design.shape[1]
+            target = forward(parent, probe).pre_activations[1]
+            residual = taps.pre_activations[2] - target
+            scale = np.linalg.norm(design) * np.linalg.norm(target)
+            assert np.abs(design.T @ residual).max() <= 1e-10 * scale
+            assert report.ridge_fallbacks == (1 if alg == "alg3" else 0)
 
 
 class TestPreservationError:

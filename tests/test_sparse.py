@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphkit.errors import ShapeError, StandardizationError
-from morphkit.linalg import standardize_columns, vectorize
+from morphkit.linalg import vectorize
 from morphkit.sparse import (
     SparseConfig,
     coordinate_threshold,
     coordinate_update,
-    diag_objective,
     iilasso_diag,
     iilasso_residual,
     refit_w1,
@@ -25,45 +24,40 @@ from morphkit.sparse import (
 )
 
 
-def standardized(rng, n, d):
-    out, _ = standardize_columns(rng.normal(size=(n, d)))
-    return out
+def covariance(x):
+    x = x - x.mean(axis=0)
+    return x.T @ x / x.shape[0]
 
 
-def reference_lasso_cd(x, o, lam, sweeps=3000, tol=1e-12):
-    """Independently coded plain-Lasso coordinate descent for the diagonal
-    design (response column j only ever pairs with design column j)."""
-    n, d = x.shape
-    beta = np.ones(d)
-    corr = np.array([o[:, j] @ x[:, j] for j in range(d)]) / n
-    for _ in range(sweeps):
-        delta = 0.0
-        for j in range(d):
-            target = corr[j]
-            new = np.sign(target) * max(abs(target) - lam, 0.0)
-            delta = max(delta, abs(new - beta[j]))
-            beta[j] = new
-        if delta < tol:
-            break
-    return beta
+def random_r(rng, n, d, cfg, duplicate=False):
+    """Similarity matrix of d mixed random columns; with `duplicate`, the
+    last column is a scaled copy of the first, so that pair sits at r_cap."""
+    x = rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
+    if duplicate and d > 1:
+        x[:, -1] = rng.uniform(0.5, 2.0) * x[:, 0]
+    return similarity_matrix(covariance(x), cfg)
+
+
+def diag_objective(beta, r, cfg):
+    """The penalty-only objective (1/2)||1 - beta||^2 plus the penalty."""
+    ab = np.abs(beta)
+    return 0.5 * float((1.0 - beta) @ (1.0 - beta)) + cfg.lam * (
+        ab.sum() + 0.5 * cfg.alpha * float(ab @ r @ ab)
+    )
 
 
 class TestSimilarityMatrix:
     def test_orthogonal_columns_give_zero(self):
-        n = 8
-        x = np.zeros((n, 2))
+        x = np.zeros((8, 2))
         x[:4, 0] = [1, -1, 1, -1]
-        x[4:, 1] = [1, -1, 1, -1]
-        x *= np.sqrt(n / np.einsum("ij,ij->j", x, x))
-        r = similarity_matrix(x, SparseConfig())
+        x[4:, 1] = [3, -3, 3, -3]
+        r = similarity_matrix(covariance(x), SparseConfig())
         np.testing.assert_array_equal(r, np.zeros((2, 2)))
 
     def test_duplicate_column_hits_cap(self):
-        rng = np.random.default_rng(0)
-        col = standardized(rng, 12, 1)
-        x = np.hstack([col, col])
+        col = np.random.default_rng(0).normal(size=(12, 1))
         cfg = SparseConfig(r_cap=1e6)
-        r = similarity_matrix(x, cfg)
+        r = similarity_matrix(covariance(np.hstack([col, -3.0 * col])), cfg)
         assert r[0, 1] == cfg.r_cap
 
     def test_half_correlation_gives_one(self):
@@ -71,18 +65,28 @@ class TestSimilarityMatrix:
         a = np.array([1.0, 1.0, -1.0, -1.0])
         u = np.array([1.0, -1.0, 1.0, -1.0])
         b = 0.5 * a + (np.sqrt(3.0) / 2.0) * u
-        r = similarity_matrix(np.column_stack([a, b]), SparseConfig())
+        r = similarity_matrix(covariance(np.column_stack([a, 7.0 * b])), SparseConfig())
         np.testing.assert_allclose(r[0, 1], 1.0, rtol=1e-12)
 
     def test_unstandardized_rejected(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(StandardizationError, match="norm"):
-            similarity_matrix(rng.normal(size=(10, 3)) * 5, SparseConfig())
+        # a constant column has no correlations to standardize into
+        x = np.random.default_rng(1).normal(size=(10, 3))
+        x[:, 1] = 4.0
+        with pytest.raises(StandardizationError, match="column 1 has variance 0"):
+            similarity_matrix(covariance(x), SparseConfig())
+
+    def test_invariant_to_column_scale(self):
+        # R depends on correlations only: rescaling the columns changes nothing
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(30, 5)) @ rng.normal(size=(5, 5))
+        scale = rng.uniform(0.01, 100.0, size=5)
+        cfg = SparseConfig()
+        got = similarity_matrix(covariance(x * scale), cfg)
+        want = similarity_matrix(covariance(x), cfg)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_structure(self):
-        rng = np.random.default_rng(2)
-        x = standardized(rng, 25, 6)
-        r = similarity_matrix(x, SparseConfig())
+        r = random_r(np.random.default_rng(2), 25, 6, SparseConfig())
         np.testing.assert_array_equal(r, r.T)
         assert (np.diag(r) == 0).all()
         assert (r >= 0).all()
@@ -100,25 +104,23 @@ class TestSoftThreshold:
         assert soft_threshold(0.5, 1.0) == 0.0
 
 
-def replay_updates(kind, x_or_t, o_or_y, r, cfg, sweeps=2):
-    """Re-run the documented update sequence, yielding the 1-D subproblem
-    data and the full objective before/after every single update."""
-    if kind == "diag":
-        x, o = x_or_t, o_or_y
-        n, d = x.shape
-        corr = np.einsum("ij,ij->j", o, x) / n
+def replay_updates(r, cfg, t=None, y=None, sweeps=2):
+    """Re-run the documented update sequence of the penalty-only solver or,
+    given contributions t and response y, of the residual solver, yielding
+    the 1-D subproblem data and the full objective before/after every
+    single update."""
+    if t is None:
+        d = r.shape[0]
         beta = np.ones(d)
-        objective = lambda b: diag_objective(x, o, b, r, cfg)
         for _ in range(sweeps):
             for j in range(d):
                 thr = coordinate_threshold(r[j], beta, j, cfg)
-                before = objective(beta)
-                new = coordinate_update(corr[j], thr, r[j, j], cfg)
+                before = diag_objective(beta, r, cfg)
+                new = coordinate_update(1.0, thr, r[j, j], cfg)
                 old = beta[j]
                 beta[j] = new
-                yield j, corr[j], thr, old, new, before, objective(beta)
+                yield j, 1.0, thr, old, new, before, diag_objective(beta, r, cfg)
     else:
-        t, y = x_or_t, o_or_y
         z, y_vec, gram, corr = gram_form(t, y)
         m = y_vec.shape[0]
         d = z.shape[1]
@@ -152,84 +154,69 @@ GRID = np.arange(-2.0, 2.0 + 1e-12, 1e-4)
 
 class TestDiagSolver:
     def test_lambda_zero_self_response_gives_ones(self):
-        rng = np.random.default_rng(3)
-        x = standardized(rng, 20, 4)
         cfg = SparseConfig(lam=0.0, alpha=0.0)
-        sol = iilasso_diag(x, x, similarity_matrix(x, cfg), cfg)
+        sol = iilasso_diag(random_r(np.random.default_rng(3), 20, 4, cfg), cfg)
         np.testing.assert_allclose(sol.beta, np.ones(4), atol=1e-12)
         assert sol.stop_reason == "converged"
 
     def test_large_lambda_kills_everything(self):
-        rng = np.random.default_rng(4)
-        x = standardized(rng, 20, 4)
-        o = standardized(rng, 20, 4)
-        corr_max = np.abs(np.einsum("ij,ij->j", o, x) / 20).max()
-        cfg = SparseConfig(lam=corr_max + 0.1, alpha=0.0)
-        sol = iilasso_diag(x, o, similarity_matrix(x, cfg), cfg)
+        # every corr_j is 1, so a threshold above 1 zeroes every coefficient
+        cfg = SparseConfig(lam=1.1, alpha=0.0)
+        sol = iilasso_diag(random_r(np.random.default_rng(4), 20, 4, cfg), cfg)
         np.testing.assert_array_equal(sol.beta, np.zeros(4))
         assert sol.stop_reason == "target_nnz"
 
     def test_matches_exhaustive_grid_search(self):
-        # beta is known to stay in [0,1] when o == x, so the box grid covers it
-        rng = np.random.default_rng(5)
-        x = standardized(rng, 30, 3)
+        # beta is known to stay in [0,1], so the box grid covers it
         cfg = SparseConfig(lam=0.1, alpha=0.1, tol=1e-12, max_itr=5000)
-        r = similarity_matrix(x, cfg)
-        sol = iilasso_diag(x, x, r, cfg)
-        solver_obj = diag_objective(x, x, sol.beta, r, cfg)
+        r = random_r(np.random.default_rng(5), 30, 3, cfg)
+        sol = iilasso_diag(r, cfg)
+        solver_obj = diag_objective(sol.beta, r, cfg)
 
         axis = np.arange(0.0, 1.0 + 1e-9, 1e-3)
-        corr = np.ones(3)
-        # separable parts: 0.5*b^2 - corr*b + lam*b for b >= 0, plus pair terms
-        part = [0.5 * axis**2 - corr[j] * axis + cfg.lam * axis for j in range(3)]
+        # separable parts: 0.5*b^2 - b + lam*b for b >= 0, plus pair terms
+        part = 0.5 * axis**2 - axis + cfg.lam * axis
         pair = cfg.lam * cfg.alpha
-        base = part[1][:, None] + part[2][None, :] + pair * r[1, 2] * np.outer(axis, axis)
+        base = part[:, None] + part[None, :] + pair * r[1, 2] * np.outer(axis, axis)
         cross = pair * (r[0, 1] * axis[:, None] + r[0, 2] * axis[None, :])
         best = np.inf
         for i, b0 in enumerate(axis):
-            total = base + part[0][i] + b0 * cross
+            total = base + part[i] + b0 * cross
             m = total.min()
             if m < best:
                 best = m
-        # re-add the constant 0.5/N * ||x_j||^2 = 0.5 dropped from each part
+        # re-add the constant 0.5 of each (1 - b)^2 / 2 dropped from the parts
         grid_obj = best + 0.5 * 3
         assert solver_obj <= grid_obj + 1e-5
 
     def test_each_update_is_1d_optimal(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            x = standardized(rng, 25, 5)
-            o = standardized(rng, 25, 5)
             cfg = SparseConfig(lam=0.1, alpha=0.2)
-            r = similarity_matrix(x, cfg)
-            for _, rho, thr, _, _, before, after in replay_updates("diag", x, o, r, cfg):
+            for _, rho, thr, _, _, before, after in replay_updates(random_r(rng, 25, 5, cfg), cfg):
                 value, grid_best = grid_beats_update(rho, thr, 0.0, cfg, GRID)
                 assert value <= grid_best + 1e-6
                 assert after <= before + 1e-10
 
     def test_alpha_zero_reduces_to_plain_lasso(self):
-        rng = np.random.default_rng(7)
-        x = standardized(rng, 30, 6)
-        o = standardized(rng, 30, 6)
+        # without the similarity term each coordinate is the plain Lasso
+        # solution S(1, lam) of its own separable problem
         cfg = SparseConfig(lam=0.15, alpha=0.0, tol=1e-12, max_itr=5000)
-        sol = iilasso_diag(x, o, similarity_matrix(x, cfg), cfg)
-        reference = reference_lasso_cd(x, o, 0.15)
-        np.testing.assert_allclose(sol.beta, reference, atol=1e-8)
+        sol = iilasso_diag(random_r(np.random.default_rng(7), 30, 6, cfg), cfg)
+        np.testing.assert_allclose(sol.beta, np.full(6, soft_threshold(1.0, 0.15)), atol=1e-12)
 
     def test_relaxation_bounds(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            x = standardized(rng, int(rng.integers(10, 40)), int(rng.integers(2, 8)))
             cfg = SparseConfig(lam=0.1, alpha=0.1, tol=1e-10, max_itr=3000)
-            sol = iilasso_diag(x, x, similarity_matrix(x, cfg), cfg)
+            r = random_r(rng, int(rng.integers(10, 40)), int(rng.integers(2, 8)), cfg)
+            sol = iilasso_diag(r, cfg)
             assert sol.beta.min() >= -1e-9
             assert sol.beta.max() <= 1 + 1e-9
 
     def test_diagonal_neutrality(self):
-        rng = np.random.default_rng(9)
-        x = standardized(rng, 20, 4)
         cfg = SparseConfig(lam=0.3, alpha=0.7)
-        r = similarity_matrix(x, cfg)
+        r = random_r(np.random.default_rng(9), 20, 4, cfg)
         assert (np.diag(r) == 0.0).all()
         for j in range(4):
             assert 1.0 / (1.0 + cfg.alpha * cfg.lam * r[j, j]) == 1.0
@@ -237,42 +224,26 @@ class TestDiagSolver:
         assert coordinate_update(0.8, 0.3, r[0, 0], cfg) == soft_threshold(0.8, 0.3)
 
     def test_objective_trace_non_increasing(self):
-        rng = np.random.default_rng(10)
-        x = standardized(rng, 30, 5)
-        o = standardized(rng, 30, 5)
         cfg = SparseConfig(lam=0.05, alpha=0.3)
-        sol = iilasso_diag(x, o, similarity_matrix(x, cfg), cfg)
+        sol = iilasso_diag(random_r(np.random.default_rng(10), 30, 5, cfg), cfg)
         assert (np.diff(sol.objective_trace) <= 1e-10).all()
 
     def test_stop_reasons(self):
-        rng = np.random.default_rng(11)
-        x = standardized(rng, 20, 4)
+        r = random_r(np.random.default_rng(11), 20, 4, SparseConfig())
         cfg = SparseConfig(lam=0.01, alpha=0.1, max_itr=1)
-        assert iilasso_diag(x, x, similarity_matrix(x, cfg), cfg).stop_reason == "max_itr"
+        assert iilasso_diag(r, cfg).stop_reason == "max_itr"
         cfg = SparseConfig(lam=0.01, alpha=0.1, target_nnz=4)
-        assert (
-            iilasso_diag(x, x, similarity_matrix(x, cfg), cfg).stop_reason == "target_nnz"
-        )
+        assert iilasso_diag(r, cfg).stop_reason == "target_nnz"
 
     def test_active_set_matches_nonzeros(self):
-        rng = np.random.default_rng(12)
-        x = standardized(rng, 25, 6)
-        o = standardized(rng, 25, 6)
-        cfg = SparseConfig(lam=0.6, alpha=0.0)
-        sol = iilasso_diag(x, o, similarity_matrix(x, cfg), cfg)
+        cfg = SparseConfig(lam=0.6, alpha=1.0)
+        sol = iilasso_diag(random_r(np.random.default_rng(12), 25, 6, cfg, duplicate=True), cfg)
+        assert 0 < sol.active_set.size < 6
         np.testing.assert_array_equal(sol.active_set, np.flatnonzero(sol.beta))
 
     def test_shape_mismatch(self):
-        rng = np.random.default_rng(13)
-        x = standardized(rng, 20, 4)
         with pytest.raises(ShapeError):
-            iilasso_diag(x, x[:, :3], similarity_matrix(x, SparseConfig()), SparseConfig())
-
-    def test_unstandardized_design_rejected(self):
-        rng = np.random.default_rng(14)
-        x = rng.normal(size=(20, 4)) * 3
-        with pytest.raises(StandardizationError):
-            iilasso_diag(x, x, np.zeros((4, 4)), SparseConfig())
+            iilasso_diag(np.zeros((4, 3)), SparseConfig())
 
 
 def scaled_contributions(rng, d, n, q):
@@ -310,9 +281,8 @@ class TestResidualSolver:
         y_vec = y_vec - q @ (q.T @ y_vec)
         y = y_vec.reshape((10, 2), order="F")
         cfg = SparseConfig(lam=0.05, alpha=0.0)
-        r = similarity_matrix(z, cfg)
         _, _, gram, corr = gram_form(t, y)
-        sol = iilasso_residual(gram, corr, r, cfg)
+        sol = iilasso_residual(gram, corr, similarity_matrix(gram, cfg), cfg)
         np.testing.assert_array_equal(sol.beta, np.zeros(3))
 
     def test_kkt_stationarity_alpha_zero(self):
@@ -322,7 +292,7 @@ class TestResidualSolver:
         y = y - y.mean()
         cfg = SparseConfig(lam=0.2, alpha=0.0, tol=1e-12, max_itr=5000)
         z, y_vec, gram, corr = gram_form(t, y)
-        r = similarity_matrix(z, cfg)
+        r = similarity_matrix(gram, cfg)
         sol = iilasso_residual(gram, corr, r, cfg)
         m = z.shape[0]
         resid_corr = (y_vec - z @ sol.beta) @ z / m
@@ -339,10 +309,8 @@ class TestResidualSolver:
             y = rng.normal(size=(15, 3))
             y -= y.mean()
             cfg = SparseConfig(lam=0.1, alpha=0.2)
-            r = similarity_matrix(stack_contributions(t), cfg)
-            for _, rho, thr, _, _, before, after in replay_updates(
-                "residual", t, y, r, cfg
-            ):
+            r = similarity_matrix(gram_form(t, y)[2], cfg)
+            for _, rho, thr, _, _, before, after in replay_updates(r, cfg, t, y):
                 value, grid_best = grid_beats_update(rho, thr, 0.0, cfg, GRID)
                 assert value <= grid_best + 1e-6
                 assert after <= before + 1e-10
@@ -354,7 +322,7 @@ class TestResidualSolver:
         y -= y.mean()
         cfg = SparseConfig(lam=0.05, alpha=0.3, max_itr=1)
         z, y_vec, gram, corr = gram_form(t, y)
-        r = similarity_matrix(z, cfg)
+        r = similarity_matrix(gram, cfg)
         sol = iilasso_residual(gram, corr, r, cfg)
         constant = 0.5 / y_vec.shape[0] * float(y_vec @ y_vec)
         for got, b in zip(sol.objective_trace, [np.ones(5), sol.beta]):
@@ -429,14 +397,14 @@ def float_bits(value) -> bytes:
     return struct.pack("<d", float(value))
 
 
-def reference_diag_loop(x, o, r, cfg, beta0=None):
+def reference_diag_loop(r, cfg):
     """iilasso_diag's documented sweep written with the public per-coordinate
-    functions: Gauss-Seidel order, stop on nonzero count, then largest
-    change, then sweep budget. Returns (beta, sweeps, stop_reason, betas),
-    where betas holds the iterate at the start and after every sweep."""
-    n, d = x.shape
-    corr = np.einsum("ij,ij->j", o, x) / n
-    beta = np.ones(d) if beta0 is None else np.array(beta0, dtype=np.float64)
+    functions: from beta = 1 with every corr_j = 1, Gauss-Seidel order, stop
+    on nonzero count, then largest change, then sweep budget. Returns (beta,
+    sweeps, stop_reason, betas), where betas holds the iterate at the start
+    and after every sweep."""
+    d = r.shape[0]
+    beta = np.ones(d)
     betas = [beta.copy()]
     sweeps = 0
     max_delta = np.inf
@@ -454,73 +422,43 @@ def reference_diag_loop(x, o, r, cfg, beta0=None):
         max_delta = 0.0
         for j in range(d):
             thr = coordinate_threshold(r[j], beta, j, cfg)
-            new = coordinate_update(corr[j], thr, r[j, j], cfg)
+            new = coordinate_update(1.0, thr, r[j, j], cfg)
             max_delta = max(max_delta, abs(new - beta[j]))
             beta[j] = new
         sweeps += 1
         betas.append(beta.copy())
 
 
-def assert_solver_matches_reference(x, o, r, cfg, beta0=None):
-    sol = iilasso_diag(x, o, r, cfg, beta0=beta0)
-    beta, sweeps, reason, betas = reference_diag_loop(x, o, r, cfg, beta0)
+def assert_solver_matches_reference(r, cfg):
+    sol = iilasso_diag(r, cfg)
+    beta, sweeps, reason, betas = reference_diag_loop(r, cfg)
     assert sol.beta.tobytes() == beta.tobytes()  # bitwise, so -0.0 too
     assert (sol.sweeps_run, sol.stop_reason) == (sweeps, reason)
     assert len(sol.objective_trace) == len(betas)
     for got, b in zip(sol.objective_trace, betas):
-        want = diag_objective(x, o, b, r, cfg)
+        want = diag_objective(b, r, cfg)
         assert abs(got - want) <= 1e-12 * abs(want)
     return sol
 
 
-def diag_case(seed, n, d, negative=False):
-    rng = np.random.default_rng(seed)
-    x = standardized(rng, n, d)
-    sign = -1.0 if negative else 1.0
-    o, _ = standardize_columns(sign * x + rng.normal(size=(n, d)) * rng.uniform(0.2, 2.0))
-    return rng, x, o
-
-
 class TestDiagSolverBitIdentity:
-    """iilasso_diag runs its sweep on scalars and takes the objective trace
-    from sufficient statistics; the iterates must stay those of the
-    per-coordinate functions, bit for bit."""
+    """iilasso_diag runs its sweep on scalars; the iterates must stay those
+    of the per-coordinate functions, bit for bit, and the trace must be the
+    penalty-only objective."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cold_start(self, seed):
-        _, x, o = diag_case(seed, 40, 12)
         cfg = SparseConfig(lam=0.1, alpha=0.2, tol=1e-10, max_itr=500)
-        assert_solver_matches_reference(x, o, similarity_matrix(x, cfg), cfg)
-
-    def test_self_response_warm_start(self):
-        rng, x, _ = diag_case(11, 50, 15)
-        cfg = SparseConfig(lam=0.05, alpha=0.1)
-        r = similarity_matrix(x, cfg)
-        beta0 = rng.uniform(-1, 1, size=15)
-        beta0[::4] = 0.0
-        assert_solver_matches_reference(x, x, r, cfg, beta0=beta0)
-
-    def test_all_zero_start_stops_at_once(self):
-        _, x, o = diag_case(12, 30, 6)
-        cfg = SparseConfig(lam=0.1, alpha=0.1)
-        sol = assert_solver_matches_reference(x, o, similarity_matrix(x, cfg), cfg, np.zeros(6))
-        assert sol.sweeps_run == 0 and sol.stop_reason == "target_nnz"
-
-    def test_negative_correlations_give_negative_zeros(self):
-        _, x, o = diag_case(13, 30, 6, negative=True)
-        cfg = SparseConfig(lam=2.0, alpha=0.1)  # every |corr| <= 1 < lam
-        sol = assert_solver_matches_reference(x, o, similarity_matrix(x, cfg), cfg)
-        assert (sol.beta == 0).all() and np.signbit(sol.beta).all()
+        assert_solver_matches_reference(random_r(np.random.default_rng(seed), 40, 12, cfg), cfg)
 
     def test_alpha_zero(self):
-        _, x, o = diag_case(14, 30, 8)
         cfg = SparseConfig(lam=0.15, alpha=0.0, tol=1e-12, max_itr=2000)
-        assert_solver_matches_reference(x, o, similarity_matrix(x, cfg), cfg)
+        assert_solver_matches_reference(random_r(np.random.default_rng(14), 30, 8, cfg), cfg)
 
     def test_target_nnz_stop(self):
-        _, x, _ = diag_case(15, 40, 20)
         cfg = SparseConfig(lam=0.5, alpha=0.5, target_nnz=16)
-        sol = assert_solver_matches_reference(x, x, similarity_matrix(x, cfg), cfg)
+        r = random_r(np.random.default_rng(15), 40, 20, cfg, duplicate=True)
+        sol = assert_solver_matches_reference(r, cfg)
         assert sol.stop_reason == "target_nnz"
 
     @settings(max_examples=60, deadline=None)
@@ -530,15 +468,13 @@ class TestDiagSolverBitIdentity:
         d=st.integers(1, 8),
         lam=st.floats(0.01, 1.5),
         alpha=st.sampled_from([0.0, 0.1, 1.0, 5.0]),
-        negative=st.booleans(),
-        start=st.sampled_from(["ones", "zeros", "warm"]),
+        duplicate=st.booleans(),
         target_nnz=st.integers(0, 3),
     )
-    def test_generated_instances(self, seed, n, d, lam, alpha, negative, start, target_nnz):
-        rng, x, o = diag_case(seed, n, d, negative)
+    def test_generated_instances(self, seed, n, d, lam, alpha, duplicate, target_nnz):
         cfg = SparseConfig(lam=lam, alpha=alpha, target_nnz=target_nnz, tol=1e-9, max_itr=300)
-        beta0 = {"ones": None, "zeros": np.zeros(d), "warm": rng.uniform(-1, 1, size=d)}[start]
-        assert_solver_matches_reference(x, o, similarity_matrix(x, cfg), cfg, beta0)
+        r = random_r(np.random.default_rng(seed), n, d, cfg, duplicate)
+        assert_solver_matches_reference(r, cfg)
 
     @settings(max_examples=300, deadline=None)
     @given(
