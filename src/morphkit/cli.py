@@ -77,8 +77,9 @@ def _idx_pair(directory: str, split: str) -> tuple[str, str]:
     return pair[0], pair[1]
 
 
-def _load_dataset(spec: str, split: str) -> mio.Dataset:
-    # train and test rows come from one draw so they share class means
+def _load_datasets(spec: str, *splits: str) -> list[mio.Dataset]:
+    """One dataset per split. A synthetic spec is drawn once: its train and
+    test rows come from one draw so they share class means."""
     if spec.startswith("lowrank"):
         p = _parse_spec_params(
             spec,
@@ -90,9 +91,7 @@ def _load_dataset(spec: str, split: str) -> mio.Dataset:
             p["seed"], p["n"] + p["test"], p["d"], p["classes"],
             spacing=p["spacing"], side_dims=p["side_dims"], side_scale=p["side_scale"],
         )
-        sl = slice(0, p["n"]) if split == "train" else slice(p["n"], None)
-        return mio.Dataset(full.features[sl], full.labels[sl])
-    if spec.startswith("synth"):
+    elif spec.startswith("synth"):
         p = _parse_spec_params(
             spec,
             {"n": 2000, "test": 500, "d": 20, "classes": 3, "seed": 0, "sep": 6.0},
@@ -101,17 +100,21 @@ def _load_dataset(spec: str, split: str) -> mio.Dataset:
         full = mio.synth_dataset(
             p["seed"], p["n"] + p["test"], p["d"], p["classes"], separation=p["sep"]
         )
-        sl = slice(0, p["n"]) if split == "train" else slice(p["n"], None)
-        return mio.Dataset(full.features[sl], full.labels[sl])
-    directory = spec
-    if spec == "mnist":
-        directory = os.environ.get("MORPHKIT_MNIST", os.path.join("data", "mnist"))
-    if not os.path.isdir(directory):
-        raise MorphkitError(
-            f"--data {spec!r} is neither 'synth[:...]' nor a directory of IDX files"
-        )
-    images, labels = _idx_pair(directory, split)
-    return mio.read_idx(images, labels)
+    else:
+        directory = spec
+        if spec == "mnist":
+            directory = os.environ.get("MORPHKIT_MNIST", os.path.join("data", "mnist"))
+        if not os.path.isdir(directory):
+            raise MorphkitError(
+                f"--data {spec!r} is neither 'synth[:...]' nor a directory of IDX files"
+            )
+        return [mio.read_idx(*_idx_pair(directory, s)) for s in splits]
+    rows = {"train": slice(0, p["n"]), "test": slice(p["n"], None)}
+    return [mio.Dataset(full.features[rows[s]], full.labels[rows[s]]) for s in splits]
+
+
+def _load_dataset(spec: str, split: str) -> mio.Dataset:
+    return _load_datasets(spec, split)[0]
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -274,7 +277,11 @@ def cmd_eval(args) -> int:
 
 def cmd_finetune(args) -> int:
     net, meta = mio.load_model(args.model)
-    data = _load_dataset(args.data, args.split)
+    if args.eval_data == args.data:
+        data, eval_data = _load_datasets(args.data, args.split, args.eval_split)
+    else:
+        data = _load_dataset(args.data, args.split)
+        eval_data = _load_dataset(args.eval_data, args.eval_split) if args.eval_data else None
     cfg = _train_config(args)
     net, history = train_sgd(net, data, cfg)
     out = _out_path(args, args.out)
@@ -282,8 +289,8 @@ def cmd_finetune(args) -> int:
     meta["finetune_epochs"] = meta.get("finetune_epochs", 0) + args.epochs
     mio.save_model(net, out, metadata=meta)
     _write_history(_out_path(args, args.history), history[1:] or history, append=True)
-    if args.eval_data:
-        _, accuracy = evaluate(net, _load_dataset(args.eval_data, args.eval_split))
+    if eval_data is not None:
+        _, accuracy = evaluate(net, eval_data)
     else:
         accuracy = history[-1].accuracy
     print(f"finetuned {args.epochs} epochs: accuracy {accuracy!r} -> {out}")

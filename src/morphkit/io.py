@@ -1,19 +1,23 @@
 """Model serialization, IDX dataset ingestion, synthetic data, and report
 files.
 
-Models are stored as UTF-8 JSON with an explicit schema version; floats go
-through Python's shortest-exact repr so a load reproduces every weight
-bit-for-bit. IDX files follow the classic big-endian layout (magic, dims,
+Models are stored as UTF-8 JSON with an explicit schema version. Schema 2
+carries each weight matrix and bias as one base64 string of its
+little-endian float64 bytes in row-major order, so a load reproduces every
+weight bit-for-bit; schema 1 files (nested number lists) are still read.
+IDX files follow the classic big-endian layout (magic, dims,
 unsigned bytes); gzipped files are handled transparently by extension.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import csv
 import dataclasses
 import gzip
 import json
+import math
 import os
 import secrets
 import struct
@@ -25,7 +29,9 @@ from .errors import IdxFormatError, ModelFormatError
 from .morph import MorphReport
 from .network import ACTIVATION_KINDS, Layer, Mlp
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
+READABLE_SCHEMA_VERSIONS = (1, 2)
+_FLOAT64_LE = np.dtype("<f8")
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -79,6 +85,10 @@ class Dataset:
         return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
+def _encode_array(array: np.ndarray) -> str:
+    return base64.b64encode(array.astype(_FLOAT64_LE, copy=False).tobytes()).decode("ascii")
+
+
 def save_model(mlp: Mlp, path, metadata: dict | None = None) -> None:
     """Write the network as versioned JSON; weights round-trip exactly."""
     doc = {
@@ -88,8 +98,8 @@ def save_model(mlp: Mlp, path, metadata: dict | None = None) -> None:
                 "in": layer.d_in,
                 "out": layer.d_out,
                 "activation": layer.activation,
-                "weights": layer.weight.tolist(),
-                "bias": None if layer.bias is None else layer.bias.tolist(),
+                "weights": _encode_array(layer.weight),
+                "bias": None if layer.bias is None else _encode_array(layer.bias),
             }
             for layer in mlp.layers
         ],
@@ -106,6 +116,42 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def _require_width(raw: dict, key: str, where: str) -> int:
+    value = _require(raw, key, where)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ModelFormatError(f"{where}.{key}: expected a positive integer, got {value!r}")
+    return value
+
+
+def _decode_array(value, shape: tuple, version: int, where: str) -> np.ndarray:
+    """Schema 1: nested number lists of `shape`. Schema 2: a base64 string
+    of exactly 8 bytes per entry, little-endian float64, row-major."""
+    if version == 1:
+        try:
+            array = np.asarray(value, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ModelFormatError(f"{where}: not a numeric array ({exc})") from exc
+        if array.shape != shape:
+            raise ModelFormatError(
+                f"{where}: shape {array.shape} does not match declared {shape}"
+            )
+        return array
+    if not isinstance(value, str):
+        raise ModelFormatError(
+            f"{where}: expected a base64 string, got {type(value).__name__}"
+        )
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise ModelFormatError(f"{where}: not valid base64 ({exc})") from exc
+    expected = _FLOAT64_LE.itemsize * math.prod(shape)
+    if len(raw) != expected:
+        raise ModelFormatError(
+            f"{where}: {len(raw)} bytes, expected {expected} for shape {shape}"
+        )
+    return np.frombuffer(raw, dtype=_FLOAT64_LE).reshape(shape).astype(np.float64)
+
+
 def load_model(path) -> tuple[Mlp, dict]:
     """Load a model file, returning the network and its metadata dict."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -114,10 +160,10 @@ def load_model(path) -> tuple[Mlp, dict]:
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     version = _require(doc, "schema_version", str(path))
-    if version != MODEL_SCHEMA_VERSION:
+    if version not in READABLE_SCHEMA_VERSIONS:
         raise ModelFormatError(
             f"{path}: schema_version {version!r} is not supported "
-            f"(expected {MODEL_SCHEMA_VERSION})"
+            f"(expected one of {READABLE_SCHEMA_VERSIONS})"
         )
     raw_layers = _require(doc, "layers", str(path))
     if not isinstance(raw_layers, list) or not raw_layers:
@@ -125,23 +171,16 @@ def load_model(path) -> tuple[Mlp, dict]:
     layers = []
     for k, raw in enumerate(raw_layers):
         where = f"{path}: layers[{k}]"
-        d_in = _require(raw, "in", where)
-        d_out = _require(raw, "out", where)
+        d_in = _require_width(raw, "in", where)
+        d_out = _require_width(raw, "out", where)
         activation = _require(raw, "activation", where)
         if activation not in ACTIVATION_KINDS:
             raise ModelFormatError(f"{where}.activation: unknown kind {activation!r}")
-        weights = np.asarray(_require(raw, "weights", where), dtype=np.float64)
-        if weights.shape != (d_in, d_out):
-            raise ModelFormatError(
-                f"{where}.weights: shape {weights.shape} does not match "
-                f"declared {d_in}x{d_out}"
-            )
+        weights = _decode_array(_require(raw, "weights", where), (d_in, d_out), version,
+                                f"{where}.weights")
         bias_raw = _require(raw, "bias", where)
-        bias = None if bias_raw is None else np.asarray(bias_raw, dtype=np.float64)
-        if bias is not None and bias.shape != (d_out,):
-            raise ModelFormatError(
-                f"{where}.bias: length {bias.shape} does not match width {d_out}"
-            )
+        bias = None if bias_raw is None else _decode_array(bias_raw, (d_out,), version,
+                                                           f"{where}.bias")
         layers.append(Layer(weights, bias, activation))
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):

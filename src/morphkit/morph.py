@@ -243,13 +243,14 @@ def _select_diag(spec, a1, downstream_pre, w1, with_bias, refit: bool):
         sol = iilasso_diag(similarity_matrix(cov[np.ix_(live, live)], spec.sparse), spec.sparse)
         beta_full[live] = sol.beta
         stop_reason = sol.stop_reason
+    fell_back = False
     if refit:
-        w1 = refit_w1(a1, a1 @ w1, beta_full)
+        w1, fell_back = refit_w1(a1, a1 @ w1, beta_full)
     active = beta_full != 0
     w1_kept = w1[:, active]
     if spec.fold_beta:
         w1_kept = fold_beta(w1_kept, beta_full[active], spec.activation)
-    return w1_kept, stop_reason, 0
+    return w1_kept, stop_reason, int(fell_back)
 
 
 def contribution_matrices(a_new, w2) -> np.ndarray:

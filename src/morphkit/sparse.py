@@ -267,13 +267,13 @@ def iilasso_residual(gram, corr, r, cfg: SparseConfig) -> SparseSolution:
     return _coordinate_descent(corr, gram, r, cfg, np.ones(corr.shape[0]), data)
 
 
-def refit_w1(a1, o_new, beta, ridge: float = 0.0) -> np.ndarray:
+def refit_w1(a1, o_new, beta, ridge: float = 0.0) -> tuple[np.ndarray, bool]:
     """Refit the inserted-layer weights holding the coefficients fixed.
 
     Solves min_W ||o_new - a1 W diag(beta)||_F^2 columnwise: active columns
     get (1/beta_j) times the least-squares fit of o_new_j on a1; columns
     with beta_j == 0 are returned as zeros. A rank-deficient a1 falls back
-    to a small automatic ridge.
+    to a small automatic ridge. Returns (w, fell_back).
     """
     a1 = as_matrix(a1, "a1")
     o_new = as_matrix(o_new, "o_new")
@@ -284,8 +284,8 @@ def refit_w1(a1, o_new, beta, ridge: float = 0.0) -> np.ndarray:
         )
     if not np.isfinite(beta).all():
         raise NotFiniteError("beta contains non-finite entries")
-    w_ls, _ = least_squares_with_fallback(a1, o_new, ridge)
+    w_ls, fell_back = least_squares_with_fallback(a1, o_new, ridge)
     w = np.zeros_like(w_ls)
     active = beta != 0
     w[:, active] = w_ls[:, active] / beta[active]
-    return w
+    return w, fell_back

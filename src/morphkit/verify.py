@@ -22,7 +22,7 @@ import numpy as np
 from . import io as mio
 from .linalg import constant_columns, least_squares, standardize_columns, vectorize
 from .morph import MorphSpec, _candidate_moments, morph
-from .network import Layer, Mlp, forward
+from .network import Layer, Mlp
 from .sparse import (
     SparseConfig,
     coordinate_threshold,
@@ -268,18 +268,24 @@ def check_relu_mirror_preservation(seed: int) -> None:
     assert report.preservation_max <= 1e-6, f"preservation {report.preservation_max:.3e}"
 
 
+def _layer_bytes(layer: Layer) -> tuple:
+    bias = None if layer.bias is None else layer.bias.tobytes()
+    return layer.activation, layer.weight.shape, layer.weight.tobytes(), bias
+
+
 def check_model_roundtrip(seed: int) -> None:
     rng = np.random.default_rng(seed)
     net = _random_parent(rng, [4, 6, 3])
-    probe = rng.normal(size=(5, 4))
+    net.layers[0] = Layer(net.layers[0].weight, None, net.layers[0].activation)
+    net.layers[1].weight[rng.integers(6), rng.integers(3)] = -0.0
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "net.model")
         mio.save_model(net, path, metadata={"seed": seed})
         loaded, meta = mio.load_model(path)
-        assert meta["seed"] == seed
-        before = forward(net, probe).activations[-1]
-        after = forward(loaded, probe).activations[-1]
-        assert (before == after).all(), "round-trip changed forward outputs"
+    assert meta == {"seed": seed}, f"metadata {meta!r}"
+    assert len(loaded.layers) == len(net.layers), f"{len(loaded.layers)} layers loaded"
+    for k, (a, b) in enumerate(zip(net.layers, loaded.layers)):
+        assert _layer_bytes(a) == _layer_bytes(b), f"layer {k} changed in the round trip"
 
 
 CHECKS = [

@@ -8,8 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from morphkit import io as mio
 from morphkit.cli import main
-from morphkit.io import load_model, load_report_json
+from morphkit.io import load_model, load_report_json, save_report_json
+from morphkit.morph import MorphReport
 from morphkit.network import init_weights
 
 SYNTH = "synth:n=300,test=100,d=12,classes=3,seed=4"
@@ -184,6 +186,38 @@ class TestEvalAndFinetune:
         rows = hist.read_text().strip().splitlines()
         assert rows[0] == "epoch,loss,accuracy"
         assert len(rows) == 3  # header + one epoch per invocation
+
+
+    def test_finetune_draws_synthetic_data_once(self, tmp_path, monkeypatch):
+        data = "lowrank:n=200,test=60,d=30,classes=3,side_dims=4,seed=5"
+        assert run("train", "--data", data, "--arch", "30,8,3", "--epochs", "1",
+                   "--out-dir", str(tmp_path)) == 0
+        draws = []
+        original = mio.synth_lowrank_dataset
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mio, "synth_lowrank_dataset", counted)
+        blank = MorphReport(algorithm="alg1", activation="relu", n_redundant=8, n_sparse=4,
+                            compression_ratio=0.5, preservation_max=0.0,
+                            preservation_rms=0.0, sparse_stop_reason="converged",
+                            wall_time_s=0.0)
+        tuned_report, eval_report = tmp_path / "tuned.report.json", tmp_path / "eval.report.json"
+        save_report_json(blank, tuned_report)
+        save_report_json(blank, eval_report)
+        assert run("finetune", "--model", str(tmp_path / "parent.model"), "--data", data,
+                   "--epochs", "1", "--out", "tuned.model", "--out-dir", str(tmp_path),
+                   "--eval-data", data, "--report", str(tuned_report)) == 0
+        assert len(draws) == 1
+        assert run("eval", "--model", str(tmp_path / "tuned.model"), "--data", data,
+                   "--split", "test", "--report", str(eval_report),
+                   "--as", "acc_after_finetune") == 0
+        recorded = load_report_json(tuned_report).acc_after_finetune
+        separate = load_report_json(eval_report).acc_after_finetune
+        assert not np.isnan(recorded)
+        assert np.float64(recorded).tobytes() == np.float64(separate).tobytes()
 
 
 class TestVerify:

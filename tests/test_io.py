@@ -1,13 +1,18 @@
 """Serialization, IDX ingestion, synthetic data, and report CSV tests."""
 
+import base64
 import csv
 import dataclasses
 import gzip
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from morphkit import io as mio
 from morphkit.errors import IdxFormatError, ModelFormatError
@@ -24,7 +29,7 @@ from morphkit.io import (
 )
 from morphkit.linalg import least_squares
 from morphkit.morph import MorphReport
-from morphkit.network import Layer, Mlp, forward
+from morphkit.network import ACTIVATION_KINDS, Layer, Mlp, forward
 
 
 def random_net(seed, bias=True):
@@ -68,13 +73,50 @@ class TestModelRoundTrip:
 
     def test_weights_bit_exact(self, tmp_path):
         net = random_net(2)
+        net.layers[0].weight[1, 2] = -0.0
+        net.layers[1].bias[0] = 5e-324
         path = tmp_path / "net.model"
         save_model(net, path)
         loaded, _ = load_model(path)
-        for a, b in zip(net.layers, loaded.layers):
-            np.testing.assert_array_equal(a.weight, b.weight)
-            np.testing.assert_array_equal(a.bias, b.bias)
-            assert a.activation == b.activation
+        assert_same_layers(net, loaded)
+
+    def test_writes_schema_2_base64(self, tmp_path):
+        net = random_net(5, bias=False)
+        path = tmp_path / "net.model"
+        save_model(net, path, metadata={"note": "readable"})
+        doc = json.loads(path.read_text())
+        assert doc["schema_version"] == 2
+        assert doc["metadata"] == {"note": "readable"}
+        first = doc["layers"][0]
+        assert (first["in"], first["out"], first["activation"], first["bias"]) == (4, 6, "relu", None)
+        raw = base64.b64decode(first["weights"], validate=True)
+        np.testing.assert_array_equal(np.frombuffer(raw, "<f8").reshape(4, 6), net.layers[0].weight)
+
+    def test_hand_written_v1_loads_bit_exact(self, tmp_path):
+        # schema 1, as written before base64 arrays: nested lists of repr floats
+        text = (
+            '{"schema_version": 1, "layers": ['
+            '{"in": 2, "out": 3, "activation": "tanh",'
+            ' "weights": [[-0.0, 5e-324, 1.7976931348623157e+308],'
+            ' [0.1, -2.2250738585072014e-308, -1e-310]],'
+            ' "bias": [0.30000000000000004, -0.0, 1]},'
+            '{"in": 3, "out": 1, "activation": "identity",'
+            ' "weights": [[1.5], [-1.7976931348623157e+308], [2]], "bias": null}'
+            '], "metadata": {"seed": 3}}'
+        )
+        path = tmp_path / "old.model"
+        path.write_text(text)
+        net, meta = load_model(path)
+        assert meta == {"seed": 3}
+        want = [
+            [[-0.0, 5e-324, 1.7976931348623157e308], [0.1, -2.2250738585072014e-308, -1e-310]],
+            [[1.5], [-1.7976931348623157e308], [2.0]],
+        ]
+        for layer, w in zip(net.layers, want):
+            assert layer.weight.tobytes() == np.array(w).tobytes()
+        assert net.layers[0].bias.tobytes() == np.array([0.30000000000000004, -0.0, 1.0]).tobytes()
+        assert net.layers[1].bias is None
+        assert [layer.activation for layer in net.layers] == ["tanh", "identity"]
 
     def test_unknown_metadata_keys_survive(self, tmp_path):
         net = random_net(3)
@@ -93,9 +135,10 @@ class TestModelRoundTrip:
         with pytest.raises(ModelFormatError, match="JSON"):
             load_model(path)
 
-    def test_version_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("version", [0, 3, 99])
+    def test_version_mismatch(self, tmp_path, version):
         path = tmp_path / "net.model"
-        path.write_text(json.dumps({"schema_version": 99, "layers": []}))
+        path.write_text(json.dumps({"schema_version": version, "layers": []}))
         with pytest.raises(ModelFormatError, match="schema_version"):
             load_model(path)
 
@@ -120,6 +163,113 @@ class TestModelRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="weights"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("weights", "not*base64", "not valid base64"),
+            ("weights", "AAA", "not valid base64"),  # padding missing
+            ("weights", "AAAA\u00e9AAA", "not valid base64"),  # not ASCII
+            ("weights", base64.b64encode(bytes(8 * 5)).decode(), "40 bytes, expected 48"),
+            ("weights", base64.b64encode(bytes(8 * 7)).decode(), "56 bytes, expected 48"),
+            ("bias", base64.b64encode(bytes(8 * 2)).decode(), "16 bytes, expected 24"),
+            ("bias", "", "0 bytes, expected 24"),
+            ("weights", [[0.0] * 3] * 2, "expected a base64 string, got list"),
+            ("bias", [0.0, 0.0, 0.0], "expected a base64 string, got list"),
+            ("bias", 0, "expected a base64 string, got int"),
+        ],
+    )
+    def test_bad_v2_array_names_field(self, tmp_path, field, value, message):
+        path = tmp_path / "net.model"
+        save_model(Mlp([Layer(np.ones((2, 3)), np.ones(3), "relu")]), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][0][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=rf"layers\[0\]\.{field}: {message}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("width", [0, -2, "3", 2.0, None])
+    def test_declared_width_must_be_positive_integer(self, tmp_path, width):
+        path = tmp_path / "net.model"
+        save_model(Mlp([Layer(np.ones((2, 3)), None, "relu")]), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["in"] = width
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=r"layers\[0\]\.in: expected a positive integer"):
+            load_model(path)
+
+
+def assert_same_layers(net, loaded):
+    assert len(loaded.layers) == len(net.layers)
+    for a, b in zip(net.layers, loaded.layers):
+        assert a.activation == b.activation
+        assert b.weight.shape == a.weight.shape
+        assert b.weight.tobytes() == a.weight.tobytes()
+        assert (b.bias is None) == (a.bias is None)
+        if a.bias is not None:
+            assert b.bias.tobytes() == a.bias.tobytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FINITE | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def mlps(draw):
+    widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    layers = []
+    for d_in, d_out in zip(widths, widths[1:]):
+        weight = draw(hnp.arrays(np.float64, (d_in, d_out), elements=FINITE))
+        bias = draw(st.none() | hnp.arrays(np.float64, d_out, elements=FINITE))
+        layers.append(Layer(weight, bias, draw(st.sampled_from(ACTIVATION_KINDS))))
+    return Mlp(layers)
+
+
+def float_or_nan_equal(a, b) -> bool:
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return type(a) is type(b) and (struct.pack("<d", a) == struct.pack("<d", b)
+                                   if isinstance(a, float) else a == b)
+
+
+class TestGeneratedRoundTrips:
+    """Any finite float64, -0.0 and subnormals included, survives a file."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(net=mlps(), metadata=st.dictionaries(st.text(), JSON_VALUES, max_size=4))
+    def test_model_round_trip(self, tmp_path_factory, net, metadata):
+        path = tmp_path_factory.mktemp("model") / "net.model"
+        save_model(net, path, metadata=metadata)
+        loaded, meta = load_model(path)
+        assert_same_layers(net, loaded)
+        # the JSON text tells -0.0 from 0.0 and 1 from 1.0 and True, where == does not
+        assert json.dumps(meta, sort_keys=True) == json.dumps(metadata, sort_keys=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        accs=st.tuples(*[st.floats(0, 1) | st.just(float("nan"))] * 3),
+        numbers=st.tuples(FINITE, FINITE, FINITE, FINITE),
+        counts=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 9)),
+        text=st.text(),
+    )
+    def test_report_round_trip(self, tmp_path_factory, accs, numbers, counts, text):
+        report = MorphReport(
+            run_id=text, algorithm="alg3", activation="relu",
+            n_redundant=counts[0], n_sparse=counts[1], ridge_fallbacks=counts[2],
+            compression_ratio=numbers[0], preservation_max=numbers[1],
+            preservation_rms=numbers[2], wall_time_s=numbers[3], sparse_stop_reason=text,
+            acc_parent=accs[0], acc_post_morph=accs[1], acc_after_finetune=accs[2],
+        )
+        path = tmp_path_factory.mktemp("report") / "r.report.json"
+        save_report_json(report, path)
+        loaded = load_report_json(path)
+        for field in dataclasses.fields(MorphReport):
+            a, b = getattr(report, field.name), getattr(loaded, field.name)
+            assert float_or_nan_equal(a, b), field.name
 
 
 class TestReadIdx:

@@ -233,6 +233,26 @@ class TestAlg2:
             rtol=0, atol=1e-9,
         )
 
+    def test_refit_fallback_counted(self, monkeypatch):
+        # 4 probe rows make a1 (4 x 5) rank-deficient, so the refit falls back
+        parent = random_parent(15)
+        probe = probe_for(16, 4, 6)
+        refit_flags = []
+        original = sparse_mod.least_squares_with_fallback
+
+        def recorded(*args, **kwargs):
+            w, fell_back = original(*args, **kwargs)
+            refit_flags.append(fell_back)
+            return w, fell_back
+
+        monkeypatch.setattr(sparse_mod, "least_squares_with_fallback", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            _, rep1 = morph(parent, spec_for("alg1", lam=0.3), probe)
+            _, rep2 = morph(parent, spec_for("alg2", lam=0.3), probe)
+        assert refit_flags == [True]
+        assert rep2.ridge_fallbacks == rep1.ridge_fallbacks + 1
+
     def test_reports_sparsity_bounds(self):
         parent = random_parent(23)
         probe = probe_for(24, 90, 6)

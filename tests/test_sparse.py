@@ -364,14 +364,15 @@ class TestRefitW1:
         rng = np.random.default_rng(22)
         a1 = rng.normal(size=(30, 5))
         w0 = rng.normal(size=(5, 4))
-        w = refit_w1(a1, a1 @ w0, np.ones(4))
+        w, fell_back = refit_w1(a1, a1 @ w0, np.ones(4))
+        assert not fell_back
         np.testing.assert_allclose(w, w0, atol=1e-8)
 
     def test_dead_coordinate_gets_zero_column(self):
         rng = np.random.default_rng(23)
         a1 = rng.normal(size=(20, 4))
         o = rng.normal(size=(20, 3))
-        w = refit_w1(a1, o, np.array([1.0, 0.0, 2.0]))
+        w, _ = refit_w1(a1, o, np.array([1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(w[:, 1], np.zeros(4))
 
     def test_refit_never_hurts_objective(self):
@@ -380,7 +381,7 @@ class TestRefitW1:
         o = rng.normal(size=(25, 5))
         beta = rng.uniform(0.2, 1.0, size=5)
         w_before = rng.normal(size=(4, 5))
-        w_after = refit_w1(a1, o, beta)
+        w_after, _ = refit_w1(a1, o, beta)
         res = lambda w: np.linalg.norm(o - a1 @ (w * beta[None, :]))
         assert res(w_after) <= res(w_before) + 1e-10
 
@@ -389,7 +390,8 @@ class TestRefitW1:
         col = rng.normal(size=(20, 1))
         a1 = np.hstack([col, col])  # singular gram
         o = rng.normal(size=(20, 2))
-        w = refit_w1(a1, o, np.ones(2))
+        w, fell_back = refit_w1(a1, o, np.ones(2))
+        assert fell_back
         assert np.isfinite(w).all()
 
 
