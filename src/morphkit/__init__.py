@@ -25,7 +25,6 @@ from .linalg import (
     least_squares,
     least_squares_with_fallback,
     ridge_fallback,
-    vectorize,
 )
 from .morph import (
     MorphReport,

@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="0-based index of the layer after which to insert")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--act", choices=ACTIVATION_KINDS, default="relu")
-    p.add_argument("--alg", choices=ALGORITHM_NAMES, default="alg2")
+    p.add_argument("--alg", choices=ALGORITHM_NAMES, default=MorphSpec.algorithm)
     p.add_argument("--lambda", dest="lam", type=float, default=0.1)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--max-itr", type=int, default=1000)

@@ -26,7 +26,8 @@ class StandardizationError(MorphkitError, ValueError):
 
 
 class EmptyLayerError(MorphkitError, RuntimeError):
-    """Sparsification removed every candidate neuron."""
+    """No candidate neuron is left: sparsification removed every one, or
+    every one is silent on the probe."""
 
 
 class TrainingDivergedError(MorphkitError, RuntimeError):

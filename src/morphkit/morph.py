@@ -199,6 +199,9 @@ def _fit_readout(a_new, target, with_bias: bool):
     equations fall back to a ridge. Returns (weight, bias or None, fallbacks)."""
     n = a_new.shape[0]
     design = np.hstack([a_new, np.ones((n, 1))]) if with_bias else a_new
+    if not with_bias and not a_new.any():  # no ridge makes an all-zero design solvable
+        raise EmptyLayerError("every inserted neuron is silent on the probe and the downstream "
+                              "layer has no bias; the readout has nothing to fit")
     underdetermined = n < design.shape[1]
     if underdetermined:
         warnings.warn(f"probe has {n} rows but a readout fit has {design.shape[1]} unknowns; "

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotFiniteError, ShapeError, StandardizationError
-from .linalg import as_matrix, least_squares_with_fallback, vectorize
+from .linalg import as_matrix, least_squares_with_fallback
 
 @dataclass(frozen=True)
 class SparseConfig:
@@ -59,11 +59,10 @@ class SparseConfig:
 
 @dataclass
 class SparseSolution:
-    """Solver outcome: coefficients, surviving indices, and the per-sweep
-    objective trace (index 0 is the value at the starting iterate)."""
+    """Solver outcome: coefficients and the per-sweep objective trace
+    (index 0 is the value at the starting iterate)."""
 
     beta: np.ndarray
-    active_set: np.ndarray
     objective_trace: np.ndarray
     sweeps_run: int
     stop_reason: str
@@ -123,22 +122,9 @@ def coordinate_update(rho: float, threshold: float, r_jj: float, cfg: SparseConf
     return value / (1.0 + cfg.alpha * cfg.lam * r_jj)
 
 
-def coordinate_threshold(r_row: np.ndarray, beta: np.ndarray, j: int, cfg: SparseConfig) -> float:
-    """Shrinkage threshold for coefficient j given the others:
-    lam * (1 + alpha * sum_{c != j} R_jc |beta_c|)."""
-    cross = float(r_row @ np.abs(beta)) - float(r_row[j]) * abs(float(beta[j]))
-    return cfg.lam * (1.0 + cfg.alpha * cross)
-
-
 def _penalty(beta: np.ndarray, r: np.ndarray, cfg: SparseConfig) -> float:
     ab = np.abs(beta)
     return cfg.lam * (float(ab.sum()) + 0.5 * cfg.alpha * float(ab @ r @ ab))
-
-
-def stacked_objective(z, y_vec, beta, r, cfg: SparseConfig) -> float:
-    """(1/2M) ||y_vec - z beta||^2 plus the penalty, M = len(y_vec)."""
-    resid = np.asarray(y_vec) - np.asarray(z) @ np.asarray(beta)
-    return 0.5 / resid.shape[0] * float(resid @ resid) + _penalty(np.asarray(beta), r, cfg)
 
 
 def _stop_reason(beta, max_delta, sweeps, cfg: SparseConfig) -> str | None:
@@ -172,7 +158,7 @@ def _coordinate_descent(corr, gram, r, cfg: SparseConfig, beta, data) -> SparseS
 
     # The sweep runs on Python floats and keeps |beta| (and, with a Gram
     # matrix, the signed beta) as arrays updated in place; each threshold and
-    # update is the same float that coordinate_threshold and
+    # update is the same float that `verify.coordinate_threshold` and
     # coordinate_update give for these arguments.
     lam, alpha = cfg.lam, cfg.alpha
     rows = list(r)
@@ -207,7 +193,6 @@ def _coordinate_descent(corr, gram, r, cfg: SparseConfig, beta, data) -> SparseS
         reason = _stop_reason(beta, max_delta, sweeps, cfg)
     return SparseSolution(
         beta=beta,
-        active_set=np.flatnonzero(beta),
         objective_trace=np.asarray(trace),
         sweeps_run=sweeps,
         stop_reason=reason,
@@ -225,16 +210,6 @@ def iilasso_diag(r, cfg: SparseConfig) -> SparseSolution:
         return 0.5 * float(resid @ resid)
 
     return _coordinate_descent(ones, None, r, cfg, ones, data)
-
-
-def stack_contributions(t) -> np.ndarray:
-    """Column-stack each contribution matrix into one design column."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 3:
-        raise ShapeError(
-            f"expected a sequence of equally shaped matrices, got ndim={t.ndim}"
-        )
-    return np.stack([vectorize(t[i]) for i in range(t.shape[0])], axis=1)
 
 
 def iilasso_residual(gram, corr, r, cfg: SparseConfig) -> SparseSolution:

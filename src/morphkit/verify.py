@@ -1,14 +1,21 @@
-"""Self-contained invariant checks run by the `verify` CLI subcommand.
+"""Self-contained invariant checks run by the `verify` CLI subcommand, and
+the one home of the oracles and instance builders the test suites use.
 
 Each check builds small random instances from a seeded generator and
 asserts a property that must hold for a correct build: closed-form
-coordinate updates beat a dense 1-D grid, converged solutions satisfy
-stationarity, the two evaluation routes of the shared-response loss agree,
-exact-preservation constructions hold, the covariance route to the
-similarity matrix matches the standardized one, and files round-trip.
-Seeds change the instances, never the expected outcome. A check's seed
-derives from the run seed and its name, so adding or removing a check
-moves no other.
+coordinate updates beat a dense 1-D grid and never raise the objective,
+converged solutions satisfy stationarity, the two evaluation routes of the
+shared-response loss agree, exact-preservation constructions hold, the
+covariance route to the similarity matrix matches the standardized one,
+analytic gradients match finite differences, and files round-trip. Seeds
+change the instances, never the expected outcome. A check's seed derives
+from the run seed and its name, so adding or removing a check moves no
+other. Checks that measure something return it (a worst error, a
+converged count), so a suite can run them over many seeds and report.
+
+The objectives, `coordinate_threshold` and `stack_contributions` are
+oracles: the solvers compute the same quantities in their own form and
+never call them.
 """
 
 from __future__ import annotations
@@ -22,76 +29,194 @@ import numpy as np
 from . import io as mio
 from .linalg import constant_columns, least_squares, standardize_columns, vectorize
 from .morph import MorphSpec, _candidate_moments, morph
-from .network import Layer, Mlp
+from .network import Layer, Mlp, loss_and_gradients
 from .sparse import (
     SparseConfig,
-    coordinate_threshold,
     coordinate_update,
     gram_similarity,
     iilasso_diag,
     iilasso_residual,
     similarity_matrix,
-    stack_contributions,
 )
 
 GRID = np.arange(-2.0, 2.0 + 1e-12, 1e-4)
 
 
-def _restricted_objective(b, rho, thr, r_jj, cfg):
-    # 1-D slice of either solver objective, constants dropped
-    return 0.5 * (1.0 + cfg.alpha * cfg.lam * r_jj) * b * b - rho * b + thr * np.abs(b)
+def coordinate_threshold(r_row: np.ndarray, beta: np.ndarray, j: int, cfg: SparseConfig) -> float:
+    """Shrinkage threshold for coefficient j given the others:
+    lam * (1 + alpha * sum_{c != j} R_jc |beta_c|)."""
+    cross = float(r_row @ np.abs(beta)) - float(r_row[j]) * abs(float(beta[j]))
+    return cfg.lam * (1.0 + cfg.alpha * cross)
 
 
-def _check_coordinate_against_grid(rho, thr, r_jj, cfg, tol=1e-6):
-    best_grid = _restricted_objective(GRID, rho, thr, r_jj, cfg).min()
-    closed = coordinate_update(rho, thr, r_jj, cfg)
-    value = _restricted_objective(np.array([closed]), rho, thr, r_jj, cfg)[0]
-    assert value <= best_grid + tol, (
-        f"closed-form update {closed:.6g} scores {value:.6g}, grid best {best_grid:.6g}"
-    )
+def _penalty(beta, r, cfg: SparseConfig) -> float:
+    ab = np.abs(beta)
+    return cfg.lam * (float(ab.sum()) + 0.5 * cfg.alpha * float(ab @ r @ ab))
 
 
-def _random_diag_instance(rng):
-    # R of d mixed columns: the diagonal solver needs nothing else
+def diag_objective(beta, r, cfg: SparseConfig) -> float:
+    """alg1's penalty-only objective (1/2)||1 - beta||^2 plus the penalty."""
+    resid = 1.0 - np.asarray(beta)
+    return 0.5 * float(resid @ resid) + _penalty(beta, r, cfg)
+
+
+def stack_contributions(t) -> np.ndarray:
+    """Column-stack each contribution matrix t[i] into one design column."""
+    return np.stack([vectorize(m) for m in np.asarray(t, dtype=np.float64)], axis=1)
+
+
+def stacked_objective(z, y_vec, beta, r, cfg: SparseConfig) -> float:
+    """(1/2M) ||y_vec - z beta||^2 plus the penalty, M = len(y_vec)."""
+    resid = y_vec - z @ beta
+    return 0.5 / resid.shape[0] * float(resid @ resid) + _penalty(beta, r, cfg)
+
+
+def covariance(x) -> np.ndarray:
+    """Covariance of the columns of x, normalized by the row count."""
+    x = x - x.mean(axis=0)
+    return x.T @ x / x.shape[0]
+
+
+def random_r(rng, n: int, d: int, cfg: SparseConfig, duplicate: bool = False) -> np.ndarray:
+    """Similarity matrix of d mixed random columns over n rows; with
+    `duplicate`, the last column is a scaled copy of the first, so that pair
+    sits at r_cap."""
+    x = rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
+    if duplicate and d > 1:
+        x[:, -1] = rng.uniform(0.5, 2.0) * x[:, 0]
+    return similarity_matrix(covariance(x), cfg)
+
+
+def random_diag_instance(rng):
+    """alg1's penalty-only problem, which sees nothing but R: (R, cfg)."""
     n = int(rng.integers(10, 40))
     d = int(rng.integers(2, 7))
-    x = rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
-    x = x - x.mean(axis=0)
     cfg = SparseConfig(lam=0.1, alpha=0.1, tol=1e-10, max_itr=2000)
-    return similarity_matrix(x.T @ x / n, cfg), cfg
+    return random_r(rng, n, d, cfg), cfg
 
 
-def _random_residual_instance(rng):
+def scaled_contributions(rng, d: int, n: int, q: int) -> np.ndarray:
+    """d random (n, q) contribution matrices, each of squared norm n * q."""
+    t = rng.normal(size=(d, n, q))
+    return t / np.sqrt(np.einsum("ijk,ijk->i", t, t) / (n * q))[:, None, None]
+
+
+def gram_form(t, y):
+    """The stacked design z of contributions t and the residual solver's
+    Gram-form input built from it: (z, vec(y), z.T z / M, z.T vec(y) / M)."""
+    z = stack_contributions(t)
+    y_vec = vectorize(y)
+    m = y_vec.shape[0]
+    return z, y_vec, z.T @ z / m, z.T @ y_vec / m
+
+
+def random_residual_instance(rng):
+    """The shared-response problem on a centered response:
+    (z, vec(y), gram, corr, R, cfg); the solver takes gram and corr, the
+    oracles use z itself."""
     n = int(rng.integers(8, 25))
     d = int(rng.integers(2, 6))
     q = int(rng.integers(2, 5))
-    t = rng.normal(size=(d, n, q))
-    m = n * q
-    norms = np.sqrt(np.einsum("ijk,ijk->i", t, t) / m)
-    t = t / norms[:, None, None]
+    t = scaled_contributions(rng, d, n, q)
     y = rng.normal(size=(n, q))
-    y = y - y.mean()
     cfg = SparseConfig(lam=0.05, alpha=0.1, tol=1e-10, max_itr=2000)
-    z = stack_contributions(t)
-    y_vec = vectorize(y)
-    gram = z.T @ z / m
-    # the residual solver's Gram-form input; the oracles below use z itself
-    return z, y_vec, gram, z.T @ y_vec / m, similarity_matrix(gram, cfg), cfg
+    z, y_vec, gram, corr = gram_form(t, y - y.mean())
+    return z, y_vec, gram, corr, similarity_matrix(gram, cfg), cfg
+
+
+def random_mlp(rng, widths, activations) -> Mlp:
+    """Dense layers of the given widths and activations, N(0, 0.36) weights
+    and N(0, 0.04) biases."""
+    return Mlp([
+        Layer(rng.normal(size=(widths[k], widths[k + 1])) * 0.6,
+              rng.normal(size=widths[k + 1]) * 0.2, act)
+        for k, act in enumerate(activations)
+    ])
+
+
+def _coordinate_optimal(rho: float, thr: float, r_jj: float, cfg: SparseConfig) -> float:
+    """The closed-form update of one coefficient, asserted to score within
+    1e-6 of the best point of GRID on the 1-D slice of either objective,
+    0.5 (1 + alpha lam R_jj) b^2 - rho b + thr |b| (constants dropped)."""
+
+    def restricted(b):
+        return 0.5 * (1.0 + cfg.alpha * cfg.lam * r_jj) * b * b - rho * b + thr * np.abs(b)
+
+    closed = coordinate_update(rho, thr, r_jj, cfg)
+    best, value = restricted(GRID).min(), restricted(closed)
+    assert value <= best + 1e-6, (
+        f"closed-form update {closed:.6g} scores {value:.6g}, grid best {best:.6g}"
+    )
+    return closed
+
+
+def _replay_updates(r, cfg: SparseConfig, beta, residual=None) -> float:
+    """Replay two cyclic sweeps of the solvers' coordinate update from
+    `beta`: the penalty-only solver's (every rho_j is 1) or, given
+    residual = (z, vec(y), gram, corr), the residual solver's, whose rho_j
+    from the running residual must equal the Gram form the solver uses.
+    Every update must be grid-optimal and raise the full objective by at
+    most 1e-10; returns the largest single-update increase (0 if none)."""
+    if residual is None:
+        def objective(b):
+            return diag_objective(b, r, cfg)
+    else:
+        z, y_vec, gram, corr = residual
+        m = y_vec.shape[0]
+        resid = y_vec - z @ beta
+
+        def objective(b):
+            return stacked_objective(z, y_vec, b, r, cfg)
+
+    worst = 0.0
+    for _ in range(2):
+        for j in range(beta.shape[0]):
+            rho = 1.0
+            if residual is not None:
+                rho = float(resid @ z[:, j]) / m + beta[j]
+                gram_rho = float(corr[j] - gram[j] @ beta) + beta[j]
+                assert abs(gram_rho - rho) <= 1e-12 * (1 + abs(rho)), f"Gram-form rho {gram_rho}"
+            before = objective(beta)
+            new = _coordinate_optimal(rho, coordinate_threshold(r[j], beta, j, cfg), r[j, j], cfg)
+            if residual is not None:
+                resid -= (new - beta[j]) * z[:, j]
+            beta[j] = new
+            increase = objective(beta) - before
+            assert increase <= 1e-10, f"update of coefficient {j} raised the objective by {increase:.3e}"
+            worst = max(worst, increase)
+    return worst
+
+
+def _stationary(sol, resid_corr, r, cfg: SparseConfig) -> int:
+    """1 for a converged solution after asserting its KKT conditions, with
+    resid_corr_j the data term's negative gradient: |resid_corr_j| <= thr_j
+    where beta_j = 0, resid_corr_j = thr_j sgn(beta_j) elsewhere, within
+    1e-6. 0 for a sparsity-target or budget stop, which halts mid-descent.
+    Either way the objective trace must not rise."""
+    assert (np.diff(sol.objective_trace) <= 1e-10).all(), "objective trace increased"
+    if sol.stop_reason != "converged":
+        return 0
+    for j, bj in enumerate(sol.beta):
+        thr = coordinate_threshold(r[j], sol.beta, j, cfg)
+        gap = abs(resid_corr[j]) - thr if bj == 0 else abs(resid_corr[j] - thr * np.sign(bj))
+        assert gap <= 1e-6, f"coordinate {j} violates stationarity by {gap:.3e}"
+    return 1
 
 
 def check_least_squares_stationarity(seed: int) -> None:
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(30, 5))
     y = rng.normal(size=(30, 2))
-    w = least_squares(x, y)
-    grad = x.T @ (x @ w - y)
     scale = np.abs(x.T @ y).max()
-    assert np.abs(grad).max() <= 1e-8 * scale, f"residual gradient {np.abs(grad).max():.3e}"
+    for ridge in (0.0, 0.5):
+        w = least_squares(x, y, ridge)
+        grad = x.T @ (x @ w - y) + ridge * w
+        assert np.abs(grad).max() <= 1e-8 * scale, f"ridge {ridge}: gradient {np.abs(grad).max():.3e}"
 
 
 def check_standardize_roundtrip(seed: int) -> None:
     rng = np.random.default_rng(seed)
-    m = rng.normal(size=(20, 4)) * rng.uniform(0.5, 10, size=4)
+    m = rng.normal(size=(20, 5)) * rng.uniform(0.1, 10, size=5) + rng.normal(size=5)
     out, info = standardize_columns(m)
     np.testing.assert_allclose(out * info.scales + info.means, m, rtol=1e-12, atol=1e-12)
 
@@ -103,88 +228,61 @@ def check_vectorize_frobenius(seed: int) -> None:
     np.testing.assert_allclose(v @ v, np.linalg.norm(m) ** 2, rtol=1e-12)
 
 
-def check_diag_coordinate_oracle(seed: int) -> None:
+def check_diag_coordinate_oracle(seed: int) -> float:
+    """20 replays of the penalty-only solver; returns the worst increase."""
     rng = np.random.default_rng(seed)
+    worst = 0.0
     for _ in range(20):
-        r, cfg = _random_diag_instance(rng)
-        beta = rng.uniform(-1, 1, size=r.shape[0])
-        for j in range(r.shape[0]):
-            thr = coordinate_threshold(r[j], beta, j, cfg)
-            _check_coordinate_against_grid(1.0, thr, r[j, j], cfg)
-            beta[j] = coordinate_update(1.0, thr, r[j, j], cfg)
+        r, cfg = random_diag_instance(rng)
+        worst = max(worst, _replay_updates(r, cfg, rng.uniform(-1, 1, size=r.shape[0])))
+    return worst
 
 
-def check_residual_coordinate_oracle(seed: int) -> None:
+def check_residual_coordinate_oracle(seed: int) -> float:
+    """10 replays of the residual solver; returns the worst increase."""
     rng = np.random.default_rng(seed)
+    worst = 0.0
     for _ in range(10):
-        z, y_vec, gram, corr, r, cfg = _random_residual_instance(rng)
-        m = z.shape[0]
+        z, y_vec, gram, corr, r, cfg = random_residual_instance(rng)
         beta = rng.uniform(-1, 1, size=z.shape[1])
-        resid = y_vec - z @ beta
-        for j in range(z.shape[1]):
-            rho = float(resid @ z[:, j]) / m + beta[j]
-            gram_rho = float(corr[j] - gram[j] @ beta) + beta[j]
-            assert abs(gram_rho - rho) <= 1e-10 * (1 + abs(rho)), f"Gram-form rho {gram_rho}"
-            thr = coordinate_threshold(r[j], beta, j, cfg)
-            _check_coordinate_against_grid(rho, thr, r[j, j], cfg)
-            new = coordinate_update(rho, thr, r[j, j], cfg)
-            resid -= (new - beta[j]) * z[:, j]
-            beta[j] = new
+        worst = max(worst, _replay_updates(r, cfg, beta, (z, y_vec, gram, corr)))
+    return worst
 
 
-def check_diag_solver_stationarity(seed: int) -> None:
+def check_diag_solver_stationarity(seed: int) -> int:
+    """10 penalty-only solves; returns how many converged (at least 5)."""
     rng = np.random.default_rng(seed)
     converged = 0
     for _ in range(10):
-        r, cfg = _random_diag_instance(rng)
+        r, cfg = random_diag_instance(rng)
         sol = iilasso_diag(r, cfg)
-        trace = sol.objective_trace
-        assert (np.diff(trace) <= 1e-10).all(), "objective trace increased"
-        if sol.stop_reason != "converged":
-            # a sparsity-target stop halts mid-descent; no stationarity claim
-            continue
-        converged += 1
-        for j, bj in enumerate(sol.beta):
-            # KKT of the penalty-only problem, where every corr_j is 1
-            thr = coordinate_threshold(r[j], sol.beta, j, cfg)
-            if bj == 0:
-                assert thr >= 1.0 - 1e-6, f"coordinate {j} violates stationarity"
-            else:
-                resid = bj - (1.0 - thr)
-                assert abs(resid) <= 1e-6, f"coordinate {j} residual {resid:.3e}"
+        converged += _stationary(sol, 1.0 - sol.beta, r, cfg)  # every corr_j is 1, G = I
     assert converged >= 5, "too few instances converged"
+    return converged
 
 
-def check_residual_solver_stationarity(seed: int) -> None:
+def check_residual_solver_stationarity(seed: int) -> int:
+    """10 residual solves; returns how many converged (at least 5)."""
     rng = np.random.default_rng(seed)
     converged = 0
-    for _ in range(6):
-        z, y_vec, gram, corr, r, cfg = _random_residual_instance(rng)
-        sol = iilasso_residual(gram, corr, r, cfg)
-        trace = sol.objective_trace
-        assert (np.diff(trace) <= 1e-10).all(), "objective trace increased"
-        if sol.stop_reason != "converged":
-            continue
-        converged += 1
-        m = z.shape[0]
-        resid_corr = (y_vec - z @ sol.beta) @ z / m
-        for j, bj in enumerate(sol.beta):
-            thr = coordinate_threshold(r[j], sol.beta, j, cfg)
-            if bj == 0:
-                assert abs(resid_corr[j]) <= thr + 1e-6
-            else:
-                assert abs(abs(resid_corr[j]) - thr) <= 1e-6
-    assert converged >= 3, "too few instances converged"
-
-
-def check_relaxation_bounds(seed: int) -> None:
-    rng = np.random.default_rng(seed)
     for _ in range(10):
-        r, cfg = _random_diag_instance(rng)
+        z, y_vec, gram, corr, r, cfg = random_residual_instance(rng)
+        sol = iilasso_residual(gram, corr, r, cfg)
+        converged += _stationary(sol, (y_vec - z @ sol.beta) @ z / z.shape[0], r, cfg)
+    assert converged >= 5, "too few instances converged"
+    return converged
+
+
+def check_relaxation_bounds(seed: int) -> tuple[float, float]:
+    """10 penalty-only solves stay in [0, 1]; returns the extremes."""
+    rng = np.random.default_rng(seed)
+    low, high = np.inf, -np.inf
+    for _ in range(10):
+        r, cfg = random_diag_instance(rng)
         sol = iilasso_diag(r, cfg)
-        assert sol.beta.min() >= -1e-9 and sol.beta.max() <= 1 + 1e-9, (
-            f"beta leaves [0, 1]: [{sol.beta.min():.3g}, {sol.beta.max():.3g}]"
-        )
+        low, high = min(low, sol.beta.min()), max(high, sol.beta.max())
+        assert low >= -1e-9 and high <= 1 + 1e-9, f"beta leaves [0, 1]: [{low:.3g}, {high:.3g}]"
+    return low, high
 
 
 def check_stacked_loss_equivalence(seed: int) -> None:
@@ -232,40 +330,73 @@ def check_similarity_covariance(seed: int) -> None:
         assert got[0, 1] == got[1, 0] == cfg.r_cap, f"duplicate pair R {got[0, 1]:.6g}"
 
 
-def _random_parent(rng, widths, act="relu"):
-    layers = []
-    for k in range(len(widths) - 1):
-        activation = act if k < len(widths) - 2 else "identity"
-        w = rng.normal(size=(widths[k], widths[k + 1])) / np.sqrt(widths[k])
-        b = rng.normal(size=widths[k + 1]) * 0.1
-        layers.append(Layer(w, b, activation))
-    return Mlp(layers)
-
-
-def check_identity_preservation(seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    parent = _random_parent(rng, [6, 5, 3], act="identity")
-    probe = rng.normal(size=(60, 6))
+def _exact_morph(rng, seed, hidden: str, mirror: bool) -> float:
+    """Unsparsified alg1 on a random parent of 6-16 inputs whose hidden
+    width never exceeds its input width, so the parent activations have
+    full column rank and the readout fit is exact. At lambda 0 every live
+    candidate is kept; returns the preservation max-error, asserted <= 1e-6."""
+    d_in = int(rng.integers(6, 17))
+    d_hidden = int(rng.integers(3, d_in + 1))
+    parent = random_mlp(rng, [d_in, d_hidden, 3], [hidden, "identity"])
+    w1 = np.hstack([np.eye(d_hidden), -np.eye(d_hidden)]) if mirror else None
     spec = MorphSpec(
-        insert_after=0, width=5, activation="identity", algorithm="alg1",
-        sparse=SparseConfig(lam=0.0, alpha=0.0), seed=seed,
+        insert_after=0, width=2 * d_hidden if mirror else d_hidden, activation=hidden,
+        algorithm="alg1", sparse=SparseConfig(lam=0.0, alpha=0.0), seed=seed,
     )
-    _, report = morph(parent, spec, probe)
+    _, report = morph(parent, spec, rng.normal(size=(120, d_in)), w1_init=w1)
+    if not mirror:
+        assert report.n_sparse == d_hidden, f"kept {report.n_sparse} of {d_hidden}"
     assert report.preservation_max <= 1e-6, f"preservation {report.preservation_max:.3e}"
+    return report.preservation_max
 
 
-def check_relu_mirror_preservation(seed: int) -> None:
+def check_identity_preservation(seed: int) -> float:
+    """An identity layer of the hidden width keeps every neuron and
+    reproduces an identity parent exactly."""
+    return _exact_morph(np.random.default_rng(seed), seed, "identity", mirror=False)
+
+
+def check_relu_mirror_preservation(seed: int) -> float:
+    """The relu mirror [I, -I] reproduces a relu parent exactly, since
+    relu(a) - relu(-a) = a."""
+    return _exact_morph(np.random.default_rng(seed), seed, "relu", mirror=True)
+
+
+def gradient_check(net: Mlp, x, labels) -> float:
+    """Assert that every analytic gradient of the training loss matches a
+    central difference of step 1e-5 within 1e-4 * max(1, |difference|), and
+    return the worst relative error. Perturbs each weight and bias of `net`
+    in place and restores it."""
+    _, grads = loss_and_gradients(net, x, labels)
+    h = 1e-5
+    worst = 0.0
+    for k, (layer, (dw, db)) in enumerate(zip(net.layers, grads)):
+        for arr, grad in ((layer.weight, dw), (layer.bias, db)):
+            if arr is None:
+                continue
+            for idx in np.ndindex(arr.shape):
+                orig = arr[idx]
+                arr[idx] = orig + h
+                up, _ = loss_and_gradients(net, x, labels)
+                arr[idx] = orig - h
+                down, _ = loss_and_gradients(net, x, labels)
+                arr[idx] = orig
+                fd = (up - down) / (2 * h)
+                rel = abs(fd - grad[idx]) / max(1.0, abs(fd))
+                assert rel <= 1e-4, f"layer {k} entry {idx}: relative gradient error {rel:.3e}"
+                worst = max(worst, rel)
+    return worst
+
+
+def check_trainer_gradients(seed: int) -> float:
+    """Backpropagation through a random three-layer net of relu, tanh or
+    sigmoid hidden layers; returns the worst relative error."""
     rng = np.random.default_rng(seed)
-    parent = _random_parent(rng, [6, 5, 3], act="relu")
-    probe = rng.normal(size=(80, 6))
-    d1 = 5
-    mirror = np.hstack([np.eye(d1), -np.eye(d1)])
-    spec = MorphSpec(
-        insert_after=0, width=2 * d1, activation="relu", algorithm="alg1",
-        sparse=SparseConfig(lam=0.0, alpha=0.0), seed=seed,
-    )
-    _, report = morph(parent, spec, probe, w1_init=mirror)
-    assert report.preservation_max <= 1e-6, f"preservation {report.preservation_max:.3e}"
+    widths = [int(w) for w in rng.integers(2, 6, size=4)]
+    hidden = [str(a) for a in rng.choice(["relu", "tanh", "sigmoid"], size=2)]
+    net = random_mlp(rng, widths, hidden + ["identity"])
+    x = rng.normal(size=(6, widths[0]))
+    return gradient_check(net, x, rng.integers(0, widths[-1], size=6))
 
 
 def _layer_bytes(layer: Layer) -> tuple:
@@ -275,7 +406,7 @@ def _layer_bytes(layer: Layer) -> tuple:
 
 def check_model_roundtrip(seed: int) -> None:
     rng = np.random.default_rng(seed)
-    net = _random_parent(rng, [4, 6, 3])
+    net = random_mlp(rng, [4, 6, 3], ["relu", "identity"])
     net.layers[0] = Layer(net.layers[0].weight, None, net.layers[0].activation)
     net.layers[1].weight[rng.integers(6), rng.integers(3)] = -0.0
     with tempfile.TemporaryDirectory() as tmp:
@@ -301,6 +432,7 @@ CHECKS = [
     ("similarity-covariance", check_similarity_covariance),
     ("identity-preservation", check_identity_preservation),
     ("relu-mirror-preservation", check_relu_mirror_preservation),
+    ("trainer-gradients", check_trainer_gradients),
     ("model-roundtrip", check_model_roundtrip),
 ]
 

@@ -5,7 +5,9 @@ a PASS line on success (run with -s to see them). The desk-scale
 experiment trains a 784-64-10 relu parent on the packaged low-intrinsic-
 dimension dataset, inserts a width-100 layer with every algorithm at
 lambda = alpha = 0.1, and checks compression, immediate preservation of
-test accuracy, and recovery after five fine-tune epochs.
+test accuracy, and recovery after five fine-tune epochs. The solver,
+preservation and trainer criteria run the `morphkit.verify` checks over
+many seeds.
 """
 
 import dataclasses
@@ -13,31 +15,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from morphkit import verify
 from morphkit.io import Dataset, synth_lowrank_dataset
-from morphkit.linalg import vectorize
 from morphkit.morph import MorphSpec, morph, sample_rows
-from morphkit.network import (
-    Layer,
-    Mlp,
-    TrainConfig,
-    evaluate,
-    forward,
-    init_weights,
-    loss_and_gradients,
-    train_sgd,
-)
-from morphkit.sparse import (
-    SparseConfig,
-    coordinate_threshold,
-    coordinate_update,
-    iilasso_diag,
-    iilasso_residual,
-    similarity_matrix,
-    stack_contributions,
-    stacked_objective,
-)
-
-GRID = np.arange(-2.0, 2.0 + 1e-12, 1e-4)
+from morphkit.network import Layer, Mlp, TrainConfig, evaluate, init_weights, train_sgd
+from morphkit.sparse import SparseConfig
 
 DESK_WIDTH = 100
 DESK_LAMBDA = 0.1
@@ -117,219 +99,59 @@ def desk():
     }
 
 
-def random_diag_instance(rng):
-    # the penalty-only solver sees nothing but R, from d mixed columns
-    n = int(rng.integers(10, 51))
-    d = int(rng.integers(2, 9))
-    x = rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
-    x -= x.mean(axis=0)
-    cfg = SparseConfig(lam=0.1, alpha=0.1, tol=1e-10, max_itr=3000)
-    return similarity_matrix(x.T @ x / n, cfg), cfg
-
-
-def diag_objective(beta, r, cfg):
-    ab = np.abs(beta)
-    return 0.5 * float((1.0 - beta) @ (1.0 - beta)) + cfg.lam * (
-        ab.sum() + 0.5 * cfg.alpha * float(ab @ r @ ab)
-    )
-
-
-def random_residual_instance(rng):
-    n = int(rng.integers(8, 26))
-    d = int(rng.integers(2, 9))
-    q = int(rng.integers(2, 5))
-    t = rng.normal(size=(d, n, q))
-    t /= np.sqrt(np.einsum("ijk,ijk->i", t, t) / (n * q))[:, None, None]
-    y = rng.normal(size=(n, q))
-    y -= y.mean()
-    cfg = SparseConfig(lam=0.08, alpha=0.1, tol=1e-10, max_itr=3000)
-    z = stack_contributions(t)
-    return t, y, similarity_matrix(z.T @ z / (n * q), cfg), cfg
-
-
-def check_1d_optimal(rho, thr, r_jj, cfg):
-    curve = 0.5 * (1 + cfg.alpha * cfg.lam * r_jj) * GRID**2 - rho * GRID + thr * np.abs(GRID)
-    closed = coordinate_update(rho, thr, r_jj, cfg)
-    value = (
-        0.5 * (1 + cfg.alpha * cfg.lam * r_jj) * closed**2 - rho * closed + thr * abs(closed)
-    )
-    assert value <= curve.min() + 1e-6
-    return closed
-
-
 @pytest.fixture(scope="module")
-def coordinate_replays():
-    """Replay both solvers' update sequences on 200 random instances per
-    flavor, recording grid-optimality and per-update objective changes."""
-    rng = np.random.default_rng(2024)
-    worst_increase = 0.0
-    converged = 0
-
-    for _ in range(200):
-        r, cfg = random_diag_instance(rng)
-        beta = np.ones(r.shape[0])
-        for _ in range(2):
-            for j in range(r.shape[0]):
-                thr = coordinate_threshold(r[j], beta, j, cfg)
-                before = diag_objective(beta, r, cfg)
-                beta[j] = check_1d_optimal(1.0, thr, r[j, j], cfg)
-                worst_increase = max(worst_increase, diag_objective(beta, r, cfg) - before)
-        # stationarity is promised at convergence; a sparsity-target stop
-        # (all-zero beta with target_nnz=0) halts mid-descent by design.
-        # Every corr_j is 1: beta_j = 0 needs thr_j >= 1, else beta_j = 1 - thr_j
-        sol = iilasso_diag(r, cfg)
-        if sol.stop_reason == "converged":
-            converged += 1
-            for j, bj in enumerate(sol.beta):
-                thr = coordinate_threshold(r[j], sol.beta, j, cfg)
-                if bj == 0:
-                    assert thr >= 1.0 - 1e-6
-                else:
-                    assert abs(bj - (1.0 - thr)) <= 1e-6
-
-    for _ in range(200):
-        t, y, r, cfg = random_residual_instance(rng)
-        z = stack_contributions(t)
-        y_vec = vectorize(y)
-        m = y_vec.shape[0]
-        beta = np.ones(z.shape[1])
-        resid = y_vec - z @ beta
-        for _ in range(2):
-            for j in range(z.shape[1]):
-                rho = float(resid @ z[:, j]) / m + beta[j]
-                thr = coordinate_threshold(r[j], beta, j, cfg)
-                before = stacked_objective(z, y_vec, beta, r, cfg)
-                new = check_1d_optimal(rho, thr, r[j, j], cfg)
-                resid -= (new - beta[j]) * z[:, j]
-                beta[j] = new
-                worst_increase = max(
-                    worst_increase, stacked_objective(z, y_vec, beta, r, cfg) - before
-                )
-        sol = iilasso_residual(z.T @ z / m, z.T @ y_vec / m, r, cfg)
-        if sol.stop_reason == "converged":
-            converged += 1
-            resid_corr = (y_vec - z @ sol.beta) @ z / m
-            for j, bj in enumerate(sol.beta):
-                thr = coordinate_threshold(r[j], sol.beta, j, cfg)
-                if bj == 0:
-                    assert abs(resid_corr[j]) <= thr + 1e-6
-                else:
-                    assert abs(abs(resid_corr[j]) - thr) <= 1e-6
-
+def solver_oracles():
+    """The verify solver checks over enough seeds for 200 coordinate
+    replays and 200 solves per solver type: each diagonal oracle seed
+    replays 20 instances, each residual oracle seed 10, and each
+    stationarity seed solves 10. Returns the worst single-update increase
+    of the objective."""
+    worst = max(
+        [verify.check_diag_coordinate_oracle(seed) for seed in range(10)]
+        + [verify.check_residual_coordinate_oracle(seed) for seed in range(20)]
+    )
+    converged = sum(
+        verify.check_diag_solver_stationarity(seed) + verify.check_residual_solver_stationarity(seed)
+        for seed in range(20)
+    )
     assert converged >= 300  # the stationarity oracle must not be vacuous
-    return worst_increase
+    return worst
 
 
-def test_coordinate_update_oracle(coordinate_replays):
-    # the replay fixture already asserted grid optimality and KKT residuals
+def test_coordinate_update_oracle(solver_oracles):
+    # the fixture already asserted grid optimality and KKT residuals
     print("PASS  coordinate-update oracle: 200 instances per flavor, "
           "grid step 1e-4, KKT residual <= 1e-6")
 
 
-def test_objective_monotonicity(coordinate_replays):
-    assert coordinate_replays <= 1e-10
+def test_objective_monotonicity(solver_oracles):
+    assert solver_oracles <= 1e-10
     print(f"PASS  objective monotonicity: worst single-update increase "
-          f"{coordinate_replays:.3e} <= 1e-10")
+          f"{solver_oracles:.3e} <= 1e-10")
 
 
 def test_stacked_loss_equivalence():
-    rng = np.random.default_rng(77)
-    for _ in range(100):
-        d = int(rng.integers(2, 7))
-        n = int(rng.integers(3, 15))
-        q = int(rng.integers(2, 6))
-        t = rng.normal(size=(d, n, q))
-        y = rng.normal(size=(n, q))
-        beta = rng.normal(size=d)
-        frob = 0.5 / n * np.linalg.norm(y - np.einsum("i,ijk->jk", beta, t)) ** 2
-        stacked = (
-            0.5 / n * np.linalg.norm(vectorize(y) - stack_contributions(t) @ beta) ** 2
-        )
-        np.testing.assert_allclose(frob, stacked, rtol=1e-10)
+    for seed in range(5):  # 20 instances each
+        verify.check_stacked_loss_equivalence(seed)
     print("PASS  stacked-loss equivalence: 100 instances within 1e-10 relative")
 
 
 def test_relaxation_bounds():
-    rng = np.random.default_rng(88)
-    low, high = 0.0, 1.0
-    for _ in range(100):
-        r, cfg = random_diag_instance(rng)
-        sol = iilasso_diag(r, cfg)
-        low = min(low, sol.beta.min())
-        high = max(high, sol.beta.max())
-        assert sol.beta.min() >= -1e-9
-        assert sol.beta.max() <= 1 + 1e-9
+    lows, highs = zip(*(verify.check_relaxation_bounds(seed) for seed in range(10)))
     print(f"PASS  relaxation bounds: beta stayed within "
-          f"[{low:.2e}, {high:.6f}] on 100 penalty-only instances")
-
-
-def random_parent(rng, d_in, d_hidden, d_out, hidden):
-    layers = [
-        Layer(rng.normal(size=(d_in, d_hidden)) * 0.6, rng.normal(size=d_hidden) * 0.2, hidden),
-        Layer(rng.normal(size=(d_hidden, d_out)) * 0.6, rng.normal(size=d_out) * 0.2, "identity"),
-    ]
-    return Mlp(layers)
+          f"[{min(lows):.2e}, {max(highs):.6f}] on 100 penalty-only instances")
 
 
 def test_exact_preservation_constructions():
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    for trial in range(5):
-        # the parent activations must have full column rank for the exact
-        # algebra, so the hidden width never exceeds the input width
-        d_in = int(rng.integers(6, 17))
-        d_hidden = int(rng.integers(3, min(d_in, 16) + 1))
-        parent = random_parent(rng, d_in, d_hidden, 3, "identity")
-        probe = rng.normal(size=(120, d_in))
-        spec = MorphSpec(
-            insert_after=0, width=d_hidden, activation="identity", algorithm="alg1",
-            sparse=SparseConfig(lam=0.0, alpha=0.0), seed=trial,
-        )
-        _, report = morph(parent, spec, probe)
-        worst = max(worst, report.preservation_max)
-        assert report.preservation_max <= 1e-6
-
-        parent = random_parent(rng, d_in, d_hidden, 3, "relu")
-        mirror = np.hstack([np.eye(d_hidden), -np.eye(d_hidden)])
-        spec = MorphSpec(
-            insert_after=0, width=2 * d_hidden, activation="relu", algorithm="alg1",
-            sparse=SparseConfig(lam=0.0, alpha=0.0), seed=trial,
-        )
-        _, report = morph(parent, spec, probe, w1_init=mirror)
-        worst = max(worst, report.preservation_max)
-        assert report.preservation_max <= 1e-6
+    worst = max(
+        max(verify.check_identity_preservation(seed), verify.check_relu_mirror_preservation(seed))
+        for seed in range(5)
+    )
     print(f"PASS  exact preservation constructions: worst max-error {worst:.3e} <= 1e-6")
 
 
 def test_trainer_gradient_check():
-    rng = np.random.default_rng(111)
-    net = Mlp(
-        [
-            Layer(rng.normal(size=(4, 3)) * 0.7, rng.normal(size=3) * 0.2, "tanh"),
-            Layer(rng.normal(size=(3, 2)) * 0.7, rng.normal(size=2) * 0.2, "identity"),
-        ]
-    )
-    x = rng.normal(size=(8, 4))
-    labels = rng.integers(0, 2, size=8)
-    _, grads = loss_and_gradients(net, x, labels)
-    h = 1e-5
-    worst = 0.0
-    for k, layer in enumerate(net.layers):
-        params = [(layer.weight, grads[k][0]), (layer.bias, grads[k][1])]
-        for arr, grad in params:
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                up, _ = loss_and_gradients(net, x, labels)
-                arr[idx] = orig - h
-                down, _ = loss_and_gradients(net, x, labels)
-                arr[idx] = orig
-                fd = (up - down) / (2 * h)
-                rel = abs(fd - grad[idx]) / max(1.0, abs(fd))
-                worst = max(worst, rel)
-                assert rel <= 1e-4
+    worst = max(verify.check_trainer_gradients(seed) for seed in range(5))
     print(f"PASS  trainer gradient check: worst relative error {worst:.3e} <= 1e-4")
 
 

@@ -35,6 +35,19 @@ def parent_dir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def base_report(parent_dir):
+    """The report of a baseline morph of the shared parent."""
+    code = run(
+        "morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
+        "--at", "1", "--width", "10", "--alg", "baseline", "--seed", "2",
+        "--out", "base.model", "--report", "base.report.json",
+        "--out-dir", str(parent_dir),
+    )
+    assert code == 0
+    return parent_dir / "base.report.json"
+
+
 class TestTrain:
     def test_writes_model_and_history(self, parent_dir):
         assert (parent_dir / "parent.model").exists()
@@ -100,16 +113,19 @@ class TestMorph:
         report = load_report_json(parent_dir / "child.model.report.json")
         assert 0 < report.n_sparse <= 20
 
-    def test_baseline_ratio_one(self, parent_dir):
+    def test_baseline_ratio_one(self, base_report):
+        assert load_report_json(base_report).compression_ratio == 1.0
+
+    def test_algorithm_defaults_to_morph_spec(self, parent_dir, capsys):
         code = run(
             "morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
-            "--at", "1", "--width", "10", "--alg", "baseline", "--seed", "2",
-            "--out", "base.model", "--report", "base.report.json",
+            "--at", "1", "--width", "10", "--out", "default.model",
             "--out-dir", str(parent_dir),
         )
         assert code == 0
-        report = load_report_json(parent_dir / "base.report.json")
-        assert report.compression_ratio == 1.0
+        assert capsys.readouterr().out.startswith("alg1: ")
+        assert load_model(parent_dir / "default.model")[1]["algorithm"] == "alg1"
+        assert load_report_json(parent_dir / "default.model.report.json").algorithm == "alg1"
 
     def test_huge_lambda_exits_with_hint(self, parent_dir, capsys):
         code = run(
@@ -150,14 +166,13 @@ class TestEvalAndFinetune:
         assert first == second
         assert "accuracy" in first
 
-    def test_eval_records_into_report(self, parent_dir):
-        report_path = parent_dir / "base.report.json"
+    def test_eval_records_into_report(self, parent_dir, base_report):
         code = run(
             "eval", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
-            "--split", "test", "--report", str(report_path), "--as", "acc_parent",
+            "--split", "test", "--report", str(base_report), "--as", "acc_parent",
         )
         assert code == 0
-        assert not np.isnan(load_report_json(report_path).acc_parent)
+        assert not np.isnan(load_report_json(base_report).acc_parent)
 
     def test_finetune_zero_lr_keeps_accuracy(self, parent_dir, capsys):
         model = str(parent_dir / "parent.model")
@@ -237,7 +252,7 @@ class TestVerify:
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         names = [name for name, _ in verify_mod.CHECKS]
-        assert len(names) == 13
+        assert len(names) == 14
         assert proc.stdout.splitlines() == names
 
     def test_default_run_passes(self, capsys):
@@ -281,8 +296,8 @@ class TestVerify:
 
 
 class TestReport:
-    def test_collects_jsons_into_csv(self, parent_dir, capsys):
-        code = run("report", str(parent_dir / "base.report.json"),
+    def test_collects_jsons_into_csv(self, parent_dir, base_report):
+        code = run("report", str(base_report),
                    "--csv", "summary.csv", "--out-dir", str(parent_dir))
         assert code == 0
         lines = (parent_dir / "summary.csv").read_text().splitlines()

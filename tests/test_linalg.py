@@ -12,6 +12,11 @@ from morphkit.linalg import (
     standardize_columns,
     vectorize,
 )
+from morphkit.verify import (
+    check_least_squares_stationarity,
+    check_standardize_roundtrip,
+    check_vectorize_frobenius,
+)
 
 
 def gauss_solve(a, b):
@@ -62,13 +67,7 @@ class TestLeastSquares:
         assert np.abs(least_squares(x, y) - expected).max() <= 1e-9
 
     def test_stationarity(self):
-        rng = np.random.default_rng(7)
-        x = rng.normal(size=(40, 6))
-        y = rng.normal(size=(40, 3))
-        for ridge in (0.0, 0.5):
-            w = least_squares(x, y, ridge)
-            grad = x.T @ (x @ w - y) + ridge * w
-            assert np.abs(grad).max() <= 1e-8 * np.abs(x.T @ y).max()
+        check_least_squares_stationarity(7)
 
     def test_singular_raises_with_hint(self):
         x = np.ones((10, 3))  # duplicate columns
@@ -136,10 +135,7 @@ class TestStandardize:
         np.testing.assert_allclose(norms, 20.0, atol=1e-9)
 
     def test_roundtrip(self):
-        rng = np.random.default_rng(10)
-        m = rng.normal(size=(15, 5)) * rng.uniform(0.1, 8.0, size=5) + rng.normal(size=5)
-        out, info = standardize_columns(m)
-        np.testing.assert_allclose(out * info.scales + info.means, m, rtol=1e-12, atol=1e-12)
+        check_standardize_roundtrip(10)
 
     def test_constant_column_flagged_not_rejected(self):
         m = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
@@ -168,7 +164,4 @@ class TestVectorize:
         np.testing.assert_array_equal(vectorize(np.zeros((2, 3))), np.zeros(6))
 
     def test_frobenius_identity(self):
-        rng = np.random.default_rng(11)
-        m = rng.normal(size=(3, 3))
-        v = vectorize(m)
-        np.testing.assert_allclose(v @ v, np.linalg.norm(m) ** 2, rtol=1e-12)
+        check_vectorize_frobenius(11)

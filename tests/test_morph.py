@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 morph_mod = importlib.import_module("morphkit.morph")
@@ -28,8 +28,14 @@ from morphkit.morph import (
     sample_rows,
 )
 from morphkit.network import Layer, Mlp, apply_activation, forward, init_weights
-from morphkit.sparse import SparseConfig, stack_contributions
-from morphkit.verify import check_similarity_covariance, redundant_w1
+from morphkit.sparse import SparseConfig
+from morphkit.verify import (
+    check_identity_preservation,
+    check_relu_mirror_preservation,
+    check_similarity_covariance,
+    redundant_w1,
+    stack_contributions,
+)
 
 
 def random_parent(seed, widths=(6, 5, 3), hidden="relu", bias=True):
@@ -68,27 +74,10 @@ def reports_equal(a: MorphReport, b: MorphReport) -> bool:
 
 class TestPreservationConstructions:
     def test_identity_activation_exact(self):
-        parent = random_parent(0, hidden="identity")
-        probe = probe_for(1, 80, 6)
-        spec = MorphSpec(
-            insert_after=0, width=5, activation="identity", algorithm="alg1",
-            sparse=SparseConfig(lam=0.0, alpha=0.0), seed=2,
-        )
-        _, report = morph(parent, spec, probe)
-        assert report.preservation_max <= 1e-6
-        assert report.n_sparse == 5
+        check_identity_preservation(2)
 
     def test_relu_mirror_exact(self):
-        parent = random_parent(3, hidden="relu")
-        probe = probe_for(4, 100, 6)
-        d1 = 5
-        mirror = np.hstack([np.eye(d1), -np.eye(d1)])
-        spec = MorphSpec(
-            insert_after=0, width=2 * d1, activation="relu", algorithm="alg1",
-            sparse=SparseConfig(lam=0.0, alpha=0.0), seed=5,
-        )
-        _, report = morph(parent, spec, probe, w1_init=mirror)
-        assert report.preservation_max <= 1e-6
+        check_relu_mirror_preservation(5)
 
     def test_baseline_identity_exact(self):
         parent = random_parent(6, hidden="identity")
@@ -365,7 +354,6 @@ class TestAlg3:
             raise AssertionError("alg3 built the contribution stack")
 
         monkeypatch.setattr(morph_mod, "contribution_matrices", stack_built)
-        monkeypatch.setattr(sparse_mod, "stack_contributions", stack_built)
         _, report = morph(parent, spec, probe)
         assert reports_equal(report, want)
 
@@ -620,6 +608,46 @@ class TestLogging:
         records = [r for r in caplog.records if r.name.startswith("morphkit")]
         assert [r.levelno for r in records] == [logging.INFO] * 4
         assert [r.getMessage().split(":")[0] for r in records] == list(morph_mod.ALGORITHM_NAMES)
+
+
+class TestGeneratedEdgeCases:
+    """Probes with fewer rows than candidates, and lambdas that zero every
+    coefficient: a morph returns a finite child or raises EmptyLayerError,
+    never a numpy or scipy error."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alg=st.sampled_from(morph_mod.ALGORITHM_NAMES),
+        width=st.integers(3, 16),
+        rows=st.integers(2, 15),
+        lam=st.sampled_from([0.0, 0.1, 1e6]),
+        bias=st.booleans(),
+    )
+    def test_short_probe_or_all_zero_beta(self, seed, alg, width, rows, lam, bias):
+        assume(rows < width)
+        parent = random_parent(seed, bias=bias)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # underdetermined fits are ridged
+            try:
+                child, report = morph(parent, spec_for(alg, width=width, lam=lam),
+                                      probe_for(seed, rows, 6))
+            except EmptyLayerError:
+                return
+        assert alg == "baseline" or lam < 1e6, "a lambda of 1e6 zeroes every coefficient"
+        for layer in child.layers:
+            assert np.isfinite(layer.weight).all()
+            assert layer.bias is None or np.isfinite(layer.bias).all()
+        assert np.isfinite([report.preservation_max, report.preservation_rms]).all()
+
+    @pytest.mark.parametrize("alg", ["alg1", "alg2", "alg3", "baseline"])
+    def test_silent_layer_without_readout_bias(self, alg):
+        # negative weights over relu activations never fire, and with no
+        # downstream bias the readout design is all zeros
+        parent = random_parent(57, bias=False)
+        w1 = -np.abs(init_weights(5, 8, "relu", 59))
+        with pytest.raises(EmptyLayerError):
+            morph(parent, spec_for(alg), probe_for(58, 90, 6), w1_init=w1)
 
 
 class TestProbeValidation:

@@ -16,18 +16,9 @@ from morphkit.network import (
     evaluate,
     forward,
     init_weights,
-    loss_and_gradients,
     train_sgd,
 )
-
-
-def small_net(rng, widths, acts):
-    layers = []
-    for k in range(len(widths) - 1):
-        w = rng.normal(size=(widths[k], widths[k + 1])) * 0.6
-        b = rng.normal(size=widths[k + 1]) * 0.2
-        layers.append(Layer(w, b, acts[k]))
-    return Mlp(layers)
+from morphkit.verify import gradient_check, random_mlp
 
 
 class TestActivations:
@@ -119,7 +110,7 @@ class TestForward:
 
     def test_taps_consistent(self):
         rng = np.random.default_rng(4)
-        net = small_net(rng, [5, 7, 4, 3], ["tanh", "relu", "identity"])
+        net = random_mlp(rng, [5, 7, 4, 3], ["tanh", "relu", "identity"])
         taps = forward(net, rng.normal(size=(9, 5)))
         for k, layer in enumerate(net.layers):
             np.testing.assert_allclose(
@@ -130,7 +121,7 @@ class TestForward:
 
     def test_row_local(self):
         rng = np.random.default_rng(5)
-        net = small_net(rng, [4, 6, 2], ["sigmoid", "identity"])
+        net = random_mlp(rng, [4, 6, 2], ["sigmoid", "identity"])
         x = rng.normal(size=(8, 4))
         whole = forward(net, x).activations[-1]
         rows = np.vstack([forward(net, x[i : i + 1]).activations[-1] for i in range(8)])
@@ -143,38 +134,12 @@ class TestForward:
 
 
 class TestGradients:
-    def finite_difference_check(self, net, x, labels, h=1e-5, rtol=1e-4):
-        _, grads = loss_and_gradients(net, x, labels)
-        for k, layer in enumerate(net.layers):
-            dw, db = grads[k]
-            for i in range(layer.weight.shape[0]):
-                for j in range(layer.weight.shape[1]):
-                    orig = layer.weight[i, j]
-                    layer.weight[i, j] = orig + h
-                    up, _ = loss_and_gradients(net, x, labels)
-                    layer.weight[i, j] = orig - h
-                    down, _ = loss_and_gradients(net, x, labels)
-                    layer.weight[i, j] = orig
-                    fd = (up - down) / (2 * h)
-                    assert abs(fd - dw[i, j]) <= rtol * max(1.0, abs(fd))
-            if db is None:
-                continue
-            for j in range(layer.bias.shape[0]):
-                orig = layer.bias[j]
-                layer.bias[j] = orig + h
-                up, _ = loss_and_gradients(net, x, labels)
-                layer.bias[j] = orig - h
-                down, _ = loss_and_gradients(net, x, labels)
-                layer.bias[j] = orig
-                fd = (up - down) / (2 * h)
-                assert abs(fd - db[j]) <= rtol * max(1.0, abs(fd))
-
     def test_4_3_2_net(self):
         rng = np.random.default_rng(6)
-        net = small_net(rng, [4, 3, 2], ["tanh", "identity"])
+        net = random_mlp(rng, [4, 3, 2], ["tanh", "identity"])
         x = rng.normal(size=(6, 4))
         labels = rng.integers(0, 2, size=6)
-        self.finite_difference_check(net, x, labels)
+        gradient_check(net, x, labels)
 
     @pytest.mark.parametrize(
         "widths,acts",
@@ -186,10 +151,10 @@ class TestGradients:
     )
     def test_deeper_nets(self, widths, acts):
         rng = np.random.default_rng(sum(widths))
-        net = small_net(rng, widths, acts)
+        net = random_mlp(rng, widths, acts)
         x = rng.normal(size=(5, widths[0]))
         labels = rng.integers(0, widths[-1], size=5)
-        self.finite_difference_check(net, x, labels)
+        gradient_check(net, x, labels)
 
 
 def blob_net(rng, d_in, hidden, classes):
@@ -205,7 +170,7 @@ class TestTrainSgd:
     def test_zero_epochs_keeps_weights(self):
         rng = np.random.default_rng(7)
         data = synth_dataset(0, 50, 4, 2)
-        net = small_net(rng, [4, 3, 2], ["relu", "identity"])
+        net = random_mlp(rng, [4, 3, 2], ["relu", "identity"])
         cfg = TrainConfig(epochs=0, seed=0)
         trained, history = train_sgd(net, data, cfg)
         assert len(history) == 1
@@ -215,7 +180,7 @@ class TestTrainSgd:
     def test_zero_learning_rate_keeps_weights(self):
         rng = np.random.default_rng(8)
         data = synth_dataset(1, 60, 4, 2)
-        net = small_net(rng, [4, 3, 2], ["relu", "identity"])
+        net = random_mlp(rng, [4, 3, 2], ["relu", "identity"])
         cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=0)
         trained, history = train_sgd(net, data, cfg)
         assert len(history) == 4
@@ -225,7 +190,7 @@ class TestTrainSgd:
     def test_input_network_untouched(self):
         rng = np.random.default_rng(9)
         data = synth_dataset(2, 60, 4, 2)
-        net = small_net(rng, [4, 3, 2], ["relu", "identity"])
+        net = random_mlp(rng, [4, 3, 2], ["relu", "identity"])
         snapshot = copy.deepcopy(net)
         train_sgd(net, data, TrainConfig(epochs=2, learning_rate=0.05, seed=0))
         for before, after in zip(snapshot.layers, net.layers):
@@ -243,7 +208,7 @@ class TestTrainSgd:
     def test_divergence_aborts(self):
         rng = np.random.default_rng(11)
         data = Dataset(rng.normal(size=(64, 4)) * 50, rng.integers(0, 2, size=64))
-        net = small_net(rng, [4, 8, 2], ["relu", "identity"])
+        net = random_mlp(rng, [4, 8, 2], ["relu", "identity"])
         cfg = TrainConfig(learning_rate=1e6, momentum=0.0, epochs=50, seed=0)
         with pytest.raises(TrainingDivergedError, match="learning"):
             train_sgd(net, data, cfg)
