@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import io as mio
-from .errors import EmptyLayerError, MorphkitError
+from .errors import MorphkitError
 from .morph import ALGORITHM_NAMES, MorphSpec, morph, sample_rows
 from .network import ACTIVATION_KINDS, Layer, Mlp, TrainConfig, evaluate, init_weights, train_sgd
 from .sparse import SparseConfig
@@ -220,10 +220,7 @@ def cmd_morph(args) -> int:
     )
     rows = sample_rows(data.n, args.probe_size, args.seed)
     probe = data.features[rows]
-    try:
-        child, report = morph(parent, spec, probe)
-    except EmptyLayerError as exc:
-        raise MorphkitError(f"{exc}; lower --lambda") from exc
+    child, report = morph(parent, spec, probe)
     report.run_id = args.run_id or os.path.splitext(os.path.basename(args.out))[0]
     out = _out_path(args, args.out)
     mio.save_model(

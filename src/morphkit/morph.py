@@ -37,7 +37,9 @@ import numpy as np
 
 from .errors import EmptyLayerError, MorphkitError, ShapeError
 from .linalg import as_matrix, constant_columns, least_squares_with_fallback, ridge_fallback
-from .network import Layer, Mlp, apply_activation, forward, init_weights
+from .network import (
+    Layer, Mlp, _checked_input, _layer_outputs, apply_activation, forward, init_weights,
+)
 from .sparse import (
     SparseConfig, gram_similarity, iilasso_diag, iilasso_residual, refit_w1, similarity_matrix,
 )
@@ -48,6 +50,11 @@ log = logging.getLogger(__name__)
 DEAD_CONTRIBUTION_TOL = 1e-30
 
 ALGORITHM_NAMES = ("alg1", "alg2", "alg3", "baseline")
+
+# Advice for an empty child that no lambda causes: the inserted neurons
+# carry no signal on the probe.
+NO_SIGNAL_ADVICE = ("try another seed or activation for the inserted layer, or a probe "
+                    "on which its inputs vary")
 
 
 @dataclass(frozen=True)
@@ -162,8 +169,8 @@ def _preservation_from_taps(child: Mlp, p: int, a1, downstream_pre) -> tuple[flo
     from the parent taps `_prepare` already holds: the child's layers up to
     p are the parent's, so only the inserted and downstream layers run
     again, and the result has the same bits."""
-    sub = Mlp(child.layers[p + 1 : p + 3])
-    return _error_stats(forward(sub, a1).pre_activations[1] - downstream_pre)
+    pres, _ = _layer_outputs(Mlp(child.layers[p + 1 : p + 3]), a1)
+    return _error_stats(pres[1] - downstream_pre)
 
 
 def _prepare(mlp: Mlp, spec: MorphSpec, probe, w1_init):
@@ -172,7 +179,7 @@ def _prepare(mlp: Mlp, spec: MorphSpec, probe, w1_init):
             f"insert_after={spec.insert_after} must index a non-final layer "
             f"of a {len(mlp.layers)}-layer network"
         )
-    probe = as_matrix(probe, "probe")
+    probe = _checked_input(mlp, probe, "probe")  # the probe's one check
     if probe.shape[0] < 2:
         raise ShapeError(
             f"probe has {probe.shape[0]} rows; a morph needs at least 2 "
@@ -187,10 +194,8 @@ def _prepare(mlp: Mlp, spec: MorphSpec, probe, w1_init):
             raise ShapeError(
                 f"w1_init has shape {w1.shape}, expected ({d1}, {spec.width})"
             )
-    taps = forward(mlp, probe)
-    a1 = taps.activations[spec.insert_after]
-    downstream_pre = taps.pre_activations[spec.insert_after + 1]
-    return a1, downstream_pre, w1
+    pres, acts = _layer_outputs(mlp, probe)
+    return acts[spec.insert_after], pres[spec.insert_after + 1], w1
 
 
 def _fit_readout(a_new, target, with_bias: bool):
@@ -201,7 +206,7 @@ def _fit_readout(a_new, target, with_bias: bool):
     design = np.hstack([a_new, np.ones((n, 1))]) if with_bias else a_new
     if not with_bias and not a_new.any():  # no ridge makes an all-zero design solvable
         raise EmptyLayerError("every inserted neuron is silent on the probe and the downstream "
-                              "layer has no bias; the readout has nothing to fit")
+                              f"layer has no bias, so the readout has nothing to fit; {NO_SIGNAL_ADVICE}")
     underdetermined = n < design.shape[1]
     if underdetermined:
         warnings.warn(f"probe has {n} rows but a readout fit has {design.shape[1]} unknowns; "
@@ -240,12 +245,12 @@ def _select_diag(spec, a1, downstream_pre, w1, with_bias, refit: bool):
     the coefficients held fixed."""
     means, cov = _candidate_moments(a1, w1)
     live = ~constant_columns(means, cov.diagonal())
+    if not live.any():
+        raise EmptyLayerError(f"all {w1.shape[1]} candidate neurons are constant on the probe; "
+                              f"{NO_SIGNAL_ADVICE}")
+    sol = iilasso_diag(similarity_matrix(cov[np.ix_(live, live)], spec.sparse), spec.sparse)
     beta_full = np.zeros(w1.shape[1])
-    stop_reason = "target_nnz"
-    if live.any():
-        sol = iilasso_diag(similarity_matrix(cov[np.ix_(live, live)], spec.sparse), spec.sparse)
-        beta_full[live] = sol.beta
-        stop_reason = sol.stop_reason
+    beta_full[live] = sol.beta
     fell_back = False
     if refit:
         w1, fell_back = refit_w1(a1, a1 @ w1, beta_full)
@@ -253,7 +258,7 @@ def _select_diag(spec, a1, downstream_pre, w1, with_bias, refit: bool):
     w1_kept = w1[:, active]
     if spec.fold_beta:
         w1_kept = fold_beta(w1_kept, beta_full[active], spec.activation)
-    return w1_kept, stop_reason, int(fell_back)
+    return w1_kept, sol.stop_reason, int(fell_back)
 
 
 def contribution_matrices(a_new, w2) -> np.ndarray:
@@ -297,6 +302,9 @@ def _select_alg3(spec, a1, downstream_pre, w1, with_bias):
     gram, corr = _contribution_gram(a_new_full[rows], w2, target)
     sq_norms = gram.diagonal()
     live = sq_norms > DEAD_CONTRIBUTION_TOL
+    if not live.any():
+        raise EmptyLayerError(f"no candidate neuron contributes to the readout on the probe; "
+                              f"{NO_SIGNAL_ADVICE}")
     # scale each live contribution to squared stacked norm M: G = S Z.T Z S / M
     m = target.size
     scales = np.sqrt(m / sq_norms[live])
@@ -330,14 +338,19 @@ def morph(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphRep
     with_bias = mlp.layers[spec.insert_after + 1].bias is not None
     select = _SELECTORS[spec.algorithm]
     w1, stop_reason, fallbacks = select(spec, a1, downstream_pre, w1, with_bias)
+    if w1.shape[1] == 0:  # the selectors raise for a probe that no lambda could fix
+        raise EmptyLayerError(
+            f"{spec.algorithm} at lambda {spec.sparse.lam:g} zeroed the coefficient of every "
+            f"one of the {spec.width} candidate neurons; use a smaller lambda"
+        )
     a_new = apply_activation(spec.activation, a1 @ w1)
     if spec.algorithm != "baseline":
         # a neuron silent on every probe row is an all-zero readout column
         live = a_new.any(axis=0)
         if not live.any():
             raise EmptyLayerError(
-                "lambda too large; child layer would be empty (no candidate "
-                "neuron survived sparsification)"
+                f"all {w1.shape[1]} neurons {spec.algorithm} kept are silent on every probe "
+                f"row; {NO_SIGNAL_ADVICE}"
             )
         w1, a_new = w1[:, live], a_new[:, live]
     w2, b2, readout_fallbacks = _fit_readout(a_new, downstream_pre, with_bias)

@@ -9,7 +9,6 @@ trainer with softmax cross-entropy loss produces parent models.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,26 +29,33 @@ def _check_kind(kind: str) -> str:
 def apply_activation(kind: str, m: np.ndarray) -> np.ndarray:
     """Apply the named elementwise activation, preserving shape."""
     _check_kind(kind)
-    m = np.asarray(m, dtype=np.float64)
-    if kind == "relu":
-        return np.maximum(m, 0.0)
-    if kind == "sigmoid":
-        return expit(m)
-    if kind == "tanh":
-        return np.tanh(m)
-    return m.copy()
+    return _activate(kind, np.asarray(m, dtype=np.float64))
 
 
-def activation_grad(kind: str, act: np.ndarray) -> np.ndarray:
-    """Elementwise derivative, expressed in terms of the activation output."""
-    _check_kind(kind)
+def _activate(kind: str, m: np.ndarray, in_place: bool = False) -> np.ndarray:
+    """`apply_activation` without the checks; `in_place` overwrites `m` and
+    returns it (identity then costs nothing). Same bits either way."""
+    out = m if in_place else None
     if kind == "relu":
-        return (act > 0).astype(np.float64)
+        return np.maximum(m, 0.0, out=out)
     if kind == "sigmoid":
-        return act * (1.0 - act)
+        return expit(m, out=out)
     if kind == "tanh":
-        return 1.0 - act * act
-    return np.ones_like(act)
+        return np.tanh(m, out=out)
+    return m if in_place else m.copy()
+
+
+def _scale_by_derivative(kind: str, delta: np.ndarray, act: np.ndarray) -> None:
+    """delta *= the activation's derivative, expressed in terms of its
+    output `act`. Multiplying by the boolean relu mask has the bits of
+    multiplying by its 0.0/1.0 float form, signed zeros included; the
+    identity derivative is 1 and is skipped."""
+    if kind == "relu":
+        delta *= act > 0
+    elif kind == "sigmoid":
+        delta *= act * (1.0 - act)
+    elif kind == "tanh":
+        delta *= 1.0 - act * act
 
 
 @dataclass
@@ -113,16 +119,12 @@ class TapOutputs:
     """Per-layer tap points from a forward pass.
 
     pre_activations[k] and activations[k] are the layer-k output before and
-    after its activation; the network input is kept so that the activation
-    feeding layer k is `activations[k-1]` with `input` standing in at k=0.
+    after its activation; `input` is the checked batch that fed layer 0.
     """
 
     input: np.ndarray
     pre_activations: list[np.ndarray]
     activations: list[np.ndarray]
-
-    def activation_in(self, k: int) -> np.ndarray:
-        return self.input if k == 0 else self.activations[k - 1]
 
 
 def init_weights(d_in: int, d_out: int, activation: str, seed: int) -> np.ndarray:
@@ -136,27 +138,47 @@ def init_weights(d_in: int, d_out: int, activation: str, seed: int) -> np.ndarra
     return rng.normal(0.0, std, size=(d_in, d_out))
 
 
-def forward(mlp: Mlp, x) -> TapOutputs:
-    """Run the batch through every layer, capturing all tap points."""
-    x = as_matrix(x, "input")
+def _checked_input(mlp: Mlp, x, name: str = "input") -> np.ndarray:
+    """Validate `x` as a finite float64 batch of `mlp.d_in` features, and
+    the layer chain it runs through; returns it as a matrix."""
+    x = as_matrix(x, name)
     if x.shape[1] != mlp.d_in:
         raise ShapeError(
-            f"input has {x.shape[1]} features but layer 0 expects {mlp.d_in}"
+            f"{name} has {x.shape[1]} features but layer 0 expects {mlp.d_in}"
         )
+    for k in range(1, len(mlp.layers)):
+        if mlp.layers[k - 1].d_out != mlp.layers[k].d_in:
+            raise ShapeError(
+                f"layer {k}: got {mlp.layers[k - 1].d_out} features, "
+                f"expected {mlp.layers[k].d_in}"
+            )
+    return x
+
+
+def _layer_outputs(mlp: Mlp, x: np.ndarray, keep_pre: bool = True):
+    """The forward pass on a batch `_checked_input` accepted, unchecked:
+    (pre-activations, activations), one per layer. Without `keep_pre` each
+    activation is computed in place over its pre-activation, which is not
+    kept (the list is empty), and an identity layer's output is its
+    pre-activation. The activations have the same bits either way."""
     pres: list[np.ndarray] = []
     acts: list[np.ndarray] = []
     a = x
-    for k, layer in enumerate(mlp.layers):
-        if a.shape[1] != layer.d_in:
-            raise ShapeError(
-                f"layer {k}: got {a.shape[1]} features, expected {layer.d_in}"
-            )
+    for layer in mlp.layers:
         pre = a @ layer.weight
         if layer.bias is not None:
-            pre = pre + layer.bias
-        a = apply_activation(layer.activation, pre)
-        pres.append(pre)
+            pre += layer.bias
+        if keep_pre:
+            pres.append(pre)
+        a = _activate(layer.activation, pre, in_place=not keep_pre)
         acts.append(a)
+    return pres, acts
+
+
+def forward(mlp: Mlp, x) -> TapOutputs:
+    """Run the batch through every layer, capturing all tap points."""
+    x = _checked_input(mlp, x)
+    pres, acts = _layer_outputs(mlp, x)
     return TapOutputs(input=x, pre_activations=pres, activations=acts)
 
 
@@ -194,8 +216,10 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _backward(mlp: Mlp, taps: TapOutputs, labels: np.ndarray):
-    logits = taps.activations[-1]
+def _backward(mlp: Mlp, x: np.ndarray, acts: list[np.ndarray], labels: np.ndarray):
+    """Loss and (dw, db) per layer from the input and the activations of a
+    forward pass; leaves `acts` unchanged."""
+    logits = acts[-1]
     n = logits.shape[0]
     log_probs = _log_softmax(logits)
     loss = -float(log_probs[np.arange(n), labels].mean())
@@ -206,14 +230,13 @@ def _backward(mlp: Mlp, taps: TapOutputs, labels: np.ndarray):
     grads: list[tuple[np.ndarray, np.ndarray | None]] = [None] * len(mlp.layers)
     for k in range(len(mlp.layers) - 1, -1, -1):
         layer = mlp.layers[k]
-        delta = delta * activation_grad(layer.activation, taps.activations[k])
-        a_in = taps.activation_in(k)
-        dw = a_in.T @ delta
+        _scale_by_derivative(layer.activation, delta, acts[k])
+        dw = (x if k == 0 else acts[k - 1]).T @ delta
         db = delta.sum(axis=0) if layer.bias is not None else None
         grads[k] = (dw, db)
         if k > 0:
             delta = delta @ layer.weight.T
-    return loss, grads, logits
+    return loss, grads
 
 
 def loss_and_gradients(
@@ -221,8 +244,8 @@ def loss_and_gradients(
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray | None]]]:
     """Softmax cross-entropy on the final activation output, plus analytic
     gradients for every weight and bias (ordered like mlp.layers)."""
-    loss, grads, _ = _backward(mlp, forward(mlp, x), labels)
-    return loss, grads
+    taps = forward(mlp, x)
+    return _backward(mlp, taps.input, taps.activations, labels)
 
 
 def evaluate(mlp: Mlp, data) -> tuple[float, float]:
@@ -249,23 +272,41 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
     stats; row 0 records the untrained metrics so the history is never
     empty. Weight decay applies to weights only. Mini-batch order is a pure
     function of cfg.seed.
+
+    The row-0 `evaluate` runs every row through the checked `forward`;
+    that is the one check of the features the mini-batches rely on. Each
+    step then runs unchecked and updates the copy in place, with the
+    arithmetic of the out-of-place update, v = m*v - lr*(dw + wd*W) and
+    W = W + v, operation for operation, so the trained bits are the same.
     """
+    n = data.features.shape[0]
+    if n == 0:
+        raise ValueError(
+            "the training data has 0 rows; SGD needs at least one "
+            "(a synthetic --data spec needs n >= 1)"
+        )
     if mlp.d_out <= int(data.labels.max()):
         raise ShapeError(
             f"final layer width {mlp.d_out} does not cover label "
             f"{int(data.labels.max())}"
         )
-    net = copy.deepcopy(mlp)
-    vel = [
-        (np.zeros_like(l.weight), np.zeros_like(l.bias) if l.bias is not None else None)
-        for l in net.layers
-    ]
-    rng = np.random.default_rng(cfg.seed)
-    n = data.features.shape[0]
-
+    # fresh arrays per layer, so in-place updates reach neither the caller's
+    # network nor a second layer that shares an array with this one
+    net = Mlp([
+        Layer(l.weight.copy(), None if l.bias is None else l.bias.copy(), l.activation)
+        for l in mlp.layers
+    ])
     loss0, acc0 = evaluate(net, data)
     history = [EpochStats(epoch=0, loss=loss0, accuracy=acc0)]
 
+    lr, momentum, decay = cfg.learning_rate, cfg.momentum, cfg.weight_decay
+    # per layer: weight velocity, weight-decay scratch, bias velocity
+    state = [
+        (np.zeros_like(l.weight), np.empty_like(l.weight),
+         np.zeros_like(l.bias) if l.bias is not None else None)
+        for l in net.layers
+    ]
+    rng = np.random.default_rng(cfg.seed)
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
         loss_sum = 0.0
@@ -274,23 +315,27 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
             idx = perm[start : start + cfg.batch_size]
             xb = data.features[idx]
             yb = data.labels[idx]
-            loss, grads, logits = _backward(net, forward(net, xb), yb)
+            _, acts = _layer_outputs(net, xb, keep_pre=False)
+            loss, grads = _backward(net, xb, acts, yb)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"loss became non-finite at epoch {epoch}; the learning "
                     f"rate {cfg.learning_rate} is likely too high"
                 )
             loss_sum += loss * len(idx)
-            correct += int((logits.argmax(axis=1) == yb).sum())
-            for layer, (vw, vb), (dw, db) in zip(net.layers, vel, grads):
-                dw = dw + cfg.weight_decay * layer.weight
-                vw *= cfg.momentum
-                vw -= cfg.learning_rate * dw
-                layer.weight = layer.weight + vw
+            correct += int((acts[-1].argmax(axis=1) == yb).sum())
+            for layer, (vw, decayed, vb), (dw, db) in zip(net.layers, state, grads):
+                np.multiply(layer.weight, decay, out=decayed)
+                dw += decayed
+                vw *= momentum
+                dw *= lr
+                vw -= dw
+                layer.weight += vw
                 if db is not None:
-                    vb *= cfg.momentum
-                    vb -= cfg.learning_rate * db
-                    layer.bias = layer.bias + vb
+                    vb *= momentum
+                    db *= lr
+                    vb -= db
+                    layer.bias += vb
         history.append(
             EpochStats(epoch=epoch, loss=loss_sum / n, accuracy=correct / n)
         )

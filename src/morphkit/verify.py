@@ -7,10 +7,11 @@ coordinate updates beat a dense 1-D grid and never raise the objective,
 converged solutions satisfy stationarity, the two evaluation routes of the
 shared-response loss agree, exact-preservation constructions hold, the
 covariance route to the similarity matrix matches the standardized one,
-analytic gradients match finite differences, and files round-trip. Seeds
-change the instances, never the expected outcome. A check's seed derives
-from the run seed and its name, so adding or removing a check moves no
-other. Checks that measure something return it (a worst error, a
+analytic gradients match finite differences, the in-place trainer
+matches an out-of-place reference loop byte for byte, and files
+round-trip. Seeds change the instances, never the expected outcome. A
+check's seed derives from the run seed and its name, so adding or
+removing a check moves no other. Checks that measure something return it (a worst error, a
 converged count), so a suite can run them over many seeds and report.
 
 The objectives, `coordinate_threshold` and `stack_contributions` are
@@ -20,6 +21,7 @@ never call them.
 
 from __future__ import annotations
 
+import copy
 import os
 import tempfile
 import zlib
@@ -29,7 +31,9 @@ import numpy as np
 from . import io as mio
 from .linalg import constant_columns, least_squares, standardize_columns, vectorize
 from .morph import MorphSpec, _candidate_moments, morph
-from .network import Layer, Mlp, loss_and_gradients
+from .network import (
+    EpochStats, Layer, Mlp, TrainConfig, evaluate, forward, loss_and_gradients, train_sgd,
+)
 from .sparse import (
     SparseConfig,
     coordinate_update,
@@ -399,6 +403,68 @@ def check_trainer_gradients(seed: int) -> float:
     return gradient_check(net, x, rng.integers(0, widths[-1], size=6))
 
 
+def _reference_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
+    """`train_sgd` as a plain loop: `loss_and_gradients` on each checked
+    mini-batch, then v = m*v - lr*(dw + wd*W) and W = W + v with a fresh
+    array per step (biases without decay)."""
+    net = copy.deepcopy(mlp)
+    vel = [(np.zeros_like(l.weight), None if l.bias is None else np.zeros_like(l.bias))
+           for l in net.layers]
+    rng = np.random.default_rng(cfg.seed)
+    n = data.features.shape[0]
+    history = [EpochStats(0, *evaluate(net, data))]
+    for epoch in range(1, cfg.epochs + 1):
+        perm = rng.permutation(n)
+        loss_sum, correct = 0.0, 0
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            xb, yb = data.features[idx], data.labels[idx]
+            loss, grads = loss_and_gradients(net, xb, yb)
+            loss_sum += loss * len(idx)
+            correct += int((forward(net, xb).activations[-1].argmax(axis=1) == yb).sum())
+            for layer, (vw, vb), (dw, db) in zip(net.layers, vel, grads):
+                dw = dw + cfg.weight_decay * layer.weight
+                vw *= cfg.momentum
+                vw -= cfg.learning_rate * dw
+                layer.weight = layer.weight + vw
+                if db is not None:
+                    vb *= cfg.momentum
+                    vb -= cfg.learning_rate * db
+                    layer.bias = layer.bias + vb
+        history.append(EpochStats(epoch, loss_sum / n, correct / n))
+    return net, history
+
+
+def check_trainer_reference(seed: int) -> int:
+    """`train_sgd`'s weights and history equal `_reference_sgd`'s byte for
+    byte, and the caller's network is untouched, on random nets with relu,
+    tanh, sigmoid and identity hidden layers, some without a bias, over a
+    row count that leaves a partial last batch; momentum and weight decay
+    each zero and positive, and a zero learning rate. Returns the number of
+    trainings compared."""
+    rng = np.random.default_rng(seed)
+    settings = [(0.05, 0.9, 1e-3), (0.1, 0.0, 0.0), (0.0, 0.9, 1e-3), (0.05, 0.5, 0.0)]
+    for lr, momentum, decay in settings:
+        widths = [int(w) for w in rng.integers(2, 7, size=6)]
+        hidden = [str(a) for a in rng.permutation(["relu", "tanh", "sigmoid", "identity"])]
+        net = random_mlp(rng, widths, hidden + ["identity"])
+        for k in rng.choice(len(net.layers), size=2, replace=False):
+            net.layers[k] = Layer(net.layers[k].weight, None, net.layers[k].activation)
+        batch = int(rng.integers(3, 8))
+        n = batch * int(rng.integers(2, 5)) + int(rng.integers(1, batch))
+        data = mio.Dataset(rng.normal(size=(n, widths[0])), rng.integers(0, widths[-1], size=n))
+        cfg = TrainConfig(learning_rate=lr, momentum=momentum, weight_decay=decay, epochs=3,
+                          batch_size=batch, seed=int(rng.integers(2**31)))
+        before = [_layer_bytes(l) for l in net.layers]
+        trained, history = train_sgd(net, data, cfg)
+        assert [_layer_bytes(l) for l in net.layers] == before, "train_sgd changed its input network"
+        want, want_history = _reference_sgd(net, data, cfg)
+        for k, (a, b) in enumerate(zip(trained.layers, want.layers)):
+            assert _layer_bytes(a) == _layer_bytes(b), f"{cfg}: layer {k} differs from the reference loop"
+        assert history == want_history, f"{cfg}: history {history} differs from {want_history}"
+    return len(settings)
+
+
 def _layer_bytes(layer: Layer) -> tuple:
     bias = None if layer.bias is None else layer.bias.tobytes()
     return layer.activation, layer.weight.shape, layer.weight.tobytes(), bias
@@ -433,6 +499,7 @@ CHECKS = [
     ("identity-preservation", check_identity_preservation),
     ("relu-mirror-preservation", check_relu_mirror_preservation),
     ("trainer-gradients", check_trainer_gradients),
+    ("trainer-reference", check_trainer_reference),
     ("model-roundtrip", check_model_roundtrip),
 ]
 

@@ -11,8 +11,8 @@ import pytest
 from morphkit import io as mio
 from morphkit.cli import main
 from morphkit.io import load_model, load_report_json, save_report_json
-from morphkit.morph import MorphReport
-from morphkit.network import init_weights
+from morphkit.morph import NO_SIGNAL_ADVICE, MorphReport
+from morphkit.network import Layer, Mlp, init_weights
 
 SYNTH = "synth:n=300,test=100,d=12,classes=3,seed=4"
 
@@ -85,6 +85,15 @@ class TestTrain:
     def test_help_exits_zero(self):
         assert run("--help") == 0
 
+    @pytest.mark.parametrize("data,arch", [("lowrank:n=0,test=10", "784,8,10"),
+                                           ("synth:n=0,test=10,d=12,classes=3", "12,6,3")])
+    def test_empty_training_split_is_user_error(self, tmp_path, capsys, data, arch):
+        code = run("train", "--data", data, "--arch", arch, "--out-dir", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "the training data has 0 rows" in err and "n >= 1" in err
+        assert not (tmp_path / "parent.model").exists()
+
 
 class TestMorph:
     def test_morph_writes_child_and_report(self, parent_dir, capsys):
@@ -136,7 +145,23 @@ class TestMorph:
         assert code == 1
         err = capsys.readouterr().err
         assert "lambda" in err
+        assert err.endswith("; use a smaller lambda\n")
         assert not (parent_dir / "never.model").exists()
+
+    def test_silent_baseline_gets_no_lambda_advice(self, tmp_path, capsys):
+        # a zero first layer silences every inserted neuron, and without a
+        # downstream bias baseline's readout has nothing to fit
+        silent = Mlp([Layer(np.zeros((12, 4)), None, "relu"),
+                      Layer(np.ones((4, 3)), None, "identity")])
+        mio.save_model(silent, str(tmp_path / "silent.model"))
+        code = run("morph", "--model", str(tmp_path / "silent.model"), "--data", SYNTH,
+                   "--at", "0", "--width", "6", "--alg", "baseline", "--out", "never.model",
+                   "--out-dir", str(tmp_path))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: every inserted neuron is silent on the probe and the downstream " \
+                      f"layer has no bias, so the readout has nothing to fit; {NO_SIGNAL_ADVICE}\n"
+        assert not (tmp_path / "never.model").exists()
 
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_probe_size_below_one_exits_with_hint(self, parent_dir, capsys, size):
@@ -252,7 +277,7 @@ class TestVerify:
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         names = [name for name, _ in verify_mod.CHECKS]
-        assert len(names) == 14
+        assert len(names) == 15
         assert proc.stdout.splitlines() == names
 
     def test_default_run_passes(self, capsys):

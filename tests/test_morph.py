@@ -19,6 +19,7 @@ sparse_mod = importlib.import_module("morphkit.sparse")
 from morphkit.errors import EmptyLayerError, MorphkitError, ShapeError
 from morphkit.linalg import vectorize
 from morphkit.morph import (
+    NO_SIGNAL_ADVICE,
     MorphReport,
     MorphSpec,
     contribution_matrices,
@@ -92,8 +93,31 @@ class TestAlg1:
     def test_huge_lambda_raises_empty_layer(self):
         parent = random_parent(9)
         probe = probe_for(10, 60, 6)
-        with pytest.raises(EmptyLayerError, match="lambda too large"):
+        with pytest.raises(EmptyLayerError, match="alg1 at lambda 1e\\+09 zeroed the coefficient "
+                           "of every one of the 8 candidate neurons; use a smaller lambda"):
             morph(parent, spec_for("alg1", lam=1e9), probe)
+
+    def test_silent_kept_neurons_do_not_blame_lambda(self):
+        # at lambda 0 alg1 keeps every candidate; negative weights over relu
+        # inputs make each one silent on every probe row
+        parent = random_parent(57)
+        w1 = -np.abs(init_weights(5, 8, "relu", 59))
+        spec = spec_for("alg1", lam=0.0, alpha=0.0)
+        with pytest.raises(EmptyLayerError) as info:
+            morph(parent, spec, probe_for(58, 90, 6), w1_init=w1)
+        message = str(info.value)
+        assert message.startswith("all 8 neurons alg1 kept are silent on every probe row; ")
+        assert message.endswith(NO_SIGNAL_ADVICE)
+        assert "lambda" not in message
+
+    @pytest.mark.parametrize("alg", ["alg1", "alg2"])
+    def test_constant_candidates_do_not_blame_lambda(self, alg):
+        # a zero first layer makes every candidate output constant on the probe
+        parent = random_parent(57)
+        parent.layers[0] = Layer(np.zeros((6, 5)), np.zeros(5), "relu")
+        with pytest.raises(EmptyLayerError) as info:
+            morph(parent, spec_for(alg), probe_for(58, 90, 6))
+        assert str(info.value) == f"all 8 candidate neurons are constant on the probe; {NO_SIGNAL_ADVICE}"
 
     def test_child_structure(self):
         parent = random_parent(11)
@@ -646,8 +670,19 @@ class TestGeneratedEdgeCases:
         # downstream bias the readout design is all zeros
         parent = random_parent(57, bias=False)
         w1 = -np.abs(init_weights(5, 8, "relu", 59))
-        with pytest.raises(EmptyLayerError):
+        with pytest.raises(EmptyLayerError) as info:
             morph(parent, spec_for(alg), probe_for(58, 90, 6), w1_init=w1)
+        assert "silent" in str(info.value) and "lambda" not in str(info.value)
+        assert str(info.value).endswith(NO_SIGNAL_ADVICE)
+
+    @pytest.mark.parametrize("alg", ["alg2", "alg3"])
+    def test_silent_layer_with_readout_bias_does_not_blame_lambda(self, alg):
+        parent = random_parent(57)
+        w1 = -np.abs(init_weights(5, 8, "relu", 59))
+        with pytest.raises(EmptyLayerError) as info:
+            morph(parent, spec_for(alg), probe_for(58, 90, 6), w1_init=w1)
+        assert "lambda" not in str(info.value)
+        assert str(info.value).endswith(NO_SIGNAL_ADVICE)
 
 
 class TestProbeValidation:

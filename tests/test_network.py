@@ -1,6 +1,7 @@
 """Network tests: activations, initialization, forward taps, training."""
 
 import copy
+import importlib
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from morphkit.network import (
     init_weights,
     train_sgd,
 )
-from morphkit.verify import gradient_check, random_mlp
+from morphkit.verify import check_trainer_reference, gradient_check, random_mlp
 
 
 class TestActivations:
@@ -212,6 +213,26 @@ class TestTrainSgd:
         cfg = TrainConfig(learning_rate=1e6, momentum=0.0, epochs=50, seed=0)
         with pytest.raises(TrainingDivergedError, match="learning"):
             train_sgd(net, data, cfg)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_loop(self, seed):
+        assert check_trainer_reference(seed) == 4
+
+    def test_data_checked_once(self, monkeypatch):
+        # the row-0 evaluate is the one checked forward pass; batches skip it
+        network = importlib.import_module("morphkit.network")
+        calls = []
+        checked = network.forward
+        monkeypatch.setattr(network, "forward", lambda *a: calls.append(1) or checked(*a))
+        data = synth_dataset(6, 60, 4, 2)
+        train_sgd(random_mlp(np.random.default_rng(14), [4, 3, 2], ["relu", "identity"]),
+                  data, TrainConfig(epochs=2, batch_size=16, seed=0))
+        assert len(calls) == 1
+
+    def test_empty_training_data_rejected(self):
+        net = random_mlp(np.random.default_rng(15), [4, 3, 2], ["relu", "identity"])
+        with pytest.raises(ValueError, match="the training data has 0 rows; SGD needs at least one"):
+            train_sgd(net, Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int)), TrainConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
