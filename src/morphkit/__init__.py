@@ -53,7 +53,6 @@ from .sparse import (
     iilasso_residual,
     refit_w1,
     similarity_matrix,
-    soft_threshold,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ paths are joined under --out-dir. Set MORPHKIT_LOG to adjust verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
 import logging
 import os
@@ -177,20 +178,9 @@ def cmd_train(args) -> int:
     cfg = _train_config(args)
     net, history = train_sgd(net, data, cfg)
     out = _out_path(args, args.out)
-    mio.save_model(
-        net,
-        out,
-        metadata={
-            "arch": widths,
-            "hidden_activation": args.act,
-            "seed": args.seed,
-            "epochs": args.epochs,
-            "learning_rate": args.lr,
-            "weight_decay": args.weight_decay,
-            "momentum": args.momentum,
-            "batch_size": args.batch_size,
-        },
-    )
+    mio.save_model(net, out, metadata={
+        "arch": widths, "hidden_activation": args.act, "train": dataclasses.asdict(cfg),
+    })
     _write_history(_out_path(args, args.history), history)
     last = history[-1]
     print(f"trained {args.arch}: loss {last.loss:.4f} accuracy {last.accuracy:.4f} -> {out}")
@@ -216,35 +206,15 @@ def cmd_morph(args) -> int:
         sparse=sparse,
         seed=args.seed,
         fold_beta=args.fold_beta,
-        alg3_row_sample=args.row_sample,
     )
     rows = sample_rows(data.n, args.probe_size, args.seed)
     probe = data.features[rows]
     child, report = morph(parent, spec, probe)
     report.run_id = args.run_id or os.path.splitext(os.path.basename(args.out))[0]
     out = _out_path(args, args.out)
-    mio.save_model(
-        child,
-        out,
-        metadata={
-            "parent": os.path.abspath(args.model),
-            "parent_metadata": meta,
-            "algorithm": args.alg,
-            "insert_after": args.at,
-            "width": args.width,
-            "activation": args.act,
-            "lambda": args.lam,
-            "alpha": args.alpha,
-            "max_itr": args.max_itr,
-            "target_nnz": args.target_nnz,
-            "tol": args.tol,
-            "r_cap": args.r_cap,
-            "seed": args.seed,
-            "fold_beta": args.fold_beta,
-            "row_sample": args.row_sample,
-            "probe_size": args.probe_size,
-        },
-    )
+    mio.save_model(child, out, metadata={
+        "spec": dataclasses.asdict(spec), "probe_size": args.probe_size, "parent_metadata": meta,
+    })
     report_path = _out_path(args, args.report or (args.out + ".report.json"))
     mio.save_report_json(report, report_path)
     print(
@@ -364,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--probe-size", type=int, default=4096)
     p.add_argument("--fold-beta", action="store_true")
-    p.add_argument("--row-sample", type=int, default=None,
-                   help="probe rows alg3 scores contributions on (default: all); "
-                        "fewer rows trade selection accuracy for speed")
     p.add_argument("--run-id", default="")
     p.add_argument("--out", default="child.model")
     p.add_argument("--report", default=None, help="report JSON path")

@@ -8,6 +8,7 @@ functions are pure; arrays are never modified in place.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,16 +87,23 @@ def least_squares(x, y, ridge: float = 0.0) -> np.ndarray:
 
 
 def least_squares_with_fallback(x, y, ridge: float = 0.0) -> tuple[np.ndarray, bool]:
-    """`least_squares` that retries a singular system once at ridge +
-    ridge_fallback(x), reusing the Gram matrix and right-hand side.
+    """`least_squares` that falls back to ridge + ridge_fallback(x), reusing
+    the Gram matrix and right-hand side. A design with fewer rows than
+    columns is underdetermined: it goes straight to the fallback with a
+    RuntimeWarning. Any other design falls back only when its system is
+    singular.
 
-    Returns (w, fell_back). Raises SingularMatrixError if the retry fails
-    too, as it does for an all-zero x, whose fallback ridge is 0.
+    Returns (w, fell_back). Raises SingularMatrixError if the fallback
+    fails too, as it does for an all-zero x, whose fallback ridge is 0.
     """
     x, y = _checked_design(x, y, ridge)
     gram = x.T @ x
     rhs = x.T @ y
-    w = _cholesky_solve(gram, rhs, ridge)
+    underdetermined = x.shape[0] < x.shape[1]
+    if underdetermined:
+        warnings.warn(f"a least-squares design has {x.shape[0]} rows but {x.shape[1]} "
+                      f"unknowns; applying an automatic ridge", RuntimeWarning, stacklevel=2)
+    w = None if underdetermined else _cholesky_solve(gram, rhs, ridge)
     if w is not None:
         return w, False
     ridge += ridge_fallback(x)

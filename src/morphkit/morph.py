@@ -30,13 +30,12 @@ from __future__ import annotations
 import functools
 import logging
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyLayerError, MorphkitError, ShapeError
-from .linalg import as_matrix, constant_columns, least_squares_with_fallback, ridge_fallback
+from .linalg import as_matrix, constant_columns, least_squares_with_fallback
 from .network import (
     Layer, Mlp, _checked_input, _layer_outputs, apply_activation, forward, init_weights,
 )
@@ -68,7 +67,6 @@ class MorphSpec:
     sparse: SparseConfig = field(default_factory=SparseConfig)
     seed: int = 0
     fold_beta: bool = False
-    alg3_row_sample: int | None = None
 
     def __post_init__(self):
         if self.width < 1:
@@ -77,8 +75,6 @@ class MorphSpec:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHM_NAMES}"
             )
-        if self.alg3_row_sample is not None and self.alg3_row_sample < 1:
-            raise ValueError("alg3_row_sample must be >= 1 when set")
 
 
 @dataclass(kw_only=True)
@@ -199,24 +195,18 @@ def _prepare(mlp: Mlp, spec: MorphSpec, probe, w1_init):
 
 
 def _fit_readout(a_new, target, with_bias: bool):
-    """Least-squares fit of the downstream layer; an underdetermined design
-    (fewer rows than columns) is ridged with a warning, and singular normal
-    equations fall back to a ridge. Returns (weight, bias or None, fallbacks)."""
+    """Least-squares fit of the downstream layer, ridged where
+    `least_squares_with_fallback` says so. Returns (weight, bias or None,
+    fallbacks)."""
     n = a_new.shape[0]
     design = np.hstack([a_new, np.ones((n, 1))]) if with_bias else a_new
     if not with_bias and not a_new.any():  # no ridge makes an all-zero design solvable
         raise EmptyLayerError("every inserted neuron is silent on the probe and the downstream "
                               f"layer has no bias, so the readout has nothing to fit; {NO_SIGNAL_ADVICE}")
-    underdetermined = n < design.shape[1]
-    if underdetermined:
-        warnings.warn(f"probe has {n} rows but a readout fit has {design.shape[1]} unknowns; "
-                      f"applying an automatic ridge", RuntimeWarning, stacklevel=3)
-    ridge = ridge_fallback(design) if underdetermined else 0.0
-    sol, fell_back = least_squares_with_fallback(design, target, ridge)
-    fallbacks = int(underdetermined) + int(fell_back)
+    sol, fell_back = least_squares_with_fallback(design, target)
     if with_bias:
-        return sol[:-1], sol[-1], fallbacks
-    return sol, None, fallbacks
+        return sol[:-1], sol[-1], int(fell_back)
+    return sol, None, int(fell_back)
 
 
 def _assemble_child(parent: Mlp, p: int, w1, act: str, w2, b2) -> Mlp:
@@ -293,13 +283,12 @@ def _select_alg3(spec, a1, downstream_pre, w1, with_bias):
     a_new_full = apply_activation(spec.activation, a1 @ w1)
     w2, b2, fallbacks = _fit_readout(a_new_full, downstream_pre, with_bias)
 
-    rows = sample_rows(a1.shape[0], spec.alg3_row_sample, spec.seed + 1)
-    target = downstream_pre[rows]
+    target = downstream_pre
     if with_bias:
         target = target - b2
         target = target - float(target.mean())
 
-    gram, corr = _contribution_gram(a_new_full[rows], w2, target)
+    gram, corr = _contribution_gram(a_new_full, w2, target)
     sq_norms = gram.diagonal()
     live = sq_norms > DEAD_CONTRIBUTION_TOL
     if not live.any():

@@ -68,11 +68,6 @@ class SparseSolution:
     stop_reason: str
 
 
-def soft_threshold(a, b):
-    """Shrinkage operator sgn(a) * max(|a| - b, 0)."""
-    return np.sign(a) * np.maximum(np.abs(a) - b, 0.0)
-
-
 def similarity_matrix(cov, cfg: SparseConfig) -> np.ndarray:
     """Pairwise similarity penalties R from the covariance of the columns.
 
@@ -111,8 +106,8 @@ def coordinate_update(rho: float, threshold: float, r_jj: float, cfg: SparseConf
     coefficient: S(rho, threshold) / (1 + alpha * lam * R_jj).
 
     The shrinkage is scalar Python arithmetic with the same bits as
-    `soft_threshold`, -0.0 included: np.sign maps both zeros to +0.0 and
-    np.maximum propagates NaN. R_jj is zero by construction so the
+    `verify.soft_threshold`, -0.0 included: np.sign maps both zeros to
+    +0.0 and np.maximum propagates NaN. R_jj is zero by construction so the
     denominator is exactly 1; the written form is kept deliberately.
     """
     shrunk = abs(rho) - threshold
@@ -242,13 +237,14 @@ def iilasso_residual(gram, corr, r, cfg: SparseConfig) -> SparseSolution:
     return _coordinate_descent(corr, gram, r, cfg, np.ones(corr.shape[0]), data)
 
 
-def refit_w1(a1, o_new, beta, ridge: float = 0.0) -> tuple[np.ndarray, bool]:
+def refit_w1(a1, o_new, beta) -> tuple[np.ndarray, bool]:
     """Refit the inserted-layer weights holding the coefficients fixed.
 
     Solves min_W ||o_new - a1 W diag(beta)||_F^2 columnwise: active columns
     get (1/beta_j) times the least-squares fit of o_new_j on a1; columns
-    with beta_j == 0 are returned as zeros. A rank-deficient a1 falls back
-    to a small automatic ridge. Returns (w, fell_back).
+    with beta_j == 0 are returned as zeros. An underdetermined or
+    rank-deficient a1 falls back to a small automatic ridge. Returns
+    (w, fell_back).
     """
     a1 = as_matrix(a1, "a1")
     o_new = as_matrix(o_new, "o_new")
@@ -259,7 +255,7 @@ def refit_w1(a1, o_new, beta, ridge: float = 0.0) -> tuple[np.ndarray, bool]:
         )
     if not np.isfinite(beta).all():
         raise NotFiniteError("beta contains non-finite entries")
-    w_ls, fell_back = least_squares_with_fallback(a1, o_new, ridge)
+    w_ls, fell_back = least_squares_with_fallback(a1, o_new)
     w = np.zeros_like(w_ls)
     active = beta != 0
     w[:, active] = w_ls[:, active] / beta[active]

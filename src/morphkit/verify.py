@@ -14,9 +14,9 @@ check's seed derives from the run seed and its name, so adding or
 removing a check moves no other. Checks that measure something return it (a worst error, a
 converged count), so a suite can run them over many seeds and report.
 
-The objectives, `coordinate_threshold` and `stack_contributions` are
-oracles: the solvers compute the same quantities in their own form and
-never call them.
+The objectives, `soft_threshold`, `coordinate_threshold` and
+`stack_contributions` are oracles: the solvers compute the same
+quantities in their own form and never call them.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ from .sparse import (
 )
 
 GRID = np.arange(-2.0, 2.0 + 1e-12, 1e-4)
+
+
+def soft_threshold(a, b):
+    """Shrinkage operator sgn(a) * max(|a| - b, 0)."""
+    return np.sign(a) * np.maximum(np.abs(a) - b, 0.0)
 
 
 def coordinate_threshold(r_row: np.ndarray, beta: np.ndarray, j: int, cfg: SparseConfig) -> float:

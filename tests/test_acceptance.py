@@ -193,27 +193,6 @@ def test_baseline_dominance(desk):
     )
 
 
-def test_alg3_sampling(desk):
-    full_rows = desk["probe"].shape[0]
-    child_plain = desk["runs"]["alg3"]["child"]
-    report_plain = desk["runs"]["alg3"]["report"]
-
-    spec_noop = desk_spec("alg3", alg3_row_sample=full_rows)
-    child_noop, report_noop = morph(desk["parent"], spec_noop, desk["probe"])
-    assert report_numbers(report_noop) == report_numbers(report_plain)
-    for a, b in zip(child_noop.layers, child_plain.layers):
-        np.testing.assert_array_equal(a.weight, b.weight)
-
-    spec_half = desk_spec("alg3", alg3_row_sample=full_rows // 2)
-    _, report_half = morph(desk["parent"], spec_half, desk["probe"])
-    rel = abs(report_half.n_sparse - report_plain.n_sparse) / report_plain.n_sparse
-    assert rel <= 0.25, f"half-sample width moved {rel:.0%}"
-    print(
-        f"PASS  alg3 sampling: full-sample bit-identical; 50% sampling moved "
-        f"n_sparse {report_plain.n_sparse} -> {report_half.n_sparse} ({rel:.1%} <= 25%)"
-    )
-
-
 def test_determinism(desk):
     parent = desk_parent(desk["train"])
     _, parent_acc = evaluate(parent, desk["test"])

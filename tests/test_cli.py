@@ -11,8 +11,9 @@ import pytest
 from morphkit import io as mio
 from morphkit.cli import main
 from morphkit.io import load_model, load_report_json, save_report_json
-from morphkit.morph import NO_SIGNAL_ADVICE, MorphReport
-from morphkit.network import Layer, Mlp, init_weights
+from morphkit.morph import NO_SIGNAL_ADVICE, MorphReport, MorphSpec
+from morphkit.network import Layer, Mlp, TrainConfig, init_weights
+from morphkit.sparse import SparseConfig
 
 SYNTH = "synth:n=300,test=100,d=12,classes=3,seed=4"
 
@@ -50,7 +51,11 @@ def base_report(parent_dir):
 
 class TestTrain:
     def test_writes_model_and_history(self, parent_dir):
-        assert (parent_dir / "parent.model").exists()
+        _, meta = load_model(parent_dir / "parent.model")
+        assert sorted(meta) == ["arch", "hidden_activation", "train"]
+        assert (meta["arch"], meta["hidden_activation"]) == ([12, 10, 8, 3], "relu")
+        assert TrainConfig(**meta["train"]) == TrainConfig(
+            learning_rate=0.05, momentum=0.9, weight_decay=1e-6, epochs=4, seed=1)
         history = (parent_dir / "parent_history.csv").read_text().splitlines()
         assert history[0] == "epoch,loss,accuracy"
         assert len(history) >= 2
@@ -101,24 +106,22 @@ class TestMorph:
             "morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
             "--at", "1", "--width", "20", "--act", "relu", "--alg", "alg2",
             "--lambda", "0.1", "--alpha", "0.1", "--seed", "2", "--max-itr", "800",
-            "--tol", "1e-8", "--r-cap", "1e5", "--probe-size", "250", "--row-sample", "60",
+            "--tol", "1e-8", "--r-cap", "1e5", "--probe-size", "250",
             "--out", "child.model", "--out-dir", str(parent_dir),
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "20 ->" in out
-        parent, _ = load_model(parent_dir / "parent.model")
+        parent, parent_meta = load_model(parent_dir / "parent.model")
         child, meta = load_model(parent_dir / "child.model")
         assert len(child.layers) == len(parent.layers) + 1
-        assert meta["algorithm"] == "alg2"
-        request = {key: meta[key] for key in (
-            "insert_after", "width", "activation", "lambda", "alpha", "max_itr", "target_nnz",
-            "tol", "r_cap", "seed", "fold_beta", "row_sample", "probe_size")}
-        assert request == {
-            "insert_after": 1, "width": 20, "activation": "relu", "lambda": 0.1, "alpha": 0.1,
-            "max_itr": 800, "target_nnz": 0, "tol": 1e-8, "r_cap": 1e5, "seed": 2,
-            "fold_beta": False, "row_sample": 60, "probe_size": 250,
-        }
+        recorded = MorphSpec(**{**meta["spec"], "sparse": SparseConfig(**meta["spec"]["sparse"])})
+        assert recorded == MorphSpec(
+            insert_after=1, width=20, activation="relu", algorithm="alg2",
+            sparse=SparseConfig(lam=0.1, alpha=0.1, max_itr=800, tol=1e-8, r_cap=1e5), seed=2,
+        )
+        assert meta["probe_size"] == 250
+        assert meta["parent_metadata"] == parent_meta
         report = load_report_json(parent_dir / "child.model.report.json")
         assert 0 < report.n_sparse <= 20
 
@@ -133,7 +136,7 @@ class TestMorph:
         )
         assert code == 0
         assert capsys.readouterr().out.startswith("alg1: ")
-        assert load_model(parent_dir / "default.model")[1]["algorithm"] == "alg1"
+        assert load_model(parent_dir / "default.model")[1]["spec"]["algorithm"] == "alg1"
         assert load_report_json(parent_dir / "default.model.report.json").algorithm == "alg1"
 
     def test_huge_lambda_exits_with_hint(self, parent_dir, capsys):
@@ -227,6 +230,20 @@ class TestEvalAndFinetune:
         assert rows[0] == "epoch,loss,accuracy"
         assert len(rows) == 3  # header + one epoch per invocation
 
+    def test_same_run_under_two_out_dirs_gives_identical_files(self, tmp_path):
+        # model metadata records the request, not where its files live
+        names = ("parent.model", "child.model", "tuned.model")
+        contents = []
+        for run_dir in (tmp_path / "a", tmp_path / "b" / "deeper"):
+            assert run("train", "--data", SYNTH, "--arch", "12,8,3", "--epochs", "1",
+                       "--out-dir", str(run_dir)) == 0
+            assert run("morph", "--model", str(run_dir / "parent.model"), "--data", SYNTH,
+                       "--at", "0", "--width", "6", "--out", "child.model",
+                       "--out-dir", str(run_dir)) == 0
+            assert run("finetune", "--model", str(run_dir / "child.model"), "--data", SYNTH,
+                       "--epochs", "1", "--out", "tuned.model", "--out-dir", str(run_dir)) == 0
+            contents.append([(run_dir / name).read_bytes() for name in names])
+        assert contents[0] == contents[1]
 
     def test_finetune_draws_synthetic_data_once(self, tmp_path, monkeypatch):
         data = "lowrank:n=200,test=60,d=30,classes=3,side_dims=4,seed=5"

@@ -103,6 +103,15 @@ class TestLeastSquares:
         with pytest.raises(SingularMatrixError):
             least_squares(x, y)  # the plain solve still refuses at ridge 0
 
+    def test_underdetermined_design_ridged_with_warning(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(3, 5))
+        y = rng.normal(size=(3, 2))
+        with pytest.warns(RuntimeWarning, match="3 rows but 5 unknowns"):
+            w, fell_back = least_squares_with_fallback(x, y)
+        assert fell_back
+        assert w.tobytes() == least_squares(x, y, ridge_fallback(x)).tobytes()
+
     def test_fallback_impossible_for_zero_design(self):
         with pytest.raises(SingularMatrixError, match="ridge"):
             least_squares_with_fallback(np.zeros((5, 2)), np.ones((5, 1)))

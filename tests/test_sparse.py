@@ -16,7 +16,6 @@ from morphkit.sparse import (
     iilasso_residual,
     refit_w1,
     similarity_matrix,
-    soft_threshold,
 )
 from morphkit.verify import (
     check_diag_coordinate_oracle,
@@ -30,6 +29,7 @@ from morphkit.verify import (
     gram_form,
     random_r,
     scaled_contributions,
+    soft_threshold,
     stack_contributions,
     stacked_objective,
 )
@@ -286,6 +286,15 @@ class TestRefitW1:
         assert fell_back
         assert np.isfinite(w).all()
 
+
+    def test_underdetermined_design_ridged_with_warning(self):
+        rng = np.random.default_rng(26)
+        a1 = rng.normal(size=(3, 5))  # fewer rows than inserted inputs
+        o = rng.normal(size=(3, 4))
+        with pytest.warns(RuntimeWarning, match="3 rows but 5 unknowns"):
+            w, fell_back = refit_w1(a1, o, np.ones(4))
+        assert fell_back
+        assert np.isfinite(w).all()
 
 def float_bits(value) -> bytes:
     return struct.pack("<d", float(value))
