@@ -10,6 +10,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 user error, 2 invariant failure. All artifact
 paths are joined under --out-dir. Set MORPHKIT_LOG to adjust verbosity.
+A synthetic --data spec is drawn by the first command that asks for it and
+read back from the dataset cache (see `morphkit.io`) by every later one.
 """
 
 from __future__ import annotations
@@ -80,27 +82,33 @@ def _idx_pair(directory: str, split: str) -> tuple[str, str]:
 
 def _load_datasets(spec: str, *splits: str) -> list[mio.Dataset]:
     """One dataset per split. A synthetic spec is drawn once: its train and
-    test rows come from one draw so they share class means."""
+    test rows come from one draw so they share class means. Each split of
+    the draw is kept in the dataset cache (`io.read_cached_split`), so only
+    the first command that asks for a spec draws it."""
     if spec.startswith("lowrank"):
-        p = _parse_spec_params(
+        generator, p = "lowrank", _parse_spec_params(
             spec,
             {"n": 6000, "test": 1000, "d": 784, "classes": 10, "seed": 11,
              "spacing": 10.0, "side_dims": 30, "side_scale": 0.45},
             float_keys=("spacing", "side_scale"),
         )
-        full = mio.synth_lowrank_dataset(
-            p["seed"], p["n"] + p["test"], p["d"], p["classes"],
-            spacing=p["spacing"], side_dims=p["side_dims"], side_scale=p["side_scale"],
-        )
+
+        def draw():
+            return mio.synth_lowrank_dataset(
+                p["seed"], p["n"] + p["test"], p["d"], p["classes"],
+                spacing=p["spacing"], side_dims=p["side_dims"], side_scale=p["side_scale"],
+            )
     elif spec.startswith("synth"):
-        p = _parse_spec_params(
+        generator, p = "synth", _parse_spec_params(
             spec,
             {"n": 2000, "test": 500, "d": 20, "classes": 3, "seed": 0, "sep": 6.0},
             float_keys=("sep",),
         )
-        full = mio.synth_dataset(
-            p["seed"], p["n"] + p["test"], p["d"], p["classes"], separation=p["sep"]
-        )
+
+        def draw():
+            return mio.synth_dataset(
+                p["seed"], p["n"] + p["test"], p["d"], p["classes"], separation=p["sep"]
+            )
     else:
         directory = spec
         if spec == "mnist":
@@ -110,8 +118,24 @@ def _load_datasets(spec: str, *splits: str) -> list[mio.Dataset]:
                 f"--data {spec!r} is neither 'synth[:...]' nor a directory of IDX files"
             )
         return [mio.read_idx(*_idx_pair(directory, s)) for s in splits]
-    rows = {"train": slice(0, p["n"]), "test": slice(p["n"], None)}
-    return [mio.Dataset(full.features[rows[s]], full.labels[rows[s]]) for s in splits]
+    if p["n"] < 0 or p["test"] < 0:
+        raise MorphkitError(f"--data {spec!r}: n and test must be >= 0")
+    paths = {s: mio.dataset_cache_path(generator, p, s) for s in ("train", "test")}
+    rows = {"train": p["n"], "test": p["test"]}
+    cached = []
+    for s in splits:
+        data = mio.read_cached_split(paths[s], (rows[s], p["d"]))
+        if data is None:
+            break
+        cached.append(data)
+    else:
+        return cached
+    full = draw()
+    drawn = {"train": mio.Dataset(full.features[:p["n"]], full.labels[:p["n"]]),
+             "test": mio.Dataset(full.features[p["n"]:], full.labels[p["n"]:])}
+    for s, data in drawn.items():
+        mio.write_cached_split(paths[s], data)
+    return [drawn[s] for s in splits]
 
 
 def _load_dataset(spec: str, split: str) -> mio.Dataset:
@@ -252,8 +276,8 @@ def cmd_finetune(args) -> int:
     cfg = _train_config(args)
     net, history = train_sgd(net, data, cfg)
     out = _out_path(args, args.out)
-    meta = dict(meta)
-    meta["finetune_epochs"] = meta.get("finetune_epochs", 0) + args.epochs
+    # each tuning appends its schedule; the parent's `train` block stays as it was
+    meta = {**meta, "finetune": [*meta.get("finetune", []), dataclasses.asdict(cfg)]}
     mio.save_model(net, out, metadata=meta)
     _write_history(_out_path(args, args.history), history[1:] or history, append=True)
     if eval_data is not None:

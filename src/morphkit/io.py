@@ -1,5 +1,5 @@
-"""Model serialization, IDX dataset ingestion, synthetic data, and report
-files.
+"""Model serialization, IDX dataset ingestion, synthetic data, the
+synthetic-dataset cache, and report files.
 
 Models are stored as UTF-8 JSON with an explicit schema version. Schema 2
 carries each weight matrix and bias as one base64 string of its
@@ -7,6 +7,12 @@ little-endian float64 bytes in row-major order, so a load reproduces every
 weight bit-for-bit; schema 1 files (nested number lists) are still read.
 IDX files follow the classic big-endian layout (magic, dims,
 unsigned bytes); gzipped files are handled transparently by extension.
+
+The dataset cache keeps one file per split of a synthetic draw under
+`$XDG_CACHE_HOME/morphkit` (default `~/.cache/morphkit`). An entry is named
+by a hash of everything that decides the draw and is checked on every read
+(dtype, shape, CRC-32), so a hit has the bits of a fresh draw and anything
+else is a miss. The generators themselves stay pure.
 """
 
 from __future__ import annotations
@@ -16,11 +22,15 @@ import contextlib
 import csv
 import dataclasses
 import gzip
+import hashlib
+import io as stdio
 import json
+import logging
 import math
 import os
 import secrets
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +39,18 @@ from .errors import IdxFormatError, ModelFormatError
 from .morph import MorphReport
 from .network import ACTIVATION_KINDS, Layer, Mlp
 
+log = logging.getLogger(__name__)
+
 MODEL_SCHEMA_VERSION = 2
 READABLE_SCHEMA_VERSIONS = (1, 2)
 _FLOAT64_LE = np.dtype("<f8")
+_INT64_LE = np.dtype("<i8")
+_UINT32_LE = np.dtype("<u4")
+
+# Bump whenever a cached split could differ from a fresh draw: a change to
+# the entry layout or to what a generator draws (tests/test_io.py pins the
+# generators' output, so such a change fails there first).
+DATASET_CACHE_FORMAT = 1
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -40,14 +59,16 @@ REPORT_CSV_COLUMNS = [f.name for f in dataclasses.fields(MorphReport)]
 
 
 @contextlib.contextmanager
-def _atomic_open(path, newline=None):
-    """Open a fresh temporary file next to `path` for text writing. When the
-    block finishes it replaces `path` in one step; when the block raises it
-    is removed, so `path` keeps its old contents either way."""
+def _atomic_open(path, newline=None, binary=False):
+    """Open a fresh temporary file next to `path` for text (or `binary`)
+    writing. When the block finishes it replaces `path` in one step; when
+    the block raises it is removed, so `path` keeps its old contents either
+    way."""
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8", newline=newline) as fh:
+        with (open(tmp, "xb") if binary else
+              open(tmp, "x", encoding="utf-8", newline=newline)) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -296,8 +317,97 @@ def synth_lowrank_dataset(
     side = side_means[labels] + side_scale * rng.normal(size=(n, side_dims))
     latent = np.column_stack([main, side])
     basis = rng.normal(size=(side_dims + 1, d)) / np.sqrt(d)
-    features = latent @ basis + ambient * rng.normal(size=(n, d))
+    # the bits of `latent @ basis + ambient * noise` (IEEE addition
+    # commutes), built in place rather than through numpy's elision of
+    # temporaries, so at most two n x d arrays are ever alive
+    features = rng.normal(size=(n, d))
+    features *= ambient
+    features += latent @ basis
     return Dataset(features=features, labels=labels)
+
+
+def dataset_cache_path(generator: str, params: dict, split: str) -> str:
+    """The cache entry of one split of a synthetic draw. Its name hashes the
+    generator, its fully resolved parameters, the numpy version (Generator
+    streams may change between releases) and DATASET_CACHE_FORMAT."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    key = json.dumps({"format": DATASET_CACHE_FORMAT, "generator": generator,
+                      "numpy": np.__version__, "params": params}, sort_keys=True)
+    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
+    return os.path.join(base, "morphkit", f"{generator}-{digest}-{split}.npys")
+
+
+def _split_checksum(features: np.ndarray, labels: np.ndarray) -> int:
+    return zlib.crc32(labels, zlib.crc32(features))
+
+
+def _npy_header(dtype: np.dtype, shape: tuple) -> bytes:
+    buf = stdio.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape,
+    })
+    return buf.getvalue()
+
+
+def _read_record(fh, dtype: np.dtype, shape: tuple) -> np.ndarray:
+    """The next npy record of `fh`, which must hold exactly `dtype` and
+    `shape` in C order. Its header must equal the one `np.save` writes for
+    them byte for byte, so a corrupt header is never parsed and never sizes
+    an allocation."""
+    header = _npy_header(dtype, shape)
+    if fh.read(len(header)) != header:
+        raise ValueError(f"not an npy header for {dtype} {shape}")
+    count = math.prod(shape)
+    array = np.fromfile(fh, dtype=dtype, count=count)
+    if array.size != count:
+        raise ValueError(f"truncated record: {array.size} of {count} entries")
+    return array.reshape(shape)
+
+
+def read_cached_split(path, shape: tuple) -> Dataset | None:
+    """The split cached at `path`, or None on a miss.
+
+    An entry is three npy records: `shape` little-endian float64 features,
+    int64 labels, and the CRC-32 of those bytes as a uint32 scalar, with
+    nothing after them. A missing, truncated or corrupt entry is a miss.
+    Logs one INFO line either way.
+    """
+    try:
+        with open(path, "rb") as fh:
+            features = _read_record(fh, _FLOAT64_LE, tuple(shape))
+            labels = _read_record(fh, _INT64_LE, tuple(shape[:1]))
+            crc = _read_record(fh, _UINT32_LE, ())
+            if fh.read(1):
+                raise ValueError("bytes after the checksum")
+    except FileNotFoundError:
+        log.info("dataset cache miss: %s", path)
+        return None
+    except (OSError, ValueError) as exc:
+        log.info("dataset cache miss (%s): %s", exc, path)
+        return None
+    if int(crc) != _split_checksum(features, labels):
+        log.info("dataset cache miss (checksum mismatch): %s", path)
+        return None
+    log.info("dataset cache hit: %s", path)
+    return Dataset(features=features, labels=labels)
+
+
+def write_cached_split(path, data: Dataset) -> None:
+    """Cache `data` at `path` in one atomic replace (see `read_cached_split`).
+    A cache that cannot be written is logged and skipped: the caller
+    already holds the data."""
+    features = np.ascontiguousarray(data.features, dtype=_FLOAT64_LE)
+    labels = np.ascontiguousarray(data.labels, dtype=_INT64_LE)
+    crc = np.array(_split_checksum(features, labels), dtype=_UINT32_LE)
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with _atomic_open(path, binary=True) as fh:
+            for array in (features, labels, crc):
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+    except OSError as exc:
+        log.info("dataset cache not written (%s): %s", exc, path)
 
 
 def _format_value(value) -> str:

@@ -1,7 +1,10 @@
 """End-to-end CLI tests driving main() in-process."""
 
+import dataclasses
 import json
+import logging
 import os
+import struct
 import subprocess
 import sys
 
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 from morphkit import io as mio
-from morphkit.cli import main
+from morphkit.cli import _load_datasets, main
 from morphkit.io import load_model, load_report_json, save_report_json
 from morphkit.morph import NO_SIGNAL_ADVICE, MorphReport, MorphSpec
 from morphkit.network import Layer, Mlp, TrainConfig, init_weights
@@ -98,6 +101,13 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "the training data has 0 rows" in err and "n >= 1" in err
         assert not (tmp_path / "parent.model").exists()
+
+    @pytest.mark.parametrize("data", ["synth:n=-5,test=10,d=12", "lowrank:n=20,test=-1,d=40"])
+    def test_negative_split_size_is_user_error(self, tmp_path, capsys, dataset_cache, data):
+        code = run("train", "--data", data, "--arch", "12,6,3", "--out-dir", str(tmp_path))
+        assert code == 1
+        assert "n and test must be >= 0" in capsys.readouterr().err
+        assert not dataset_cache.exists()
 
 
 class TestMorph:
@@ -249,14 +259,9 @@ class TestEvalAndFinetune:
         data = "lowrank:n=200,test=60,d=30,classes=3,side_dims=4,seed=5"
         assert run("train", "--data", data, "--arch", "30,8,3", "--epochs", "1",
                    "--out-dir", str(tmp_path)) == 0
-        draws = []
-        original = mio.synth_lowrank_dataset
-
-        def counted(*args, **kwargs):
-            draws.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(mio, "synth_lowrank_dataset", counted)
+        draws = count_draws(monkeypatch)
+        # `train` cached the draw; count the draws of a cold finetune
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cold-cache"))
         blank = MorphReport(algorithm="alg1", activation="relu", n_redundant=8, n_sparse=4,
                             compression_ratio=0.5, preservation_max=0.0,
                             preservation_rms=0.0, sparse_stop_reason="converged",
@@ -271,10 +276,158 @@ class TestEvalAndFinetune:
         assert run("eval", "--model", str(tmp_path / "tuned.model"), "--data", data,
                    "--split", "test", "--report", str(eval_report),
                    "--as", "acc_after_finetune") == 0
+        assert len(draws) == 1  # the eval read the finetune's draw back
         recorded = load_report_json(tuned_report).acc_after_finetune
         separate = load_report_json(eval_report).acc_after_finetune
         assert not np.isnan(recorded)
         assert np.float64(recorded).tobytes() == np.float64(separate).tobytes()
+
+    def test_finetune_records_each_tuning(self, parent_dir):
+        model = str(parent_dir / "parent.model")
+        _, parent_meta = load_model(model)
+        metas = {}
+        for lr in ("0.01", "0.05"):
+            assert run("finetune", "--model", model, "--data", SYNTH, "--lr", lr,
+                       "--epochs", "1", "--seed", "3", "--out", f"lr{lr}.model",
+                       "--history", "lr.csv", "--out-dir", str(parent_dir)) == 0
+            metas[lr] = load_model(parent_dir / f"lr{lr}.model")[1]
+        assert metas["0.01"] != metas["0.05"]
+        for lr, meta in metas.items():
+            assert meta == {**parent_meta, "finetune": [dataclasses.asdict(TrainConfig(
+                learning_rate=float(lr), weight_decay=1e-6, epochs=1, seed=3))]}
+        # tuning a tuned model appends, and the parent's schedule stays as it was
+        assert run("finetune", "--model", str(parent_dir / "lr0.01.model"), "--data", SYNTH,
+                   "--epochs", "2", "--out", "twice.model", "--history", "lr.csv",
+                   "--out-dir", str(parent_dir)) == 0
+        twice = load_model(parent_dir / "twice.model")[1]
+        assert [t["learning_rate"] for t in twice["finetune"]] == [0.01, 0.005]
+        assert [t["epochs"] for t in twice["finetune"]] == [1, 2]
+        assert twice["train"] == parent_meta["train"]
+
+
+def count_draws(monkeypatch):
+    """Route both generators through a counter; returns the list of draws."""
+    draws = []
+    for name in ("synth_dataset", "synth_lowrank_dataset"):
+        original = getattr(mio, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            draws.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mio, name, counted)
+    return draws
+
+
+LOWRANK = "lowrank:n=80,test=30,d=30,classes=3,side_dims=4,seed=5"
+
+
+def fresh_split(spec, split):
+    """The split as drawn without any cache."""
+    if spec.startswith("lowrank"):
+        full = mio.synth_lowrank_dataset(5, 110, 30, 3, side_dims=4)
+        n = 80
+    else:
+        full = mio.synth_dataset(4, 400, 12, 3)
+        n = 300
+    rows = slice(0, n) if split == "train" else slice(n, None)
+    return full.features[rows], full.labels[rows]
+
+
+class TestDatasetCache:
+    @pytest.mark.parametrize("spec", [LOWRANK, SYNTH], ids=["lowrank", "synth"])
+    @pytest.mark.parametrize("splits", [("train",), ("test",), ("test", "train")])
+    def test_hit_is_bit_identical_to_fresh_draw(self, monkeypatch, dataset_cache, spec, splits):
+        draws = count_draws(monkeypatch)
+        cold = _load_datasets(spec, *splits)
+        assert len(draws) == 1 and len(list(dataset_cache.iterdir())) == 2
+        warm = _load_datasets(spec, *splits)
+        assert len(draws) == 1
+        for split, a, b in zip(splits, cold, warm):
+            features, labels = fresh_split(spec, split)
+            for data in (a, b):
+                assert data.features.tobytes() == features.tobytes()
+                assert data.labels.tobytes() == labels.tobytes()
+                assert data.features.shape == features.shape
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped byte", "bad header", "empty"])
+    def test_damaged_entry_is_redrawn_and_rewritten(self, tmp_path, monkeypatch, dataset_cache,
+                                                    damage):
+        args = ("train", "--data", LOWRANK, "--arch", "30,6,3", "--epochs", "1")
+        assert run(*args, "--out-dir", str(tmp_path / "a")) == 0
+        (entry,) = dataset_cache.glob("*-train.npys")
+        good = entry.read_bytes()
+        damaged = {
+            "truncated": good[: len(good) // 2],
+            # a low bit of one feature, past the 128-byte npy header
+            "flipped byte": good[:200] + bytes([good[200] ^ 0x01]) + good[201:],
+            "bad header": b"\x93NUMPY\x01\x00" + b"{garbage" + good[16:],
+            "empty": b"",
+        }[damage]
+        entry.write_bytes(damaged)
+        draws = count_draws(monkeypatch)
+        assert run(*args, "--out-dir", str(tmp_path / "b")) == 0
+        assert draws == ["synth_lowrank_dataset"]
+        assert entry.read_bytes() == good
+        assert (tmp_path / "a" / "parent.model").read_bytes() == \
+            (tmp_path / "b" / "parent.model").read_bytes()
+
+    def test_unwritable_cache_still_succeeds(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        assert run("train", "--data", SYNTH, "--arch", "12,6,3", "--epochs", "1",
+                   "--out-dir", str(tmp_path / "out")) == 0
+        assert blocker.read_text() == ""
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
+                        reason="needs POSIX permissions that apply to this user")
+    def test_read_only_cache_directory_still_succeeds(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        (cache / "morphkit").mkdir(parents=True)
+        (cache / "morphkit").chmod(0o555)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        try:
+            assert run("train", "--data", SYNTH, "--arch", "12,6,3", "--epochs", "1",
+                       "--out-dir", str(tmp_path / "out")) == 0
+            assert list((cache / "morphkit").iterdir()) == []
+        finally:
+            (cache / "morphkit").chmod(0o755)
+
+    def test_equal_resolved_specs_share_one_entry(self, monkeypatch, dataset_cache):
+        draws = count_draws(monkeypatch)
+        _load_datasets("synth:n=300,test=100,d=12", "train")
+        # the same draw with every default spelled out, in another order
+        _load_datasets("synth:sep=6,seed=0,classes=3,d=12,test=100,n=300", "test")
+        _load_datasets("synth:n=300,test=100,d=12,seed=1", "test")
+        assert draws == ["synth_dataset", "synth_dataset"]
+        assert len(list(dataset_cache.iterdir())) == 4
+
+    def test_idx_directory_writes_no_entry(self, tmp_path, dataset_cache):
+        rng = np.random.default_rng(0)
+        for prefix, count in (("train", 30), ("t10k", 10)):
+            pixels = rng.integers(0, 256, size=(count, 2, 3), dtype=np.uint8)
+            with open(tmp_path / f"{prefix}-images-idx3-ubyte", "wb") as fh:
+                fh.write(struct.pack(">IIII", 0x00000803, count, 2, 3) + pixels.tobytes())
+            with open(tmp_path / f"{prefix}-labels-idx1-ubyte", "wb") as fh:
+                fh.write(struct.pack(">II", 0x00000801, count) + bytes(np.arange(count) % 3))
+        assert run("train", "--data", str(tmp_path), "--arch", "6,4,3", "--epochs", "1",
+                   "--out-dir", str(tmp_path / "out")) == 0
+        assert run("eval", "--model", str(tmp_path / "out" / "parent.model"),
+                   "--data", str(tmp_path), "--split", "test") == 0
+        assert not dataset_cache.exists()
+
+    def test_logs_one_line_per_hit_or_miss(self, tmp_path, caplog):
+        caplog.set_level(logging.INFO, logger="morphkit.io")
+        model = str(tmp_path / "parent.model")
+        assert run("train", "--data", SYNTH, "--arch", "12,6,3", "--epochs", "1",
+                   "--out-dir", str(tmp_path)) == 0
+        assert run("eval", "--model", model, "--data", SYNTH, "--split", "test") == 0
+        assert run("finetune", "--model", model, "--data", SYNTH, "--epochs", "1",
+                   "--eval-data", SYNTH, "--out-dir", str(tmp_path)) == 0
+        lines = [r.getMessage().split(":")[0] for r in caplog.records if r.name == "morphkit.io"]
+        assert lines == ["dataset cache miss", "dataset cache hit",
+                         "dataset cache hit", "dataset cache hit"]
 
 
 class TestVerify:

@@ -4,8 +4,10 @@ import base64
 import csv
 import dataclasses
 import gzip
+import hashlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -400,6 +402,118 @@ class TestLowRankDataset:
     def test_validation(self):
         with pytest.raises(ValueError):
             synth_lowrank_dataset(0, 10, d=4, classes=2, side_dims=9)
+
+
+class TestGeneratorPins:
+    """The dataset cache serves a stored split as a fresh draw, so a change
+    to what a generator draws must come with a new DATASET_CACHE_FORMAT."""
+
+    @pytest.mark.parametrize("draw,digest", [
+        (lambda: synth_dataset(3, 50, 6, 3),
+         "f24cb8ce1dc1ad119d606b707efe27bfbe1f66aac8bf03c9533cb8cfa92a2d8e"),
+        (lambda: synth_lowrank_dataset(5, 40, d=20, classes=4, side_dims=3),
+         "7eda6967a7089d8702659c342dfb542085dd3d9e8dfb3e55957c2eb45bbc9791"),
+    ], ids=["synth", "lowrank"])
+    def test_draw_is_pinned(self, draw, digest):
+        data = draw()
+        h = hashlib.sha256(data.features.tobytes())
+        h.update(data.labels.tobytes())
+        assert h.hexdigest() == digest, (
+            "the generator draws different bits: bump io.DATASET_CACHE_FORMAT "
+            "so no cached split is served as this draw, then update the pin"
+        )
+        assert mio.DATASET_CACHE_FORMAT == 1
+
+
+def cache_entry(tmp_path, rows=5, d=3, seed=0):
+    data = synth_dataset(seed, rows, d, 2) if rows else Dataset(np.zeros((0, d)), np.zeros(0))
+    path = tmp_path / "entry.npys"
+    mio.write_cached_split(path, data)
+    return path, data
+
+
+class TestDatasetCache:
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_round_trip_is_bit_exact(self, tmp_path, rows):
+        path, data = cache_entry(tmp_path, rows=rows)
+        back = mio.read_cached_split(path, (rows, 3))
+        assert back.features.tobytes() == data.features.tobytes()
+        assert back.labels.tobytes() == data.labels.tobytes()
+        assert back.features.dtype == np.float64 and back.labels.dtype == np.int64
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.npys"]
+
+    def test_every_flipped_byte_is_a_miss(self, tmp_path):
+        path, _ = cache_entry(tmp_path)
+        raw = path.read_bytes()
+        for k in range(len(raw)):
+            path.write_bytes(raw[:k] + bytes([raw[k] ^ 0xFF]) + raw[k + 1:])
+            assert mio.read_cached_split(path, (5, 3)) is None, f"byte {k} of {len(raw)}"
+
+    def test_truncated_or_extended_entry_is_a_miss(self, tmp_path):
+        path, _ = cache_entry(tmp_path)
+        raw = path.read_bytes()
+        for cut in (0, 3, 100, len(raw) // 2, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            assert mio.read_cached_split(path, (5, 3)) is None, cut
+        path.write_bytes(raw + b"\0")
+        assert mio.read_cached_split(path, (5, 3)) is None
+
+    @pytest.mark.parametrize("shape", [(4, 3), (5, 4), (6, 3)])
+    def test_unexpected_shape_is_a_miss(self, tmp_path, shape):
+        path, _ = cache_entry(tmp_path)
+        assert mio.read_cached_split(path, shape) is None
+
+    def test_foreign_npy_is_a_miss(self, tmp_path):
+        # a well-formed npy record of another dtype or layout never loads
+        path = tmp_path / "entry.npys"
+        for array in (np.zeros((5, 3), dtype=np.float32), np.asfortranarray(np.zeros((5, 3))),
+                      np.array([{"x": 1}], dtype=object)):
+            with open(path, "wb") as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=True)
+            assert mio.read_cached_split(path, (5, 3)) is None
+
+    def test_missing_entry_is_a_miss(self, tmp_path):
+        assert mio.read_cached_split(tmp_path / "absent.npys", (5, 3)) is None
+
+    def test_unwritable_location_is_skipped(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        mio.write_cached_split(blocker / "morphkit" / "entry.npys", synth_dataset(0, 5, 3, 2))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_interrupted_write_leaves_no_entry(self, tmp_path, monkeypatch):
+        def failing_write(fh, array, **kw):
+            fh.write(b"\x93NUMPY")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(mio.np.lib.format, "write_array", failing_write)
+        mio.write_cached_split(tmp_path / "entry.npys", synth_dataset(0, 5, 3, 2))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_path_hashes_every_resolved_parameter(self, monkeypatch):
+        params = {"n": 10, "test": 5, "d": 3, "seed": 0, "sep": 6.0}
+        path = mio.dataset_cache_path("synth", params, "train")
+        assert path == mio.dataset_cache_path("synth", dict(reversed(params.items())), "train")
+        others = [mio.dataset_cache_path("lowrank", params, "train"),
+                  mio.dataset_cache_path("synth", {**params, "sep": 6.5}, "train")]
+        for target, name, value in ((mio.np, "__version__", "0.0.0"),
+                                    (mio, "DATASET_CACHE_FORMAT", mio.DATASET_CACHE_FORMAT + 1)):
+            with monkeypatch.context() as m:
+                m.setattr(target, name, value)
+                others.append(mio.dataset_cache_path("synth", params, "train"))
+        assert len({path, *others}) == 5
+        name = os.path.basename(path)
+        assert name.startswith("synth-") and name.endswith("-train.npys")
+
+    @pytest.mark.parametrize("xdg,expected", [
+        ("/srv/cache", "/srv/cache/morphkit"),
+        ("", "~/.cache/morphkit"),
+        ("relative/cache", "~/.cache/morphkit"),  # the XDG spec ignores relative paths
+    ])
+    def test_location_follows_xdg_cache_home(self, monkeypatch, xdg, expected):
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+        path = mio.dataset_cache_path("synth", {}, "test")
+        assert os.path.dirname(path) == os.path.expanduser(expected)
 
 
 def sample_report(**kw):
