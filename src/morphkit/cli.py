@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 user error, 2 invariant failure. All artifact
 paths are joined under --out-dir. Set MORPHKIT_LOG to adjust verbosity.
-A synthetic --data spec is drawn by the first command that asks for it and
-read back from the dataset cache (see `morphkit.io`) by every later one.
+--data is a generator spec whose name matches `synth` or `lowrank` exactly,
+`mnist`, or a directory of IDX files. Every split of a synthetic spec comes
+from one draw, and later reads get it from the dataset cache (`morphkit.io`).
 """
 
 from __future__ import annotations
@@ -53,17 +54,18 @@ def _parse_arch(text: str) -> list[int]:
     return widths
 
 
-def _parse_spec_params(spec: str, params: dict, float_keys: tuple) -> dict:
-    params = dict(params)
-    if ":" in spec:
-        for item in spec.split(":", 1)[1].split(","):
-            if not item:
-                continue
-            key, _, value = item.partition("=")
-            if key not in params:
-                raise MorphkitError(f"unknown parameter {key!r} in --data {spec!r}")
-            params[key] = float(value) if key in float_keys else int(value)
-    return params
+# name -> (default parameters, draw of all n + test rows). A draw looks its
+# generator up on `mio` as it runs, so a wrapper put there sees every draw.
+_GENERATORS = {
+    "lowrank": ({"n": 6000, "test": 1000, "d": 784, "classes": 10, "seed": 11,
+                 "spacing": 10.0, "side_dims": 30, "side_scale": 0.45},
+                lambda p: mio.synth_lowrank_dataset(
+                    p["seed"], p["n"] + p["test"], p["d"], p["classes"], spacing=p["spacing"],
+                    side_dims=p["side_dims"], side_scale=p["side_scale"])),
+    "synth": ({"n": 2000, "test": 500, "d": 20, "classes": 3, "seed": 0, "sep": 6.0},
+              lambda p: mio.synth_dataset(p["seed"], p["n"] + p["test"], p["d"], p["classes"],
+                                          separation=p["sep"])),
+}
 
 
 def _idx_pair(directory: str, split: str) -> tuple[str, str]:
@@ -80,66 +82,48 @@ def _idx_pair(directory: str, split: str) -> tuple[str, str]:
     return pair[0], pair[1]
 
 
-def _load_datasets(spec: str, *splits: str) -> list[mio.Dataset]:
-    """One dataset per split. A synthetic spec is drawn once: its train and
-    test rows come from one draw so they share class means. Each split of
-    the draw is kept in the dataset cache (`io.read_cached_split`), so only
-    the first command that asks for a spec draws it."""
-    if spec.startswith("lowrank"):
-        generator, p = "lowrank", _parse_spec_params(
-            spec,
-            {"n": 6000, "test": 1000, "d": 784, "classes": 10, "seed": 11,
-             "spacing": 10.0, "side_dims": 30, "side_scale": 0.45},
-            float_keys=("spacing", "side_scale"),
-        )
-
-        def draw():
-            return mio.synth_lowrank_dataset(
-                p["seed"], p["n"] + p["test"], p["d"], p["classes"],
-                spacing=p["spacing"], side_dims=p["side_dims"], side_scale=p["side_scale"],
-            )
-    elif spec.startswith("synth"):
-        generator, p = "synth", _parse_spec_params(
-            spec,
-            {"n": 2000, "test": 500, "d": 20, "classes": 3, "seed": 0, "sep": 6.0},
-            float_keys=("sep",),
-        )
-
-        def draw():
-            return mio.synth_dataset(
-                p["seed"], p["n"] + p["test"], p["d"], p["classes"], separation=p["sep"]
-            )
-    else:
+def _load_dataset(spec: str, split: str) -> mio.Dataset:
+    """The `split` rows of the --data `spec`. A generator name must match
+    exactly; anything else is a directory of IDX files. Both splits of a
+    synthetic spec come from one draw, so they share class means: a cache
+    miss draws once and caches each split (`io.read_cached_split`)."""
+    name, _, text = spec.partition(":")
+    if name not in _GENERATORS:
         directory = spec
         if spec == "mnist":
             directory = os.environ.get("MORPHKIT_MNIST", os.path.join("data", "mnist"))
         if not os.path.isdir(directory):
             raise MorphkitError(
-                f"--data {spec!r} is neither 'synth[:...]' nor a directory of IDX files"
+                f"--data {spec!r} is neither 'synth[:...]', 'lowrank[:...]' "
+                "nor a directory of IDX files"
             )
-        return [mio.read_idx(*_idx_pair(directory, s)) for s in splits]
+        return mio.read_idx(*_idx_pair(directory, split))
+    defaults, draw = _GENERATORS[name]
+    p = dict(defaults)
+    for item in filter(None, text.split(",")):
+        key, _, value = item.partition("=")
+        if key not in p:
+            raise MorphkitError(f"unknown parameter {key!r} in --data {spec!r}")
+        kind = type(p[key])
+        try:
+            p[key] = kind(value)  # `sep=6` is 6.0, as in every cache key so far
+        except ValueError:
+            raise MorphkitError(f"--data {spec!r}: {key} needs "
+                                f"{'an' if kind is int else 'a'} {kind.__name__}, "
+                                f"got {value!r}") from None
     if p["n"] < 0 or p["test"] < 0:
         raise MorphkitError(f"--data {spec!r}: n and test must be >= 0")
-    paths = {s: mio.dataset_cache_path(generator, p, s) for s in ("train", "test")}
-    rows = {"train": p["n"], "test": p["test"]}
-    cached = []
-    for s in splits:
-        data = mio.read_cached_split(paths[s], (rows[s], p["d"]))
-        if data is None:
-            break
-        cached.append(data)
-    else:
+    paths = {s: mio.dataset_cache_path(name, p, s) for s in ("train", "test")}
+    rows = p["n"] if split == "train" else p["test"]
+    cached = mio.read_cached_split(paths[split], (rows, p["d"]))
+    if cached is not None:
         return cached
-    full = draw()
-    drawn = {"train": mio.Dataset(full.features[:p["n"]], full.labels[:p["n"]]),
-             "test": mio.Dataset(full.features[p["n"]:], full.labels[p["n"]:])}
+    full, n = draw(p), p["n"]
+    drawn = {"train": mio.Dataset(full.features[:n], full.labels[:n]),
+             "test": mio.Dataset(full.features[n:], full.labels[n:])}
     for s, data in drawn.items():
         mio.write_cached_split(paths[s], data)
-    return [drawn[s] for s in splits]
-
-
-def _load_dataset(spec: str, split: str) -> mio.Dataset:
-    return _load_datasets(spec, split)[0]
+    return drawn[split]
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -268,11 +252,8 @@ def cmd_eval(args) -> int:
 
 def cmd_finetune(args) -> int:
     net, meta = mio.load_model(args.model)
-    if args.eval_data == args.data:
-        data, eval_data = _load_datasets(args.data, args.split, args.eval_split)
-    else:
-        data = _load_dataset(args.data, args.split)
-        eval_data = _load_dataset(args.eval_data, args.eval_split) if args.eval_data else None
+    data = _load_dataset(args.data, args.split)
+    eval_data = _load_dataset(args.eval_data, args.eval_split) if args.eval_data else None
     cfg = _train_config(args)
     net, history = train_sgd(net, data, cfg)
     out = _out_path(args, args.out)

@@ -16,6 +16,16 @@ from the candidates' covariance (`similarity_matrix`), tells them apart.
 `iilasso_residual` takes G and c of a shared response reconstructed by a
 weighted sum of rank-one contribution matrices, which the caller forms
 from their factors without stacking them.
+
+Scope. KKT conditions hold only at a `converged` stop; a `target_nnz` or
+`max_itr` stop returns an iterate mid-descent that is not a stationary point
+of any lambda. With beta >= 0, alg1's problem is a quadratic program that is
+non-convex wherever I + lambda*alpha*R is not PSD (on the desk instance its
+smallest eigenvalue is -0.069, -1.14 and -5.42 at lambda 0.05, 0.1 and 0.3),
+so coordinate descent finds a stationary point that depends on the fixed
+cyclic order j = 0..D-1 of every sweep. That order is part of the
+bit-identity claim; another order gives a different, equally valid
+stationary point.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from morphkit import io as mio
-from morphkit.cli import _load_datasets, main
+from morphkit.cli import _load_dataset, main
 from morphkit.io import load_model, load_report_json, save_report_json
 from morphkit.morph import NO_SIGNAL_ADVICE, MorphReport, MorphSpec
 from morphkit.network import Layer, Mlp, TrainConfig, init_weights
@@ -334,14 +334,66 @@ def fresh_split(spec, split):
     return full.features[rows], full.labels[rows]
 
 
+def write_idx(directory):
+    """A 30-row train and a 10-row t10k IDX pair of 2x3 images, 3 classes."""
+    rng = np.random.default_rng(0)
+    directory.mkdir(parents=True, exist_ok=True)
+    for prefix, count in (("train", 30), ("t10k", 10)):
+        pixels = rng.integers(0, 256, size=(count, 2, 3), dtype=np.uint8)
+        with open(directory / f"{prefix}-images-idx3-ubyte", "wb") as fh:
+            fh.write(struct.pack(">IIII", 0x00000803, count, 2, 3) + pixels.tobytes())
+        with open(directory / f"{prefix}-labels-idx1-ubyte", "wb") as fh:
+            fh.write(struct.pack(">II", 0x00000801, count) + bytes(np.arange(count) % 3))
+
+
+class TestDataSpec:
+    @pytest.mark.parametrize("data,key,kind,value", [
+        ("synth:n", "n", "an int", "''"),
+        ("synth:n=1e3", "n", "an int", "'1e3'"),
+        ("synth:d=x", "d", "an int", "'x'"),
+        ("lowrank:spacing=wide", "spacing", "a float", "'wide'"),
+    ], ids=["no-value", "exponent", "letter", "float"])
+    def test_bad_value_names_spec_key_and_type(self, tmp_path, capsys, dataset_cache,
+                                                data, key, kind, value):
+        assert run("train", "--data", data, "--arch", "20,6,3", "--out-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert f"--data {data!r}: {key} needs {kind}, got {value}" in err
+        assert not dataset_cache.exists()
+
+    @pytest.mark.parametrize("data", ["synthetic:n=7,test=2,d=3",
+                                      "lowrank-old:n=7,test=2,d=40,side_dims=3"])
+    def test_generator_name_must_match_exactly(self, tmp_path, capsys, dataset_cache, data):
+        assert run("train", "--data", data, "--arch", "3,4,3", "--out-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert f"--data {data!r} is neither" in err and "nor a directory" in err
+        assert not dataset_cache.exists()
+
+    def test_directory_named_like_a_generator_is_read_as_idx(self, tmp_path, monkeypatch,
+                                                             dataset_cache):
+        write_idx(tmp_path / "synth_images")
+        monkeypatch.chdir(tmp_path)
+        data = _load_dataset("synth_images", "train")
+        want = mio.read_idx(tmp_path / "synth_images" / "train-images-idx3-ubyte",
+                            tmp_path / "synth_images" / "train-labels-idx1-ubyte")
+        assert data.features.tobytes() == want.features.tobytes()
+        assert data.labels.tobytes() == want.labels.tobytes()
+        assert run("train", "--data", "synth_images", "--arch", "6,4,3", "--epochs", "1",
+                   "--out-dir", "out") == 0
+        assert not dataset_cache.exists()
+
+
 class TestDatasetCache:
     @pytest.mark.parametrize("spec", [LOWRANK, SYNTH], ids=["lowrank", "synth"])
-    @pytest.mark.parametrize("splits", [("train",), ("test",), ("test", "train")])
+    @pytest.mark.parametrize("splits", [("train",), ("test",), ("test", "train"),
+                                        ("train", "test")])
     def test_hit_is_bit_identical_to_fresh_draw(self, monkeypatch, dataset_cache, spec, splits):
         draws = count_draws(monkeypatch)
-        cold = _load_datasets(spec, *splits)
-        assert len(draws) == 1 and len(list(dataset_cache.iterdir())) == 2
-        warm = _load_datasets(spec, *splits)
+        cold = []
+        for split in splits:
+            # the first, cold read writes the entries of both splits
+            cold.append(_load_dataset(spec, split))
+            assert len(draws) == 1 and len(list(dataset_cache.iterdir())) == 2
+        warm = [_load_dataset(spec, split) for split in splits]
         assert len(draws) == 1
         for split, a, b in zip(splits, cold, warm):
             features, labels = fresh_split(spec, split)
@@ -372,6 +424,33 @@ class TestDatasetCache:
         assert (tmp_path / "a" / "parent.model").read_bytes() == \
             (tmp_path / "b" / "parent.model").read_bytes()
 
+    def test_finetune_under_unwritable_cache_draws_again_with_same_bits(self, tmp_path,
+                                                                         monkeypatch):
+        assert run("train", "--data", SYNTH, "--arch", "12,6,3", "--epochs", "1",
+                   "--out-dir", str(tmp_path)) == 0
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        accuracies, models = [], []
+        for cache in (tmp_path / "cold-cache", blocker):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+            draws = count_draws(monkeypatch)
+            report = tmp_path / f"{cache.name}.report.json"
+            save_report_json(MorphReport(algorithm="alg1", activation="relu", n_redundant=6,
+                                         n_sparse=6, compression_ratio=1.0,
+                                         preservation_max=0.0, preservation_rms=0.0,
+                                         sparse_stop_reason="converged", wall_time_s=0.0),
+                             report)
+            out = tmp_path / f"out-{cache.name}"
+            assert run("finetune", "--model", str(tmp_path / "parent.model"), "--data", SYNTH,
+                       "--epochs", "1", "--eval-data", SYNTH, "--report", str(report),
+                       "--out-dir", str(out)) == 0
+            # one draw serves both splits when the train split could be cached
+            assert len(draws) == (1 if cache != blocker else 2)
+            accuracies.append(np.float64(load_report_json(report).acc_after_finetune).tobytes())
+            models.append((out / "finetuned.model").read_bytes())
+        assert accuracies[0] == accuracies[1] and models[0] == models[1]
+        assert blocker.read_text() == ""
+
     def test_unwritable_cache_still_succeeds(self, tmp_path, monkeypatch):
         blocker = tmp_path / "not-a-directory"
         blocker.write_text("")
@@ -396,21 +475,15 @@ class TestDatasetCache:
 
     def test_equal_resolved_specs_share_one_entry(self, monkeypatch, dataset_cache):
         draws = count_draws(monkeypatch)
-        _load_datasets("synth:n=300,test=100,d=12", "train")
+        _load_dataset("synth:n=300,test=100,d=12", "train")
         # the same draw with every default spelled out, in another order
-        _load_datasets("synth:sep=6,seed=0,classes=3,d=12,test=100,n=300", "test")
-        _load_datasets("synth:n=300,test=100,d=12,seed=1", "test")
+        _load_dataset("synth:sep=6,seed=0,classes=3,d=12,test=100,n=300", "test")
+        _load_dataset("synth:n=300,test=100,d=12,seed=1", "test")
         assert draws == ["synth_dataset", "synth_dataset"]
         assert len(list(dataset_cache.iterdir())) == 4
 
     def test_idx_directory_writes_no_entry(self, tmp_path, dataset_cache):
-        rng = np.random.default_rng(0)
-        for prefix, count in (("train", 30), ("t10k", 10)):
-            pixels = rng.integers(0, 256, size=(count, 2, 3), dtype=np.uint8)
-            with open(tmp_path / f"{prefix}-images-idx3-ubyte", "wb") as fh:
-                fh.write(struct.pack(">IIII", 0x00000803, count, 2, 3) + pixels.tobytes())
-            with open(tmp_path / f"{prefix}-labels-idx1-ubyte", "wb") as fh:
-                fh.write(struct.pack(">II", 0x00000801, count) + bytes(np.arange(count) % 3))
+        write_idx(tmp_path)
         assert run("train", "--data", str(tmp_path), "--arch", "6,4,3", "--epochs", "1",
                    "--out-dir", str(tmp_path / "out")) == 0
         assert run("eval", "--model", str(tmp_path / "out" / "parent.model"),
