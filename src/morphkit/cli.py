@@ -93,6 +93,11 @@ def _load_dataset(spec: str, split: str) -> mio.Dataset:
         if spec == "mnist":
             directory = os.environ.get("MORPHKIT_MNIST", os.path.join("data", "mnist"))
         if not os.path.isdir(directory):
+            if spec == "mnist":
+                source = ("from $MORPHKIT_MNIST" if "MORPHKIT_MNIST" in os.environ
+                          else "the default; set $MORPHKIT_MNIST to look elsewhere")
+                raise MorphkitError(f"--data 'mnist': no directory {os.path.abspath(directory)!r} "
+                                    f"({source}) holding the MNIST IDX files")
             raise MorphkitError(
                 f"--data {spec!r} is neither 'synth[:...]', 'lowrank[:...]' "
                 "nor a directory of IDX files"
@@ -118,7 +123,11 @@ def _load_dataset(spec: str, split: str) -> mio.Dataset:
     cached = mio.read_cached_split(paths[split], (rows, p["d"]))
     if cached is not None:
         return cached
-    full, n = draw(p), p["n"]
+    try:
+        full = draw(p)
+    except ValueError as exc:  # a value the generator refuses, such as d=0
+        raise MorphkitError(f"--data {spec!r}: {exc}") from None
+    n = p["n"]
     drawn = {"train": mio.Dataset(full.features[:n], full.labels[:n]),
              "test": mio.Dataset(full.features[n:], full.labels[n:])}
     for s, data in drawn.items():

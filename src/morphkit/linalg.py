@@ -4,6 +4,13 @@ rule, column standardization, and column-stacking vectorization.
 Matrices are plain 2-D float64 numpy arrays, validated at API boundaries:
 every operation checks that its inputs and outputs are finite. All
 functions are pure; arrays are never modified in place.
+
+The normal equations are solved with numpy alone. A Cholesky factorization
+of the Gram matrix is the positive-definiteness test that decides whether a
+fit needs the ridge fallback: it fails exactly when the matrix is not
+numerically positive definite. The solve itself is one LU solve of the Gram
+matrix. numpy has no triangular solve, and two general solves on the
+Cholesky factor and its transpose are slower than one on the Gram matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotFiniteError, ShapeError, SingularMatrixError
 
@@ -57,10 +63,10 @@ def _cholesky_solve(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarr
     if ridge > 0:
         gram = gram + ridge * np.eye(gram.shape[0])
     try:
-        factor = scipy.linalg.cho_factor(gram, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        np.linalg.cholesky(gram)  # the positive-definiteness test; the factor is unused
+        w = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
         return None
-    w = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
     return ensure_finite(w, "least_squares solution")
 
 
@@ -75,9 +81,10 @@ def _singular(x: np.ndarray, ridge: float) -> SingularMatrixError:
 def least_squares(x, y, ridge: float = 0.0) -> np.ndarray:
     """Solve argmin_W ||y - xW||_F^2 + ridge*||W||_F^2 via normal equations.
 
-    Uses a Cholesky factorization of x.T x + ridge*I. With ridge == 0 a
-    rank-deficient system raises SingularMatrixError; callers can retry
-    with `ridge_fallback(x)`, or call `least_squares_with_fallback`.
+    Solves with x.T x + ridge*I once a Cholesky factorization has shown it
+    positive definite. With ridge == 0 a rank-deficient system raises
+    SingularMatrixError; callers can retry with `ridge_fallback(x)`, or
+    call `least_squares_with_fallback`.
     """
     x, y = _checked_design(x, y, ridge)
     w = _cholesky_solve(x.T @ x, x.T @ y, ridge)

@@ -160,15 +160,6 @@ def _error_stats(diff: np.ndarray) -> tuple[float, float]:
     return float(np.abs(diff).max()), float(np.linalg.norm(diff) / np.sqrt(diff.size))
 
 
-def _preservation_from_taps(child: Mlp, p: int, a1, downstream_pre) -> tuple[float, float]:
-    """`preservation_error` of a child built by insertion after layer p,
-    from the parent taps `_prepare` already holds: the child's layers up to
-    p are the parent's, so only the inserted and downstream layers run
-    again, and the result has the same bits."""
-    pres, _ = _layer_outputs(Mlp(child.layers[p + 1 : p + 3]), a1)
-    return _error_stats(pres[1] - downstream_pre)
-
-
 def _prepare(mlp: Mlp, spec: MorphSpec, probe, w1_init):
     if not 0 <= spec.insert_after <= len(mlp.layers) - 2:
         raise ShapeError(
@@ -341,11 +332,22 @@ def morph(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphRep
                 f"all {w1.shape[1]} neurons {spec.algorithm} kept are silent on every probe "
                 f"row; {NO_SIGNAL_ADVICE}"
             )
-        w1, a_new = w1[:, live], a_new[:, live]
+        if not live.all():
+            # recomputed, not sliced: a column slice of a product need not have
+            # the bits of the product with the sliced weights, which the child's
+            # forward pass computes
+            w1 = w1[:, live]
+            a_new = apply_activation(spec.activation, a1 @ w1)
     w2, b2, readout_fallbacks = _fit_readout(a_new, downstream_pre, with_bias)
     fallbacks += readout_fallbacks
     child = _assemble_child(mlp, spec.insert_after, w1, spec.activation, w2, b2)
-    pres_max, pres_rms = _preservation_from_taps(child, spec.insert_after, a1, downstream_pre)
+    # the child's layers up to insert_after are the parent's, so a_new is its
+    # inserted layer's output on the probe, bit for bit, and this difference is
+    # `preservation_error`'s
+    readout = a_new @ w2
+    if b2 is not None:
+        readout += b2
+    pres_max, pres_rms = _error_stats(readout - downstream_pre)
     n_sparse = w1.shape[1]
     report = MorphReport(
         algorithm=spec.algorithm,

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ShapeError, TrainingDivergedError
 from .linalg import as_matrix
@@ -39,7 +38,13 @@ def _activate(kind: str, m: np.ndarray, in_place: bool = False) -> np.ndarray:
     if kind == "relu":
         return np.maximum(m, 0.0, out=out)
     if kind == "sigmoid":
-        return expit(m, out=out)
+        # 1/(1+exp(-x)), one operation at a time into one buffer; below
+        # x = -709 exp overflows to inf and the result is exactly 0.0
+        out = np.negative(m, out=out)
+        with np.errstate(over="ignore"):
+            np.exp(out, out=out)
+        out += 1.0
+        return np.reciprocal(out, out=out)
     if kind == "tanh":
         return np.tanh(m, out=out)
     return m if in_place else m.copy()

@@ -382,6 +382,32 @@ class TestDataSpec:
         assert not dataset_cache.exists()
 
 
+    @pytest.mark.parametrize("data,refusal", [
+        ("synth:d=0", "n, d and classes must all be >= 1"),
+        ("synth:classes=0", "n, d and classes must all be >= 1"),
+        ("lowrank:side_dims=900", "side_dims + 1 must not exceed the feature count"),
+    ])
+    def test_value_the_generator_refuses_names_spec(self, tmp_path, capsys, dataset_cache,
+                                                     data, refusal):
+        assert run("train", "--data", data, "--arch", "20,6,3", "--out-dir", str(tmp_path)) == 1
+        assert f"error: --data {data!r}: {refusal}\n" in capsys.readouterr().err
+        assert not dataset_cache.exists()
+
+    @pytest.mark.parametrize("from_env", [True, False], ids=["MORPHKIT_MNIST", "default"])
+    def test_missing_mnist_names_the_directory_it_looked_in(self, tmp_path, capsys, monkeypatch,
+                                                            from_env):
+        monkeypatch.chdir(tmp_path)
+        if from_env:
+            looked_in, source = str(tmp_path / "absent"), "$MORPHKIT_MNIST"
+            monkeypatch.setenv("MORPHKIT_MNIST", looked_in)
+        else:
+            looked_in, source = os.path.join(os.getcwd(), "data", "mnist"), "the default"
+            monkeypatch.delenv("MORPHKIT_MNIST", raising=False)
+        assert run("train", "--data", "mnist", "--arch", "784,6,10", "--out-dir", "out") == 1
+        err = capsys.readouterr().err
+        assert f"--data 'mnist': no directory {looked_in!r}" in err and source in err
+
+
 class TestDatasetCache:
     @pytest.mark.parametrize("spec", [LOWRANK, SYNTH], ids=["lowrank", "synth"])
     @pytest.mark.parametrize("splits", [("train",), ("test",), ("test", "train"),
@@ -576,3 +602,34 @@ class TestReport:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run("report", "--out-dir", str(empty)) == 1
+
+
+def test_command_sequence_runs_without_scipy(tmp_path):
+    """numpy is the only runtime dependency: a fresh interpreter runs train,
+    morph, eval and finetune through `cli.main` and never imports scipy."""
+    data, out = "synth:n=60,test=20", str(tmp_path / "out")
+    child = os.path.join(out, "child.model")
+    commands = [
+        ["train", "--data", data, "--arch", "20,8,3", "--act", "sigmoid", "--epochs", "1",
+         "--out-dir", out],
+        ["morph", "--model", os.path.join(out, "parent.model"), "--data", data, "--at", "0",
+         "--width", "6", "--act", "sigmoid", "--out-dir", out],
+        ["eval", "--model", child, "--data", data, "--split", "test"],
+        ["finetune", "--model", child, "--data", data, "--epochs", "1", "--eval-data", data,
+         "--out-dir", out],
+    ]
+    script = (
+        "import json, sys\n"
+        "from morphkit.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0], proc.stderr
+    assert scipy_modules == []

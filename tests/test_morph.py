@@ -654,7 +654,7 @@ class TestLogging:
 class TestGeneratedEdgeCases:
     """Probes with fewer rows than candidates, and lambdas that zero every
     coefficient: a morph returns a finite child or raises EmptyLayerError,
-    never a numpy or scipy error."""
+    never a numpy error."""
 
     @settings(max_examples=80, deadline=None)
     @given(

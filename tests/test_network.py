@@ -2,6 +2,7 @@
 
 import copy
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from morphkit.network import (
     Layer,
     Mlp,
     TrainConfig,
+    _activate,
     apply_activation,
     evaluate,
     forward,
@@ -39,13 +41,19 @@ class TestActivations:
         np.testing.assert_allclose(lhs, np.abs(x), atol=1e-12)
 
     def test_monotone_and_bounded(self):
-        x = np.linspace(-30, 30, 4001).reshape(1, -1)
-        for kind in ACTIVATION_KINDS:
-            y = apply_activation(kind, x)[0]
-            assert (np.diff(y) >= 0).all(), kind
+        x = np.concatenate([[-800.0], np.linspace(-30, 30, 4001), [800.0]]).reshape(1, -1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ACTIVATION_KINDS:
+                y = apply_activation(kind, x)
+                assert (np.diff(y[0]) >= 0).all(), kind
+                # the training step's in-place path gives the same bits
+                assert _activate(kind, x.copy(), in_place=True).tobytes() == y.tobytes(), kind
+            s = apply_activation("sigmoid", x)[0]
         assert (apply_activation("relu", x) >= 0).all()
-        s = apply_activation("sigmoid", x)
-        assert (s > 0).all() and (s < 1).all()
+        # exp(800) overflows without a warning, so sigmoid saturates exactly
+        assert (s[0], s[-1]) == (0.0, 1.0)
+        assert (s[1:-1] > 0).all() and (s[1:-1] < 1).all()
         # tanh saturates to exactly +-1.0 in float64 beyond |x| ~ 19
         t = apply_activation("tanh", np.linspace(-15, 15, 4001).reshape(1, -1))
         assert (t > -1).all() and (t < 1).all()
