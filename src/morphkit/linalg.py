@@ -15,8 +15,9 @@ Cholesky factor and its transpose are slower than one on the Gram matrix.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +42,15 @@ def ensure_finite(arr: np.ndarray, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NotFiniteError(f"{name}: produced non-finite entries")
     return arr
+
+
+def check_finite_fields(config) -> None:
+    """Raise ValueError naming the first float field of a config dataclass
+    that is NaN or infinite; comparisons such as `x < 0` let both through."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 def _checked_design(x, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:

@@ -80,7 +80,10 @@ class MorphSpec:
 @dataclass(kw_only=True)
 class MorphReport:
     """Outcome of one insertion run; accuracy fields are filled by the
-    experiment harness, not by the morph itself. `ridge_fallbacks` counts
+    experiment harness, not by the morph itself. `sparse_sweeps` and
+    `sparse_objective` are the solver's sweep count and final objective (0
+    and NaN for `baseline`, which runs no solver); their defaults let
+    reports written before they existed load. `ridge_fallbacks` counts
     every ridged least-squares fit of the morph, alg3's scoring fit
     included. Field order is the column order of report.csv."""
 
@@ -93,6 +96,8 @@ class MorphReport:
     preservation_max: float
     preservation_rms: float
     sparse_stop_reason: str
+    sparse_sweeps: int = 0
+    sparse_objective: float = float("nan")
     ridge_fallbacks: int = 0
     acc_parent: float = float("nan")
     acc_post_morph: float = float("nan")
@@ -239,7 +244,7 @@ def _select_diag(spec, a1, downstream_pre, w1, with_bias, refit: bool):
     w1_kept = w1[:, active]
     if spec.fold_beta:
         w1_kept = fold_beta(w1_kept, beta_full[active], spec.activation)
-    return w1_kept, sol.stop_reason, int(fell_back)
+    return w1_kept, sol, int(fell_back)
 
 
 def contribution_matrices(a_new, w2) -> np.ndarray:
@@ -292,15 +297,16 @@ def _select_alg3(spec, a1, downstream_pre, w1, with_bias):
     sol = iilasso_residual(g, corr[live] * scales / m, gram_similarity(g, cfg), cfg)
     active = np.zeros(spec.width, dtype=bool)
     active[live] = sol.beta != 0
-    return w1[:, active], sol.stop_reason, fallbacks
+    return w1[:, active], sol, fallbacks
 
 
 def _select_baseline(spec, a1, downstream_pre, w1, with_bias):
-    return w1, "none", 0
+    return w1, None, 0
 
 
 # selector(spec, a1, downstream_pre, w1, with_bias) -> (kept inserted
-# columns, stop reason, ridge fallbacks of the fits the selector made itself)
+# columns, the solver's SparseSolution or None, ridge fallbacks of the fits
+# the selector made itself)
 _SELECTORS = {
     "alg1": functools.partial(_select_diag, refit=False),
     "alg2": functools.partial(_select_diag, refit=True),
@@ -317,7 +323,7 @@ def morph(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphRep
     a1, downstream_pre, w1 = _prepare(mlp, spec, probe, w1_init)
     with_bias = mlp.layers[spec.insert_after + 1].bias is not None
     select = _SELECTORS[spec.algorithm]
-    w1, stop_reason, fallbacks = select(spec, a1, downstream_pre, w1, with_bias)
+    w1, sol, fallbacks = select(spec, a1, downstream_pre, w1, with_bias)
     if w1.shape[1] == 0:  # the selectors raise for a probe that no lambda could fix
         raise EmptyLayerError(
             f"{spec.algorithm} at lambda {spec.sparse.lam:g} zeroed the coefficient of every "
@@ -349,6 +355,10 @@ def morph(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphRep
         readout += b2
     pres_max, pres_rms = _error_stats(readout - downstream_pre)
     n_sparse = w1.shape[1]
+    solve = {"sparse_stop_reason": "none"}  # baseline ran no solver: the defaults hold
+    if sol is not None:
+        solve = {"sparse_stop_reason": sol.stop_reason, "sparse_sweeps": sol.sweeps_run,
+                 "sparse_objective": float(sol.objective_trace[-1])}
     report = MorphReport(
         algorithm=spec.algorithm,
         activation=spec.activation,
@@ -357,12 +367,13 @@ def morph(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphRep
         compression_ratio=n_sparse / spec.width,
         preservation_max=pres_max,
         preservation_rms=pres_rms,
-        sparse_stop_reason=stop_reason,
         ridge_fallbacks=fallbacks,
+        **solve,
         wall_time_s=time.perf_counter() - t0,
     )
     log.info(
         "%s: width %d -> %d, preservation max %.3e rms %.3e, stop %s, %d ridge fallbacks",
-        spec.algorithm, spec.width, n_sparse, pres_max, pres_rms, stop_reason, fallbacks,
+        spec.algorithm, spec.width, n_sparse, pres_max, pres_rms, report.sparse_stop_reason,
+        fallbacks,
     )
     return child, report

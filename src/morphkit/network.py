@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, TrainingDivergedError
-from .linalg import as_matrix
+from .linalg import as_matrix, check_finite_fields
 
 ACTIVATION_KINDS = ("relu", "sigmoid", "tanh", "identity")
 
@@ -197,6 +197,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be >= 0")
         if not 0.0 <= self.momentum < 1.0:

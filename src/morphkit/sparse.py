@@ -17,6 +17,11 @@ from the candidates' covariance (`similarity_matrix`), tells them apart.
 weighted sum of rank-one contribution matrices, which the caller forms
 from their factors without stacking them.
 
+The sweep inlines the closed-form coordinate update, so each coordinate
+costs one dot product (two in Gram form) and a few float operations. `morphkit.verify` holds
+the update itself (`coordinate_update`) and a reference loop of it; its
+`solver-reference` check keeps the two solvers byte-identical to that loop.
+
 Scope. KKT conditions hold only at a `converged` stop; a `target_nnz` or
 `max_itr` stop returns an iterate mid-descent that is not a stationary point
 of any lambda. With beta >= 0, alg1's problem is a quadratic program that is
@@ -25,7 +30,8 @@ smallest eigenvalue is -0.069, -1.14 and -5.42 at lambda 0.05, 0.1 and 0.3),
 so coordinate descent finds a stationary point that depends on the fixed
 cyclic order j = 0..D-1 of every sweep. That order is part of the
 bit-identity claim; another order gives a different, equally valid
-stationary point.
+stationary point. A non-finite objective at the start raises before the
+first sweep.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotFiniteError, ShapeError, StandardizationError
-from .linalg import as_matrix, least_squares_with_fallback
+from .linalg import as_matrix, check_finite_fields, least_squares_with_fallback
 
 @dataclass(frozen=True)
 class SparseConfig:
@@ -55,6 +61,7 @@ class SparseConfig:
     r_cap: float = 1e6
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.lam < 0 or self.alpha < 0:
             raise ValueError("lam and alpha must be nonnegative")
         if self.max_itr < 1:
@@ -111,22 +118,6 @@ def gram_similarity(gram, cfg: SparseConfig) -> np.ndarray:
     return penalties
 
 
-def coordinate_update(rho: float, threshold: float, r_jj: float, cfg: SparseConfig) -> float:
-    """Closed-form minimizer of either objective restricted to one
-    coefficient: S(rho, threshold) / (1 + alpha * lam * R_jj).
-
-    The shrinkage is scalar Python arithmetic with the same bits as
-    `verify.soft_threshold`, -0.0 included: np.sign maps both zeros to
-    +0.0 and np.maximum propagates NaN. R_jj is zero by construction so the
-    denominator is exactly 1; the written form is kept deliberately.
-    """
-    shrunk = abs(rho) - threshold
-    if shrunk <= 0.0:
-        shrunk = 0.0
-    value = math.copysign(shrunk, rho) if rho != 0.0 else 0.0 * shrunk
-    return value / (1.0 + cfg.alpha * cfg.lam * r_jj)
-
-
 def _penalty(beta: np.ndarray, r: np.ndarray, cfg: SparseConfig) -> float:
     ab = np.abs(beta)
     return cfg.lam * (float(ab.sum()) + 0.5 * cfg.alpha * float(ab @ r @ ab))
@@ -162,30 +153,44 @@ def _coordinate_descent(corr, gram, r, cfg: SparseConfig, beta, data) -> SparseS
         return data(b) + _penalty(b, r, cfg)
 
     # The sweep runs on Python floats and keeps |beta| (and, with a Gram
-    # matrix, the signed beta) as arrays updated in place; each threshold and
-    # update is the same float that `verify.coordinate_threshold` and
-    # coordinate_update give for these arguments.
+    # matrix, the signed beta) as arrays updated in place. Each update is
+    # `verify.coordinate_update` of `verify.coordinate_threshold`, inlined
+    # operation for operation: the same ddot through ndarray.dot, the same
+    # shrinkage with its signed zeros and NaN, and the same divisor
+    # 1 + (alpha * lam) * R_jj, formed once per solve.
     lam, alpha = cfg.lam, cfg.alpha
-    rows = list(r)
+    row_dots = [row.dot for row in r]
     r_diag = r.diagonal().tolist()
+    denom = [1.0 + alpha * lam * r_jj for r_jj in r_diag]
     c = corr.tolist()
-    gram_rows = None if gram is None else list(gram)
+    gram_dots = None if gram is None else [row.dot for row in gram]
     signed = beta.copy()
     b = beta.tolist()
     abs_beta = np.abs(beta)
     trace = [objective(beta)]
+    if not math.isfinite(trace[0]):
+        raise NotFiniteError(
+            f"objective is {trace[0]} at the starting iterate with lam {lam:g}, alpha "
+            f"{alpha:g} and r_cap {cfg.r_cap:g}; use smaller values"
+        )
     sweeps = 0
     reason = _stop_reason(beta, np.inf, sweeps, cfg)
     while reason is None:
         max_delta = 0.0
         for j in range(d):
-            rho = c[j] if gram_rows is None else c[j] - float(gram_rows[j] @ signed) + b[j]
-            cross = float(rows[j] @ abs_beta) - r_diag[j] * abs(b[j])
-            new = coordinate_update(rho, lam * (1.0 + alpha * cross), r_diag[j], cfg)
-            max_delta = max(max_delta, abs(new - b[j]))
+            old = b[j]
+            rho = c[j] if gram_dots is None else c[j] - float(gram_dots[j](signed)) + old
+            cross = float(row_dots[j](abs_beta)) - r_diag[j] * abs(old)
+            shrunk = abs(rho) - lam * (1.0 + alpha * cross)
+            if shrunk <= 0.0:
+                shrunk = 0.0
+            new = (math.copysign(shrunk, rho) if rho != 0.0 else 0.0 * shrunk) / denom[j]
+            delta = abs(new - old)
+            if delta > max_delta:  # max(max_delta, delta), NaN included
+                max_delta = delta
             b[j] = new
             abs_beta[j] = abs(new)
-            if gram_rows is not None:
+            if gram_dots is not None:
                 signed[j] = new
         sweeps += 1
         beta = np.array(b)

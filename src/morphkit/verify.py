@@ -7,21 +7,24 @@ coordinate updates beat a dense 1-D grid and never raise the objective,
 converged solutions satisfy stationarity, the two evaluation routes of the
 shared-response loss agree, exact-preservation constructions hold, the
 covariance route to the similarity matrix matches the standardized one,
-analytic gradients match finite differences, the in-place trainer
-matches an out-of-place reference loop byte for byte, and files
+both solvers match a reference loop of the per-coordinate oracles byte
+for byte, analytic gradients match finite differences, the in-place
+trainer matches an out-of-place reference loop byte for byte, and files
 round-trip. Seeds change the instances, never the expected outcome. A
 check's seed derives from the run seed and its name, so adding or
 removing a check moves no other. Checks that measure something return it (a worst error, a
 converged count), so a suite can run them over many seeds and report.
 
-The objectives, `soft_threshold`, `coordinate_threshold` and
-`stack_contributions` are oracles: the solvers compute the same
-quantities in their own form and never call them.
+The objectives, `soft_threshold`, `coordinate_threshold`,
+`coordinate_update`, `reference_loop` and `stack_contributions` are
+oracles: the solvers compute the same quantities in their own form and
+never call them.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import os
 import tempfile
 import zlib
@@ -36,7 +39,7 @@ from .network import (
 )
 from .sparse import (
     SparseConfig,
-    coordinate_update,
+    SparseSolution,
     gram_similarity,
     iilasso_diag,
     iilasso_residual,
@@ -58,6 +61,23 @@ def coordinate_threshold(r_row: np.ndarray, beta: np.ndarray, j: int, cfg: Spars
     return cfg.lam * (1.0 + cfg.alpha * cross)
 
 
+def coordinate_update(rho: float, threshold: float, r_jj: float, cfg: SparseConfig) -> float:
+    """Closed-form minimizer of either objective restricted to one
+    coefficient: S(rho, threshold) / (1 + alpha * lam * R_jj).
+
+    The shrinkage is scalar Python arithmetic with the same bits as
+    `soft_threshold`, -0.0 included: np.sign maps both zeros to +0.0 and
+    np.maximum propagates NaN. R_jj is zero by construction so the
+    denominator is exactly 1; the written form is kept deliberately. The
+    solvers' sweep inlines this operation for operation.
+    """
+    shrunk = abs(rho) - threshold
+    if shrunk <= 0.0:
+        shrunk = 0.0
+    value = math.copysign(shrunk, rho) if rho != 0.0 else 0.0 * shrunk
+    return value / (1.0 + cfg.alpha * cfg.lam * r_jj)
+
+
 def _penalty(beta, r, cfg: SparseConfig) -> float:
     ab = np.abs(beta)
     return cfg.lam * (float(ab.sum()) + 0.5 * cfg.alpha * float(ab @ r @ ab))
@@ -67,6 +87,13 @@ def diag_objective(beta, r, cfg: SparseConfig) -> float:
     """alg1's penalty-only objective (1/2)||1 - beta||^2 plus the penalty."""
     resid = 1.0 - np.asarray(beta)
     return 0.5 * float(resid @ resid) + _penalty(beta, r, cfg)
+
+
+def gram_objective(beta, gram, corr, r, cfg: SparseConfig) -> float:
+    """The residual solver's Gram-form objective (1/2) beta.T G beta -
+    corr.T beta plus the penalty: the stacked objective less its constant."""
+    beta = np.asarray(beta)
+    return 0.5 * float(beta @ gram @ beta) - float(corr @ beta) + _penalty(beta, r, cfg)
 
 
 def stack_contributions(t) -> np.ndarray:
@@ -212,6 +239,71 @@ def _stationary(sol, resid_corr, r, cfg: SparseConfig) -> int:
     return 1
 
 
+def reference_loop(r, cfg: SparseConfig, gram=None, corr=None):
+    """The solvers' documented sweep written with the per-coordinate
+    oracles: from beta = 1, coordinates in the order 0..D-1, each set to
+    `coordinate_update(rho_j, coordinate_threshold(...), R_jj)` with rho_j =
+    corr_j - G_j.beta + beta_j, or rho_j = 1 without a Gram matrix
+    (`iilasso_diag`'s G = I, corr = 1). Before every sweep it stops on the
+    nonzero count, then the largest change of the last sweep, then the
+    sweep budget. Returns (beta, sweeps, stop_reason, betas), where betas
+    holds the iterate at the start and after every sweep."""
+    d = r.shape[0]
+    beta = np.ones(d)
+    betas = [beta.copy()]
+    sweeps = 0
+    max_delta = np.inf
+    while True:
+        if np.count_nonzero(beta) <= cfg.target_nnz:
+            reason = "target_nnz"
+        elif max_delta < cfg.tol:
+            reason = "converged"
+        elif sweeps >= cfg.max_itr:
+            reason = "max_itr"
+        else:
+            reason = None
+        if reason is not None:
+            return beta, sweeps, reason, betas
+        max_delta = 0.0
+        for j in range(d):
+            rho = 1.0 if gram is None else float(corr[j]) - float(gram[j] @ beta) + float(beta[j])
+            thr = coordinate_threshold(r[j], beta, j, cfg)
+            new = coordinate_update(rho, thr, float(r[j, j]), cfg)
+            max_delta = max(max_delta, abs(new - float(beta[j])))
+            beta[j] = new
+        sweeps += 1
+        betas.append(beta.copy())
+
+
+def assert_matches_reference(r, cfg: SparseConfig, gram=None, corr=None) -> SparseSolution:
+    """Solve with `iilasso_diag`, or with `iilasso_residual` given gram and
+    corr, and assert that its beta has the bytes of `reference_loop`'s (so
+    -0.0 too), that sweeps and stop reason agree, and that the trace is the
+    objective of the reference iterates within 1e-12 relative."""
+    if gram is None:
+        sol = iilasso_diag(r, cfg)
+
+        def objective(b):
+            return diag_objective(b, r, cfg)
+    else:
+        sol = iilasso_residual(gram, corr, r, cfg)
+
+        def objective(b):
+            return gram_objective(b, gram, corr, r, cfg)
+    beta, sweeps, reason, betas = reference_loop(r, cfg, gram, corr)
+    what = f"{'diag' if gram is None else 'residual'} solver at d={len(beta)}"
+    assert sol.beta.tobytes() == beta.tobytes(), f"{what}: beta differs from the reference loop"
+    assert (sol.sweeps_run, sol.stop_reason) == (sweeps, reason), (
+        f"{what}: stopped after {sol.sweeps_run} sweeps ({sol.stop_reason}), the reference loop "
+        f"after {sweeps} ({reason})"
+    )
+    assert len(sol.objective_trace) == len(betas), f"{what}: trace length"
+    for k, (got, b) in enumerate(zip(sol.objective_trace, betas)):
+        want = objective(b)
+        assert abs(got - want) <= 1e-12 * abs(want), f"{what}: trace[{k}] {got!r}, objective {want!r}"
+    return sol
+
+
 def check_least_squares_stationarity(seed: int) -> None:
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(30, 5))
@@ -280,6 +372,32 @@ def check_residual_solver_stationarity(seed: int) -> int:
         converged += _stationary(sol, (y_vec - z @ sol.beta) @ z / z.shape[0], r, cfg)
     assert converged >= 5, "too few instances converged"
     return converged
+
+
+def check_solver_reference(seed: int) -> int:
+    """Both solvers equal `reference_loop` byte for byte: beta, sweeps and
+    stop reason, on small instances (among them a sparsity-target stop and a
+    sweep budget) and at 64 <= d <= 256, inside the widths of 100 to 400
+    that the desk and the benchmark morph at, where ddot takes its vector
+    path. Returns the number of solves compared."""
+    rng = np.random.default_rng(seed)
+    wide = SparseConfig(lam=0.5, alpha=1.0, tol=1e-9, max_itr=300)
+    cases = [random_diag_instance(rng) for _ in range(4)]
+    cases.append((random_r(rng, 40, 20, wide, duplicate=True),
+                  SparseConfig(lam=0.5, alpha=0.5, target_nnz=16)))
+    cases += [(random_r(rng, d + 40, d, wide), wide) for d in (int(rng.integers(64, 129)), 256)]
+    for _ in range(4):
+        _, _, gram, corr, r, cfg = random_residual_instance(rng)
+        cases.append((r, cfg, gram, corr))
+    for d, budget in ((int(rng.integers(64, 129)), 300), (256, 20)):
+        t = scaled_contributions(rng, d, 24, 4)
+        y = rng.normal(size=(24, 4)) + t[0] - 0.5 * t[1]
+        cfg = SparseConfig(lam=0.05, alpha=0.1, tol=1e-9, max_itr=budget)
+        _, _, gram, corr = gram_form(t, y - y.mean())
+        cases.append((similarity_matrix(gram, cfg), cfg, gram, corr))
+    for case in cases:
+        assert_matches_reference(*case)
+    return len(cases)
 
 
 def check_relaxation_bounds(seed: int) -> tuple[float, float]:
@@ -498,6 +616,7 @@ CHECKS = [
     ("residual-coordinate-oracle", check_residual_coordinate_oracle),
     ("diag-solver-stationarity", check_diag_solver_stationarity),
     ("residual-solver-stationarity", check_residual_solver_stationarity),
+    ("solver-reference", check_solver_reference),
     ("relaxation-bounds", check_relaxation_bounds),
     ("stacked-loss-equivalence", check_stacked_loss_equivalence),
     ("similarity-covariance", check_similarity_covariance),

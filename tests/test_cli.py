@@ -110,7 +110,31 @@ class TestTrain:
         assert not dataset_cache.exists()
 
 
+    @pytest.mark.parametrize("flag,value,field", [("--lr", "nan", "learning_rate"),
+                                                  ("--weight-decay", "inf", "weight_decay")])
+    def test_non_finite_setting_is_user_error(self, tmp_path, capsys, flag, value, field):
+        code = run("train", "--data", "synth:n=60,test=20", "--arch", "20,8,3", "--epochs", "1",
+                   flag, value, "--out-dir", str(tmp_path))
+        assert code == 1
+        assert f"{field} must be finite, got {float(value)!r}" in capsys.readouterr().err
+        assert not (tmp_path / "parent.model").exists()
+
+
 class TestMorph:
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--tol", "nan", "tol"), ("--lambda", "nan", "lam"), ("--alpha", "inf", "alpha"),
+        ("--r-cap", "inf", "r_cap"),
+    ])
+    def test_non_finite_setting_is_user_error(self, parent_dir, capsys, flag, value, field):
+        code = run(
+            "morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
+            "--at", "1", "--width", "10", flag, value, "--out", "never.model",
+            "--out-dir", str(parent_dir),
+        )
+        assert code == 1
+        assert f"{field} must be finite, got {float(value)!r}" in capsys.readouterr().err
+        assert not (parent_dir / "never.model").exists()
+
     def test_morph_writes_child_and_report(self, parent_dir, capsys):
         code = run(
             "morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
@@ -546,7 +570,7 @@ class TestVerify:
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         names = [name for name, _ in verify_mod.CHECKS]
-        assert len(names) == 15
+        assert len(names) == 16
         assert proc.stdout.splitlines() == names
 
     def test_default_run_passes(self, capsys):

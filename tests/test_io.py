@@ -254,8 +254,9 @@ class TestGeneratedRoundTrips:
     @settings(max_examples=60, deadline=None)
     @given(
         accs=st.tuples(*[st.floats(0, 1) | st.just(float("nan"))] * 3),
-        numbers=st.tuples(FINITE, FINITE, FINITE, FINITE),
-        counts=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 9)),
+        numbers=st.tuples(FINITE, FINITE, FINITE, FINITE, FINITE | st.just(float("nan"))),
+        counts=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 9),
+                         st.integers(0, 10**4)),
         text=st.text(),
     )
     def test_report_round_trip(self, tmp_path_factory, accs, numbers, counts, text):
@@ -264,6 +265,7 @@ class TestGeneratedRoundTrips:
             n_redundant=counts[0], n_sparse=counts[1], ridge_fallbacks=counts[2],
             compression_ratio=numbers[0], preservation_max=numbers[1],
             preservation_rms=numbers[2], wall_time_s=numbers[3], sparse_stop_reason=text,
+            sparse_sweeps=counts[3], sparse_objective=numbers[4],
             acc_parent=accs[0], acc_post_morph=accs[1], acc_after_finetune=accs[2],
         )
         path = tmp_path_factory.mktemp("report") / "r.report.json"
@@ -272,6 +274,17 @@ class TestGeneratedRoundTrips:
         for field in dataclasses.fields(MorphReport):
             a, b = getattr(report, field.name), getattr(loaded, field.name)
             assert float_or_nan_equal(a, b), field.name
+
+    def test_report_without_solver_fields_loads(self, tmp_path):
+        # reports written before sparse_sweeps and sparse_objective existed
+        doc = dataclasses.asdict(sample_report())
+        del doc["sparse_sweeps"], doc["sparse_objective"]
+        path = tmp_path / "old.report.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_report_json(path)
+        assert loaded.sparse_sweeps == 0 and np.isnan(loaded.sparse_objective)
+        restored = dataclasses.replace(loaded, sparse_sweeps=37, sparse_objective=12.75)
+        assert restored == sample_report()
 
 
 class TestReadIdx:
@@ -526,6 +539,8 @@ def sample_report(**kw):
         preservation_max=0.001234,
         preservation_rms=0.000456,
         sparse_stop_reason="converged",
+        sparse_sweeps=37,
+        sparse_objective=12.75,
         wall_time_s=1.25,
         run_id="run-1",
         acc_parent=0.97,
@@ -544,7 +559,8 @@ class TestReportCsv:
         assert len(lines) == 2
         assert lines[0] == (
             "run_id,algorithm,activation,n_redundant,n_sparse,compression_ratio,"
-            "preservation_max,preservation_rms,sparse_stop_reason,ridge_fallbacks,"
+            "preservation_max,preservation_rms,sparse_stop_reason,sparse_sweeps,"
+            "sparse_objective,ridge_fallbacks,"
             "acc_parent,acc_post_morph,acc_after_finetune,wall_time_s"
         )
 

@@ -132,6 +132,22 @@ class TestAlg1:
         # untouched layers shared verbatim
         np.testing.assert_array_equal(child.layers[0].weight, parent.layers[0].weight)
 
+    def test_report_records_the_solve(self, monkeypatch):
+        solved = []
+
+        def recording(r, cfg):
+            solved.append(r)
+            return sparse_mod.iilasso_diag(r, cfg)
+
+        monkeypatch.setattr(morph_mod, "iilasso_diag", recording)
+        spec = spec_for("alg1")
+        _, report = morph(random_parent(11), spec, probe_for(12, 90, 6))
+        (r,) = solved
+        sol = sparse_mod.iilasso_diag(r, spec.sparse)
+        assert report.sparse_sweeps == sol.sweeps_run > 0
+        assert report.sparse_objective == float(sol.objective_trace[-1])
+        assert report.sparse_stop_reason == sol.stop_reason
+
     def test_insert_position_validated(self):
         parent = random_parent(13)
         probe = probe_for(14, 40, 6)
@@ -406,6 +422,9 @@ class TestBaseline:
         _, report = morph(parent, spec_for("baseline"), probe)
         assert report.compression_ratio == 1.0
         assert report.n_sparse == report.n_redundant == 8
+        # no solver ran
+        assert (report.sparse_stop_reason, report.sparse_sweeps) == ("none", 0)
+        assert np.isnan(report.sparse_objective)
 
     def test_beats_random_downstream_weights(self):
         parent = random_parent(38)

@@ -250,6 +250,12 @@ class TestTrainSgd:
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["learning_rate", "momentum", "weight_decay"])
+    def test_non_finite_value_names_its_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            TrainConfig(**{name: value})
+
 
 class TestEvaluate:
     def test_perfect_net(self):

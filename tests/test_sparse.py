@@ -8,22 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphkit.errors import ShapeError, StandardizationError
+from morphkit.errors import NotFiniteError, ShapeError, StandardizationError
 from morphkit.sparse import (
     SparseConfig,
-    coordinate_update,
     iilasso_diag,
     iilasso_residual,
     refit_w1,
     similarity_matrix,
 )
 from morphkit.verify import (
+    assert_matches_reference,
     check_diag_coordinate_oracle,
     check_diag_solver_stationarity,
     check_relaxation_bounds,
     check_residual_coordinate_oracle,
+    check_solver_reference,
     check_stacked_loss_equivalence,
-    coordinate_threshold,
+    coordinate_update,
     covariance,
     diag_objective,
     gram_form,
@@ -80,6 +81,14 @@ class TestSimilarityMatrix:
         assert (np.diag(r) == 0).all()
         assert (r >= 0).all()
         assert (r <= SparseConfig().r_cap).all()
+
+
+class TestSparseConfig:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["lam", "alpha", "tol", "r_cap"])
+    def test_non_finite_value_names_its_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            SparseConfig(**{name: value})
 
 
 class TestSoftThreshold:
@@ -300,68 +309,24 @@ def float_bits(value) -> bytes:
     return struct.pack("<d", float(value))
 
 
-def reference_diag_loop(r, cfg):
-    """iilasso_diag's documented sweep written with the public per-coordinate
-    functions: from beta = 1 with every corr_j = 1, Gauss-Seidel order, stop
-    on nonzero count, then largest change, then sweep budget. Returns (beta,
-    sweeps, stop_reason, betas), where betas holds the iterate at the start
-    and after every sweep."""
-    d = r.shape[0]
-    beta = np.ones(d)
-    betas = [beta.copy()]
-    sweeps = 0
-    max_delta = np.inf
-    while True:
-        if np.count_nonzero(beta) <= cfg.target_nnz:
-            reason = "target_nnz"
-        elif max_delta < cfg.tol:
-            reason = "converged"
-        elif sweeps >= cfg.max_itr:
-            reason = "max_itr"
-        else:
-            reason = None
-        if reason is not None:
-            return beta, sweeps, reason, betas
-        max_delta = 0.0
-        for j in range(d):
-            thr = coordinate_threshold(r[j], beta, j, cfg)
-            new = coordinate_update(1.0, thr, r[j, j], cfg)
-            max_delta = max(max_delta, abs(new - beta[j]))
-            beta[j] = new
-        sweeps += 1
-        betas.append(beta.copy())
-
-
-def assert_solver_matches_reference(r, cfg):
-    sol = iilasso_diag(r, cfg)
-    beta, sweeps, reason, betas = reference_diag_loop(r, cfg)
-    assert sol.beta.tobytes() == beta.tobytes()  # bitwise, so -0.0 too
-    assert (sol.sweeps_run, sol.stop_reason) == (sweeps, reason)
-    assert len(sol.objective_trace) == len(betas)
-    for got, b in zip(sol.objective_trace, betas):
-        want = diag_objective(b, r, cfg)
-        assert abs(got - want) <= 1e-12 * abs(want)
-    return sol
-
-
 class TestDiagSolverBitIdentity:
-    """iilasso_diag runs its sweep on scalars; the iterates must stay those
-    of the per-coordinate functions, bit for bit, and the trace must be the
-    penalty-only objective."""
+    """iilasso_diag runs its sweep on scalars with the update inlined; the
+    iterates must stay those of `verify.reference_loop`, bit for bit, and
+    the trace must be the penalty-only objective."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cold_start(self, seed):
         cfg = SparseConfig(lam=0.1, alpha=0.2, tol=1e-10, max_itr=500)
-        assert_solver_matches_reference(random_r(np.random.default_rng(seed), 40, 12, cfg), cfg)
+        assert_matches_reference(random_r(np.random.default_rng(seed), 40, 12, cfg), cfg)
 
     def test_alpha_zero(self):
         cfg = SparseConfig(lam=0.15, alpha=0.0, tol=1e-12, max_itr=2000)
-        assert_solver_matches_reference(random_r(np.random.default_rng(14), 30, 8, cfg), cfg)
+        assert_matches_reference(random_r(np.random.default_rng(14), 30, 8, cfg), cfg)
 
     def test_target_nnz_stop(self):
         cfg = SparseConfig(lam=0.5, alpha=0.5, target_nnz=16)
         r = random_r(np.random.default_rng(15), 40, 20, cfg, duplicate=True)
-        sol = assert_solver_matches_reference(r, cfg)
+        sol = assert_matches_reference(r, cfg)
         assert sol.stop_reason == "target_nnz"
 
     @settings(max_examples=60, deadline=None)
@@ -377,7 +342,7 @@ class TestDiagSolverBitIdentity:
     def test_generated_instances(self, seed, n, d, lam, alpha, duplicate, target_nnz):
         cfg = SparseConfig(lam=lam, alpha=alpha, target_nnz=target_nnz, tol=1e-9, max_itr=300)
         r = random_r(np.random.default_rng(seed), n, d, cfg, duplicate)
-        assert_solver_matches_reference(r, cfg)
+        assert_matches_reference(r, cfg)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -401,3 +366,59 @@ class TestDiagSolverBitIdentity:
         assert float_bits(coordinate_update(0.05, 0.1, 0.0, cfg)) == float_bits(0.0)
         assert float_bits(coordinate_update(-0.0, 0.1, 0.0, cfg)) == float_bits(0.0)
         assert float_bits(coordinate_update(-0.0, -0.1, 0.0, cfg)) == float_bits(0.0)
+
+
+class TestResidualSolverBitIdentity:
+    """iilasso_residual runs the same inlined sweep in Gram form; its
+    iterates must stay those of `verify.reference_loop` with rho_j =
+    corr_j - G_j.beta + beta_j, bit for bit, -0.0 included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cold_start(self, seed):
+        rng = np.random.default_rng(seed)
+        t = scaled_contributions(rng, 10, 15, 3)
+        y = rng.normal(size=(15, 3)) + t[0] - 0.7 * t[4]
+        cfg = SparseConfig(lam=0.05, alpha=0.2, tol=1e-10, max_itr=500)
+        _, _, gram, corr = gram_form(t, y - y.mean())
+        assert_matches_reference(similarity_matrix(gram, cfg), cfg, gram, corr)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 20),
+        d=st.integers(1, 8),
+        q=st.integers(1, 4),
+        lam=st.floats(0.001, 0.5),
+        alpha=st.sampled_from([0.0, 0.1, 1.0, 5.0]),
+        target_nnz=st.integers(0, 3),
+    )
+    def test_generated_instances(self, seed, n, d, q, lam, alpha, target_nnz):
+        rng = np.random.default_rng(seed)
+        t = scaled_contributions(rng, d, n, q)
+        y = rng.normal(size=(n, q)) + rng.normal() * t[0]
+        cfg = SparseConfig(lam=lam, alpha=alpha, target_nnz=target_nnz, tol=1e-9, max_itr=300)
+        _, _, gram, corr = gram_form(t, y - y.mean())
+        assert_matches_reference(similarity_matrix(gram, cfg), cfg, gram, corr)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_solver_reference_check(seed):
+    # both forms, small and at d = 64..256, where ddot takes its vector path
+    assert check_solver_reference(seed) == 13
+
+
+class TestNonFiniteStart:
+    def test_overflowing_penalty_names_the_knobs(self):
+        cfg = SparseConfig(lam=1e200, alpha=1e200)
+        r = random_r(np.random.default_rng(27), 20, 4, cfg)
+        with pytest.raises(NotFiniteError, match=r"starting iterate with lam 1e\+200, alpha "
+                                                 r"1e\+200 and r_cap 1e\+06"):
+            iilasso_diag(r, cfg)
+
+    def test_gram_form_checks_before_the_first_sweep(self):
+        rng = np.random.default_rng(28)
+        t = scaled_contributions(rng, 3, 10, 2)
+        _, _, gram, corr = gram_form(t, rng.normal(size=(10, 2)))
+        cfg = SparseConfig(lam=1e300, alpha=1e300, max_itr=1)
+        with pytest.raises(NotFiniteError, match="starting iterate"):
+            iilasso_residual(gram, corr, similarity_matrix(gram, cfg), cfg)
