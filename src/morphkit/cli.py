@@ -147,12 +147,12 @@ def _add_data_flags(p: argparse.ArgumentParser):
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=5e-3)
-    p.add_argument("--weight-decay", type=float, default=1e-6)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 def _train_config(args) -> TrainConfig:
@@ -207,14 +207,7 @@ def cmd_train(args) -> int:
 def cmd_morph(args) -> int:
     parent, meta = mio.load_model(args.model)
     data = _load_dataset(args.data, args.split)
-    sparse = SparseConfig(
-        lam=args.lam,
-        alpha=args.alpha,
-        max_itr=args.max_itr,
-        target_nnz=args.target_nnz,
-        tol=args.tol,
-        r_cap=args.r_cap,
-    )
+    sparse = SparseConfig(lam=args.lam, alpha=args.alpha, max_itr=args.max_itr, tol=args.tol)
     spec = MorphSpec(
         insert_after=args.at,
         width=args.width,
@@ -337,15 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=int, required=True,
                    help="0-based index of the layer after which to insert")
     p.add_argument("--width", type=int, required=True)
-    p.add_argument("--act", choices=ACTIVATION_KINDS, default="relu")
+    p.add_argument("--act", choices=ACTIVATION_KINDS, default=MorphSpec.activation)
     p.add_argument("--alg", choices=ALGORITHM_NAMES, default=MorphSpec.algorithm)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--max-itr", type=int, default=1000)
-    p.add_argument("--target-nnz", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-7)
-    p.add_argument("--r-cap", type=float, default=1e6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lambda", dest="lam", type=float, default=SparseConfig.lam)
+    p.add_argument("--alpha", type=float, default=SparseConfig.alpha)
+    p.add_argument("--max-itr", type=int, default=SparseConfig.max_itr)
+    p.add_argument("--tol", type=float, default=SparseConfig.tol)
+    p.add_argument("--seed", type=int, default=MorphSpec.seed)
     p.add_argument("--probe-size", type=int, default=4096)
     p.add_argument("--fold-beta", action="store_true")
     p.add_argument("--run-id", default="")

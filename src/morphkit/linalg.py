@@ -53,7 +53,7 @@ def check_finite_fields(config) -> None:
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
-def _checked_design(x, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+def _checked_design(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     if x.shape[0] != y.shape[0]:
@@ -62,8 +62,6 @@ def _checked_design(x, y, ridge: float) -> tuple[np.ndarray, np.ndarray]:
         )
     if x.shape[0] < 1:
         raise ShapeError("least_squares requires at least one row")
-    if ridge < 0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
     return x, y
 
 
@@ -96,15 +94,17 @@ def least_squares(x, y, ridge: float = 0.0) -> np.ndarray:
     SingularMatrixError; callers can retry with `ridge_fallback(x)`, or
     call `least_squares_with_fallback`.
     """
-    x, y = _checked_design(x, y, ridge)
+    x, y = _checked_design(x, y)
+    if ridge < 0:
+        raise ValueError(f"ridge must be nonnegative, got {ridge}")
     w = _cholesky_solve(x.T @ x, x.T @ y, ridge)
     if w is None:
         raise _singular(x, ridge)
     return w
 
 
-def least_squares_with_fallback(x, y, ridge: float = 0.0) -> tuple[np.ndarray, bool]:
-    """`least_squares` that falls back to ridge + ridge_fallback(x), reusing
+def least_squares_with_fallback(x, y) -> tuple[np.ndarray, bool]:
+    """`least_squares` that falls back to ridge_fallback(x), reusing
     the Gram matrix and right-hand side. A design with fewer rows than
     columns is underdetermined: it goes straight to the fallback with a
     RuntimeWarning. Any other design falls back only when its system is
@@ -113,17 +113,17 @@ def least_squares_with_fallback(x, y, ridge: float = 0.0) -> tuple[np.ndarray, b
     Returns (w, fell_back). Raises SingularMatrixError if the fallback
     fails too, as it does for an all-zero x, whose fallback ridge is 0.
     """
-    x, y = _checked_design(x, y, ridge)
+    x, y = _checked_design(x, y)
     gram = x.T @ x
     rhs = x.T @ y
     underdetermined = x.shape[0] < x.shape[1]
     if underdetermined:
         warnings.warn(f"a least-squares design has {x.shape[0]} rows but {x.shape[1]} "
                       f"unknowns; applying an automatic ridge", RuntimeWarning, stacklevel=2)
-    w = None if underdetermined else _cholesky_solve(gram, rhs, ridge)
+    w = None if underdetermined else _cholesky_solve(gram, rhs, 0.0)
     if w is not None:
         return w, False
-    ridge += ridge_fallback(x)
+    ridge = ridge_fallback(x)
     w = _cholesky_solve(gram, rhs, ridge)
     if w is None:
         raise _singular(x, ridge)

@@ -75,6 +75,9 @@ class MorphSpec:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHM_NAMES}"
             )
+        if self.fold_beta and self.algorithm not in ("alg1", "alg2"):
+            raise ValueError(f"fold_beta applies to alg1 and alg2 only; {self.algorithm} "
+                             f"would ignore it")
 
 
 @dataclass(kw_only=True)
@@ -234,7 +237,7 @@ def _select_diag(spec, a1, downstream_pre, w1, with_bias, refit: bool):
     if not live.any():
         raise EmptyLayerError(f"all {w1.shape[1]} candidate neurons are constant on the probe; "
                               f"{NO_SIGNAL_ADVICE}")
-    sol = iilasso_diag(similarity_matrix(cov[np.ix_(live, live)], spec.sparse), spec.sparse)
+    sol = iilasso_diag(similarity_matrix(cov[np.ix_(live, live)]), spec.sparse)
     beta_full = np.zeros(w1.shape[1])
     beta_full[live] = sol.beta
     fell_back = False
@@ -275,7 +278,6 @@ def _select_alg3(spec, a1, downstream_pre, w1, with_bias):
     """Fit a scoring readout at full width, then keep the neurons whose
     rank-one contributions to that readout's downstream reconstruction get
     a nonzero coefficient. `morph` refits the readout on the kept neurons."""
-    cfg = spec.sparse
     a_new_full = apply_activation(spec.activation, a1 @ w1)
     w2, b2, fallbacks = _fit_readout(a_new_full, downstream_pre, with_bias)
 
@@ -294,7 +296,7 @@ def _select_alg3(spec, a1, downstream_pre, w1, with_bias):
     m = target.size
     scales = np.sqrt(m / sq_norms[live])
     g = gram[np.ix_(live, live)] * scales[:, None] * scales[None, :] / m
-    sol = iilasso_residual(g, corr[live] * scales / m, gram_similarity(g, cfg), cfg)
+    sol = iilasso_residual(g, corr[live] * scales / m, gram_similarity(g), spec.sparse)
     active = np.zeros(spec.width, dtype=bool)
     active[live] = sol.beta != 0
     return w1[:, active], sol, fallbacks

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, TrainingDivergedError
+from .errors import NotFiniteError, ShapeError, TrainingDivergedError
 from .linalg import as_matrix, check_finite_fields
 
 ACTIVATION_KINDS = ("relu", "sigmoid", "tanh", "identity")
@@ -82,7 +82,7 @@ class Layer:
                     f"width {self.weight.shape[1]}"
                 )
             if not np.isfinite(self.bias).all():
-                raise ShapeError("bias contains non-finite entries")
+                raise NotFiniteError("layer bias: contains non-finite entries")
 
     @property
     def d_in(self) -> int:

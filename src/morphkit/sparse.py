@@ -4,8 +4,8 @@ Both solvers minimize a least-squares data term plus
 lambda * (||beta||_1 + (alpha/2) |beta|^T R |beta|), where R is a pairwise
 similarity penalty built from column correlations. The penalty discourages
 keeping groups of near-duplicate neurons: as two columns approach
-collinearity their R entry blows up (capped at r_cap) and one of the pair
-is driven to zero. alpha = 0 recovers plain Lasso.
+collinearity their R entry blows up and one of the pair is driven to
+zero. alpha = 0 recovers plain Lasso.
 
 One coordinate-descent kernel serves both solvers. In covariance form
 (glmnet's "covariance updates") the data term is const - c^T beta +
@@ -22,12 +22,13 @@ costs one dot product (two in Gram form) and a few float operations. `morphkit.v
 the update itself (`coordinate_update`) and a reference loop of it; its
 `solver-reference` check keeps the two solvers byte-identical to that loop.
 
-Scope. KKT conditions hold only at a `converged` stop; a `target_nnz` or
-`max_itr` stop returns an iterate mid-descent that is not a stationary point
-of any lambda. With beta >= 0, alg1's problem is a quadratic program that is
-non-convex wherever I + lambda*alpha*R is not PSD (on the desk instance its
-smallest eigenvalue is -0.069, -1.14 and -5.42 at lambda 0.05, 0.1 and 0.3),
-so coordinate descent finds a stationary point that depends on the fixed
+Scope. A solve stops as `converged` (no coefficient moved by tol in the
+last sweep) or `max_itr` (the sweep budget ran out), as glmnet's does. KKT
+holds at every `converged` stop; only a `max_itr` stop is mid-descent. With
+beta >= 0, alg1's problem is a quadratic program that is non-convex
+wherever I + lambda*alpha*R is not PSD (on the desk instance its smallest
+eigenvalue is -0.069, -1.14 and -5.42 at lambda 0.05, 0.1 and 0.3), so
+coordinate descent finds a stationary point that depends on the fixed
 cyclic order j = 0..D-1 of every sweep. That order is part of the
 bit-identity claim; another order gives a different, equally valid
 stationary point. A non-finite objective at the start raises before the
@@ -44,21 +45,24 @@ import numpy as np
 from .errors import NotFiniteError, ShapeError, StandardizationError
 from .linalg import as_matrix, check_finite_fields, least_squares_with_fallback
 
+# Cap of every similarity penalty. r / (1 - r) is unbounded as r -> 1; the
+# cap only keeps an exact duplicate pair (r = 1) finite, it is no setting.
+R_CAP = 1e6
+
+
 @dataclass(frozen=True)
 class SparseConfig:
     """Penalty weights and termination knobs shared by both solvers.
 
     lam scales the whole penalty, alpha the similarity part. A sweep loop
-    stops once sweeps reach max_itr, the largest single-coefficient change
-    falls below tol, or the nonzero count drops to target_nnz.
+    stops once the largest single-coefficient change of a sweep falls below
+    tol, or once sweeps reach max_itr.
     """
 
     lam: float = 0.1
     alpha: float = 0.1
     max_itr: int = 1000
-    target_nnz: int = 0
     tol: float = 1e-7
-    r_cap: float = 1e6
 
     def __post_init__(self):
         check_finite_fields(self)
@@ -66,12 +70,8 @@ class SparseConfig:
             raise ValueError("lam and alpha must be nonnegative")
         if self.max_itr < 1:
             raise ValueError("max_itr must be >= 1")
-        if self.target_nnz < 0:
-            raise ValueError("target_nnz must be >= 0")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.r_cap <= 0:
-            raise ValueError("r_cap must be positive")
 
 
 @dataclass
@@ -85,7 +85,7 @@ class SparseSolution:
     stop_reason: str
 
 
-def similarity_matrix(cov, cfg: SparseConfig) -> np.ndarray:
+def similarity_matrix(cov) -> np.ndarray:
     """Pairwise similarity penalties R from the covariance of the columns.
 
     The covariance is normalized by its diagonal into correlations, and R
@@ -100,19 +100,19 @@ def similarity_matrix(cov, cfg: SparseConfig) -> np.ndarray:
         raise StandardizationError(f"column {bad[0]} has variance {var[bad[0]]:.6g}; drop "
                                    f"constant columns before building the similarity matrix")
     inv_sd = 1.0 / np.sqrt(var)
-    return gram_similarity(cov * inv_sd[:, None] * inv_sd[None, :], cfg)
+    return gram_similarity(cov * inv_sd[:, None] * inv_sd[None, :])
 
 
-def gram_similarity(gram, cfg: SparseConfig) -> np.ndarray:
+def gram_similarity(gram) -> np.ndarray:
     """Pairwise similarity penalties R from a unit-diagonal Gram matrix.
 
     With r_jk = |G_jk| clipped to [0, 1], off-diagonal entries are
-    r / (1 - r) capped at cfg.r_cap; the diagonal is exactly zero.
+    r / (1 - r) capped at R_CAP; the diagonal is exactly zero.
     """
     r = np.clip(np.abs(as_matrix(gram, "gram")), 0.0, 1.0)
     with np.errstate(divide="ignore"):
         penalties = np.where(r < 1.0, r / np.maximum(1.0 - r, 1e-300), np.inf)
-    penalties = np.minimum(penalties, cfg.r_cap)
+    penalties = np.minimum(penalties, R_CAP)
     penalties = 0.5 * (penalties + penalties.T)
     np.fill_diagonal(penalties, 0.0)
     return penalties
@@ -123,9 +123,7 @@ def _penalty(beta: np.ndarray, r: np.ndarray, cfg: SparseConfig) -> float:
     return cfg.lam * (float(ab.sum()) + 0.5 * cfg.alpha * float(ab @ r @ ab))
 
 
-def _stop_reason(beta, max_delta, sweeps, cfg: SparseConfig) -> str | None:
-    if int(np.count_nonzero(beta)) <= cfg.target_nnz:
-        return "target_nnz"
+def _stop_reason(max_delta, sweeps, cfg: SparseConfig) -> str | None:
     if max_delta < cfg.tol:
         return "converged"
     if sweeps >= cfg.max_itr:
@@ -170,11 +168,11 @@ def _coordinate_descent(corr, gram, r, cfg: SparseConfig, beta, data) -> SparseS
     trace = [objective(beta)]
     if not math.isfinite(trace[0]):
         raise NotFiniteError(
-            f"objective is {trace[0]} at the starting iterate with lam {lam:g}, alpha "
-            f"{alpha:g} and r_cap {cfg.r_cap:g}; use smaller values"
+            f"objective is {trace[0]} at the starting iterate with lam {lam:g} and "
+            f"alpha {alpha:g}; use smaller values"
         )
     sweeps = 0
-    reason = _stop_reason(beta, np.inf, sweeps, cfg)
+    reason = None
     while reason is None:
         max_delta = 0.0
         for j in range(d):
@@ -200,7 +198,7 @@ def _coordinate_descent(corr, gram, r, cfg: SparseConfig, beta, data) -> SparseS
                 f"objective became non-finite at sweep {sweeps}; trace so far: {trace}"
             )
         trace.append(obj)
-        reason = _stop_reason(beta, max_delta, sweeps, cfg)
+        reason = _stop_reason(max_delta, sweeps, cfg)
     return SparseSolution(
         beta=beta,
         objective_trace=np.asarray(trace),

@@ -38,6 +38,7 @@ from .network import (
     EpochStats, Layer, Mlp, TrainConfig, evaluate, forward, loss_and_gradients, train_sgd,
 )
 from .sparse import (
+    R_CAP,
     SparseConfig,
     SparseSolution,
     gram_similarity,
@@ -113,14 +114,14 @@ def covariance(x) -> np.ndarray:
     return x.T @ x / x.shape[0]
 
 
-def random_r(rng, n: int, d: int, cfg: SparseConfig, duplicate: bool = False) -> np.ndarray:
+def random_r(rng, n: int, d: int, duplicate: bool = False) -> np.ndarray:
     """Similarity matrix of d mixed random columns over n rows; with
     `duplicate`, the last column is a scaled copy of the first, so that pair
-    sits at r_cap."""
+    sits at R_CAP."""
     x = rng.normal(size=(n, d)) @ rng.normal(size=(d, d))
     if duplicate and d > 1:
         x[:, -1] = rng.uniform(0.5, 2.0) * x[:, 0]
-    return similarity_matrix(covariance(x), cfg)
+    return similarity_matrix(covariance(x))
 
 
 def random_diag_instance(rng):
@@ -128,7 +129,7 @@ def random_diag_instance(rng):
     n = int(rng.integers(10, 40))
     d = int(rng.integers(2, 7))
     cfg = SparseConfig(lam=0.1, alpha=0.1, tol=1e-10, max_itr=2000)
-    return random_r(rng, n, d, cfg), cfg
+    return random_r(rng, n, d), cfg
 
 
 def scaled_contributions(rng, d: int, n: int, q: int) -> np.ndarray:
@@ -157,7 +158,7 @@ def random_residual_instance(rng):
     y = rng.normal(size=(n, q))
     cfg = SparseConfig(lam=0.05, alpha=0.1, tol=1e-10, max_itr=2000)
     z, y_vec, gram, corr = gram_form(t, y - y.mean())
-    return z, y_vec, gram, corr, similarity_matrix(gram, cfg), cfg
+    return z, y_vec, gram, corr, similarity_matrix(gram), cfg
 
 
 def random_mlp(rng, widths, activations) -> Mlp:
@@ -227,7 +228,7 @@ def _stationary(sol, resid_corr, r, cfg: SparseConfig) -> int:
     """1 for a converged solution after asserting its KKT conditions, with
     resid_corr_j the data term's negative gradient: |resid_corr_j| <= thr_j
     where beta_j = 0, resid_corr_j = thr_j sgn(beta_j) elsewhere, within
-    1e-6. 0 for a sparsity-target or budget stop, which halts mid-descent.
+    1e-6. 0 for a budget stop, which halts mid-descent.
     Either way the objective trace must not rise."""
     assert (np.diff(sol.objective_trace) <= 1e-10).all(), "objective trace increased"
     if sol.stop_reason != "converged":
@@ -245,25 +246,19 @@ def reference_loop(r, cfg: SparseConfig, gram=None, corr=None):
     `coordinate_update(rho_j, coordinate_threshold(...), R_jj)` with rho_j =
     corr_j - G_j.beta + beta_j, or rho_j = 1 without a Gram matrix
     (`iilasso_diag`'s G = I, corr = 1). Before every sweep it stops on the
-    nonzero count, then the largest change of the last sweep, then the
-    sweep budget. Returns (beta, sweeps, stop_reason, betas), where betas
-    holds the iterate at the start and after every sweep."""
+    largest change of the last sweep, then on the sweep budget. Returns
+    (beta, sweeps, stop_reason, betas), where betas holds the iterate at the
+    start and after every sweep."""
     d = r.shape[0]
     beta = np.ones(d)
     betas = [beta.copy()]
     sweeps = 0
     max_delta = np.inf
     while True:
-        if np.count_nonzero(beta) <= cfg.target_nnz:
-            reason = "target_nnz"
-        elif max_delta < cfg.tol:
-            reason = "converged"
-        elif sweeps >= cfg.max_itr:
-            reason = "max_itr"
-        else:
-            reason = None
-        if reason is not None:
-            return beta, sweeps, reason, betas
+        if max_delta < cfg.tol:
+            return beta, sweeps, "converged", betas
+        if sweeps >= cfg.max_itr:
+            return beta, sweeps, "max_itr", betas
         max_delta = 0.0
         for j in range(d):
             rho = 1.0 if gram is None else float(corr[j]) - float(gram[j] @ beta) + float(beta[j])
@@ -376,16 +371,15 @@ def check_residual_solver_stationarity(seed: int) -> int:
 
 def check_solver_reference(seed: int) -> int:
     """Both solvers equal `reference_loop` byte for byte: beta, sweeps and
-    stop reason, on small instances (among them a sparsity-target stop and a
+    stop reason, on small instances (among them a duplicate pair and a
     sweep budget) and at 64 <= d <= 256, inside the widths of 100 to 400
     that the desk and the benchmark morph at, where ddot takes its vector
     path. Returns the number of solves compared."""
     rng = np.random.default_rng(seed)
     wide = SparseConfig(lam=0.5, alpha=1.0, tol=1e-9, max_itr=300)
     cases = [random_diag_instance(rng) for _ in range(4)]
-    cases.append((random_r(rng, 40, 20, wide, duplicate=True),
-                  SparseConfig(lam=0.5, alpha=0.5, target_nnz=16)))
-    cases += [(random_r(rng, d + 40, d, wide), wide) for d in (int(rng.integers(64, 129)), 256)]
+    cases.append((random_r(rng, 40, 20, duplicate=True), SparseConfig(lam=0.5, alpha=0.5)))
+    cases += [(random_r(rng, d + 40, d), wide) for d in (int(rng.integers(64, 129)), 256)]
     for _ in range(4):
         _, _, gram, corr, r, cfg = random_residual_instance(rng)
         cases.append((r, cfg, gram, corr))
@@ -394,7 +388,7 @@ def check_solver_reference(seed: int) -> int:
         y = rng.normal(size=(24, 4)) + t[0] - 0.5 * t[1]
         cfg = SparseConfig(lam=0.05, alpha=0.1, tol=1e-9, max_itr=budget)
         _, _, gram, corr = gram_form(t, y - y.mean())
-        cases.append((similarity_matrix(gram, cfg), cfg, gram, corr))
+        cases.append((similarity_matrix(gram), cfg, gram, corr))
     for case in cases:
         assert_matches_reference(*case)
     return len(cases)
@@ -439,7 +433,6 @@ def check_similarity_covariance(seed: int) -> None:
     """alg1's R from the probe covariance matches R from the standardized
     candidate outputs, and both routes flag the same constant candidates."""
     rng = np.random.default_rng(seed)
-    cfg = SparseConfig()
     for _ in range(10):
         n, d1, width = int(rng.integers(10, 60)), int(rng.integers(2, 8)), int(rng.integers(4, 12))
         a1 = rng.normal(size=(n, d1)) * rng.uniform(0.1, 5.0, size=d1) + rng.normal(size=d1)
@@ -450,11 +443,11 @@ def check_similarity_covariance(seed: int) -> None:
         xs, info = standardize_columns(a1 @ w1)
         want_live = [True, True, False, False] + [True] * (width - 4)
         assert live.tolist() == (~info.constant_mask).tolist() == want_live, f"live {live}"
-        got = similarity_matrix(cov[np.ix_(live, live)], cfg)
-        want = gram_similarity(xs[:, live].T @ xs[:, live] / n, cfg)
+        got = similarity_matrix(cov[np.ix_(live, live)])
+        want = gram_similarity(xs[:, live].T @ xs[:, live] / n)
         off = np.abs(got - want) / np.maximum(1.0, np.abs(want))
         assert off.max() <= 1e-9, f"R differs by {off.max():.3e} relative"
-        assert got[0, 1] == got[1, 0] == cfg.r_cap, f"duplicate pair R {got[0, 1]:.6g}"
+        assert got[0, 1] == got[1, 0] == R_CAP, f"duplicate pair R {got[0, 1]:.6g}"
 
 
 def _exact_morph(rng, seed, hidden: str, mirror: bool) -> float:

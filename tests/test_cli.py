@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from morphkit import io as mio
-from morphkit.cli import _load_dataset, main
+from morphkit.cli import _load_dataset, build_parser, main
 from morphkit.io import load_model, load_report_json, save_report_json
 from morphkit.morph import NO_SIGNAL_ADVICE, MorphReport, MorphSpec
 from morphkit.network import Layer, Mlp, TrainConfig, init_weights
@@ -123,7 +123,6 @@ class TestTrain:
 class TestMorph:
     @pytest.mark.parametrize("flag,value,field", [
         ("--tol", "nan", "tol"), ("--lambda", "nan", "lam"), ("--alpha", "inf", "alpha"),
-        ("--r-cap", "inf", "r_cap"),
     ])
     def test_non_finite_setting_is_user_error(self, parent_dir, capsys, flag, value, field):
         code = run(
@@ -140,7 +139,7 @@ class TestMorph:
             "morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
             "--at", "1", "--width", "20", "--act", "relu", "--alg", "alg2",
             "--lambda", "0.1", "--alpha", "0.1", "--seed", "2", "--max-itr", "800",
-            "--tol", "1e-8", "--r-cap", "1e5", "--probe-size", "250",
+            "--tol", "1e-8", "--probe-size", "250",
             "--out", "child.model", "--out-dir", str(parent_dir),
         )
         assert code == 0
@@ -152,7 +151,7 @@ class TestMorph:
         recorded = MorphSpec(**{**meta["spec"], "sparse": SparseConfig(**meta["spec"]["sparse"])})
         assert recorded == MorphSpec(
             insert_after=1, width=20, activation="relu", algorithm="alg2",
-            sparse=SparseConfig(lam=0.1, alpha=0.1, max_itr=800, tol=1e-8, r_cap=1e5), seed=2,
+            sparse=SparseConfig(lam=0.1, alpha=0.1, max_itr=800, tol=1e-8), seed=2,
         )
         assert meta["probe_size"] == 250
         assert meta["parent_metadata"] == parent_meta
@@ -172,6 +171,17 @@ class TestMorph:
         assert capsys.readouterr().out.startswith("alg1: ")
         assert load_model(parent_dir / "default.model")[1]["spec"]["algorithm"] == "alg1"
         assert load_report_json(parent_dir / "default.model.report.json").algorithm == "alg1"
+
+    @pytest.mark.parametrize("alg", ["alg3", "baseline"])
+    def test_fold_beta_outside_alg1_alg2_is_user_error(self, parent_dir, capsys, alg):
+        code = run(
+            "morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
+            "--at", "1", "--width", "10", "--alg", alg, "--fold-beta",
+            "--out", "never.model", "--out-dir", str(parent_dir),
+        )
+        assert code == 1
+        assert f"fold_beta applies to alg1 and alg2 only; {alg}" in capsys.readouterr().err
+        assert not (parent_dir / "never.model").exists()
 
     def test_huge_lambda_exits_with_hint(self, parent_dir, capsys):
         code = run(
@@ -215,6 +225,23 @@ class TestMorph:
         code = run("morph", "--model", str(tmp_path / "nope.model"), "--data", SYNTH,
                    "--at", "0", "--width", "4", "--out-dir", str(tmp_path))
         assert code == 1
+
+
+def test_flag_defaults_are_the_dataclass_defaults():
+    # each default is read from its dataclass, never restated
+    parser = build_parser()
+    data = ["--data", SYNTH]
+    train_dests = {"learning_rate": "lr"}
+    for argv in (["train", *data, "--arch", "12,3"], ["finetune", "--model", "m", *data]):
+        args = parser.parse_args(argv)
+        for f in dataclasses.fields(TrainConfig):
+            assert getattr(args, train_dests.get(f.name, f.name)) == f.default, (argv[0], f.name)
+    args = parser.parse_args(["morph", "--model", "m", *data, "--at", "0", "--width", "4"])
+    for f in dataclasses.fields(SparseConfig):
+        assert getattr(args, f.name) == f.default, f.name
+    spec_dests = {"activation": "act", "algorithm": "alg", "seed": "seed", "fold_beta": "fold_beta"}
+    for name, dest in spec_dests.items():
+        assert getattr(args, dest) == getattr(MorphSpec, name), name
 
 
 class TestEvalAndFinetune:

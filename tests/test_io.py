@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from morphkit import io as mio
-from morphkit.errors import IdxFormatError, ModelFormatError
+from morphkit.errors import IdxFormatError, ModelFormatError, NotFiniteError
 from morphkit.io import (
     Dataset,
     load_model,
@@ -198,6 +198,19 @@ class TestModelRoundTrip:
         doc["layers"][0]["in"] = width
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=r"layers\[0\]\.in: expected a positive integer"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field, shape, name", [("weights", (2, 3), "layer weight"),
+                                                    ("bias", (3,), "layer bias")])
+    def test_bytes_decoding_to_nan_are_not_finite(self, tmp_path, field, shape, name):
+        # well-formed bytes that decode to NaN: the file parses and the
+        # layer refuses them, the bias as the weights
+        path = tmp_path / "net.model"
+        save_model(Mlp([Layer(np.ones((2, 3)), np.ones(3), "relu")]), path)
+        doc = json.loads(path.read_text())
+        doc["layers"][0][field] = base64.b64encode(np.full(shape, np.nan).astype("<f8").tobytes()).decode()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(NotFiniteError, match=f"^{name}: contains non-finite entries$"):
             load_model(path)
 
 

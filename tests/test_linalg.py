@@ -89,10 +89,9 @@ class TestLeastSquares:
         rng = np.random.default_rng(9)
         x = rng.normal(size=(30, 5))
         y = rng.normal(size=(30, 2))
-        for ridge in (0.0, 0.25):
-            w, fell_back = least_squares_with_fallback(x, y, ridge)
-            assert not fell_back
-            assert w.tobytes() == least_squares(x, y, ridge).tobytes()
+        w, fell_back = least_squares_with_fallback(x, y)
+        assert not fell_back
+        assert w.tobytes() == least_squares(x, y).tobytes()
 
     def test_fallback_retries_once_at_the_same_ridge(self):
         x = np.ones((10, 3))

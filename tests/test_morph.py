@@ -183,7 +183,7 @@ class TestAlg1:
     )
     def test_redundant_candidates(self, seed, lam, alpha):
         # R from the probe covariance matches the standardized outputs', so
-        # a duplicate pair sits at r_cap: alg1 keeps at most one of it, and
+        # a duplicate pair sits at R_CAP: alg1 keeps at most one of it, and
         # never a candidate that is constant on the probe
         check_similarity_covariance(seed)
         rng = np.random.default_rng(seed)
@@ -738,3 +738,10 @@ class TestSpecValidation:
     def test_bad_width(self):
         with pytest.raises(ValueError):
             MorphSpec(insert_after=0, width=0)
+
+    @pytest.mark.parametrize("alg", ["alg3", "baseline"])
+    def test_fold_beta_only_with_diag_selectors(self, alg):
+        # alg3 and baseline would ignore the flag, yet the model file would
+        # record it
+        with pytest.raises(ValueError, match=f"fold_beta applies to alg1 and alg2 only; {alg}"):
+            MorphSpec(insert_after=0, width=4, algorithm=alg, fold_beta=True)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from morphkit.errors import ShapeError, TrainingDivergedError
+from morphkit.errors import NotFiniteError, ShapeError, TrainingDivergedError
 from morphkit.io import Dataset, synth_dataset
 from morphkit.network import (
     ACTIVATION_KINDS,
@@ -22,6 +22,16 @@ from morphkit.network import (
     train_sgd,
 )
 from morphkit.verify import check_trainer_reference, gradient_check, random_mlp
+
+
+class TestLayer:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["weight", "bias"])
+    def test_non_finite_entry_is_not_finite_error(self, part, value):
+        weight, bias = np.ones((2, 3)), np.ones(3)
+        (weight if part == "weight" else bias)[0] = value
+        with pytest.raises(NotFiniteError, match=f"^layer {part}: contains non-finite entries$"):
+            Layer(weight, bias, "relu")
 
 
 class TestActivations:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from morphkit.errors import NotFiniteError, ShapeError, StandardizationError
 from morphkit.sparse import (
+    R_CAP,
     SparseConfig,
     iilasso_diag,
     iilasso_residual,
@@ -41,21 +42,20 @@ class TestSimilarityMatrix:
         x = np.zeros((8, 2))
         x[:4, 0] = [1, -1, 1, -1]
         x[4:, 1] = [3, -3, 3, -3]
-        r = similarity_matrix(covariance(x), SparseConfig())
+        r = similarity_matrix(covariance(x))
         np.testing.assert_array_equal(r, np.zeros((2, 2)))
 
     def test_duplicate_column_hits_cap(self):
         col = np.random.default_rng(0).normal(size=(12, 1))
-        cfg = SparseConfig(r_cap=1e6)
-        r = similarity_matrix(covariance(np.hstack([col, -3.0 * col])), cfg)
-        assert r[0, 1] == cfg.r_cap
+        r = similarity_matrix(covariance(np.hstack([col, -3.0 * col])))
+        assert r[0, 1] == R_CAP
 
     def test_half_correlation_gives_one(self):
         # exact r = 0.5 construction: b = a/2 + (sqrt(3)/2) u with u orthogonal to a
         a = np.array([1.0, 1.0, -1.0, -1.0])
         u = np.array([1.0, -1.0, 1.0, -1.0])
         b = 0.5 * a + (np.sqrt(3.0) / 2.0) * u
-        r = similarity_matrix(covariance(np.column_stack([a, 7.0 * b])), SparseConfig())
+        r = similarity_matrix(covariance(np.column_stack([a, 7.0 * b])))
         np.testing.assert_allclose(r[0, 1], 1.0, rtol=1e-12)
 
     def test_unstandardized_rejected(self):
@@ -63,29 +63,28 @@ class TestSimilarityMatrix:
         x = np.random.default_rng(1).normal(size=(10, 3))
         x[:, 1] = 4.0
         with pytest.raises(StandardizationError, match="column 1 has variance 0"):
-            similarity_matrix(covariance(x), SparseConfig())
+            similarity_matrix(covariance(x))
 
     def test_invariant_to_column_scale(self):
         # R depends on correlations only: rescaling the columns changes nothing
         rng = np.random.default_rng(3)
         x = rng.normal(size=(30, 5)) @ rng.normal(size=(5, 5))
         scale = rng.uniform(0.01, 100.0, size=5)
-        cfg = SparseConfig()
-        got = similarity_matrix(covariance(x * scale), cfg)
-        want = similarity_matrix(covariance(x), cfg)
+        got = similarity_matrix(covariance(x * scale))
+        want = similarity_matrix(covariance(x))
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_structure(self):
-        r = random_r(np.random.default_rng(2), 25, 6, SparseConfig())
+        r = random_r(np.random.default_rng(2), 25, 6)
         np.testing.assert_array_equal(r, r.T)
         assert (np.diag(r) == 0).all()
         assert (r >= 0).all()
-        assert (r <= SparseConfig().r_cap).all()
+        assert (r <= R_CAP).all()
 
 
 class TestSparseConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("name", ["lam", "alpha", "tol", "r_cap"])
+    @pytest.mark.parametrize("name", ["lam", "alpha", "tol"])
     def test_non_finite_value_names_its_field(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
             SparseConfig(**{name: value})
@@ -105,21 +104,24 @@ class TestSoftThreshold:
 class TestDiagSolver:
     def test_lambda_zero_self_response_gives_ones(self):
         cfg = SparseConfig(lam=0.0, alpha=0.0)
-        sol = iilasso_diag(random_r(np.random.default_rng(3), 20, 4, cfg), cfg)
+        sol = iilasso_diag(random_r(np.random.default_rng(3), 20, 4), cfg)
         np.testing.assert_allclose(sol.beta, np.ones(4), atol=1e-12)
         assert sol.stop_reason == "converged"
 
     def test_large_lambda_kills_everything(self):
-        # every corr_j is 1, so a threshold above 1 zeroes every coefficient
-        cfg = SparseConfig(lam=1.1, alpha=0.0)
-        sol = iilasso_diag(random_r(np.random.default_rng(4), 20, 4, cfg), cfg)
-        np.testing.assert_array_equal(sol.beta, np.zeros(4))
-        assert sol.stop_reason == "target_nnz"
+        # every corr_j is 1, so a threshold of at least 1 zeroes every
+        # coefficient in the first sweep; the second moves none, so the
+        # solve ends converged, at a KKT point
+        r = random_r(np.random.default_rng(4), 20, 4)
+        for lam, alpha in [(1.0, 0.0), (1.1, 0.0), (1.5, 0.5)]:
+            sol = assert_matches_reference(r, SparseConfig(lam=lam, alpha=alpha))
+            np.testing.assert_array_equal(sol.beta, np.zeros(4))
+            assert (sol.stop_reason, sol.sweeps_run) == ("converged", 2)
 
     def test_matches_exhaustive_grid_search(self):
         # beta is known to stay in [0,1], so the box grid covers it
         cfg = SparseConfig(lam=0.1, alpha=0.1, tol=1e-12, max_itr=5000)
-        r = random_r(np.random.default_rng(5), 30, 3, cfg)
+        r = random_r(np.random.default_rng(5), 30, 3)
         sol = iilasso_diag(r, cfg)
         solver_obj = diag_objective(sol.beta, r, cfg)
 
@@ -146,7 +148,7 @@ class TestDiagSolver:
         # without the similarity term each coordinate is the plain Lasso
         # solution S(1, lam) of its own separable problem
         cfg = SparseConfig(lam=0.15, alpha=0.0, tol=1e-12, max_itr=5000)
-        sol = iilasso_diag(random_r(np.random.default_rng(7), 30, 6, cfg), cfg)
+        sol = iilasso_diag(random_r(np.random.default_rng(7), 30, 6), cfg)
         np.testing.assert_allclose(sol.beta, np.full(6, soft_threshold(1.0, 0.15)), atol=1e-12)
 
     def test_relaxation_bounds(self):
@@ -154,7 +156,7 @@ class TestDiagSolver:
 
     def test_diagonal_neutrality(self):
         cfg = SparseConfig(lam=0.3, alpha=0.7)
-        r = random_r(np.random.default_rng(9), 20, 4, cfg)
+        r = random_r(np.random.default_rng(9), 20, 4)
         assert (np.diag(r) == 0.0).all()
         for j in range(4):
             assert 1.0 / (1.0 + cfg.alpha * cfg.lam * r[j, j]) == 1.0
@@ -165,15 +167,15 @@ class TestDiagSolver:
         check_diag_solver_stationarity(10)  # asserts the trace before stationarity
 
     def test_stop_reasons(self):
-        r = random_r(np.random.default_rng(11), 20, 4, SparseConfig())
+        r = random_r(np.random.default_rng(11), 20, 4)
         cfg = SparseConfig(lam=0.01, alpha=0.1, max_itr=1)
         assert iilasso_diag(r, cfg).stop_reason == "max_itr"
-        cfg = SparseConfig(lam=0.01, alpha=0.1, target_nnz=4)
-        assert iilasso_diag(r, cfg).stop_reason == "target_nnz"
+        cfg = SparseConfig(lam=0.01, alpha=0.1)
+        assert iilasso_diag(r, cfg).stop_reason == "converged"
 
     def test_duplicate_pair_keeps_a_proper_subset(self):
         cfg = SparseConfig(lam=0.6, alpha=1.0)
-        sol = iilasso_diag(random_r(np.random.default_rng(12), 25, 6, cfg, duplicate=True), cfg)
+        sol = iilasso_diag(random_r(np.random.default_rng(12), 25, 6, duplicate=True), cfg)
         assert 0 < np.count_nonzero(sol.beta) < 6
 
     def test_shape_mismatch(self):
@@ -201,7 +203,7 @@ class TestResidualSolver:
         y = y_vec.reshape((10, 2), order="F")
         cfg = SparseConfig(lam=0.05, alpha=0.0)
         _, _, gram, corr = gram_form(t, y)
-        sol = iilasso_residual(gram, corr, similarity_matrix(gram, cfg), cfg)
+        sol = iilasso_residual(gram, corr, similarity_matrix(gram), cfg)
         np.testing.assert_array_equal(sol.beta, np.zeros(3))
 
     def test_kkt_stationarity_alpha_zero(self):
@@ -211,7 +213,7 @@ class TestResidualSolver:
         y = y - y.mean()
         cfg = SparseConfig(lam=0.2, alpha=0.0, tol=1e-12, max_itr=5000)
         z, y_vec, gram, corr = gram_form(t, y)
-        r = similarity_matrix(gram, cfg)
+        r = similarity_matrix(gram)
         sol = iilasso_residual(gram, corr, r, cfg)
         m = z.shape[0]
         resid_corr = (y_vec - z @ sol.beta) @ z / m
@@ -231,7 +233,7 @@ class TestResidualSolver:
         y -= y.mean()
         cfg = SparseConfig(lam=0.05, alpha=0.3, max_itr=1)
         z, y_vec, gram, corr = gram_form(t, y)
-        r = similarity_matrix(gram, cfg)
+        r = similarity_matrix(gram)
         sol = iilasso_residual(gram, corr, r, cfg)
         constant = 0.5 / y_vec.shape[0] * float(y_vec @ y_vec)
         for got, b in zip(sol.objective_trace, [np.ones(5), sol.beta]):
@@ -317,17 +319,11 @@ class TestDiagSolverBitIdentity:
     @pytest.mark.parametrize("seed", range(6))
     def test_cold_start(self, seed):
         cfg = SparseConfig(lam=0.1, alpha=0.2, tol=1e-10, max_itr=500)
-        assert_matches_reference(random_r(np.random.default_rng(seed), 40, 12, cfg), cfg)
+        assert_matches_reference(random_r(np.random.default_rng(seed), 40, 12), cfg)
 
     def test_alpha_zero(self):
         cfg = SparseConfig(lam=0.15, alpha=0.0, tol=1e-12, max_itr=2000)
-        assert_matches_reference(random_r(np.random.default_rng(14), 30, 8, cfg), cfg)
-
-    def test_target_nnz_stop(self):
-        cfg = SparseConfig(lam=0.5, alpha=0.5, target_nnz=16)
-        r = random_r(np.random.default_rng(15), 40, 20, cfg, duplicate=True)
-        sol = assert_matches_reference(r, cfg)
-        assert sol.stop_reason == "target_nnz"
+        assert_matches_reference(random_r(np.random.default_rng(14), 30, 8), cfg)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -337,11 +333,10 @@ class TestDiagSolverBitIdentity:
         lam=st.floats(0.01, 1.5),
         alpha=st.sampled_from([0.0, 0.1, 1.0, 5.0]),
         duplicate=st.booleans(),
-        target_nnz=st.integers(0, 3),
     )
-    def test_generated_instances(self, seed, n, d, lam, alpha, duplicate, target_nnz):
-        cfg = SparseConfig(lam=lam, alpha=alpha, target_nnz=target_nnz, tol=1e-9, max_itr=300)
-        r = random_r(np.random.default_rng(seed), n, d, cfg, duplicate)
+    def test_generated_instances(self, seed, n, d, lam, alpha, duplicate):
+        cfg = SparseConfig(lam=lam, alpha=alpha, tol=1e-9, max_itr=300)
+        r = random_r(np.random.default_rng(seed), n, d, duplicate)
         assert_matches_reference(r, cfg)
 
     @settings(max_examples=300, deadline=None)
@@ -380,7 +375,7 @@ class TestResidualSolverBitIdentity:
         y = rng.normal(size=(15, 3)) + t[0] - 0.7 * t[4]
         cfg = SparseConfig(lam=0.05, alpha=0.2, tol=1e-10, max_itr=500)
         _, _, gram, corr = gram_form(t, y - y.mean())
-        assert_matches_reference(similarity_matrix(gram, cfg), cfg, gram, corr)
+        assert_matches_reference(similarity_matrix(gram), cfg, gram, corr)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -390,15 +385,14 @@ class TestResidualSolverBitIdentity:
         q=st.integers(1, 4),
         lam=st.floats(0.001, 0.5),
         alpha=st.sampled_from([0.0, 0.1, 1.0, 5.0]),
-        target_nnz=st.integers(0, 3),
     )
-    def test_generated_instances(self, seed, n, d, q, lam, alpha, target_nnz):
+    def test_generated_instances(self, seed, n, d, q, lam, alpha):
         rng = np.random.default_rng(seed)
         t = scaled_contributions(rng, d, n, q)
         y = rng.normal(size=(n, q)) + rng.normal() * t[0]
-        cfg = SparseConfig(lam=lam, alpha=alpha, target_nnz=target_nnz, tol=1e-9, max_itr=300)
+        cfg = SparseConfig(lam=lam, alpha=alpha, tol=1e-9, max_itr=300)
         _, _, gram, corr = gram_form(t, y - y.mean())
-        assert_matches_reference(similarity_matrix(gram, cfg), cfg, gram, corr)
+        assert_matches_reference(similarity_matrix(gram), cfg, gram, corr)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -410,9 +404,9 @@ def test_solver_reference_check(seed):
 class TestNonFiniteStart:
     def test_overflowing_penalty_names_the_knobs(self):
         cfg = SparseConfig(lam=1e200, alpha=1e200)
-        r = random_r(np.random.default_rng(27), 20, 4, cfg)
-        with pytest.raises(NotFiniteError, match=r"starting iterate with lam 1e\+200, alpha "
-                                                 r"1e\+200 and r_cap 1e\+06"):
+        r = random_r(np.random.default_rng(27), 20, 4)
+        with pytest.raises(NotFiniteError, match=r"starting iterate with lam 1e\+200 and "
+                                                 r"alpha 1e\+200; use smaller values"):
             iilasso_diag(r, cfg)
 
     def test_gram_form_checks_before_the_first_sweep(self):
@@ -421,4 +415,4 @@ class TestNonFiniteStart:
         _, _, gram, corr = gram_form(t, rng.normal(size=(10, 2)))
         cfg = SparseConfig(lam=1e300, alpha=1e300, max_itr=1)
         with pytest.raises(NotFiniteError, match="starting iterate"):
-            iilasso_residual(gram, corr, similarity_matrix(gram, cfg), cfg)
+            iilasso_residual(gram, corr, similarity_matrix(gram), cfg)
