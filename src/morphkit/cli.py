@@ -33,8 +33,6 @@ from .network import ACTIVATION_KINDS, Layer, Mlp, TrainConfig, evaluate, init_w
 from .sparse import SparseConfig
 from .verify import CHECKS, run_checks
 
-ACC_FIELDS = ("acc_parent", "acc_post_morph", "acc_after_finetune")
-
 
 def _out_path(args, name: str) -> str:
     root = getattr(args, "out_dir", ".") or "."
@@ -205,8 +203,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_morph(args) -> int:
-    parent, meta = mio.load_model(args.model)
-    data = _load_dataset(args.data, args.split)
     sparse = SparseConfig(lam=args.lam, alpha=args.alpha, max_itr=args.max_itr, tol=args.tol)
     spec = MorphSpec(
         insert_after=args.at,
@@ -217,6 +213,8 @@ def cmd_morph(args) -> int:
         seed=args.seed,
         fold_beta=args.fold_beta,
     )
+    parent, meta = mio.load_model(args.model)
+    data = _load_dataset(args.data, args.split)
     rows = sample_rows(data.n, args.probe_size, args.seed)
     probe = data.features[rows]
     child, report = morph(parent, spec, probe)
@@ -235,11 +233,11 @@ def cmd_morph(args) -> int:
     return 0
 
 
-def _record_accuracy(args, accuracy: float) -> None:
+def _record_accuracy(args, field: str, accuracy: float) -> None:
     if not args.report:
         return
     report = mio.load_report_json(args.report)
-    setattr(report, args.record_as, accuracy)
+    setattr(report, field, accuracy)
     mio.save_report_json(report, args.report)
 
 
@@ -248,14 +246,14 @@ def cmd_eval(args) -> int:
     data = _load_dataset(args.data, args.split)
     loss, accuracy = evaluate(net, data)
     print(f"loss {loss!r} accuracy {accuracy!r}")
-    _record_accuracy(args, accuracy)
+    _record_accuracy(args, args.record_as, accuracy)
     return 0
 
 
 def cmd_finetune(args) -> int:
     net, meta = mio.load_model(args.model)
     data = _load_dataset(args.data, args.split)
-    eval_data = _load_dataset(args.eval_data, args.eval_split) if args.eval_data else None
+    eval_data = _load_dataset(args.eval_data, "test") if args.eval_data else None
     cfg = _train_config(args)
     net, history = train_sgd(net, data, cfg)
     out = _out_path(args, args.out)
@@ -268,7 +266,7 @@ def cmd_finetune(args) -> int:
     else:
         accuracy = history[-1].accuracy
     print(f"finetuned {args.epochs} epochs: accuracy {accuracy!r} -> {out}")
-    _record_accuracy(args, accuracy)
+    _record_accuracy(args, "acc_after_finetune", accuracy)
     return 0
 
 
@@ -349,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     _add_data_flags(p)
     p.add_argument("--report", default=None, help="record accuracy into this report JSON")
-    p.add_argument("--as", dest="record_as", choices=ACC_FIELDS, default="acc_parent")
+    p.add_argument("--as", dest="record_as", default="acc_parent",
+                   choices=("acc_parent", "acc_post_morph", "acc_after_finetune"))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("finetune", help="continue SGD from a saved model")
@@ -357,13 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_train_flags(p)
     p.add_argument("--eval-data", default=None,
-                   help="dataset spec for the recorded accuracy (default: training metric)")
-    p.add_argument("--eval-split", choices=("train", "test"), default="test")
+                   help="dataset spec whose test split gives the recorded accuracy "
+                   "(default: training metric)")
     p.add_argument("--out", default="finetuned.model")
     p.add_argument("--history", default="history.csv")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--report", default=None)
-    p.add_argument("--as", dest="record_as", choices=ACC_FIELDS, default="acc_after_finetune")
+    p.add_argument("--report", default=None,
+                   help="record acc_after_finetune into this report JSON")
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("verify", help="run the invariant suite")

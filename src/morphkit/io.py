@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdxFormatError, ModelFormatError
+from .errors import IdxFormatError, ModelFormatError, MorphkitError
 from .morph import MorphReport
 from .network import ACTIVATION_KINDS, Layer, Mlp
 
@@ -100,10 +100,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1 if self.labels.size else 0
 
 
 def _encode_array(array: np.ndarray) -> str:
@@ -202,7 +198,10 @@ def load_model(path) -> tuple[Mlp, dict]:
         bias_raw = _require(raw, "bias", where)
         bias = None if bias_raw is None else _decode_array(bias_raw, (d_out,), version,
                                                            f"{where}.bias")
-        layers.append(Layer(weights, bias, activation))
+        try:
+            layers.append(Layer(weights, bias, activation))
+        except MorphkitError as exc:  # such as bytes that decode to NaN
+            raise ModelFormatError(f"{where}: {exc}") from exc
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ModelFormatError(f"{path}: metadata: expected an object")

@@ -37,7 +37,8 @@ import numpy as np
 from .errors import EmptyLayerError, MorphkitError, ShapeError
 from .linalg import as_matrix, constant_columns, least_squares_with_fallback
 from .network import (
-    Layer, Mlp, _checked_input, _layer_outputs, apply_activation, forward, init_weights,
+    Layer, Mlp, _check_kind, _checked_input, _layer_outputs, apply_activation, forward,
+    init_weights,
 )
 from .sparse import (
     SparseConfig, gram_similarity, iilasso_diag, iilasso_residual, refit_w1, similarity_matrix,
@@ -75,9 +76,13 @@ class MorphSpec:
             raise ValueError(
                 f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHM_NAMES}"
             )
+        _check_kind(self.activation)
         if self.fold_beta and self.algorithm not in ("alg1", "alg2"):
             raise ValueError(f"fold_beta applies to alg1 and alg2 only; {self.algorithm} "
                              f"would ignore it")
+        if self.fold_beta and self.activation not in ("relu", "identity"):
+            raise ValueError(f"fold_beta applies to relu and identity layers only: "
+                             f"h(s*x) != s*h(x) for {self.activation!r}")
 
 
 @dataclass(kw_only=True)

@@ -17,10 +17,13 @@ from the candidates' covariance (`similarity_matrix`), tells them apart.
 weighted sum of rank-one contribution matrices, which the caller forms
 from their factors without stacking them.
 
-The sweep inlines the closed-form coordinate update, so each coordinate
-costs one dot product (two in Gram form) and a few float operations. `morphkit.verify` holds
-the update itself (`coordinate_update`) and a reference loop of it; its
-`solver-reference` check keeps the two solvers byte-identical to that loop.
+R is defined off the diagonal only, so its diagonal is zero, and every
+solve refuses any other R. The closed-form update of beta_j is then the
+soft threshold S(c_j - G_j.beta + beta_j, lam * (1 + alpha * R_j.|beta|)),
+which the sweep inlines: one dot product (two in Gram form) and a few float
+operations. `morphkit.verify` holds the update itself (`coordinate_update`)
+and a reference loop of it; its `solver-reference` check keeps the two
+solvers byte-identical to that loop.
 
 Scope. A solve stops as `converged` (no coefficient moved by tol in the
 last sweep) or `max_itr` (the sweep budget ran out), as glmnet's does. KKT
@@ -131,40 +134,44 @@ def _stop_reason(max_delta, sweeps, cfg: SparseConfig) -> str | None:
     return None
 
 
-def _coordinate_descent(corr, gram, r, cfg: SparseConfig, beta, data) -> SparseSolution:
-    """Cyclic coordinate descent on data(beta) + penalty, where data(beta) =
-    const - corr.T beta + (1/2) beta.T G beta and G has a unit diagonal;
-    gram=None stands for G = I.
+def _coordinate_descent(corr, gram, r, cfg: SparseConfig) -> SparseSolution:
+    """Cyclic coordinate descent from beta = 1 on data(beta) + penalty, where
+    data(beta) = const - corr.T beta + (1/2) beta.T G beta and G has a unit
+    diagonal; gram=None stands for G = I, traced as (1/2)||corr - beta||^2.
 
-    Each update sets beta_j = S(rho_j, lam * (1 + alpha * sum_{c != j}
-    R_jc |beta_c|)) / (1 + alpha lam R_jj) with rho_j = corr_j - G_j.beta +
-    beta_j (just corr_j when G = I), the exact minimizer over that
-    coefficient with the others held at their current values. `data`
-    evaluates the data term for the objective trace.
+    Each update sets beta_j = S(rho_j, lam * (1 + alpha * R_j.|beta|)) with
+    rho_j = corr_j - G_j.beta + beta_j (just corr_j when G = I), the exact
+    minimizer over that coefficient with the others held at their current
+    values. With R's diagonal zero, R_j.|beta| sums over the others only.
     """
     d = corr.shape[0]
     r = as_matrix(r, "similarity matrix")
     if r.shape != (d, d):
         raise ShapeError(f"similarity matrix is {r.shape}, expected ({d}, {d})")
+    nonzero = np.flatnonzero(r.diagonal())
+    if nonzero.size:
+        j = int(nonzero[0])
+        raise StandardizationError(f"similarity matrix has R[{j}, {j}] = {r[j, j]:.6g}; its "
+                                   f"diagonal must be zero, as gram_similarity builds it")
 
     def objective(b: np.ndarray) -> float:
-        return data(b) + _penalty(b, r, cfg)
+        if gram is None:
+            return 0.5 * float((corr - b) @ (corr - b)) + _penalty(b, r, cfg)
+        return 0.5 * float(b @ gram @ b) - float(corr @ b) + _penalty(b, r, cfg)
 
     # The sweep runs on Python floats and keeps |beta| (and, with a Gram
     # matrix, the signed beta) as arrays updated in place. Each update is
     # `verify.coordinate_update` of `verify.coordinate_threshold`, inlined
-    # operation for operation: the same ddot through ndarray.dot, the same
-    # shrinkage with its signed zeros and NaN, and the same divisor
-    # 1 + (alpha * lam) * R_jj, formed once per solve.
+    # operation for operation: the same ddot through ndarray.dot and the
+    # same shrinkage with its signed zeros and NaN.
     lam, alpha = cfg.lam, cfg.alpha
     row_dots = [row.dot for row in r]
-    r_diag = r.diagonal().tolist()
-    denom = [1.0 + alpha * lam * r_jj for r_jj in r_diag]
     c = corr.tolist()
     gram_dots = None if gram is None else [row.dot for row in gram]
+    beta = np.ones(d)
     signed = beta.copy()
     b = beta.tolist()
-    abs_beta = np.abs(beta)
+    abs_beta = beta.copy()
     trace = [objective(beta)]
     if not math.isfinite(trace[0]):
         raise NotFiniteError(
@@ -178,11 +185,10 @@ def _coordinate_descent(corr, gram, r, cfg: SparseConfig, beta, data) -> SparseS
         for j in range(d):
             old = b[j]
             rho = c[j] if gram_dots is None else c[j] - float(gram_dots[j](signed)) + old
-            cross = float(row_dots[j](abs_beta)) - r_diag[j] * abs(old)
-            shrunk = abs(rho) - lam * (1.0 + alpha * cross)
+            shrunk = abs(rho) - lam * (1.0 + alpha * float(row_dots[j](abs_beta)))
             if shrunk <= 0.0:
                 shrunk = 0.0
-            new = (math.copysign(shrunk, rho) if rho != 0.0 else 0.0 * shrunk) / denom[j]
+            new = math.copysign(shrunk, rho) if rho != 0.0 else 0.0 * shrunk
             delta = abs(new - old)
             if delta > max_delta:  # max(max_delta, delta), NaN included
                 max_delta = delta
@@ -211,13 +217,8 @@ def iilasso_diag(r, cfg: SparseConfig) -> SparseSolution:
     """Coordinate descent from beta = 1 on alg1's penalty-only problem
     (1/2)||1 - beta||^2 + lam * (||beta||_1 + (alpha/2) |beta|^T R |beta|),
     where corr_j = 1 and G = I. The trace is the exact objective."""
-    ones = np.ones(as_matrix(r, "similarity matrix").shape[0])
-
-    def data(b: np.ndarray) -> float:
-        resid = 1.0 - b
-        return 0.5 * float(resid @ resid)
-
-    return _coordinate_descent(ones, None, r, cfg, ones, data)
+    d = np.shape(r)[0] if np.ndim(r) else 0  # the kernel refuses a 0-d r as not 2-D
+    return _coordinate_descent(np.ones(d), None, r, cfg)
 
 
 def iilasso_residual(gram, corr, r, cfg: SparseConfig) -> SparseSolution:
@@ -243,11 +244,7 @@ def iilasso_residual(gram, corr, r, cfg: SparseConfig) -> SparseSolution:
         j = int(off.argmax())
         raise StandardizationError(f"contribution {j} has squared norm {gram[j, j]:.6g}, "
                                    f"expected 1; rescale to unit stacked norm before solving")
-
-    def data(b: np.ndarray) -> float:
-        return 0.5 * float(b @ gram @ b) - float(corr @ b)
-
-    return _coordinate_descent(corr, gram, r, cfg, np.ones(corr.shape[0]), data)
+    return _coordinate_descent(corr, gram, r, cfg)
 
 
 def refit_w1(a1, o_new, beta) -> tuple[np.ndarray, bool]:

@@ -55,28 +55,25 @@ def soft_threshold(a, b):
     return np.sign(a) * np.maximum(np.abs(a) - b, 0.0)
 
 
-def coordinate_threshold(r_row: np.ndarray, beta: np.ndarray, j: int, cfg: SparseConfig) -> float:
-    """Shrinkage threshold for coefficient j given the others:
-    lam * (1 + alpha * sum_{c != j} R_jc |beta_c|)."""
-    cross = float(r_row @ np.abs(beta)) - float(r_row[j]) * abs(float(beta[j]))
-    return cfg.lam * (1.0 + cfg.alpha * cross)
+def coordinate_threshold(r_row: np.ndarray, beta: np.ndarray, cfg: SparseConfig) -> float:
+    """Shrinkage threshold for coefficient j, whose row of R is r_row, given
+    the others: lam * (1 + alpha * sum_{c != j} R_jc |beta_c|), which is
+    r_row.|beta| because R's diagonal is zero."""
+    return cfg.lam * (1.0 + cfg.alpha * float(r_row @ np.abs(beta)))
 
 
-def coordinate_update(rho: float, threshold: float, r_jj: float, cfg: SparseConfig) -> float:
+def coordinate_update(rho: float, threshold: float) -> float:
     """Closed-form minimizer of either objective restricted to one
-    coefficient: S(rho, threshold) / (1 + alpha * lam * R_jj).
+    coefficient: the soft threshold S(rho, threshold).
 
-    The shrinkage is scalar Python arithmetic with the same bits as
-    `soft_threshold`, -0.0 included: np.sign maps both zeros to +0.0 and
-    np.maximum propagates NaN. R_jj is zero by construction so the
-    denominator is exactly 1; the written form is kept deliberately. The
-    solvers' sweep inlines this operation for operation.
+    Scalar Python arithmetic with the same bits as `soft_threshold`, -0.0
+    included: np.sign maps both zeros to +0.0 and np.maximum propagates
+    NaN. The solvers' sweep inlines this operation for operation.
     """
     shrunk = abs(rho) - threshold
     if shrunk <= 0.0:
         shrunk = 0.0
-    value = math.copysign(shrunk, rho) if rho != 0.0 else 0.0 * shrunk
-    return value / (1.0 + cfg.alpha * cfg.lam * r_jj)
+    return math.copysign(shrunk, rho) if rho != 0.0 else 0.0 * shrunk
 
 
 def _penalty(beta, r, cfg: SparseConfig) -> float:
@@ -171,15 +168,15 @@ def random_mlp(rng, widths, activations) -> Mlp:
     ])
 
 
-def _coordinate_optimal(rho: float, thr: float, r_jj: float, cfg: SparseConfig) -> float:
+def _coordinate_optimal(rho: float, thr: float) -> float:
     """The closed-form update of one coefficient, asserted to score within
     1e-6 of the best point of GRID on the 1-D slice of either objective,
-    0.5 (1 + alpha lam R_jj) b^2 - rho b + thr |b| (constants dropped)."""
+    0.5 b^2 - rho b + thr |b| (constants dropped)."""
 
     def restricted(b):
-        return 0.5 * (1.0 + cfg.alpha * cfg.lam * r_jj) * b * b - rho * b + thr * np.abs(b)
+        return 0.5 * b * b - rho * b + thr * np.abs(b)
 
-    closed = coordinate_update(rho, thr, r_jj, cfg)
+    closed = coordinate_update(rho, thr)
     best, value = restricted(GRID).min(), restricted(closed)
     assert value <= best + 1e-6, (
         f"closed-form update {closed:.6g} scores {value:.6g}, grid best {best:.6g}"
@@ -214,7 +211,7 @@ def _replay_updates(r, cfg: SparseConfig, beta, residual=None) -> float:
                 gram_rho = float(corr[j] - gram[j] @ beta) + beta[j]
                 assert abs(gram_rho - rho) <= 1e-12 * (1 + abs(rho)), f"Gram-form rho {gram_rho}"
             before = objective(beta)
-            new = _coordinate_optimal(rho, coordinate_threshold(r[j], beta, j, cfg), r[j, j], cfg)
+            new = _coordinate_optimal(rho, coordinate_threshold(r[j], beta, cfg))
             if residual is not None:
                 resid -= (new - beta[j]) * z[:, j]
             beta[j] = new
@@ -234,7 +231,7 @@ def _stationary(sol, resid_corr, r, cfg: SparseConfig) -> int:
     if sol.stop_reason != "converged":
         return 0
     for j, bj in enumerate(sol.beta):
-        thr = coordinate_threshold(r[j], sol.beta, j, cfg)
+        thr = coordinate_threshold(r[j], sol.beta, cfg)
         gap = abs(resid_corr[j]) - thr if bj == 0 else abs(resid_corr[j] - thr * np.sign(bj))
         assert gap <= 1e-6, f"coordinate {j} violates stationarity by {gap:.3e}"
     return 1
@@ -243,7 +240,7 @@ def _stationary(sol, resid_corr, r, cfg: SparseConfig) -> int:
 def reference_loop(r, cfg: SparseConfig, gram=None, corr=None):
     """The solvers' documented sweep written with the per-coordinate
     oracles: from beta = 1, coordinates in the order 0..D-1, each set to
-    `coordinate_update(rho_j, coordinate_threshold(...), R_jj)` with rho_j =
+    `coordinate_update(rho_j, coordinate_threshold(...))` with rho_j =
     corr_j - G_j.beta + beta_j, or rho_j = 1 without a Gram matrix
     (`iilasso_diag`'s G = I, corr = 1). Before every sweep it stops on the
     largest change of the last sweep, then on the sweep budget. Returns
@@ -262,8 +259,7 @@ def reference_loop(r, cfg: SparseConfig, gram=None, corr=None):
         max_delta = 0.0
         for j in range(d):
             rho = 1.0 if gram is None else float(corr[j]) - float(gram[j] @ beta) + float(beta[j])
-            thr = coordinate_threshold(r[j], beta, j, cfg)
-            new = coordinate_update(rho, thr, float(r[j, j]), cfg)
+            new = coordinate_update(rho, coordinate_threshold(r[j], beta, cfg))
             max_delta = max(max_delta, abs(new - float(beta[j])))
             beta[j] = new
         sweeps += 1

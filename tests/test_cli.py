@@ -183,6 +183,16 @@ class TestMorph:
         assert f"fold_beta applies to alg1 and alg2 only; {alg}" in capsys.readouterr().err
         assert not (parent_dir / "never.model").exists()
 
+    def test_fold_beta_through_sigmoid_is_user_error(self, parent_dir, capsys):
+        code = run(
+            "morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
+            "--at", "1", "--width", "10", "--act", "sigmoid", "--fold-beta",
+            "--out", "never.model", "--out-dir", str(parent_dir),
+        )
+        assert code == 1
+        assert "fold_beta applies to relu and identity layers only" in capsys.readouterr().err
+        assert not (parent_dir / "never.model").exists()
+
     def test_huge_lambda_exits_with_hint(self, parent_dir, capsys):
         code = run(
             "morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
@@ -277,6 +287,14 @@ class TestEvalAndFinetune:
             "--split", "test")
         after = capsys.readouterr().out
         assert before.splitlines()[-1] == after.splitlines()[-1]
+
+    @pytest.mark.parametrize("flags", [("--as", "acc_parent"), ("--eval-split", "test")])
+    def test_finetune_has_no_record_flags(self, parent_dir, flags):
+        # finetune records only acc_after_finetune, from the test split of --eval-data
+        assert run("finetune", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
+                   "--epochs", "1", "--eval-data", SYNTH, *flags,
+                   "--out", "never.model", "--out-dir", str(parent_dir)) == 1
+        assert not (parent_dir / "never.model").exists()
 
     def test_finetune_appends_history(self, parent_dir):
         model = str(parent_dir / "parent.model")

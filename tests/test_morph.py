@@ -745,3 +745,13 @@ class TestSpecValidation:
         # record it
         with pytest.raises(ValueError, match=f"fold_beta applies to alg1 and alg2 only; {alg}"):
             MorphSpec(insert_after=0, width=4, algorithm=alg, fold_beta=True)
+
+    def test_unknown_activation(self):
+        with pytest.raises(ValueError, match="unknown activation 'softplus'"):
+            MorphSpec(insert_after=0, width=4, activation="softplus")
+
+    @pytest.mark.parametrize("act", ["sigmoid", "tanh"])
+    def test_fold_beta_only_through_relu_and_identity(self, act):
+        # refused when the spec is built, before any probe pass or solve
+        with pytest.raises(ValueError, match=rf"relu and identity layers only: .* for '{act}'$"):
+            MorphSpec(insert_after=0, width=4, activation=act, fold_beta=True)

@@ -154,14 +154,18 @@ class TestDiagSolver:
     def test_relaxation_bounds(self):
         check_relaxation_bounds(8)
 
-    def test_diagonal_neutrality(self):
-        cfg = SparseConfig(lam=0.3, alpha=0.7)
+    def test_nonzero_diagonal_refused(self):
+        # R is defined off the diagonal only; both solvers refuse any other
         r = random_r(np.random.default_rng(9), 20, 4)
-        assert (np.diag(r) == 0.0).all()
-        for j in range(4):
-            assert 1.0 / (1.0 + cfg.alpha * cfg.lam * r[j, j]) == 1.0
-        # the written prefactor changes nothing: update equals bare shrinkage
-        assert coordinate_update(0.8, 0.3, r[0, 0], cfg) == soft_threshold(0.8, 0.3)
+        r[2, 2] = 0.5
+        r[3, 3] = -1.0
+        rng = np.random.default_rng(10)
+        _, _, gram, corr = gram_form(scaled_contributions(rng, 4, 10, 2), rng.normal(size=(10, 2)))
+        match = r"^similarity matrix has R\[2, 2\] = 0\.5; its diagonal must be zero"
+        with pytest.raises(StandardizationError, match=match):
+            iilasso_diag(r, SparseConfig())
+        with pytest.raises(StandardizationError, match=match):
+            iilasso_residual(gram, corr, r, SparseConfig())
 
     def test_objective_trace_non_increasing(self):
         check_diag_solver_stationarity(10)  # asserts the trace before stationarity
@@ -343,24 +347,21 @@ class TestDiagSolverBitIdentity:
     @given(
         rho=st.floats(allow_nan=True, allow_infinity=True),
         thr=st.floats(allow_nan=True, allow_infinity=True),
-        r_jj=st.sampled_from([0.0, 0.5, 3.0, 1e6]),
     )
-    def test_update_matches_numpy_shrinkage(self, rho, thr, r_jj):
-        cfg = SparseConfig(lam=0.3, alpha=0.7)
+    def test_update_matches_numpy_shrinkage(self, rho, thr):
         with np.errstate(all="ignore"):
-            want = float(soft_threshold(rho, thr)) / (1.0 + cfg.alpha * cfg.lam * np.float64(r_jj))
-        got = coordinate_update(rho, thr, r_jj, cfg)
+            want = float(soft_threshold(rho, thr))
+        got = coordinate_update(rho, thr)
         if np.isnan(want):
             assert np.isnan(got)
         else:
             assert float_bits(got) == float_bits(want)
 
     def test_update_signed_zeros(self):
-        cfg = SparseConfig()
-        assert float_bits(coordinate_update(-0.05, 0.1, 0.0, cfg)) == float_bits(-0.0)
-        assert float_bits(coordinate_update(0.05, 0.1, 0.0, cfg)) == float_bits(0.0)
-        assert float_bits(coordinate_update(-0.0, 0.1, 0.0, cfg)) == float_bits(0.0)
-        assert float_bits(coordinate_update(-0.0, -0.1, 0.0, cfg)) == float_bits(0.0)
+        assert float_bits(coordinate_update(-0.05, 0.1)) == float_bits(-0.0)
+        assert float_bits(coordinate_update(0.05, 0.1)) == float_bits(0.0)
+        assert float_bits(coordinate_update(-0.0, 0.1)) == float_bits(0.0)
+        assert float_bits(coordinate_update(-0.0, -0.1)) == float_bits(0.0)
 
 
 class TestResidualSolverBitIdentity:
