@@ -1,5 +1,11 @@
 """Toolkit for inserting compact, function-preserving hidden layers into
-trained multilayer perceptrons."""
+trained multilayer perceptrons.
+
+The attribute `morphkit.morph` is the `morph` function, not the module
+that defines it: the re-export below replaces the package's submodule
+attribute, so `import morphkit.morph as m` binds the function as well.
+Reach the module with `importlib.import_module("morphkit.morph")`.
+"""
 
 from .errors import (
     EmptyLayerError,

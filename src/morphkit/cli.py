@@ -84,7 +84,8 @@ def _load_dataset(spec: str, split: str) -> mio.Dataset:
     """The `split` rows of the --data `spec`. A generator name must match
     exactly; anything else is a directory of IDX files. Both splits of a
     synthetic spec come from one draw, so they share class means: a cache
-    miss draws once and caches each split (`io.read_cached_split`)."""
+    miss draws once and caches each split (`io.read_cached_split`). The
+    arrays of a synthetic split are read-only, hit or miss."""
     name, _, text = spec.partition(":")
     if name not in _GENERATORS:
         directory = spec
@@ -130,6 +131,8 @@ def _load_dataset(spec: str, split: str) -> mio.Dataset:
              "test": mio.Dataset(full.features[n:], full.labels[n:])}
     for s, data in drawn.items():
         mio.write_cached_split(paths[s], data)
+        # read-only, as a cache hit's mapped arrays are
+        data.features.flags.writeable = data.labels.flags.writeable = False
     return drawn[split]
 
 

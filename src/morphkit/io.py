@@ -12,7 +12,13 @@ The dataset cache keeps one file per split of a synthetic draw under
 `$XDG_CACHE_HOME/morphkit` (default `~/.cache/morphkit`). An entry is named
 by a hash of everything that decides the draw and is checked on every read
 (dtype, shape, CRC-32), so a hit has the bits of a fresh draw and anything
-else is a miss. The generators themselves stay pure.
+else is a miss. A hit's arrays are read-only views of a read-only memory
+mapping of the entry. morphkit only ever replaces an entry atomically, and
+a live mapping keeps the bytes of the file it mapped. An entry must never
+be edited in place while a command runs (delete the directory instead): the
+mapping would see bytes written after the CRC-32 check, and an entry cut
+short kills the process with SIGBUS at the first touch past its new end.
+The generators themselves stay pure.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import io as stdio
 import json
 import logging
 import math
+import mmap
 import os
 import secrets
 import struct
@@ -51,6 +58,10 @@ _UINT32_LE = np.dtype("<u4")
 # the entry layout or to what a generator draws (tests/test_io.py pins the
 # generators' output, so such a change fails there first).
 DATASET_CACHE_FORMAT = 1
+
+# `synth_lowrank_dataset` draws its noise in blocks of about this many
+# entries (2 MiB of float64)
+_NOISE_BLOCK_ENTRIES = 1 << 18
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -317,11 +328,15 @@ def synth_lowrank_dataset(
     latent = np.column_stack([main, side])
     basis = rng.normal(size=(side_dims + 1, d)) / np.sqrt(d)
     # the bits of `latent @ basis + ambient * noise` (IEEE addition
-    # commutes), built in place rather than through numpy's elision of
-    # temporaries, so at most two n x d arrays are ever alive
-    features = rng.normal(size=(n, d))
-    features *= ambient
-    features += latent @ basis
+    # commutes), with the noise drawn and added a block of rows at a time:
+    # a Generator draws row after row, so the stream is the same, and only
+    # one n x d array is ever alive
+    features = latent @ basis
+    block = max(1, _NOISE_BLOCK_ENTRIES // d)
+    for start in range(0, n, block):
+        noise = rng.normal(size=(min(block, n - start), d))
+        noise *= ambient
+        features[start:start + block] += noise
     return Dataset(features=features, labels=labels)
 
 
@@ -350,19 +365,18 @@ def _npy_header(dtype: np.dtype, shape: tuple) -> bytes:
     return buf.getvalue()
 
 
-def _read_record(fh, dtype: np.dtype, shape: tuple) -> np.ndarray:
-    """The next npy record of `fh`, which must hold exactly `dtype` and
-    `shape` in C order. Its header must equal the one `np.save` writes for
-    them byte for byte, so a corrupt header is never parsed and never sizes
-    an allocation."""
+def _record_at(buf, offset: int, dtype: np.dtype, shape: tuple) -> tuple[np.ndarray, int]:
+    """The npy record at `offset` of `buf`, which must hold exactly `dtype`
+    and `shape` in C order, as a view of `buf`, and the offset after it. Its
+    header must equal the one `np.save` writes for them byte for byte, so a
+    corrupt header is never parsed and never sizes a view."""
     header = _npy_header(dtype, shape)
-    if fh.read(len(header)) != header:
+    end = offset + len(header)
+    if buf[offset:end] != header:
         raise ValueError(f"not an npy header for {dtype} {shape}")
     count = math.prod(shape)
-    array = np.fromfile(fh, dtype=dtype, count=count)
-    if array.size != count:
-        raise ValueError(f"truncated record: {array.size} of {count} entries")
-    return array.reshape(shape)
+    array = np.frombuffer(buf, dtype=dtype, count=count, offset=end)  # short: ValueError
+    return array.reshape(shape), end + count * dtype.itemsize
 
 
 def read_cached_split(path, shape: tuple) -> Dataset | None:
@@ -371,19 +385,21 @@ def read_cached_split(path, shape: tuple) -> Dataset | None:
     An entry is three npy records: `shape` little-endian float64 features,
     int64 labels, and the CRC-32 of those bytes as a uint32 scalar, with
     nothing after them. A missing, truncated or corrupt entry is a miss.
-    Logs one INFO line either way.
+    A hit's arrays are read-only views of a read-only memory mapping of the
+    entry, so a hit copies nothing. Logs one INFO line either way.
     """
     try:
         with open(path, "rb") as fh:
-            features = _read_record(fh, _FLOAT64_LE, tuple(shape))
-            labels = _read_record(fh, _INT64_LE, tuple(shape[:1]))
-            crc = _read_record(fh, _UINT32_LE, ())
-            if fh.read(1):
-                raise ValueError("bytes after the checksum")
+            buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        features, offset = _record_at(buf, 0, _FLOAT64_LE, tuple(shape))
+        labels, offset = _record_at(buf, offset, _INT64_LE, tuple(shape[:1]))
+        crc, offset = _record_at(buf, offset, _UINT32_LE, ())
+        if offset != len(buf):
+            raise ValueError("bytes after the checksum")
     except FileNotFoundError:
         log.info("dataset cache miss: %s", path)
         return None
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # mmap refuses an empty file with ValueError
         log.info("dataset cache miss (%s): %s", exc, path)
         return None
     if int(crc) != _split_checksum(features, labels):

@@ -496,6 +496,8 @@ class TestDatasetCache:
                 assert data.features.tobytes() == features.tobytes()
                 assert data.labels.tobytes() == labels.tobytes()
                 assert data.features.shape == features.shape
+                # a miss hands back its draw as read-only as a hit's mapping
+                assert not data.features.flags.writeable and not data.labels.flags.writeable
 
     @pytest.mark.parametrize("damage", ["truncated", "flipped byte", "bad header", "empty"])
     def test_damaged_entry_is_redrawn_and_rewritten(self, tmp_path, monkeypatch, dataset_cache,

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -430,6 +431,16 @@ class TestLowRankDataset:
         with pytest.raises(ValueError):
             synth_lowrank_dataset(0, 10, d=4, classes=2, side_dims=9)
 
+    def test_draw_keeps_one_feature_matrix_alive(self):
+        n, d = 7000, 784
+        tracemalloc.start()
+        try:
+            synth_lowrank_dataset(11, n, d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * d * 8, f"traced peak {peak / (n * d * 8):.2f} x the features"
+
 
 class TestGeneratorPins:
     """The dataset cache serves a stored split as a fresh draw, so a change
@@ -440,7 +451,10 @@ class TestGeneratorPins:
          "f24cb8ce1dc1ad119d606b707efe27bfbe1f66aac8bf03c9533cb8cfa92a2d8e"),
         (lambda: synth_lowrank_dataset(5, 40, d=20, classes=4, side_dims=3),
          "7eda6967a7089d8702659c342dfb542085dd3d9e8dfb3e55957c2eb45bbc9791"),
-    ], ids=["synth", "lowrank"])
+        # 1001 rows of 784 features span several of the draw's noise blocks
+        (lambda: synth_lowrank_dataset(13, 1001),
+         "97dff229944a73caadc41104b551e502bc8d4e028db04a517e6794f143a6a053"),
+    ], ids=["synth", "lowrank", "lowrank-blocks"])
     def test_draw_is_pinned(self, draw, digest):
         data = draw()
         h = hashlib.sha256(data.features.tobytes())
@@ -467,7 +481,25 @@ class TestDatasetCache:
         assert back.features.tobytes() == data.features.tobytes()
         assert back.labels.tobytes() == data.labels.tobytes()
         assert back.features.dtype == np.float64 and back.labels.dtype == np.int64
+        # views of the read-only mapping: nothing copied, nothing writable
+        for array in (back.features, back.labels):
+            assert not array.flags.writeable and not array.flags.owndata
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.npys"]
+
+    def test_replacing_an_entry_keeps_a_live_read(self, tmp_path):
+        path, old = cache_entry(tmp_path, seed=0)
+        live = mio.read_cached_split(path, (5, 3))
+        new = synth_dataset(1, 5, 3, 2)
+        assert new.features.tobytes() != old.features.tobytes()
+        mio.write_cached_split(path, new)
+        # the atomic replace gives the path a new file; the mapping keeps the old one
+        assert live.features.tobytes() == old.features.tobytes()
+        assert live.labels.tobytes() == old.labels.tobytes()
+        back = mio.read_cached_split(path, (5, 3))
+        assert back.features.tobytes() == new.features.tobytes()
+        assert back.labels.tobytes() == new.labels.tobytes()
 
     def test_every_flipped_byte_is_a_miss(self, tmp_path):
         path, _ = cache_entry(tmp_path)
