@@ -35,8 +35,10 @@ from .linalg import (
 from .morph import (
     MorphReport,
     MorphSpec,
+    PreparedProbe,
     fold_beta,
     morph,
+    prepare_probe,
     preservation_error,
     sample_rows,
 )

@@ -13,6 +13,8 @@ paths are joined under --out-dir. Set MORPHKIT_LOG to adjust verbosity.
 --data is a generator spec whose name matches `synth` or `lowrank` exactly,
 `mnist`, or a directory of IDX files. Every split of a synthetic spec comes
 from one draw, and later reads get it from the dataset cache (`morphkit.io`).
+`morph` caches the parent's probe pass on a synthetic split the same way,
+so later morphs of that parent read neither the split nor run the pass.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import numpy as np
 
 from . import io as mio
 from .errors import MorphkitError
-from .morph import ALGORITHM_NAMES, MorphSpec, morph, sample_rows
+from .morph import (
+    ALGORITHM_NAMES, MorphSpec, PreparedProbe, morph, parent_digest, prepare_probe, sample_rows,
+)
 from .network import ACTIVATION_KINDS, Layer, Mlp, TrainConfig, evaluate, init_weights, train_sgd
 from .sparse import SparseConfig
 from .verify import CHECKS, run_checks
@@ -80,14 +84,63 @@ def _idx_pair(directory: str, split: str) -> tuple[str, str]:
     return pair[0], pair[1]
 
 
-def _load_dataset(spec: str, split: str) -> mio.Dataset:
-    """The `split` rows of the --data `spec`. A generator name must match
-    exactly; anything else is a directory of IDX files. Both splits of a
-    synthetic spec come from one draw, so they share class means: a cache
-    miss draws once and caches each split (`io.read_cached_split`). The
-    arrays of a synthetic split are read-only, hit or miss."""
+def _resolve_synthetic(spec: str) -> tuple[str, dict] | None:
+    """The generator name and fully resolved parameters of a synthetic
+    --data `spec`, or None when `spec` names no generator. A generator name
+    must match exactly; a bad parameter is a user error that names it."""
     name, _, text = spec.partition(":")
     if name not in _GENERATORS:
+        return None
+    p = dict(_GENERATORS[name][0])
+    for item in filter(None, text.split(",")):
+        key, _, value = item.partition("=")
+        if key not in p:
+            raise MorphkitError(f"unknown parameter {key!r} in --data {spec!r}")
+        kind = type(p[key])
+        try:
+            p[key] = kind(value)  # `sep=6` is 6.0, as in every cache key so far
+        except ValueError:
+            raise MorphkitError(f"--data {spec!r}: {key} needs "
+                                f"{'an' if kind is int else 'a'} {kind.__name__}, "
+                                f"got {value!r}") from None
+    if p["n"] < 0 or p["test"] < 0:
+        raise MorphkitError(f"--data {spec!r}: n and test must be >= 0")
+    return name, p
+
+
+def _split_param(split: str) -> str:
+    """The synthetic spec parameter that sets the row count of `split`."""
+    return "n" if split == "train" else "test"
+
+
+def _load_synthetic(spec: str, name: str, p: dict, split: str) -> mio.Dataset:
+    """The `split` rows of the synthetic `spec`, resolved to generator `name`
+    and parameters `p`. Both splits come from one draw, so they share class
+    means: a cache miss draws once and caches each split
+    (`io.read_cached_split`). The arrays are read-only, hit or miss."""
+    paths = {s: mio.dataset_cache_path(name, p, s) for s in ("train", "test")}
+    cached = mio.read_cached_split(paths[split], (p[_split_param(split)], p["d"]))
+    if cached is not None:
+        return cached
+    try:
+        full = _GENERATORS[name][1](p)
+    except ValueError as exc:  # a value the generator refuses, such as d=0
+        raise MorphkitError(f"--data {spec!r}: {exc}") from None
+    n = p["n"]
+    drawn = {"train": mio.Dataset(full.features[:n], full.labels[:n]),
+             "test": mio.Dataset(full.features[n:], full.labels[n:])}
+    for s, data in drawn.items():
+        mio.write_cached_split(paths[s], data)
+        # read-only, as a cache hit's mapped arrays are
+        data.features.flags.writeable = data.labels.flags.writeable = False
+    return drawn[split]
+
+
+def _load_dataset(spec: str, split: str) -> mio.Dataset:
+    """The `split` rows of the --data `spec`: a synthetic spec
+    (`_load_synthetic`), or else a directory of IDX files."""
+    resolved = _resolve_synthetic(spec)
+    if resolved is None:
         directory = spec
         if spec == "mnist":
             directory = os.environ.get("MORPHKIT_MNIST", os.path.join("data", "mnist"))
@@ -102,38 +155,7 @@ def _load_dataset(spec: str, split: str) -> mio.Dataset:
                 "nor a directory of IDX files"
             )
         return mio.read_idx(*_idx_pair(directory, split))
-    defaults, draw = _GENERATORS[name]
-    p = dict(defaults)
-    for item in filter(None, text.split(",")):
-        key, _, value = item.partition("=")
-        if key not in p:
-            raise MorphkitError(f"unknown parameter {key!r} in --data {spec!r}")
-        kind = type(p[key])
-        try:
-            p[key] = kind(value)  # `sep=6` is 6.0, as in every cache key so far
-        except ValueError:
-            raise MorphkitError(f"--data {spec!r}: {key} needs "
-                                f"{'an' if kind is int else 'a'} {kind.__name__}, "
-                                f"got {value!r}") from None
-    if p["n"] < 0 or p["test"] < 0:
-        raise MorphkitError(f"--data {spec!r}: n and test must be >= 0")
-    paths = {s: mio.dataset_cache_path(name, p, s) for s in ("train", "test")}
-    rows = p["n"] if split == "train" else p["test"]
-    cached = mio.read_cached_split(paths[split], (rows, p["d"]))
-    if cached is not None:
-        return cached
-    try:
-        full = draw(p)
-    except ValueError as exc:  # a value the generator refuses, such as d=0
-        raise MorphkitError(f"--data {spec!r}: {exc}") from None
-    n = p["n"]
-    drawn = {"train": mio.Dataset(full.features[:n], full.labels[:n]),
-             "test": mio.Dataset(full.features[n:], full.labels[n:])}
-    for s, data in drawn.items():
-        mio.write_cached_split(paths[s], data)
-        # read-only, as a cache hit's mapped arrays are
-        data.features.flags.writeable = data.labels.flags.writeable = False
-    return drawn[split]
+    return _load_synthetic(spec, *resolved, split)
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -205,6 +227,38 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _morph_probe(args, parent: Mlp) -> PreparedProbe:
+    """The parent's probe pass on --probe-size rows of the --data split.
+    For a synthetic spec it is cached next to the split's entry
+    (`io.probe_cache_path`), and a hit never reads the split; IDX data is
+    never cached."""
+    resolved = _resolve_synthetic(args.data)
+    if resolved is None:
+        data = _load_dataset(args.data, args.split)
+        n, raise_what = data.n, "use IDX files with more images"
+    else:
+        name, p = resolved
+        n, raise_what = p[_split_param(args.split)], f"raise {_split_param(args.split)}"
+    if n < 2:
+        raise MorphkitError(
+            f"--data {args.data!r}: the {args.split} split has {n} row{'' if n == 1 else 's'}, "
+            f"and a morph needs a probe of at least 2; {raise_what}"
+        )
+    rows = sample_rows(n, args.probe_size, args.seed)
+    if resolved is None:
+        return prepare_probe(parent, args.at, data.features[rows])
+    digest = parent_digest(parent, args.at)
+    path = mio.probe_cache_path(mio.dataset_cache_path(name, p, args.split), args.split,
+                                args.probe_size, args.seed, args.at, digest)
+    shapes = [(len(rows), parent.layers[k].d_out) for k in (args.at, args.at + 1)]
+    prepared = mio.read_cached_probe(path, args.at, digest, shapes)
+    if prepared is None:
+        data = _load_synthetic(args.data, name, p, args.split)
+        prepared = prepare_probe(parent, args.at, data.features[rows])
+        mio.write_cached_probe(path, prepared)
+    return prepared
+
+
 def cmd_morph(args) -> int:
     sparse = SparseConfig(lam=args.lam, alpha=args.alpha, max_itr=args.max_itr, tol=args.tol)
     spec = MorphSpec(
@@ -217,10 +271,7 @@ def cmd_morph(args) -> int:
         fold_beta=args.fold_beta,
     )
     parent, meta = mio.load_model(args.model)
-    data = _load_dataset(args.data, args.split)
-    rows = sample_rows(data.n, args.probe_size, args.seed)
-    probe = data.features[rows]
-    child, report = morph(parent, spec, probe)
+    child, report = morph(parent, spec, _morph_probe(args, parent))
     report.run_id = args.run_id or os.path.splitext(os.path.basename(args.out))[0]
     out = _out_path(args, args.out)
     mio.save_model(child, out, metadata={

@@ -1,5 +1,5 @@
-"""Model serialization, IDX dataset ingestion, synthetic data, the
-synthetic-dataset cache, and report files.
+"""Model serialization, IDX dataset ingestion, synthetic data, the cache
+of synthetic splits and probe passes, and report files.
 
 Models are stored as UTF-8 JSON with an explicit schema version. Schema 2
 carries each weight matrix and bias as one base64 string of its
@@ -8,17 +8,22 @@ weight bit-for-bit; schema 1 files (nested number lists) are still read.
 IDX files follow the classic big-endian layout (magic, dims,
 unsigned bytes); gzipped files are handled transparently by extension.
 
-The dataset cache keeps one file per split of a synthetic draw under
-`$XDG_CACHE_HOME/morphkit` (default `~/.cache/morphkit`). An entry is named
-by a hash of everything that decides the draw and is checked on every read
-(dtype, shape, CRC-32), so a hit has the bits of a fresh draw and anything
-else is a miss. A hit's arrays are read-only views of a read-only memory
-mapping of the entry. morphkit only ever replaces an entry atomically, and
-a live mapping keeps the bytes of the file it mapped. An entry must never
-be edited in place while a command runs (delete the directory instead): the
-mapping would see bytes written after the CRC-32 check, and an entry cut
-short kills the process with SIGBUS at the first touch past its new end.
-The generators themselves stay pure.
+The cache under `$XDG_CACHE_HOME/morphkit` (default `~/.cache/morphkit`)
+holds two kinds of entry in one format (`_read_entry`, `_write_entry`):
+npy records whose headers must match byte for byte, an exact length, and a
+chained CRC-32 of the records' bytes. One kind is a split of a synthetic
+draw, named by a hash of everything that decides the draw; the other is a
+parent's probe pass on rows of such a split (`probe_cache_path`), named by
+a hash of the split's entry, the row sample, the insertion point and a
+digest of the parent. Every read checks dtype, shape and CRC-32, so a hit
+has the bits of a fresh computation and anything else is a miss. A hit's
+arrays are read-only views of a read-only memory mapping of the entry.
+morphkit only ever replaces an entry atomically, and a live mapping keeps
+the bytes of the file it mapped. An entry must never be edited in place
+while a command runs (delete the directory instead): the mapping would see
+bytes written after the CRC-32 check, and an entry cut short kills the
+process with SIGBUS at the first touch past its new end. The generators
+themselves stay pure.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdxFormatError, ModelFormatError, MorphkitError
-from .morph import MorphReport
+from .morph import MorphReport, PreparedProbe
 from .network import ACTIVATION_KINDS, Layer, Mlp
 
 log = logging.getLogger(__name__)
@@ -54,9 +59,10 @@ _FLOAT64_LE = np.dtype("<f8")
 _INT64_LE = np.dtype("<i8")
 _UINT32_LE = np.dtype("<u4")
 
-# Bump whenever a cached split could differ from a fresh draw: a change to
-# the entry layout or to what a generator draws (tests/test_io.py pins the
-# generators' output, so such a change fails there first).
+# Bump whenever a cache entry could differ from a fresh computation: a
+# change to the entry layout, to what a generator draws (tests/test_io.py
+# pins the generators' output, so such a change fails there first) or to
+# what a probe pass computes.
 DATASET_CACHE_FORMAT = 1
 
 # `synth_lowrank_dataset` draws its noise in blocks of about this many
@@ -340,21 +346,49 @@ def synth_lowrank_dataset(
     return Dataset(features=features, labels=labels)
 
 
+def _cache_path(name: str, key: dict, suffix: str) -> str:
+    """`$XDG_CACHE_HOME/morphkit/<name>-<32 hex of the key><suffix>.npys`,
+    the key completed with DATASET_CACHE_FORMAT and the numpy version. A
+    relative XDG_CACHE_HOME is ignored, as the XDG spec says."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    text = json.dumps({"format": DATASET_CACHE_FORMAT, "numpy": np.__version__, **key},
+                      sort_keys=True)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
+    return os.path.join(base, "morphkit", f"{name}-{digest}{suffix}.npys")
+
+
 def dataset_cache_path(generator: str, params: dict, split: str) -> str:
     """The cache entry of one split of a synthetic draw. Its name hashes the
     generator, its fully resolved parameters, the numpy version (Generator
     streams may change between releases) and DATASET_CACHE_FORMAT."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    key = json.dumps({"format": DATASET_CACHE_FORMAT, "generator": generator,
-                      "numpy": np.__version__, "params": params}, sort_keys=True)
-    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:32]
-    return os.path.join(base, "morphkit", f"{generator}-{digest}-{split}.npys")
+    return _cache_path(generator, {"generator": generator, "params": params}, f"-{split}")
 
 
-def _split_checksum(features: np.ndarray, labels: np.ndarray) -> int:
-    return zlib.crc32(labels, zlib.crc32(features))
+def probe_cache_path(dataset_entry: str, split: str, probe_size: int, seed: int,
+                     insert_after: int, parent_digest: str) -> str:
+    """The cache entry of a parent's probe pass on rows of a cached split:
+    `probe-<32 hex>.npys` next to `dataset_entry`, the split's entry. Its
+    name hashes DATASET_CACHE_FORMAT, the numpy version, the split entry's
+    name, the split, the probe size, the row-sampling seed, the insertion
+    point and `morph.parent_digest` of the parent. Like a draw's
+    `latent @ basis`, the pass is matrix products whose bits depend on the
+    BLAS and its thread count, which the key does not hold: a hit has the
+    bits of a fresh pass on the same machine, numpy build and thread
+    count."""
+    return _cache_path("probe", {
+        "dataset_entry": os.path.basename(dataset_entry), "split": split,
+        "probe_size": probe_size, "seed": seed, "insert_after": insert_after,
+        "parent_digest": parent_digest,
+    }, "")
+
+
+def _checksum(arrays) -> int:
+    crc = 0
+    for array in arrays:
+        crc = zlib.crc32(array, crc)
+    return crc
 
 
 def _npy_header(dtype: np.dtype, shape: tuple) -> bytes:
@@ -379,50 +413,80 @@ def _record_at(buf, offset: int, dtype: np.dtype, shape: tuple) -> tuple[np.ndar
     return array.reshape(shape), end + count * dtype.itemsize
 
 
-def read_cached_split(path, shape: tuple) -> Dataset | None:
-    """The split cached at `path`, or None on a miss.
+def _read_entry(path, layout, what: str) -> list[np.ndarray] | None:
+    """The arrays of the cache entry at `path`, or None on a miss.
 
-    An entry is three npy records: `shape` little-endian float64 features,
-    int64 labels, and the CRC-32 of those bytes as a uint32 scalar, with
-    nothing after them. A missing, truncated or corrupt entry is a miss.
-    A hit's arrays are read-only views of a read-only memory mapping of the
-    entry, so a hit copies nothing. Logs one INFO line either way.
+    An entry is one npy record per `(dtype, shape)` of `layout`, in order,
+    then the CRC-32 of their bytes, chained in that order, as a uint32
+    scalar record, with nothing after it. A missing, truncated or corrupt
+    entry is a miss. A hit's arrays are read-only views of a read-only
+    memory mapping of the entry, so a hit copies nothing. Logs one INFO
+    line, "`what` cache hit" or "miss", either way.
     """
     try:
         with open(path, "rb") as fh:
             buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        features, offset = _record_at(buf, 0, _FLOAT64_LE, tuple(shape))
-        labels, offset = _record_at(buf, offset, _INT64_LE, tuple(shape[:1]))
+        arrays, offset = [], 0
+        for dtype, shape in layout:
+            array, offset = _record_at(buf, offset, dtype, tuple(shape))
+            arrays.append(array)
         crc, offset = _record_at(buf, offset, _UINT32_LE, ())
         if offset != len(buf):
             raise ValueError("bytes after the checksum")
     except FileNotFoundError:
-        log.info("dataset cache miss: %s", path)
+        log.info("%s cache miss: %s", what, path)
         return None
     except (OSError, ValueError) as exc:  # mmap refuses an empty file with ValueError
-        log.info("dataset cache miss (%s): %s", exc, path)
+        log.info("%s cache miss (%s): %s", what, exc, path)
         return None
-    if int(crc) != _split_checksum(features, labels):
-        log.info("dataset cache miss (checksum mismatch): %s", path)
+    if int(crc) != _checksum(arrays):
+        log.info("%s cache miss (checksum mismatch): %s", what, path)
         return None
-    log.info("dataset cache hit: %s", path)
-    return Dataset(features=features, labels=labels)
+    log.info("%s cache hit: %s", what, path)
+    return arrays
 
 
-def write_cached_split(path, data: Dataset) -> None:
-    """Cache `data` at `path` in one atomic replace (see `read_cached_split`).
-    A cache that cannot be written is logged and skipped: the caller
-    already holds the data."""
-    features = np.ascontiguousarray(data.features, dtype=_FLOAT64_LE)
-    labels = np.ascontiguousarray(data.labels, dtype=_INT64_LE)
-    crc = np.array(_split_checksum(features, labels), dtype=_UINT32_LE)
+def _write_entry(path, arrays, what: str) -> None:
+    """Cache the C-contiguous little-endian `arrays` at `path` in one
+    atomic replace, in `_read_entry`'s layout. A cache that cannot be
+    written is logged and skipped: the caller already holds the arrays."""
+    crc = np.array(_checksum(arrays), dtype=_UINT32_LE)
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with _atomic_open(path, binary=True) as fh:
-            for array in (features, labels, crc):
+            for array in (*arrays, crc):
                 np.lib.format.write_array(fh, array, allow_pickle=False)
     except OSError as exc:
-        log.info("dataset cache not written (%s): %s", exc, path)
+        log.info("%s cache not written (%s): %s", what, exc, path)
+
+
+def read_cached_split(path, shape: tuple) -> Dataset | None:
+    """The split cached at `path`, or None on a miss (see `_read_entry`):
+    `shape` little-endian float64 features, then int64 labels."""
+    arrays = _read_entry(path, [(_FLOAT64_LE, shape), (_INT64_LE, shape[:1])], "dataset")
+    return None if arrays is None else Dataset(*arrays)
+
+
+def write_cached_split(path, data: Dataset) -> None:
+    """Cache `data` at `path` (see `_write_entry`)."""
+    _write_entry(path, [np.ascontiguousarray(data.features, dtype=_FLOAT64_LE),
+                        np.ascontiguousarray(data.labels, dtype=_INT64_LE)], "dataset")
+
+
+def read_cached_probe(path, insert_after: int, parent_digest: str,
+                      shapes: tuple) -> PreparedProbe | None:
+    """The probe pass cached at `path` as a PreparedProbe for the parent
+    whose `morph.parent_digest` is `parent_digest`, or None on a miss (see
+    `_read_entry`): little-endian float64 `a1` and `downstream_pre` of
+    `shapes`."""
+    arrays = _read_entry(path, [(_FLOAT64_LE, shape) for shape in shapes], "probe")
+    return None if arrays is None else PreparedProbe(insert_after, *arrays, parent_digest)
+
+
+def write_cached_probe(path, prepared: PreparedProbe) -> None:
+    """Cache `prepared`'s arrays at `path` (see `_write_entry`)."""
+    _write_entry(path, [np.ascontiguousarray(a, dtype=_FLOAT64_LE)
+                        for a in (prepared.a1, prepared.downstream_pre)], "probe")
 
 
 def _format_value(value) -> str:

@@ -21,6 +21,13 @@ algorithms share that pipeline and differ only in the selector, named by
 Selectors return only the kept neurons. `morph` then drops those silent on
 every probe row (except for `baseline`) and makes the one readout fit.
 
+Every morph starts from the parent's probe pass: the output of layer
+`insert_after` and the pre-activations of the next layer on the probe.
+`prepare_probe` runs it once and returns a `PreparedProbe`, which `morph`
+takes in place of the probe batch, so many morphs of one parent (widths,
+selectors, lambdas) share one pass. It carries a digest of the parent
+layers the pass read, and `morph` refuses it for any other parent.
+
 Parents are never mutated; at a fixed BLAS thread count identical inputs
 produce bit-identical children.
 """
@@ -28,6 +35,7 @@ produce bit-identical children.
 from __future__ import annotations
 
 import functools
+import hashlib
 import logging
 import time
 from dataclasses import dataclass, field
@@ -173,29 +181,107 @@ def _error_stats(diff: np.ndarray) -> tuple[float, float]:
     return float(np.abs(diff).max()), float(np.linalg.norm(diff) / np.sqrt(diff.size))
 
 
-def _prepare(mlp: Mlp, spec: MorphSpec, probe, w1_init):
-    if not 0 <= spec.insert_after <= len(mlp.layers) - 2:
+def _check_insert_after(mlp: Mlp, insert_after: int) -> None:
+    if not 0 <= insert_after <= len(mlp.layers) - 2:
         raise ShapeError(
-            f"insert_after={spec.insert_after} must index a non-final layer "
+            f"insert_after={insert_after} must index a non-final layer "
             f"of a {len(mlp.layers)}-layer network"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class PreparedProbe:
+    """The parent's probe pass for an insertion after layer `insert_after`,
+    as `prepare_probe` returns it: `a1` is that layer's output and
+    `downstream_pre` the next layer's pre-activations, one row per probe
+    row. `parent_digest` is `parent_digest(parent, insert_after)`, which
+    lets `morph` refuse the value for any other parent. The arrays may be
+    read-only; nothing writes to them."""
+
+    insert_after: int
+    a1: np.ndarray
+    downstream_pre: np.ndarray
+    parent_digest: str
+
+
+def parent_digest(mlp: Mlp, insert_after: int) -> str:
+    """sha256 hex digest of everything a probe pass for an insertion after
+    `insert_after` reads of `mlp`: the shape, activation, weight bytes and
+    bias bytes of layers 0 through insert_after + 1."""
+    _check_insert_after(mlp, insert_after)
+    h = hashlib.sha256()
+    for layer in mlp.layers[: insert_after + 2]:
+        h.update(f"{layer.d_in}x{layer.d_out} {layer.activation} "
+                 f"bias={layer.bias is not None};".encode("ascii"))
+        h.update(np.ascontiguousarray(layer.weight))
+        if layer.bias is not None:
+            h.update(np.ascontiguousarray(layer.bias))
+    return h.hexdigest()
+
+
+def _probe_pass(mlp: Mlp, insert_after: int, probe) -> tuple[np.ndarray, np.ndarray]:
+    """Check `insert_after` and the probe, then run the parent's forward
+    pass on it: returns the inserted layer's input and the downstream
+    pre-activations, which depend only on the layers `parent_digest`
+    covers."""
+    _check_insert_after(mlp, insert_after)
     probe = _checked_input(mlp, probe, "probe")  # the probe's one check
-    if probe.shape[0] < 2:
+    n = probe.shape[0]
+    if n < 2:
         raise ShapeError(
-            f"probe has {probe.shape[0]} rows; a morph needs at least 2 "
+            f"probe has {n} row{'' if n == 1 else 's'}; a morph needs at least 2 "
             f"(use a larger probe)"
         )
-    d1 = mlp.layers[spec.insert_after].d_out
-    if w1_init is None:
-        w1 = init_weights(d1, spec.width, spec.activation, spec.seed)
-    else:
-        w1 = as_matrix(w1_init, "w1_init")
-        if w1.shape != (d1, spec.width):
-            raise ShapeError(
-                f"w1_init has shape {w1.shape}, expected ({d1}, {spec.width})"
-            )
     pres, acts = _layer_outputs(mlp, probe)
-    return acts[spec.insert_after], pres[spec.insert_after + 1], w1
+    return acts[insert_after], pres[insert_after + 1]
+
+
+def prepare_probe(mlp: Mlp, insert_after: int, probe) -> PreparedProbe:
+    """Run the parent's probe pass once for every morph that inserts after
+    `insert_after`: `morph(mlp, spec, prepare_probe(mlp, spec.insert_after,
+    probe))` gives the bits of `morph(mlp, spec, probe)` for any width,
+    selector, activation or solver setting of `spec`. Raises a
+    MorphkitError for an `insert_after` that indexes no non-final layer and
+    for a probe that is not a finite batch of at least 2 rows of `mlp.d_in`
+    features. Changing the parent's layers 0..insert_after+1 afterwards
+    makes `morph` refuse the value."""
+    a1, downstream_pre = _probe_pass(mlp, insert_after, probe)
+    return PreparedProbe(insert_after, a1, downstream_pre, parent_digest(mlp, insert_after))
+
+
+def _prepared_arrays(mlp: Mlp, spec: MorphSpec, prepared: PreparedProbe):
+    """`prepared`'s arrays, once it is shown to belong to `mlp` and `spec`."""
+    if prepared.insert_after != spec.insert_after:
+        raise MorphkitError(
+            f"the probe was prepared for insert_after={prepared.insert_after}, but the spec "
+            f"inserts after {spec.insert_after}; prepare it again with "
+            f"prepare_probe(parent, {spec.insert_after}, probe)"
+        )
+    if prepared.parent_digest != parent_digest(mlp, spec.insert_after):
+        raise MorphkitError(
+            f"the probe was prepared for another parent, or before layers 0..{spec.insert_after + 1} "
+            f"of this one changed; prepare it again with prepare_probe(parent, "
+            f"{spec.insert_after}, probe)"
+        )
+    a1, downstream_pre = prepared.a1, prepared.downstream_pre
+    d1, d2 = mlp.layers[spec.insert_after].d_out, mlp.layers[spec.insert_after + 1].d_out
+    if a1.ndim != 2 or a1.shape[1] != d1 or downstream_pre.shape != (a1.shape[0], d2):
+        raise ShapeError(
+            f"the prepared arrays have shapes {a1.shape} and {downstream_pre.shape}, expected "
+            f"(rows, {d1}) and (rows, {d2}); build them with prepare_probe"
+        )
+    return a1, downstream_pre
+
+
+def _initial_w1(spec: MorphSpec, d1: int, w1_init) -> np.ndarray:
+    if w1_init is None:
+        return init_weights(d1, spec.width, spec.activation, spec.seed)
+    w1 = as_matrix(w1_init, "w1_init")
+    if w1.shape != (d1, spec.width):
+        raise ShapeError(
+            f"w1_init has shape {w1.shape}, expected ({d1}, {spec.width})"
+        )
+    return w1
 
 
 def _fit_readout(a_new, target, with_bias: bool):
@@ -325,9 +411,20 @@ _SELECTORS = {
 def morph(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphReport]:
     """Insert a layer of `spec.width` candidate neurons after layer
     `spec.insert_after`, keep the ones the `spec.algorithm` selector picks,
-    and fit the downstream layer so the child tracks the parent on `probe`."""
+    and fit the downstream layer so the child tracks the parent on `probe`.
+
+    `probe` is a batch of parent inputs, or the `PreparedProbe` that
+    `prepare_probe` built from one: the child and report are the same bits
+    either way. A batch costs one probe pass per call; a prepared probe
+    lets many morphs of one parent share one pass. A prepared probe built
+    for another `insert_after` or another parent, or before the parent's
+    layers 0..insert_after+1 changed, is refused with a MorphkitError."""
     t0 = time.perf_counter()
-    a1, downstream_pre, w1 = _prepare(mlp, spec, probe, w1_init)
+    if isinstance(probe, PreparedProbe):
+        a1, downstream_pre = _prepared_arrays(mlp, spec, probe)
+    else:
+        a1, downstream_pre = _probe_pass(mlp, spec.insert_after, probe)
+    w1 = _initial_w1(spec, a1.shape[1], w1_init)
     with_bias = mlp.layers[spec.insert_after + 1].bias is not None
     select = _SELECTORS[spec.algorithm]
     w1, sol, fallbacks = select(spec, a1, downstream_pre, w1, with_bias)

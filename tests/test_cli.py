@@ -231,6 +231,20 @@ class TestMorph:
         assert "probe" in capsys.readouterr().err
         assert not (parent_dir / "never.model").exists()
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_split_too_small_for_a_probe_names_the_spec_parameter(self, parent_dir, capsys, n):
+        # the advice is the split's size, not --probe-size, which is 4096 already
+        data = f"synth:n={n},test=5,d=12"
+        code = run("morph", "--model", str(parent_dir / "parent.model"), "--data", data,
+                   "--at", "1", "--width", "10", "--out", "never.model",
+                   "--out-dir", str(parent_dir))
+        assert code == 1
+        counted = "1 row" if n == 1 else "0 rows"
+        assert capsys.readouterr().err == (f"error: --data {data!r}: the train split has "
+                                           f"{counted}, and a morph needs a probe of at least 2; "
+                                           f"raise n\n")
+        assert not (parent_dir / "never.model").exists()
+
     def test_unreadable_model_is_user_error(self, tmp_path):
         code = run("morph", "--model", str(tmp_path / "nope.model"), "--data", SYNTH,
                    "--at", "0", "--width", "4", "--out-dir", str(tmp_path))
@@ -499,27 +513,69 @@ class TestDatasetCache:
                 # a miss hands back its draw as read-only as a hit's mapping
                 assert not data.features.flags.writeable and not data.labels.flags.writeable
 
-    @pytest.mark.parametrize("damage", ["truncated", "flipped byte", "bad header", "empty"])
+    @pytest.mark.parametrize("entry,damage", [
+        *(pytest.param(entry, damage, id=f"{prefix}{damage}")
+          for entry, prefix in (("split", ""), ("probe", "probe "))
+          for damage in ("truncated", "flipped byte", "bad header", "empty"))])
     def test_damaged_entry_is_redrawn_and_rewritten(self, tmp_path, monkeypatch, dataset_cache,
-                                                    damage):
-        args = ("train", "--data", LOWRANK, "--arch", "30,6,3", "--epochs", "1")
-        assert run(*args, "--out-dir", str(tmp_path / "a")) == 0
-        (entry,) = dataset_cache.glob("*-train.npys")
-        good = entry.read_bytes()
+                                                    entry, damage):
+        train = ("train", "--data", LOWRANK, "--arch", "30,6,3", "--epochs", "1")
+        assert run(*train, "--out-dir", str(tmp_path / "a")) == 0
+        morph = ("morph", "--model", str(tmp_path / "a" / "parent.model"), "--data", LOWRANK,
+                 "--at", "0", "--width", "8")
+        # a damaged split is drawn again; a damaged probe entry is computed
+        # again from the intact split
+        args, product, redraws, pattern = {
+            "split": (train, "parent.model", ["synth_lowrank_dataset"], "*-train.npys"),
+            "probe": (morph, "child.model", [], "probe-*.npys"),
+        }[entry]
+        if entry == "probe":
+            assert run(*morph, "--out-dir", str(tmp_path / "a")) == 0
+        (path,) = dataset_cache.glob(pattern)
+        good = path.read_bytes()
         damaged = {
             "truncated": good[: len(good) // 2],
-            # a low bit of one feature, past the 128-byte npy header
+            # a low bit of one value, past the 128-byte npy header
             "flipped byte": good[:200] + bytes([good[200] ^ 0x01]) + good[201:],
             "bad header": b"\x93NUMPY\x01\x00" + b"{garbage" + good[16:],
             "empty": b"",
         }[damage]
-        entry.write_bytes(damaged)
+        path.write_bytes(damaged)
         draws = count_draws(monkeypatch)
         assert run(*args, "--out-dir", str(tmp_path / "b")) == 0
-        assert draws == ["synth_lowrank_dataset"]
-        assert entry.read_bytes() == good
-        assert (tmp_path / "a" / "parent.model").read_bytes() == \
-            (tmp_path / "b" / "parent.model").read_bytes()
+        assert draws == redraws
+        assert path.read_bytes() == good
+        assert (tmp_path / "a" / product).read_bytes() == (tmp_path / "b" / product).read_bytes()
+
+    def test_second_morph_of_a_parent_reads_no_split(self, tmp_path, monkeypatch,
+                                                     dataset_cache):
+        assert run("train", "--data", SYNTH, "--arch", "12,6,3", "--epochs", "1",
+                   "--out-dir", str(tmp_path)) == 0
+        reads = []
+        original = mio.read_cached_split
+
+        def counted(*args):
+            reads.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(mio, "read_cached_split", counted)
+        morph = ("morph", "--model", str(tmp_path / "parent.model"), "--data", SYNTH,
+                 "--at", "0", "--width", "8")
+        # a cold cache: the split is drawn, and the probe pass cached next to it
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cold"))
+        assert run(*morph, "--out-dir", str(tmp_path / "cold-run")) == 0
+        assert len(reads) == 1
+        entries = sorted(p.name for p in (tmp_path / "cold" / "morphkit").iterdir())
+        assert len(entries) == 3 and entries[0].startswith("probe-")
+        # every later morph of the parent at that point, of any width or
+        # algorithm, reads no split
+        assert run(*morph, "--out-dir", str(tmp_path / "warm-run")) == 0
+        assert run(*morph, "--alg", "alg3", "--width", "5", "--out-dir",
+                   str(tmp_path / "warm-alg3")) == 0
+        assert len(reads) == 1
+        assert (tmp_path / "cold-run" / "child.model").read_bytes() == \
+            (tmp_path / "warm-run" / "child.model").read_bytes()
+        assert len(list((tmp_path / "cold" / "morphkit").iterdir())) == 3
 
     def test_finetune_under_unwritable_cache_draws_again_with_same_bits(self, tmp_path,
                                                                          monkeypatch):
@@ -554,6 +610,8 @@ class TestDatasetCache:
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
         assert run("train", "--data", SYNTH, "--arch", "12,6,3", "--epochs", "1",
                    "--out-dir", str(tmp_path / "out")) == 0
+        assert run("morph", "--model", str(tmp_path / "out" / "parent.model"), "--data", SYNTH,
+                   "--at", "0", "--width", "8", "--out-dir", str(tmp_path / "out")) == 0
         assert blocker.read_text() == ""
 
     @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0,
@@ -585,6 +643,10 @@ class TestDatasetCache:
                    "--out-dir", str(tmp_path / "out")) == 0
         assert run("eval", "--model", str(tmp_path / "out" / "parent.model"),
                    "--data", str(tmp_path), "--split", "test") == 0
+        # nor a probe entry
+        assert run("morph", "--model", str(tmp_path / "out" / "parent.model"),
+                   "--data", str(tmp_path), "--at", "0", "--width", "5",
+                   "--out-dir", str(tmp_path / "out")) == 0
         assert not dataset_cache.exists()
 
     def test_logs_one_line_per_hit_or_miss(self, tmp_path, caplog):

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 import tracemalloc
 
@@ -31,7 +32,7 @@ from morphkit.io import (
     write_report_csv,
 )
 from morphkit.linalg import least_squares
-from morphkit.morph import MorphReport
+from morphkit.morph import MorphReport, parent_digest, prepare_probe
 from morphkit.network import ACTIVATION_KINDS, Layer, Mlp, forward
 
 
@@ -488,6 +489,13 @@ class TestDatasetCache:
                 array[...] = 0
         assert sorted(p.name for p in tmp_path.iterdir()) == ["entry.npys"]
 
+    def test_entry_bytes_are_pinned(self, tmp_path):
+        # the layout every cache entry shares; a change here must bump
+        # DATASET_CACHE_FORMAT, or old entries would be read as new ones
+        path, _ = cache_entry(tmp_path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "f63892ef8bd3803f97f228a7d33fb1f31f6ad5548e002bcf0b66076ece76e367"
+
     def test_replacing_an_entry_keeps_a_live_read(self, tmp_path):
         path, old = cache_entry(tmp_path, seed=0)
         live = mio.read_cached_split(path, (5, 3))
@@ -563,6 +571,38 @@ class TestDatasetCache:
         assert len({path, *others}) == 5
         name = os.path.basename(path)
         assert name.startswith("synth-") and name.endswith("-train.npys")
+
+    def test_probe_path_hashes_every_key_part(self, monkeypatch):
+        split = mio.dataset_cache_path("synth", {"n": 10}, "train")
+        key = dict(dataset_entry=split, split="train", probe_size=4096, seed=0,
+                   insert_after=0, parent_digest="ab" * 32)
+        path = mio.probe_cache_path(**key)
+        changed = {"dataset_entry": mio.dataset_cache_path("synth", {"n": 11}, "train"),
+                   "split": "test", "probe_size": 4095, "seed": 1, "insert_after": 1,
+                   "parent_digest": "cd" * 32}
+        others = [mio.probe_cache_path(**{**key, name: value}) for name, value in changed.items()]
+        for target, name, value in ((mio.np, "__version__", "0.0.0"),
+                                    (mio, "DATASET_CACHE_FORMAT", mio.DATASET_CACHE_FORMAT + 1)):
+            with monkeypatch.context() as m:
+                m.setattr(target, name, value)
+                others.append(mio.probe_cache_path(**key))
+        assert len({path, *others}) == 9
+        assert os.path.dirname(path) == os.path.dirname(split)
+        assert re.fullmatch(r"probe-[0-9a-f]{32}[.]npys", os.path.basename(path))
+
+    def test_probe_entry_round_trip(self, tmp_path):
+        parent = random_net(3)
+        prepared = prepare_probe(parent, 0, np.random.default_rng(4).normal(size=(9, 4)))
+        path = tmp_path / "probe.npys"
+        mio.write_cached_probe(path, prepared)
+        shapes = (prepared.a1.shape, prepared.downstream_pre.shape)
+        back = mio.read_cached_probe(path, 0, parent_digest(parent, 0), shapes)
+        assert (back.insert_after, back.parent_digest) == (0, prepared.parent_digest)
+        for got, want in ((back.a1, prepared.a1), (back.downstream_pre, prepared.downstream_pre)):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert not got.flags.writeable and not got.flags.owndata
+        assert mio.read_cached_probe(path, 0, prepared.parent_digest,
+                                     (shapes[0], (9, shapes[1][1] + 1))) is None
 
     @pytest.mark.parametrize("xdg,expected", [
         ("/srv/cache", "/srv/cache/morphkit"),

@@ -22,9 +22,11 @@ from morphkit.morph import (
     NO_SIGNAL_ADVICE,
     MorphReport,
     MorphSpec,
+    PreparedProbe,
     contribution_matrices,
     fold_beta,
     morph,
+    prepare_probe,
     preservation_error,
     sample_rows,
 )
@@ -721,12 +723,92 @@ class TestGeneratedEdgeCases:
         assert str(info.value).endswith(NO_SIGNAL_ADVICE)
 
 
+def layer_bytes(net):
+    return [(l.activation, l.weight.tobytes(), None if l.bias is None else l.bias.tobytes())
+            for l in net.layers]
+
+
+class TestPreparedProbe:
+    @pytest.mark.parametrize("insert_after", [0, 1])
+    @pytest.mark.parametrize("alg,fold", [("alg1", False), ("alg2", True), ("alg3", False),
+                                          ("baseline", False)])
+    def test_same_bits_as_the_probe_batch(self, insert_after, alg, fold):
+        parent = random_parent(70, widths=(6, 5, 4, 3))
+        probe = probe_for(71, 90, 6)
+        prepared = prepare_probe(parent, insert_after, probe)
+        # one preparation serves morphs of every width and lambda
+        for width, lam in ((8, 0.1), (12, 0.05)):
+            spec = dataclasses.replace(spec_for(alg, width=width, lam=lam, fold_beta=fold),
+                                       insert_after=insert_after)
+            child, report = morph(parent, spec, probe)
+            child_p, report_p = morph(parent, spec, prepared)
+            assert layer_bytes(child_p) == layer_bytes(child)
+            assert reports_equal(report_p, report)
+
+    def test_other_parent_is_refused(self):
+        parent, other = random_parent(72), random_parent(73)
+        prepared = prepare_probe(other, 0, probe_for(74, 90, 6))
+        with pytest.raises(MorphkitError, match="prepared for another parent.*prepare it again"):
+            morph(parent, spec_for("alg1"), prepared)
+
+    @pytest.mark.parametrize("layer,field", [(0, "weight"), (1, "bias")])
+    def test_parent_changed_in_place_is_refused(self, layer, field):
+        parent = random_parent(75, widths=(6, 5, 4, 3))
+        prepared = prepare_probe(parent, 0, probe_for(76, 90, 6))
+        getattr(parent.layers[layer], field)[0] += 1.0
+        with pytest.raises(MorphkitError, match="prepare it again"):
+            morph(parent, spec_for("alg1"), prepared)
+
+    def test_layers_past_the_downstream_one_may_change(self):
+        # the pass reads layers 0..insert_after+1 only, and so does the digest
+        parent = random_parent(77, widths=(6, 5, 4, 3))
+        probe = probe_for(78, 90, 6)
+        prepared = prepare_probe(parent, 0, probe)
+        parent.layers[2].weight[0, 0] += 1.0
+        child, report = morph(parent, spec_for("alg1"), probe)
+        child_p, report_p = morph(parent, spec_for("alg1"), prepared)
+        assert layer_bytes(child_p) == layer_bytes(child) and reports_equal(report_p, report)
+
+    def test_other_insert_after_is_refused(self):
+        parent = random_parent(79, widths=(6, 5, 4, 3))
+        prepared = prepare_probe(parent, 1, probe_for(80, 90, 6))
+        with pytest.raises(MorphkitError, match="prepared for insert_after=1, but the spec "
+                                                "inserts after 0; prepare it again"):
+            morph(parent, spec_for("alg1"), prepared)
+
+    def test_arrays_of_other_shapes_are_refused(self):
+        parent = random_parent(81)
+        prepared = prepare_probe(parent, 0, probe_for(82, 90, 6))
+        wrong = PreparedProbe(0, prepared.a1[:, :4], prepared.downstream_pre,
+                              prepared.parent_digest)
+        with pytest.raises(ShapeError, match=r"shapes \(90, 4\) and \(90, 3\), expected"):
+            morph(parent, spec_for("alg1"), wrong)
+
+    @pytest.mark.parametrize("alg", ["alg1", "alg2", "alg3", "baseline"])
+    def test_read_only_arrays_morph(self, alg):
+        parent = random_parent(83)
+        probe = probe_for(84, 90, 6)
+        prepared = prepare_probe(parent, 0, probe)
+        prepared.a1.flags.writeable = prepared.downstream_pre.flags.writeable = False
+        child, report = morph(parent, spec_for(alg), probe)
+        child_p, report_p = morph(parent, spec_for(alg), prepared)
+        assert layer_bytes(child_p) == layer_bytes(child) and reports_equal(report_p, report)
+
+    def test_prepare_checks_insert_after_and_probe(self):
+        parent = random_parent(85)
+        with pytest.raises(ShapeError, match="insert_after=1 must index a non-final layer"):
+            prepare_probe(parent, 1, probe_for(86, 90, 6))
+        with pytest.raises(ShapeError, match="probe has 1 row; .* at least 2"):
+            prepare_probe(parent, 0, probe_for(86, 1, 6))
+
+
 class TestProbeValidation:
     @pytest.mark.parametrize("rows", [0, 1])
     @pytest.mark.parametrize("alg", ["alg1", "alg2", "alg3", "baseline"])
     def test_fewer_than_two_rows_rejected(self, alg, rows):
         parent = random_parent(68)
-        with pytest.raises(ShapeError, match=f"probe has {rows} rows; .* at least 2"):
+        counted = "1 row" if rows == 1 else f"{rows} rows"
+        with pytest.raises(ShapeError, match=f"probe has {counted}; .* at least 2"):
             morph(parent, spec_for(alg), probe_for(69, rows, 6))
 
 
