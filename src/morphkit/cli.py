@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import glob
 import logging
+import math
 import os
 import sys
 
@@ -33,7 +34,9 @@ from .errors import MorphkitError
 from .morph import (
     ALGORITHM_NAMES, MorphSpec, PreparedProbe, morph, parent_digest, prepare_probe, sample_rows,
 )
-from .network import ACTIVATION_KINDS, Layer, Mlp, TrainConfig, evaluate, init_weights, train_sgd
+from .network import (
+    ACTIVATION_KINDS, EpochStats, Layer, Mlp, TrainConfig, evaluate, init_weights, train_sgd,
+)
 from .sparse import SparseConfig
 from .verify import CHECKS, run_checks
 
@@ -87,7 +90,8 @@ def _idx_pair(directory: str, split: str) -> tuple[str, str]:
 def _resolve_synthetic(spec: str) -> tuple[str, dict] | None:
     """The generator name and fully resolved parameters of a synthetic
     --data `spec`, or None when `spec` names no generator. A generator name
-    must match exactly; a bad parameter is a user error that names it."""
+    must match exactly; a bad parameter, such as a NaN or infinite float,
+    is a user error that names it, raised before anything is drawn."""
     name, _, text = spec.partition(":")
     if name not in _GENERATORS:
         return None
@@ -103,6 +107,8 @@ def _resolve_synthetic(spec: str) -> tuple[str, dict] | None:
             raise MorphkitError(f"--data {spec!r}: {key} needs "
                                 f"{'an' if kind is int else 'a'} {kind.__name__}, "
                                 f"got {value!r}") from None
+        if kind is float and not math.isfinite(p[key]):
+            raise MorphkitError(f"--data {spec!r}: {key} must be finite")
     if p["n"] < 0 or p["test"] < 0:
         raise MorphkitError(f"--data {spec!r}: n and test must be >= 0")
     return name, p
@@ -214,9 +220,11 @@ def cmd_train(args) -> int:
         act = args.act if k < len(widths) - 2 else "identity"
         w = init_weights(widths[k], widths[k + 1], act, args.seed + k)
         layers.append(Layer(w, np.zeros(widths[k + 1]), act))
-    net = Mlp(layers)
+    untrained = Mlp(layers)
     cfg = _train_config(args)
-    net, history = train_sgd(net, data, cfg)
+    net, history = train_sgd(untrained, data, cfg)
+    # row 0 is where training started; train_sgd left `untrained` as it was
+    history = [EpochStats(0, *evaluate(untrained, data)), *history]
     out = _out_path(args, args.out)
     mio.save_model(net, out, metadata={
         "arch": widths, "hidden_activation": args.act, "train": dataclasses.asdict(cfg),
@@ -307,18 +315,15 @@ def cmd_eval(args) -> int:
 def cmd_finetune(args) -> int:
     net, meta = mio.load_model(args.model)
     data = _load_dataset(args.data, args.split)
-    eval_data = _load_dataset(args.eval_data, "test") if args.eval_data else None
+    eval_data = _load_dataset(args.eval_data, "test") if args.eval_data else data
     cfg = _train_config(args)
     net, history = train_sgd(net, data, cfg)
     out = _out_path(args, args.out)
     # each tuning appends its schedule; the parent's `train` block stays as it was
     meta = {**meta, "finetune": [*meta.get("finetune", []), dataclasses.asdict(cfg)]}
     mio.save_model(net, out, metadata=meta)
-    _write_history(_out_path(args, args.history), history[1:] or history, append=True)
-    if eval_data is not None:
-        _, accuracy = evaluate(net, eval_data)
-    else:
-        accuracy = history[-1].accuracy
+    _write_history(_out_path(args, args.history), history, append=True)
+    _, accuracy = evaluate(net, eval_data)
     print(f"finetuned {args.epochs} epochs: accuracy {accuracy!r} -> {out}")
     _record_accuracy(args, "acc_after_finetune", accuracy)
     return 0
@@ -410,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     _add_train_flags(p)
     p.add_argument("--eval-data", default=None,
-                   help="dataset spec whose test split gives the recorded accuracy "
-                   "(default: training metric)")
+                   help="dataset spec whose test split gives the recorded accuracy of the "
+                   "tuned model (default: the training split)")
     p.add_argument("--out", default="finetuned.model")
     p.add_argument("--history", default="history.csv")
     p.add_argument("--out-dir", default=".")

@@ -274,16 +274,17 @@ def evaluate(mlp: Mlp, data) -> tuple[float, float]:
 def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
     """SGD with momentum on softmax cross-entropy.
 
-    Returns a trained copy (the input network is untouched) and per-epoch
-    stats; row 0 records the untrained metrics so the history is never
-    empty. Weight decay applies to weights only. Mini-batch order is a pure
-    function of cfg.seed.
+    Returns a trained copy (the input network is untouched) and one stats
+    row per epoch, `epoch` 1 to cfg.epochs: the mean loss and accuracy over
+    that epoch's mini-batches, each taken before its update. With 0 epochs
+    the history is empty; `evaluate` gives a network's metrics at any point,
+    the starting one included. Weight decay applies to weights only.
+    Mini-batch order is a pure function of cfg.seed.
 
-    The row-0 `evaluate` runs every row through the checked `forward`;
-    that is the one check of the features the mini-batches rely on. Each
-    step then runs unchecked and updates the copy in place, with the
-    arithmetic of the out-of-place update, v = m*v - lr*(dw + wd*W) and
-    W = W + v, operation for operation, so the trained bits are the same.
+    The features are checked once, up front, and every step then runs
+    unchecked and updates the copy in place, with the arithmetic of the
+    out-of-place update, v = m*v - lr*(dw + wd*W) and W = W + v, operation
+    for operation, so the trained bits are the same.
     """
     n = data.features.shape[0]
     if n == 0:
@@ -302,8 +303,8 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
         Layer(l.weight.copy(), None if l.bias is None else l.bias.copy(), l.activation)
         for l in mlp.layers
     ])
-    loss0, acc0 = evaluate(net, data)
-    history = [EpochStats(epoch=0, loss=loss0, accuracy=acc0)]
+    x = _checked_input(net, data.features, "training features")
+    history = []
 
     lr, momentum, decay = cfg.learning_rate, cfg.momentum, cfg.weight_decay
     # per layer: weight velocity, weight-decay scratch, bias velocity
@@ -319,7 +320,7 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
         correct = 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            xb = data.features[idx]
+            xb = x[idx]
             yb = data.labels[idx]
             _, acts = _layer_outputs(net, xb, keep_pre=False)
             loss, grads = _backward(net, xb, acts, yb)

@@ -35,7 +35,7 @@ from . import io as mio
 from .linalg import constant_columns, least_squares, standardize_columns, vectorize
 from .morph import MorphSpec, _candidate_moments, morph
 from .network import (
-    EpochStats, Layer, Mlp, TrainConfig, evaluate, forward, loss_and_gradients, train_sgd,
+    EpochStats, Layer, Mlp, TrainConfig, forward, loss_and_gradients, train_sgd,
 )
 from .sparse import (
     R_CAP,
@@ -524,7 +524,7 @@ def _reference_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochSta
            for l in net.layers]
     rng = np.random.default_rng(cfg.seed)
     n = data.features.shape[0]
-    history = [EpochStats(0, *evaluate(net, data))]
+    history = []
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(n)
         loss_sum, correct = 0.0, 0
@@ -552,11 +552,13 @@ def check_trainer_reference(seed: int) -> int:
     byte, and the caller's network is untouched, on random nets with relu,
     tanh, sigmoid and identity hidden layers, some without a bias, over a
     row count that leaves a partial last batch; momentum and weight decay
-    each zero and positive, and a zero learning rate. Returns the number of
-    trainings compared."""
+    each zero and positive, a zero learning rate, and 0 epochs, which give
+    an empty history and the input's bytes. Returns the number of trainings
+    compared."""
     rng = np.random.default_rng(seed)
-    settings = [(0.05, 0.9, 1e-3), (0.1, 0.0, 0.0), (0.0, 0.9, 1e-3), (0.05, 0.5, 0.0)]
-    for lr, momentum, decay in settings:
+    settings = [(0.05, 0.9, 1e-3, 3), (0.1, 0.0, 0.0, 3), (0.0, 0.9, 1e-3, 3),
+                (0.05, 0.5, 0.0, 3), (0.05, 0.9, 1e-3, 0)]
+    for lr, momentum, decay, epochs in settings:
         widths = [int(w) for w in rng.integers(2, 7, size=6)]
         hidden = [str(a) for a in rng.permutation(["relu", "tanh", "sigmoid", "identity"])]
         net = random_mlp(rng, widths, hidden + ["identity"])
@@ -565,7 +567,7 @@ def check_trainer_reference(seed: int) -> int:
         batch = int(rng.integers(3, 8))
         n = batch * int(rng.integers(2, 5)) + int(rng.integers(1, batch))
         data = mio.Dataset(rng.normal(size=(n, widths[0])), rng.integers(0, widths[-1], size=n))
-        cfg = TrainConfig(learning_rate=lr, momentum=momentum, weight_decay=decay, epochs=3,
+        cfg = TrainConfig(learning_rate=lr, momentum=momentum, weight_decay=decay, epochs=epochs,
                           batch_size=batch, seed=int(rng.integers(2**31)))
         before = [_layer_bytes(l) for l in net.layers]
         trained, history = train_sgd(net, data, cfg)
@@ -574,6 +576,9 @@ def check_trainer_reference(seed: int) -> int:
         for k, (a, b) in enumerate(zip(trained.layers, want.layers)):
             assert _layer_bytes(a) == _layer_bytes(b), f"{cfg}: layer {k} differs from the reference loop"
         assert history == want_history, f"{cfg}: history {history} differs from {want_history}"
+        if epochs == 0:
+            assert history == [], f"{cfg}: history {history} for 0 epochs"
+            assert [_layer_bytes(l) for l in trained.layers] == before, f"{cfg}: weights moved"
     return len(settings)
 
 

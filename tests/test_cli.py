@@ -15,10 +15,12 @@ from morphkit import io as mio
 from morphkit.cli import _load_dataset, build_parser, main
 from morphkit.io import load_model, load_report_json, save_report_json
 from morphkit.morph import NO_SIGNAL_ADVICE, MorphReport, MorphSpec
-from morphkit.network import Layer, Mlp, TrainConfig, init_weights
+from morphkit.network import Layer, Mlp, TrainConfig, evaluate, init_weights
 from morphkit.sparse import SparseConfig
 
 SYNTH = "synth:n=300,test=100,d=12,classes=3,seed=4"
+# SYNTH's shape with overlapping classes, so accuracies stay below 1
+HARD = "synth:n=300,test=100,d=12,classes=3,seed=4,sep=0.5"
 
 
 def run(*argv):
@@ -62,6 +64,16 @@ class TestTrain:
         history = (parent_dir / "parent_history.csv").read_text().splitlines()
         assert history[0] == "epoch,loss,accuracy"
         assert len(history) >= 2
+
+    def test_history_row_0_is_the_untrained_network(self, tmp_path):
+        assert run("train", "--data", SYNTH, "--arch", "12,6,3", "--act", "tanh",
+                   "--epochs", "2", "--seed", "9", "--out-dir", str(tmp_path)) == 0
+        untrained = Mlp([Layer(init_weights(12, 6, "tanh", 9), np.zeros(6), "tanh"),
+                         Layer(init_weights(6, 3, "identity", 10), np.zeros(3), "identity")])
+        loss, accuracy = evaluate(untrained, _load_dataset(SYNTH, "train"))
+        rows = (tmp_path / "history.csv").read_text().splitlines()
+        assert rows[:2] == ["epoch,loss,accuracy", f"0,{loss!r},{accuracy!r}"]
+        assert [row.split(",")[0] for row in rows[1:]] == ["0", "1", "2"]
 
     def test_zero_epochs_equals_fresh_init(self, tmp_path):
         code = run(
@@ -323,6 +335,35 @@ class TestEvalAndFinetune:
         assert rows[0] == "epoch,loss,accuracy"
         assert len(rows) == 3  # header + one epoch per invocation
 
+    def test_finetune_zero_epochs_appends_no_row_and_records_the_input_accuracy(
+            self, parent_dir, base_report, tmp_path):
+        model = parent_dir / "parent.model"
+        history, report = tmp_path / "history.csv", tmp_path / "tuned.report.json"
+        history.write_bytes((parent_dir / "parent_history.csv").read_bytes())
+        report.write_bytes(base_report.read_bytes())
+        before = history.read_bytes()
+        assert run("finetune", "--model", str(model), "--data", SYNTH, "--epochs", "0",
+                   "--eval-data", SYNTH, "--report", str(report),
+                   "--out-dir", str(tmp_path)) == 0
+        assert history.read_bytes() == before
+        _, accuracy = evaluate(load_model(model)[0], _load_dataset(SYNTH, "test"))
+        recorded = load_report_json(report).acc_after_finetune
+        assert np.float64(recorded).tobytes() == np.float64(accuracy).tobytes()
+
+    def test_finetune_without_eval_data_records_the_tuned_train_accuracy(
+            self, parent_dir, base_report, tmp_path):
+        # the tuned model's accuracy, not the last epoch's running mean over
+        # mini-batches taken before their updates
+        report = tmp_path / "tuned.report.json"
+        report.write_bytes(base_report.read_bytes())
+        assert run("finetune", "--model", str(parent_dir / "parent.model"), "--data", HARD,
+                   "--epochs", "1", "--lr", "0.05", "--seed", "3", "--report", str(report),
+                   "--out", "tuned.model", "--out-dir", str(tmp_path)) == 0
+        tuned, _ = load_model(tmp_path / "tuned.model")
+        _, accuracy = evaluate(tuned, _load_dataset(HARD, "train"))
+        recorded = load_report_json(report).acc_after_finetune
+        assert np.float64(recorded).tobytes() == np.float64(accuracy).tobytes()
+
     def test_same_run_under_two_out_dirs_gives_identical_files(self, tmp_path):
         # model metadata records the request, not where its files live
         names = ("parent.model", "child.model", "tuned.model")
@@ -442,6 +483,18 @@ class TestDataSpec:
         err = capsys.readouterr().err
         assert f"--data {data!r}: {key} needs {kind}, got {value}" in err
         assert not dataset_cache.exists()
+
+    @pytest.mark.parametrize("data,key", [("synth:n=60,test=20,sep=nan", "sep"),
+                                          ("lowrank:n=60,test=20,spacing=inf", "spacing"),
+                                          ("lowrank:n=60,test=20,side_scale=-inf", "side_scale")],
+                             ids=["synth-sep", "lowrank-spacing", "lowrank-side_scale"])
+    def test_non_finite_float_names_spec_parameter(self, tmp_path, capsys, monkeypatch,
+                                                   dataset_cache, data, key):
+        draws = count_draws(monkeypatch)
+        assert run("train", "--data", data, "--arch", "20,8,3", "--epochs", "1",
+                   "--out-dir", str(tmp_path)) == 1
+        assert f"error: --data {data!r}: {key} must be finite\n" in capsys.readouterr().err
+        assert draws == [] and not dataset_cache.exists()
 
     @pytest.mark.parametrize("data", ["synthetic:n=7,test=2,d=3",
                                       "lowrank-old:n=7,test=2,d=40,side_dims=3"])

@@ -192,7 +192,7 @@ class TestTrainSgd:
         net = random_mlp(rng, [4, 3, 2], ["relu", "identity"])
         cfg = TrainConfig(epochs=0, seed=0)
         trained, history = train_sgd(net, data, cfg)
-        assert len(history) == 1
+        assert history == []
         for before, after in zip(net.layers, trained.layers):
             np.testing.assert_array_equal(before.weight, after.weight)
 
@@ -202,7 +202,7 @@ class TestTrainSgd:
         net = random_mlp(rng, [4, 3, 2], ["relu", "identity"])
         cfg = TrainConfig(learning_rate=0.0, epochs=3, seed=0)
         trained, history = train_sgd(net, data, cfg)
-        assert len(history) == 4
+        assert [row.epoch for row in history] == [1, 2, 3]
         for before, after in zip(net.layers, trained.layers):
             np.testing.assert_allclose(before.weight, after.weight, atol=1e-12)
 
@@ -234,18 +234,29 @@ class TestTrainSgd:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference_loop(self, seed):
-        assert check_trainer_reference(seed) == 4
+        assert check_trainer_reference(seed) == 5
 
     def test_data_checked_once(self, monkeypatch):
-        # the row-0 evaluate is the one checked forward pass; batches skip it
+        # one check over every row up front; no evaluate and no checked
+        # forward pass, so the mini-batches run unchecked
         network = importlib.import_module("morphkit.network")
-        calls = []
-        checked = network.forward
-        monkeypatch.setattr(network, "forward", lambda *a: calls.append(1) or checked(*a))
+        checks = []
+        checked = network._checked_input
+        monkeypatch.setattr(network, "_checked_input",
+                            lambda mlp, x, name: checks.append((x, name)) or checked(mlp, x, name))
+        for name in ("evaluate", "forward"):
+            monkeypatch.setattr(network, name, lambda *a, _name=name: pytest.fail(f"{_name} called"))
         data = synth_dataset(6, 60, 4, 2)
         train_sgd(random_mlp(np.random.default_rng(14), [4, 3, 2], ["relu", "identity"]),
                   data, TrainConfig(epochs=2, batch_size=16, seed=0))
-        assert len(calls) == 1
+        assert [(x is data.features, name) for x, name in checks] == [(True, "training features")]
+
+    def test_non_finite_feature_names_the_training_features(self):
+        data = synth_dataset(6, 60, 4, 2)
+        data.features[17, 2] = np.nan
+        net = random_mlp(np.random.default_rng(14), [4, 3, 2], ["relu", "identity"])
+        with pytest.raises(NotFiniteError, match="^training features: contains non-finite entries$"):
+            train_sgd(net, data, TrainConfig(epochs=1, seed=0))
 
     def test_empty_training_data_rejected(self):
         net = random_mlp(np.random.default_rng(15), [4, 3, 2], ["relu", "identity"])
