@@ -36,7 +36,6 @@ from .morph import (
     MorphReport,
     MorphSpec,
     PreparedProbe,
-    fold_beta,
     morph,
     prepare_probe,
     preservation_error,

@@ -185,17 +185,14 @@ def _add_train_flags(p: argparse.ArgumentParser):
 
 
 def _train_config(args) -> TrainConfig:
-    try:
-        return TrainConfig(
-            learning_rate=args.lr,
-            momentum=args.momentum,
-            weight_decay=args.weight_decay,
-            epochs=args.epochs,
-            batch_size=args.batch_size,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise MorphkitError(str(exc)) from exc
+    return TrainConfig(
+        learning_rate=args.lr,
+        momentum=args.momentum,
+        weight_decay=args.weight_decay,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        seed=args.seed,
+    )
 
 
 def _write_history(path: str, history, append: bool = False) -> None:
@@ -318,12 +315,12 @@ def cmd_finetune(args) -> int:
     eval_data = _load_dataset(args.eval_data, "test") if args.eval_data else data
     cfg = _train_config(args)
     net, history = train_sgd(net, data, cfg)
+    _, accuracy = evaluate(net, eval_data)  # before any write, so a refusal leaves no file
     out = _out_path(args, args.out)
     # each tuning appends its schedule; the parent's `train` block stays as it was
     meta = {**meta, "finetune": [*meta.get("finetune", []), dataclasses.asdict(cfg)]}
     mio.save_model(net, out, metadata=meta)
     _write_history(_out_path(args, args.history), history, append=True)
-    _, accuracy = evaluate(net, eval_data)
     print(f"finetuned {args.epochs} epochs: accuracy {accuracy!r} -> {out}")
     _record_accuracy(args, "acc_after_finetune", accuracy)
     return 0

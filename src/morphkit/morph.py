@@ -67,7 +67,12 @@ NO_SIGNAL_ADVICE = ("try another seed or activation for the inserted layer, or a
 
 @dataclass(frozen=True)
 class MorphSpec:
-    """Insertion request: where, how wide, and how to sparsify."""
+    """Insertion request: where, how wide, and how to sparsify.
+
+    `fold_beta` scales each column alg1 or alg2 keeps by its diagonal-solver
+    coefficient, which lies in [0, 1]. `__post_init__` holds the fold rule:
+    the flag is refused for alg3 and baseline, which would ignore it, and
+    for an activation where h(s*x) != s*h(x)."""
 
     insert_after: int
     width: int
@@ -129,28 +134,6 @@ def sample_rows(n_total: int, count: int | None, seed: int) -> np.ndarray:
         return np.arange(n_total)
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(n_total, size=count, replace=False))
-
-
-def fold_beta(w1, beta, activation: str) -> np.ndarray:
-    """Scale each inserted-layer column by its coefficient.
-
-    Legal only where h(s*x) == s*h(x): identity for any s, relu for s >= 0.
-    """
-    w1 = as_matrix(w1, "w1")
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (w1.shape[1],):
-        raise ShapeError(f"beta has shape {beta.shape}, expected ({w1.shape[1]},)")
-    if activation not in ("relu", "identity"):
-        raise MorphkitError(
-            f"cannot fold scale factors through {activation!r}: "
-            f"h(s*x) != s*h(x) for that activation"
-        )
-    if activation == "relu" and (beta < 0).any():
-        raise MorphkitError(
-            "cannot fold negative factors through relu: h(s*x) == s*h(x) "
-            "only holds for s >= 0"
-        )
-    return w1 * beta[None, :]
 
 
 def preservation_error(parent: Mlp, child: Mlp, probe, at_layer: int) -> tuple[float, float]:
@@ -336,8 +319,8 @@ def _select_diag(spec, a1, downstream_pre, w1, with_bias, refit: bool):
         w1, fell_back = refit_w1(a1, a1 @ w1, beta_full)
     active = beta_full != 0
     w1_kept = w1[:, active]
-    if spec.fold_beta:
-        w1_kept = fold_beta(w1_kept, beta_full[active], spec.activation)
+    if spec.fold_beta:  # MorphSpec.__post_init__ holds the rule for when this is legal
+        w1_kept = w1_kept * beta_full[active]
     return w1_kept, sol, int(fell_back)
 
 

@@ -100,15 +100,7 @@ class Mlp:
     layers: list[Layer]
 
     def __post_init__(self):
-        if not self.layers:
-            raise ShapeError("an Mlp needs at least one layer")
-        for k in range(1, len(self.layers)):
-            prev, cur = self.layers[k - 1], self.layers[k]
-            if prev.d_out != cur.d_in:
-                raise ShapeError(
-                    f"layer {k - 1} outputs {prev.d_out} features but layer "
-                    f"{k} expects {cur.d_in}"
-                )
+        _check_chain(self.layers)
 
     @property
     def d_in(self) -> int:
@@ -143,21 +135,50 @@ def init_weights(d_in: int, d_out: int, activation: str, seed: int) -> np.ndarra
     return rng.normal(0.0, std, size=(d_in, d_out))
 
 
+def _check_chain(layers: list[Layer]) -> None:
+    """The layer-chain rule: at least one layer, and each layer takes as
+    many features as the one before it outputs."""
+    if not layers:
+        raise ShapeError("an Mlp needs at least one layer")
+    for k in range(1, len(layers)):
+        prev, cur = layers[k - 1], layers[k]
+        if prev.d_out != cur.d_in:
+            raise ShapeError(
+                f"layer {k - 1} outputs {prev.d_out} features but layer "
+                f"{k} expects {cur.d_in}"
+            )
+
+
 def _checked_input(mlp: Mlp, x, name: str = "input") -> np.ndarray:
-    """Validate `x` as a finite float64 batch of `mlp.d_in` features, and
-    the layer chain it runs through; returns it as a matrix."""
+    """Validate the layer chain of `mlp`, edited or not since it was built,
+    and `x` as a finite batch of `mlp.d_in` features; returns `x` as a matrix."""
+    _check_chain(mlp.layers)
     x = as_matrix(x, name)
     if x.shape[1] != mlp.d_in:
         raise ShapeError(
             f"{name} has {x.shape[1]} features but layer 0 expects {mlp.d_in}"
         )
-    for k in range(1, len(mlp.layers)):
-        if mlp.layers[k - 1].d_out != mlp.layers[k].d_in:
-            raise ShapeError(
-                f"layer {k}: got {mlp.layers[k - 1].d_out} features, "
-                f"expected {mlp.layers[k].d_in}"
-            )
     return x
+
+
+def _checked_data(mlp: Mlp, features, labels, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The one check of a labelled data set against `mlp`: features through
+    `_checked_input` as `name`, at least one row, and 1-D integer labels, one
+    per row, in [0, mlp.d_out). Returns the features and labels as arrays."""
+    x = _checked_input(mlp, features, name)
+    n = x.shape[0]
+    if n == 0:
+        raise ShapeError(f"{name}: 0 rows, and at least one is needed (a synthetic --data spec "
+                         f"needs n >= 1 for its train split and test >= 1 for its test split)")
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or not np.issubdtype(labels.dtype, np.integer):
+        raise ShapeError(f"{name}: labels must be 1-D integers, one per row; got "
+                         f"{labels.dtype} labels of shape {labels.shape} for {n} rows")
+    lo, hi = int(labels.min()), int(labels.max())
+    if lo < 0 or hi >= mlp.d_out:
+        raise ShapeError(f"{name}: labels must lie in [0, {mlp.d_out}) for a network of "
+                         f"{mlp.d_out} outputs; got label {lo if lo < 0 else hi}")
+    return x, labels
 
 
 def _layer_outputs(mlp: Mlp, x: np.ndarray, keep_pre: bool = True):
@@ -217,18 +238,19 @@ class EpochStats:
     accuracy: float
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of `logits` against `labels`, and the log
+    probabilities it came from."""
     shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return -float(log_probs[np.arange(len(labels)), labels].mean()), log_probs
 
 
 def _backward(mlp: Mlp, x: np.ndarray, acts: list[np.ndarray], labels: np.ndarray):
     """Loss and (dw, db) per layer from the input and the activations of a
     forward pass; leaves `acts` unchanged."""
-    logits = acts[-1]
-    n = logits.shape[0]
-    log_probs = _log_softmax(logits)
-    loss = -float(log_probs[np.arange(n), labels].mean())
+    n = x.shape[0]
+    loss, log_probs = _cross_entropy(acts[-1], labels)
 
     delta = np.exp(log_probs)
     delta[np.arange(n), labels] -= 1.0
@@ -246,29 +268,23 @@ def _backward(mlp: Mlp, x: np.ndarray, acts: list[np.ndarray], labels: np.ndarra
 
 
 def loss_and_gradients(
-    mlp: Mlp, x: np.ndarray, labels: np.ndarray
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray | None]]]:
+        mlp: Mlp, x, labels) -> tuple[float, list[tuple[np.ndarray, np.ndarray | None]]]:
     """Softmax cross-entropy on the final activation output, plus analytic
-    gradients for every weight and bias (ordered like mlp.layers)."""
-    taps = forward(mlp, x)
-    return _backward(mlp, taps.input, taps.activations, labels)
+    gradients for every weight and bias (ordered like mlp.layers). `x` and
+    `labels` get `train_sgd`'s data check, with `x` named "input"."""
+    x, labels = _checked_data(mlp, x, labels, "input")
+    _, acts = _layer_outputs(mlp, x, keep_pre=False)
+    return _backward(mlp, x, acts, labels)
 
 
 def evaluate(mlp: Mlp, data) -> tuple[float, float]:
-    """Mean cross-entropy loss and argmax accuracy over the dataset."""
-    if data.features.shape[0] == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    if data.labels.max() >= mlp.d_out:
-        raise ShapeError(
-            f"labels reach {int(data.labels.max())} but the network has "
-            f"{mlp.d_out} outputs"
-        )
-    logits = forward(mlp, data.features).activations[-1]
-    log_probs = _log_softmax(logits)
-    n = data.features.shape[0]
-    loss = -float(log_probs[np.arange(n), data.labels].mean())
-    accuracy = float((logits.argmax(axis=1) == data.labels).mean())
-    return loss, accuracy
+    """Mean cross-entropy loss and argmax accuracy over the dataset, after
+    `train_sgd`'s data check with the features named "evaluation features";
+    the forward pass keeps no pre-activation."""
+    x, labels = _checked_data(mlp, data.features, data.labels, "evaluation features")
+    logits = _layer_outputs(mlp, x, keep_pre=False)[1][-1]
+    loss, _ = _cross_entropy(logits, labels)
+    return loss, float((logits.argmax(axis=1) == labels).mean())
 
 
 def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
@@ -281,29 +297,20 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
     the starting one included. Weight decay applies to weights only.
     Mini-batch order is a pure function of cfg.seed.
 
-    The features are checked once, up front, and every step then runs
+    The data is checked once, up front, as "training features" (the check
+    `evaluate` and `loss_and_gradients` make too), and every step then runs
     unchecked and updates the copy in place, with the arithmetic of the
     out-of-place update, v = m*v - lr*(dw + wd*W) and W = W + v, operation
     for operation, so the trained bits are the same.
     """
-    n = data.features.shape[0]
-    if n == 0:
-        raise ValueError(
-            "the training data has 0 rows; SGD needs at least one "
-            "(a synthetic --data spec needs n >= 1)"
-        )
-    if mlp.d_out <= int(data.labels.max()):
-        raise ShapeError(
-            f"final layer width {mlp.d_out} does not cover label "
-            f"{int(data.labels.max())}"
-        )
+    x, labels = _checked_data(mlp, data.features, data.labels, "training features")
+    n = x.shape[0]
     # fresh arrays per layer, so in-place updates reach neither the caller's
     # network nor a second layer that shares an array with this one
     net = Mlp([
         Layer(l.weight.copy(), None if l.bias is None else l.bias.copy(), l.activation)
         for l in mlp.layers
     ])
-    x = _checked_input(net, data.features, "training features")
     history = []
 
     lr, momentum, decay = cfg.learning_rate, cfg.momentum, cfg.weight_decay
@@ -321,7 +328,7 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             xb = x[idx]
-            yb = data.labels[idx]
+            yb = labels[idx]
             _, acts = _layer_outputs(net, xb, keep_pre=False)
             loss, grads = _backward(net, xb, acts, yb)
             if not np.isfinite(loss):

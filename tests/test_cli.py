@@ -111,7 +111,7 @@ class TestTrain:
         code = run("train", "--data", data, "--arch", arch, "--out-dir", str(tmp_path))
         assert code == 1
         err = capsys.readouterr().err
-        assert "the training data has 0 rows" in err and "n >= 1" in err
+        assert "training features: 0 rows, and at least one is needed" in err and "n >= 1" in err
         assert not (tmp_path / "parent.model").exists()
 
     @pytest.mark.parametrize("data", ["synth:n=-5,test=10,d=12", "lowrank:n=20,test=-1,d=40"])
@@ -321,6 +321,33 @@ class TestEvalAndFinetune:
                    "--epochs", "1", "--eval-data", SYNTH, *flags,
                    "--out", "never.model", "--out-dir", str(parent_dir)) == 1
         assert not (parent_dir / "never.model").exists()
+
+    @pytest.mark.parametrize("eval_data", ["synth:n=60,test=0,d=12,classes=3,seed=4",
+                                           "synth:n=60,test=20,d=12,classes=5,seed=4"])
+    def test_finetune_refused_eval_data_writes_nothing(self, parent_dir, tmp_path, capsys,
+                                                       eval_data):
+        # an empty test split, or labels past the network's 3 outputs, is
+        # refused before the tuned model or a history row is written
+        history = tmp_path / "history.csv"
+        history.write_bytes((parent_dir / "parent_history.csv").read_bytes())
+        before = history.read_bytes()
+        assert run("finetune", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
+                   "--epochs", "1", "--eval-data", eval_data, "--out", "tuned.model",
+                   "--out-dir", str(tmp_path)) == 1
+        assert "evaluation features: " in capsys.readouterr().err
+        assert not (tmp_path / "tuned.model").exists()
+        assert history.read_bytes() == before
+
+    def test_eval_of_empty_split_is_user_error(self, parent_dir, capsys):
+        assert run("eval", "--model", str(parent_dir / "parent.model"),
+                   "--data", "synth:n=60,test=0,d=12,classes=3,seed=4", "--split", "test") == 1
+        assert "evaluation features: 0 rows" in capsys.readouterr().err
+
+    def test_bad_train_setting_is_user_error(self, tmp_path, capsys):
+        assert run("train", "--data", SYNTH, "--arch", "12,6,3", "--momentum", "1.0",
+                   "--out-dir", str(tmp_path)) == 1
+        assert "error: momentum must lie in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "parent.model").exists()
 
     def test_finetune_appends_history(self, parent_dir):
         model = str(parent_dir / "parent.model")

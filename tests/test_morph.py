@@ -24,7 +24,6 @@ from morphkit.morph import (
     MorphSpec,
     PreparedProbe,
     contribution_matrices,
-    fold_beta,
     morph,
     prepare_probe,
     preservation_error,
@@ -555,27 +554,32 @@ class TestReportedPreservation:
 
 
 class TestFoldBeta:
-    def test_all_ones_is_identity(self):
-        rng = np.random.default_rng(49)
-        w1 = rng.normal(size=(4, 6))
-        np.testing.assert_array_equal(fold_beta(w1, np.ones(6), "relu"), w1)
+    def test_folded_columns_are_the_unfolded_ones_times_beta(self, monkeypatch):
+        betas = []
 
-    def test_folding_equals_scaling_activations(self):
-        rng = np.random.default_rng(50)
-        w1 = rng.normal(size=(5, 7))
-        beta = rng.uniform(0.0, 1.0, size=7)
-        a1 = np.abs(rng.normal(size=(20, 5)))
-        folded = apply_activation("relu", a1 @ fold_beta(w1, beta, "relu"))
-        scaled = apply_activation("relu", a1 @ w1) * beta[None, :]
-        np.testing.assert_allclose(folded, scaled, atol=1e-12)
+        def recording(r, cfg):
+            sol = sparse_mod.iilasso_diag(r, cfg)
+            betas.append(sol.beta)
+            return sol
 
-    def test_sigmoid_rejected(self):
-        with pytest.raises(MorphkitError, match="sigmoid"):
-            fold_beta(np.eye(3), np.ones(3), "sigmoid")
-
-    def test_negative_beta_with_relu_rejected(self):
-        with pytest.raises(MorphkitError, match="s >= 0"):
-            fold_beta(np.eye(3), np.array([1.0, -0.5, 1.0]), "relu")
+        monkeypatch.setattr(morph_mod, "iilasso_diag", recording)
+        parent = random_parent(51)
+        probe = probe_for(52, 90, 6)
+        plain = spec_for("alg1")
+        child_a, _ = morph(parent, plain, probe)
+        child_b, _ = morph(parent, dataclasses.replace(plain, fold_beta=True), probe)
+        beta, again = betas
+        assert beta.tobytes() == again.tobytes()
+        # no candidate is constant on the probe, so the solver scored all of
+        # them; the children keep the nonzero-coefficient neurons that fire
+        assert beta.shape == (plain.width,)
+        w1 = init_weights(5, plain.width, "relu", plain.seed)
+        fires = apply_activation("relu", forward(parent, probe).activations[0] @ w1).any(axis=0)
+        kept = (beta != 0) & fires
+        assert 0 < kept.sum() < (beta != 0).sum()  # one nonzero-coefficient neuron is silent
+        assert child_a.layers[1].weight.tobytes() == w1[:, kept].tobytes()
+        assert ((beta[kept] > 0) & (beta[kept] <= 1)).all()
+        assert child_b.layers[1].weight.tobytes() == (child_a.layers[1].weight * beta[kept]).tobytes()
 
     def test_fold_flag_round_trip(self):
         parent = random_parent(51)

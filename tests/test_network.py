@@ -9,6 +9,7 @@ import pytest
 
 from morphkit.errors import NotFiniteError, ShapeError, TrainingDivergedError
 from morphkit.io import Dataset, synth_dataset
+from morphkit.morph import prepare_probe
 from morphkit.network import (
     ACTIVATION_KINDS,
     Layer,
@@ -19,6 +20,7 @@ from morphkit.network import (
     evaluate,
     forward,
     init_weights,
+    loss_and_gradients,
     train_sgd,
 )
 from morphkit.verify import check_trainer_reference, gradient_check, random_mlp
@@ -152,6 +154,61 @@ class TestForward:
             forward(net, np.ones((2, 5)))
 
 
+CHAIN_RULE = "^layer 0 outputs 3 features but layer 1 expects 5$"
+
+
+class TestLayerChain:
+    def test_broken_chain_refused_at_construction(self):
+        rng = np.random.default_rng(16)
+        with pytest.raises(ShapeError, match=CHAIN_RULE):
+            Mlp([Layer(rng.normal(size=(4, 3)), None, "relu"),
+                 Layer(rng.normal(size=(5, 2)), None, "identity")])
+        with pytest.raises(ShapeError, match="^an Mlp needs at least one layer$"):
+            Mlp([])
+
+    @pytest.mark.parametrize("call", ["forward", "evaluate", "train_sgd", "loss_and_gradients",
+                                      "prepare_probe"])
+    def test_chain_broken_after_construction_refused(self, call):
+        # every entry point that runs the network states the rule as Mlp does
+        rng = np.random.default_rng(17)
+        net = random_mlp(rng, [4, 3, 3, 2], ["relu", "tanh", "identity"])
+        net.layers[1] = Layer(rng.normal(size=(5, 3)), None, "tanh")
+        data = synth_dataset(7, 20, 4, 2)
+        calls = {
+            "forward": lambda: forward(net, data.features),
+            "evaluate": lambda: evaluate(net, data),
+            "train_sgd": lambda: train_sgd(net, data, TrainConfig(epochs=1)),
+            "loss_and_gradients": lambda: loss_and_gradients(net, data.features, data.labels),
+            "prepare_probe": lambda: prepare_probe(net, 0, data.features),
+        }
+        with pytest.raises(ShapeError, match=CHAIN_RULE):
+            calls[call]()
+
+
+class TestDataCheck:
+    """`loss_and_gradients` makes the data check of `train_sgd` and
+    `evaluate`, which `TestTrainSgd` and `TestEvaluate` cover."""
+
+    def net(self):
+        return random_mlp(np.random.default_rng(18), [4, 3, 3], ["relu", "identity"])
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_out_of_range(self, label):
+        with pytest.raises(ShapeError, match=rf"^input: labels must lie in \[0, 3\) for a network "
+                                             rf"of 3 outputs; got label {label}$"):
+            loss_and_gradients(self.net(), np.ones((4, 4)), np.array([0, 1, label, 2]))
+
+    @pytest.mark.parametrize("labels", [np.array([0, 1, 2]), np.array([[0, 1], [2, 0]]),
+                                        np.array([0.0, 1.0, 2.0, 0.0])])
+    def test_labels_not_one_integer_per_row(self, labels):
+        with pytest.raises(ShapeError, match="^input: labels must be 1-D integers, one per row"):
+            loss_and_gradients(self.net(), np.ones((4, 4)), labels)
+
+    def test_no_rows(self):
+        with pytest.raises(ShapeError, match="^input: 0 rows, and at least one is needed .*n >= 1"):
+            loss_and_gradients(self.net(), np.zeros((0, 4)), np.zeros(0, dtype=int))
+
+
 class TestGradients:
     def test_4_3_2_net(self):
         rng = np.random.default_rng(6)
@@ -260,8 +317,16 @@ class TestTrainSgd:
 
     def test_empty_training_data_rejected(self):
         net = random_mlp(np.random.default_rng(15), [4, 3, 2], ["relu", "identity"])
-        with pytest.raises(ValueError, match="the training data has 0 rows; SGD needs at least one"):
+        with pytest.raises(ShapeError, match="^training features: 0 rows, and at least one is "
+                                             "needed .*n >= 1"):
             train_sgd(net, Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int)), TrainConfig())
+
+    def test_label_range_checked(self):
+        net = random_mlp(np.random.default_rng(15), [4, 3, 2], ["relu", "identity"])
+        data = Dataset(np.ones((3, 4)), np.array([0, 2, 1]))
+        with pytest.raises(ShapeError, match=r"^training features: labels must lie in \[0, 2\) "
+                                             r"for a network of 2 outputs; got label 2$"):
+            train_sgd(net, data, TrainConfig(epochs=1))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -308,10 +373,38 @@ class TestEvaluate:
 
     def test_empty_dataset(self):
         net = Mlp([Layer(np.eye(2), None, "identity")])
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match="^evaluation features: 0 rows"):
             evaluate(net, Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
     def test_label_range_checked(self):
         net = Mlp([Layer(np.eye(2), None, "identity")])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match=r"must lie in \[0, 2\) .* got label 5$"):
             evaluate(net, Dataset(np.zeros((3, 2)), np.array([0, 1, 5])))
+
+    def test_non_finite_feature_names_the_evaluation_features(self):
+        net = Mlp([Layer(np.eye(2), None, "identity")])
+        with pytest.raises(NotFiniteError, match="^evaluation features: contains non-finite"):
+            evaluate(net, Dataset(np.array([[0.0, 1.0], [np.inf, 0.0]]), np.array([0, 1])))
+
+    def test_data_checked_once_without_forward(self, monkeypatch):
+        # one check, then the unchecked pass that keeps no pre-activation
+        network = importlib.import_module("morphkit.network")
+        checks, passes = [], []
+        checked, outputs = network._checked_input, network._layer_outputs
+        monkeypatch.setattr(network, "_checked_input",
+                            lambda mlp, x, name: checks.append((x, name)) or checked(mlp, x, name))
+        monkeypatch.setattr(network, "_layer_outputs",
+                            lambda mlp, x, keep_pre: passes.append(keep_pre) or outputs(mlp, x, keep_pre))
+        monkeypatch.setattr(network, "forward", lambda *a: pytest.fail("forward called"))
+        data = synth_dataset(8, 40, 4, 3)
+        net = random_mlp(np.random.default_rng(19), [4, 5, 3], ["relu", "identity"])
+        loss, accuracy = evaluate(net, data)
+        assert [(x is data.features, name) for x, name in checks] == [(True, "evaluation features")]
+        assert passes == [False]
+        # the bits of the checked forward pass that keeps every tap
+        monkeypatch.undo()
+        logits = forward(net, data.features).activations[-1]
+        log_probs = logits - logits.max(axis=1, keepdims=True)
+        log_probs -= np.log(np.exp(log_probs).sum(axis=1, keepdims=True))
+        assert loss == -float(log_probs[np.arange(40), data.labels].mean())
+        assert accuracy == float((logits.argmax(axis=1) == data.labels).mean())
