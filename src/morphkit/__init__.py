@@ -13,6 +13,7 @@ from .errors import (
     ModelFormatError,
     MorphkitError,
     NotFiniteError,
+    OutOfRangeError,
     ShapeError,
     SingularMatrixError,
     StandardizationError,

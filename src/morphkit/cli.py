@@ -32,7 +32,8 @@ import numpy as np
 from . import io as mio
 from .errors import MorphkitError
 from .morph import (
-    ALGORITHM_NAMES, MorphSpec, PreparedProbe, morph, parent_digest, prepare_probe, sample_rows,
+    ALGORITHM_NAMES, MorphReport, MorphSpec, PreparedProbe, morph, parent_digest, prepare_probe,
+    sample_rows,
 )
 from .network import (
     ACTIVATION_KINDS, EpochStats, Layer, Mlp, TrainConfig, evaluate, init_weights, train_sgd,
@@ -292,25 +293,32 @@ def cmd_morph(args) -> int:
     return 0
 
 
-def _record_accuracy(args, field: str, accuracy: float) -> None:
-    if not args.report:
+def _load_report(args) -> MorphReport | None:
+    """The --report file, or None without one. Commands read it before they
+    write anything, so a missing or malformed report leaves no file behind."""
+    return mio.load_report_json(args.report) if args.report else None
+
+
+def _record_accuracy(args, report: MorphReport | None, field: str, accuracy: float) -> None:
+    if report is None:
         return
-    report = mio.load_report_json(args.report)
     setattr(report, field, accuracy)
     mio.save_report_json(report, args.report)
 
 
 def cmd_eval(args) -> int:
     net, _ = mio.load_model(args.model)
+    report = _load_report(args)
     data = _load_dataset(args.data, args.split)
     loss, accuracy = evaluate(net, data)
     print(f"loss {loss!r} accuracy {accuracy!r}")
-    _record_accuracy(args, args.record_as, accuracy)
+    _record_accuracy(args, report, args.record_as, accuracy)
     return 0
 
 
 def cmd_finetune(args) -> int:
     net, meta = mio.load_model(args.model)
+    report = _load_report(args)
     data = _load_dataset(args.data, args.split)
     eval_data = _load_dataset(args.eval_data, "test") if args.eval_data else data
     cfg = _train_config(args)
@@ -322,7 +330,7 @@ def cmd_finetune(args) -> int:
     mio.save_model(net, out, metadata=meta)
     _write_history(_out_path(args, args.history), history, append=True)
     print(f"finetuned {args.epochs} epochs: accuracy {accuracy!r} -> {out}")
-    _record_accuracy(args, "acc_after_finetune", accuracy)
+    _record_accuracy(args, report, "acc_after_finetune", accuracy)
     return 0
 
 

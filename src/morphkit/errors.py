@@ -17,6 +17,10 @@ class NotFiniteError(MorphkitError, ValueError):
     """A matrix contains NaN or infinite entries."""
 
 
+class OutOfRangeError(MorphkitError, ValueError):
+    """A finite value lies beyond the range a computation supports."""
+
+
 class SingularMatrixError(MorphkitError, ValueError):
     """Normal equations could not be factorized; retry with ridge > 0."""
 

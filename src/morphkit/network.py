@@ -4,7 +4,8 @@ A network is an ordered stack of dense layers, each with a weight matrix,
 an optional bias, and an elementwise activation. The forward pass captures
 per-layer tap points (pre-activation and activation matrices) because the
 layer-insertion algorithms regress against them. A small SGD-with-momentum
-trainer with softmax cross-entropy loss produces parent models.
+trainer with softmax cross-entropy loss produces parent models; it computes
+in float32 and returns float64 weights, as every other function here takes.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFiniteError, ShapeError, TrainingDivergedError
+from .errors import NotFiniteError, OutOfRangeError, ShapeError, TrainingDivergedError
 from .linalg import as_matrix, check_finite_fields
 
 ACTIVATION_KINDS = ("relu", "sigmoid", "tanh", "identity")
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _check_kind(kind: str) -> str:
@@ -287,33 +289,64 @@ def evaluate(mlp: Mlp, data) -> tuple[float, float]:
     return loss, float((logits.argmax(axis=1) == labels).mean())
 
 
+def _copied(mlp: Mlp, dtype) -> Mlp:
+    """`mlp` with a fresh `dtype` copy of every weight and bias, so in-place
+    updates reach neither `mlp` nor a second layer that shares an array with
+    this one. `Layer` stores float64, so another dtype is set after it."""
+    net = Mlp([Layer(l.weight, l.bias, l.activation) for l in mlp.layers])
+    for layer in net.layers:
+        layer.weight = layer.weight.astype(dtype)
+        if layer.bias is not None:
+            layer.bias = layer.bias.astype(dtype)
+    return net
+
+
+def _check_float32_range(arr: np.ndarray, name: str) -> None:
+    """Refuse a finite float64 array with an entry beyond float32's largest
+    finite value, which the cast to float32 would make infinite. max and min
+    take no temporary the size of `arr`."""
+    top = max(arr.max(), -arr.min()) if arr.size else 0.0
+    if top > FLOAT32_MAX:
+        raise OutOfRangeError(f"{name}: an entry of magnitude {top:.6g} is beyond "
+                              f"{FLOAT32_MAX:.6g}, the largest finite float32 value, "
+                              f"and training computes in float32")
+
+
 def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
-    """SGD with momentum on softmax cross-entropy.
+    """SGD with momentum on softmax cross-entropy, computed in float32.
 
     Returns a trained copy (the input network is untouched) and one stats
     row per epoch, `epoch` 1 to cfg.epochs: the mean loss and accuracy over
     that epoch's mini-batches, each taken before its update. With 0 epochs
-    the history is empty; `evaluate` gives a network's metrics at any point,
-    the starting one included. Weight decay applies to weights only.
-    Mini-batch order is a pure function of cfg.seed.
+    the history is empty and the copy has the input's bytes; `evaluate`
+    gives a network's metrics at any point, the starting one included.
+    Weight decay applies to weights only. Mini-batch order is a pure
+    function of cfg.seed.
 
     The data is checked once, up front, as "training features" (the check
-    `evaluate` and `loss_and_gradients` make too), and every step then runs
-    unchecked and updates the copy in place, with the arithmetic of the
-    out-of-place update, v = m*v - lr*(dw + wd*W) and W = W + v, operation
-    for operation, so the trained bits are the same.
+    `evaluate` and `loss_and_gradients` make too), and so is the float32
+    range of the features, weights and biases. The copy, the velocities,
+    the hyperparameters and each mini-batch, gathered one at a time, are
+    float32, and every step runs unchecked and updates the copy in place,
+    with the arithmetic of the out-of-place update, v = m*v - lr*(dw + wd*W)
+    and W = W + v, operation for operation. The trained weights come back
+    as float64, each one a float32 value; a non-finite one is a
+    `TrainingDivergedError`, as a non-finite loss is.
     """
     x, labels = _checked_data(mlp, data.features, data.labels, "training features")
+    _check_float32_range(x, "training features")
+    for k, l in enumerate(mlp.layers):
+        _check_float32_range(l.weight, f"layer {k} weight")
+        if l.bias is not None:
+            _check_float32_range(l.bias, f"layer {k} bias")
+    if cfg.epochs == 0:
+        return _copied(mlp, np.float64), []
     n = x.shape[0]
-    # fresh arrays per layer, so in-place updates reach neither the caller's
-    # network nor a second layer that shares an array with this one
-    net = Mlp([
-        Layer(l.weight.copy(), None if l.bias is None else l.bias.copy(), l.activation)
-        for l in mlp.layers
-    ])
+    net = _copied(mlp, np.float32)
     history = []
 
-    lr, momentum, decay = cfg.learning_rate, cfg.momentum, cfg.weight_decay
+    lr, momentum, decay = (np.float32(v) for v in
+                           (cfg.learning_rate, cfg.momentum, cfg.weight_decay))
     # per layer: weight velocity, weight-decay scratch, bias velocity
     state = [
         (np.zeros_like(l.weight), np.empty_like(l.weight),
@@ -327,15 +360,12 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
         correct = 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            xb = x[idx]
+            xb = x[idx].astype(np.float32)
             yb = labels[idx]
             _, acts = _layer_outputs(net, xb, keep_pre=False)
             loss, grads = _backward(net, xb, acts, yb)
             if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"loss became non-finite at epoch {epoch}; the learning "
-                    f"rate {cfg.learning_rate} is likely too high"
-                )
+                raise _diverged("loss", epoch, cfg)
             loss_sum += loss * len(idx)
             correct += int((acts[-1].argmax(axis=1) == yb).sum())
             for layer, (vw, decayed, vb), (dw, db) in zip(net.layers, state, grads):
@@ -353,4 +383,15 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
         history.append(
             EpochStats(epoch=epoch, loss=loss_sum / n, accuracy=correct / n)
         )
-    return net, history
+    # the last update is checked by no later loss
+    if not all(np.isfinite(a).all() for l in net.layers for a in (l.weight, l.bias)
+               if a is not None):
+        raise _diverged("a weight", cfg.epochs, cfg)
+    return _copied(net, np.float64), history
+
+
+def _diverged(what: str, epoch: int, cfg: TrainConfig) -> TrainingDivergedError:
+    return TrainingDivergedError(
+        f"{what} became non-finite at epoch {epoch}; the learning "
+        f"rate {cfg.learning_rate} is likely too high"
+    )

@@ -35,7 +35,7 @@ from . import io as mio
 from .linalg import constant_columns, least_squares, standardize_columns, vectorize
 from .morph import MorphSpec, _candidate_moments, morph
 from .network import (
-    EpochStats, Layer, Mlp, TrainConfig, forward, loss_and_gradients, train_sgd,
+    EpochStats, Layer, Mlp, TrainConfig, _backward, _layer_outputs, loss_and_gradients, train_sgd,
 )
 from .sparse import (
     R_CAP,
@@ -516,12 +516,21 @@ def check_trainer_gradients(seed: int) -> float:
 
 
 def _reference_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
-    """`train_sgd` as a plain loop: `loss_and_gradients` on each checked
-    mini-batch, then v = m*v - lr*(dw + wd*W) and W = W + v with a fresh
-    array per step (biases without decay)."""
+    """`train_sgd` as a plain float32 loop: the forward and backward pass on
+    each mini-batch cast to float32, then v = m*v - lr*(dw + wd*W) and
+    W = W + v with a fresh float32 array per update (biases without decay),
+    and float64 weights on return. 0 epochs give a copy of the input."""
     net = copy.deepcopy(mlp)
-    vel = [(np.zeros_like(l.weight), None if l.bias is None else np.zeros_like(l.bias))
-           for l in net.layers]
+    if cfg.epochs == 0:
+        return net, []
+    lr, momentum, decay = (np.float32(v) for v in
+                           (cfg.learning_rate, cfg.momentum, cfg.weight_decay))
+    for layer in net.layers:
+        layer.weight = layer.weight.astype(np.float32)
+        if layer.bias is not None:
+            layer.bias = layer.bias.astype(np.float32)
+    vw = [np.zeros_like(l.weight) for l in net.layers]
+    vb = [None if l.bias is None else np.zeros_like(l.bias) for l in net.layers]
     rng = np.random.default_rng(cfg.seed)
     n = data.features.shape[0]
     history = []
@@ -530,21 +539,19 @@ def _reference_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochSta
         loss_sum, correct = 0.0, 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            xb, yb = data.features[idx], data.labels[idx]
-            loss, grads = loss_and_gradients(net, xb, yb)
+            xb, yb = data.features[idx].astype(np.float32), data.labels[idx]
+            _, acts = _layer_outputs(net, xb, keep_pre=False)
+            loss, grads = _backward(net, xb, acts, yb)
             loss_sum += loss * len(idx)
-            correct += int((forward(net, xb).activations[-1].argmax(axis=1) == yb).sum())
-            for layer, (vw, vb), (dw, db) in zip(net.layers, vel, grads):
-                dw = dw + cfg.weight_decay * layer.weight
-                vw *= cfg.momentum
-                vw -= cfg.learning_rate * dw
-                layer.weight = layer.weight + vw
+            correct += int((acts[-1].argmax(axis=1) == yb).sum())
+            for k, (layer, (dw, db)) in enumerate(zip(net.layers, grads)):
+                vw[k] = momentum * vw[k] - lr * (dw + decay * layer.weight)
+                layer.weight = layer.weight + vw[k]
                 if db is not None:
-                    vb *= cfg.momentum
-                    vb -= cfg.learning_rate * db
-                    layer.bias = layer.bias + vb
+                    vb[k] = momentum * vb[k] - lr * db
+                    layer.bias = layer.bias + vb[k]
         history.append(EpochStats(epoch, loss_sum / n, correct / n))
-    return net, history
+    return Mlp([Layer(l.weight, l.bias, l.activation) for l in net.layers]), history
 
 
 def check_trainer_reference(seed: int) -> int:
@@ -553,8 +560,9 @@ def check_trainer_reference(seed: int) -> int:
     tanh, sigmoid and identity hidden layers, some without a bias, over a
     row count that leaves a partial last batch; momentum and weight decay
     each zero and positive, a zero learning rate, and 0 epochs, which give
-    an empty history and the input's bytes. Returns the number of trainings
-    compared."""
+    an empty history and the input's bytes. Every weight and bias trained
+    for at least one epoch is float64 and holds float32 values. Returns the
+    number of trainings compared."""
     rng = np.random.default_rng(seed)
     settings = [(0.05, 0.9, 1e-3, 3), (0.1, 0.0, 0.0, 3), (0.0, 0.9, 1e-3, 3),
                 (0.05, 0.5, 0.0, 3), (0.05, 0.9, 1e-3, 0)]
@@ -579,6 +587,13 @@ def check_trainer_reference(seed: int) -> int:
         if epochs == 0:
             assert history == [], f"{cfg}: history {history} for 0 epochs"
             assert [_layer_bytes(l) for l in trained.layers] == before, f"{cfg}: weights moved"
+            continue
+        for k, layer in enumerate(trained.layers):
+            for arr in (layer.weight, layer.bias):
+                if arr is not None:
+                    assert arr.dtype == np.float64, f"{cfg}: layer {k} holds {arr.dtype}"
+                    assert (arr.astype(np.float32).astype(np.float64) == arr).all(), \
+                        f"{cfg}: layer {k} holds a value that is not a float32"
     return len(settings)
 
 

@@ -338,6 +338,22 @@ class TestEvalAndFinetune:
         assert not (tmp_path / "tuned.model").exists()
         assert history.read_bytes() == before
 
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    def test_finetune_unreadable_report_writes_nothing(self, parent_dir, tmp_path, capsys,
+                                                       content):
+        # --report is read before training, so a missing or malformed report
+        # leaves neither the tuned model nor a history file
+        report = tmp_path / "tuned.report.json"
+        if content is not None:
+            report.write_text(content)
+        out = tmp_path / "out"
+        assert run("finetune", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
+                   "--epochs", "1", "--report", str(report), "--out", "tuned.model",
+                   "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "tuned.model").exists()
+        assert not (out / "history.csv").exists()
+
     def test_eval_of_empty_split_is_user_error(self, parent_dir, capsys):
         assert run("eval", "--model", str(parent_dir / "parent.model"),
                    "--data", "synth:n=60,test=0,d=12,classes=3,seed=4", "--split", "test") == 1

@@ -2,12 +2,13 @@
 
 import copy
 import importlib
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from morphkit.errors import NotFiniteError, ShapeError, TrainingDivergedError
+from morphkit.errors import NotFiniteError, OutOfRangeError, ShapeError, TrainingDivergedError
 from morphkit.io import Dataset, synth_dataset
 from morphkit.morph import prepare_probe
 from morphkit.network import (
@@ -288,6 +289,49 @@ class TestTrainSgd:
         cfg = TrainConfig(learning_rate=1e6, momentum=0.0, epochs=50, seed=0)
         with pytest.raises(TrainingDivergedError, match="learning"):
             train_sgd(net, data, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_learning_rate_beyond_float32_raises_instead_of_returning_inf(self):
+        # one step, so no later loss sees the weights it made infinite
+        data = synth_dataset(6, 40, 4, 2)
+        net = random_mlp(np.random.default_rng(16), [4, 3, 2], ["relu", "identity"])
+        with pytest.raises(TrainingDivergedError, match="^a weight became non-finite at epoch 1; "
+                                                        "the learning rate 1e[+]39 "):
+            train_sgd(net, data, TrainConfig(learning_rate=1e39, epochs=1, batch_size=64))
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_feature_beyond_float32_is_refused_up_front(self, epochs):
+        data = synth_dataset(6, 40, 4, 2)
+        data.features[7, 1] = -1e39
+        net = random_mlp(np.random.default_rng(17), [4, 3, 2], ["relu", "identity"])
+        with pytest.raises(OutOfRangeError, match=r"^training features: an entry of magnitude "
+                                                  r"1e\+39 is beyond 3.40282e\+38, the largest"):
+            train_sgd(net, data, TrainConfig(learning_rate=0.0, epochs=epochs))
+
+    @pytest.mark.parametrize("field", ["weight", "bias"])
+    def test_parameter_beyond_float32_is_refused_up_front(self, field):
+        data = synth_dataset(6, 40, 4, 2)
+        net = random_mlp(np.random.default_rng(18), [4, 3, 2], ["relu", "identity"])
+        getattr(net.layers[1], field)[1] = 4e38
+        with pytest.raises(OutOfRangeError, match=f"^layer 1 {field}: an entry of magnitude "
+                                                  r"4e\+38 is beyond 3.40282e\+38"):
+            train_sgd(net, data, TrainConfig(learning_rate=0.0, epochs=1))
+
+    def test_split_is_cast_one_batch_at_a_time(self):
+        # a float32 copy of this 6000x784 split would take 18.8 MB; the peak
+        # of what training allocates must stay well under it
+        rng = np.random.default_rng(20)
+        data = Dataset(rng.normal(size=(6000, 784)), rng.integers(0, 10, size=6000))
+        net = Mlp([Layer(init_weights(784, 64, "relu", 1), np.zeros(64), "relu"),
+                   Layer(init_weights(64, 10, "identity", 2), np.zeros(10), "identity")])
+        cfg = TrainConfig(epochs=1, batch_size=48)
+        tracemalloc.start()
+        try:
+            train_sgd(net, data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * data.features.size * 4, f"peak {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference_loop(self, seed):
