@@ -1,9 +1,20 @@
-"""Dense matrix kernel: normal-equation least squares, the constant-column
-rule, column standardization, and column-stacking vectorization.
+"""Dense matrix kernel: the finiteness check, normal-equation least squares,
+the constant-column rule, column standardization, and column-stacking
+vectorization.
 
 Matrices are plain 2-D float64 numpy arrays, validated at API boundaries:
 every operation checks that its inputs and outputs are finite. All
 functions are pure; arrays are never modified in place.
+
+`all_finite` is the package's one finiteness check of an array; every
+other module calls it. The sum of the squares of an array's entries is
+finite exactly when no entry is NaN or infinite (every term is
+nonnegative, so nothing cancels), and `sum_of_squares` computes it as one
+dot product of the array's memory with itself: one read, no temporary.
+Only when that sum is not finite, because an entry is NaN or infinite or
+because finite entries above about 1e154 overflow it, or when the array is
+neither C- nor F-contiguous, does `all_finite` fall back to an
+entry-by-entry `np.isfinite` scan.
 
 The normal equations are solved with numpy alone. A Cholesky factorization
 of the Gram matrix is the positive-definiteness test that decides whether a
@@ -28,18 +39,43 @@ from .errors import NotFiniteError, ShapeError, SingularMatrixError
 CONSTANT_COLUMN_TOL = 1e-12
 
 
+def sum_of_squares(arr: np.ndarray) -> float | None:
+    """The sum of the squares of the entries of a float array, as one BLAS
+    dot product of its memory with itself (no temporary), with overflow and
+    invalid-operation warnings off: a NaN entry makes it NaN, an infinite
+    one or an overflow inf. None when `arr` is neither C- nor F-contiguous."""
+    if arr.flags.c_contiguous:
+        flat = arr.reshape(-1)
+    elif arr.flags.f_contiguous:
+        flat = arr.T.reshape(-1)
+    else:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(flat @ flat)
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """True when no entry of the float array `arr` is NaN or infinite: a
+    finite `sum_of_squares` says so in one read; otherwise the answer is
+    `np.isfinite`'s, entry by entry."""
+    total = sum_of_squares(arr)
+    if total is not None and math.isfinite(total):
+        return True
+    return bool(np.isfinite(arr).all())
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate `a` as a finite 2-D float64 array and return it."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"{name}: expected a 2-D matrix, got ndim={arr.ndim}")
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise NotFiniteError(f"{name}: contains non-finite entries")
     return arr
 
 
 def ensure_finite(arr: np.ndarray, name: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise NotFiniteError(f"{name}: produced non-finite entries")
     return arr
 

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import EmptyLayerError, MorphkitError, ShapeError
 from .linalg import as_matrix, constant_columns, least_squares_with_fallback
 from .network import (
-    Layer, Mlp, _check_kind, _checked_input, _layer_outputs, apply_activation, forward,
+    Layer, Mlp, _activate, _check_kind, _checked_input, _layer_outputs, _pre_activation, forward,
     init_weights,
 )
 from .sparse import (
@@ -206,7 +206,8 @@ def _probe_pass(mlp: Mlp, insert_after: int, probe) -> tuple[np.ndarray, np.ndar
     """Check `insert_after` and the probe, then run the parent's forward
     pass on it: returns the inserted layer's input and the downstream
     pre-activations, which depend only on the layers `parent_digest`
-    covers."""
+    covers. The pass runs only those layers and keeps no other
+    pre-activation; the arrays have the bits of a full `forward`'s."""
     _check_insert_after(mlp, insert_after)
     probe = _checked_input(mlp, probe, "probe")  # the probe's one check
     n = probe.shape[0]
@@ -215,8 +216,8 @@ def _probe_pass(mlp: Mlp, insert_after: int, probe) -> tuple[np.ndarray, np.ndar
             f"probe has {n} row{'' if n == 1 else 's'}; a morph needs at least 2 "
             f"(use a larger probe)"
         )
-    pres, acts = _layer_outputs(mlp, probe)
-    return acts[insert_after], pres[insert_after + 1]
+    a1 = _layer_outputs(Mlp(mlp.layers[: insert_after + 1]), probe, keep_pre=False)[1][-1]
+    return a1, _pre_activation(mlp.layers[insert_after + 1], a1)
 
 
 def prepare_probe(mlp: Mlp, insert_after: int, probe) -> PreparedProbe:
@@ -267,13 +268,29 @@ def _initial_w1(spec: MorphSpec, d1: int, w1_init) -> np.ndarray:
     return w1
 
 
-def _fit_readout(a_new, target, with_bias: bool):
-    """Least-squares fit of the downstream layer, ridged where
-    `least_squares_with_fallback` says so. Returns (weight, bias or None,
-    fallbacks)."""
-    n = a_new.shape[0]
-    design = np.hstack([a_new, np.ones((n, 1))]) if with_bias else a_new
-    if not with_bias and not a_new.any():  # no ridge makes an all-zero design solvable
+def _inserted_outputs(a1, w1, act: str, with_bias: bool):
+    """The inserted layer's outputs act(a1 @ w1) on the probe and the
+    readout's design, written once: with a bias the design is one array of
+    the outputs and a ones column, and the outputs are a view of its first
+    columns; without one the design is the outputs. Returns (outputs,
+    design). The product written into the design's columns has the bits of
+    `a1 @ w1` alone, which the child's forward pass computes: the output's
+    row stride does not enter the arithmetic."""
+    if not with_bias:
+        a_new = _activate(act, a1 @ w1, in_place=True)
+        return a_new, a_new
+    k = w1.shape[1]
+    design = np.empty((a1.shape[0], k + 1))
+    a_new = _activate(act, np.matmul(a1, w1, out=design[:, :k]), in_place=True)
+    design[:, k] = 1.0
+    return a_new, design
+
+
+def _fit_readout(design, target, with_bias: bool):
+    """Least-squares fit of the downstream layer on the design
+    `_inserted_outputs` built, ridged where `least_squares_with_fallback`
+    says so. Returns (weight, bias or None, fallbacks)."""
+    if not with_bias and not design.any():  # no ridge makes an all-zero design solvable
         raise EmptyLayerError("every inserted neuron is silent on the probe and the downstream "
                               f"layer has no bias, so the readout has nothing to fit; {NO_SIGNAL_ADVICE}")
     sol, fell_back = least_squares_with_fallback(design, target)
@@ -352,8 +369,8 @@ def _select_alg3(spec, a1, downstream_pre, w1, with_bias):
     """Fit a scoring readout at full width, then keep the neurons whose
     rank-one contributions to that readout's downstream reconstruction get
     a nonzero coefficient. `morph` refits the readout on the kept neurons."""
-    a_new_full = apply_activation(spec.activation, a1 @ w1)
-    w2, b2, fallbacks = _fit_readout(a_new_full, downstream_pre, with_bias)
+    a_new_full, design = _inserted_outputs(a1, w1, spec.activation, with_bias)
+    w2, b2, fallbacks = _fit_readout(design, downstream_pre, with_bias)
 
     target = downstream_pre
     if with_bias:
@@ -416,7 +433,7 @@ def morph(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphRep
             f"{spec.algorithm} at lambda {spec.sparse.lam:g} zeroed the coefficient of every "
             f"one of the {spec.width} candidate neurons; use a smaller lambda"
         )
-    a_new = apply_activation(spec.activation, a1 @ w1)
+    a_new, design = _inserted_outputs(a1, w1, spec.activation, with_bias)
     if spec.algorithm != "baseline":
         # a neuron silent on every probe row is an all-zero readout column
         live = a_new.any(axis=0)
@@ -430,8 +447,8 @@ def morph(mlp: Mlp, spec: MorphSpec, probe, w1_init=None) -> tuple[Mlp, MorphRep
             # the bits of the product with the sliced weights, which the child's
             # forward pass computes
             w1 = w1[:, live]
-            a_new = apply_activation(spec.activation, a1 @ w1)
-    w2, b2, readout_fallbacks = _fit_readout(a_new, downstream_pre, with_bias)
+            a_new, design = _inserted_outputs(a1, w1, spec.activation, with_bias)
+    w2, b2, readout_fallbacks = _fit_readout(design, downstream_pre, with_bias)
     fallbacks += readout_fallbacks
     child = _assemble_child(mlp, spec.insert_after, w1, spec.activation, w2, b2)
     # the child's layers up to insert_after are the parent's, so a_new is its

@@ -15,10 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotFiniteError, OutOfRangeError, ShapeError, TrainingDivergedError
-from .linalg import as_matrix, check_finite_fields
+from .linalg import all_finite, as_matrix, check_finite_fields, sum_of_squares
 
 ACTIVATION_KINDS = ("relu", "sigmoid", "tanh", "identity")
 FLOAT32_MAX = float(np.finfo(np.float32).max)
+# An array whose sum of squares is at most this has no entry beyond
+# sqrt(0.5) * FLOAT32_MAX, rounding of the sum included
+_FLOAT32_SAFE_SUM = 0.5 * FLOAT32_MAX**2
 
 
 def _check_kind(kind: str) -> str:
@@ -83,7 +86,7 @@ class Layer:
                     f"bias length {self.bias.shape} does not match output "
                     f"width {self.weight.shape[1]}"
                 )
-            if not np.isfinite(self.bias).all():
+            if not all_finite(self.bias):
                 raise NotFiniteError("layer bias: contains non-finite entries")
 
     @property
@@ -183,6 +186,15 @@ def _checked_data(mlp: Mlp, features, labels, name: str) -> tuple[np.ndarray, np
     return x, labels
 
 
+def _pre_activation(layer: Layer, a: np.ndarray) -> np.ndarray:
+    """The layer's pre-activations on its input batch `a`, a @ weight + bias,
+    in a fresh array."""
+    pre = a @ layer.weight
+    if layer.bias is not None:
+        pre += layer.bias
+    return pre
+
+
 def _layer_outputs(mlp: Mlp, x: np.ndarray, keep_pre: bool = True):
     """The forward pass on a batch `_checked_input` accepted, unchecked:
     (pre-activations, activations), one per layer. Without `keep_pre` each
@@ -193,9 +205,7 @@ def _layer_outputs(mlp: Mlp, x: np.ndarray, keep_pre: bool = True):
     acts: list[np.ndarray] = []
     a = x
     for layer in mlp.layers:
-        pre = a @ layer.weight
-        if layer.bias is not None:
-            pre += layer.bias
+        pre = _pre_activation(layer, a)
         if keep_pre:
             pres.append(pre)
         a = _activate(layer.activation, pre, in_place=not keep_pre)
@@ -303,8 +313,13 @@ def _copied(mlp: Mlp, dtype) -> Mlp:
 
 def _check_float32_range(arr: np.ndarray, name: str) -> None:
     """Refuse a finite float64 array with an entry beyond float32's largest
-    finite value, which the cast to float32 would make infinite. max and min
-    take no temporary the size of `arr`."""
+    finite value, which the cast to float32 would make infinite. A sum of
+    squares within `_FLOAT32_SAFE_SUM` clears the array in one read; above
+    it, the exact max and min decide. Neither takes a temporary the size of
+    `arr`."""
+    total = sum_of_squares(arr)
+    if total is not None and total <= _FLOAT32_SAFE_SUM:
+        return
     top = max(arr.max(), -arr.min()) if arr.size else 0.0
     if top > FLOAT32_MAX:
         raise OutOfRangeError(f"{name}: an entry of magnitude {top:.6g} is beyond "
@@ -325,15 +340,21 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
 
     The data is checked once, up front, as "training features" (the check
     `evaluate` and `loss_and_gradients` make too), and so is the float32
-    range of the features, weights and biases. The copy, the velocities,
-    the hyperparameters and each mini-batch, gathered one at a time, are
-    float32, and every step runs unchecked and updates the copy in place,
-    with the arithmetic of the out-of-place update, v = m*v - lr*(dw + wd*W)
-    and W = W + v, operation for operation. The trained weights come back
+    range of the learning rate, the weight decay, the features, the weights
+    and the biases. The copy, the velocities, the hyperparameters and each
+    mini-batch, gathered one at a time, are float32, and every step runs
+    unchecked and updates the copy in place, with the arithmetic of the
+    out-of-place update, v = m*v - lr*(dw + wd*W) and W = W + v, operation
+    for operation. The trained weights come back
     as float64, each one a float32 value; a non-finite one is a
     `TrainingDivergedError`, as a non-finite loss is.
     """
     x, labels = _checked_data(mlp, data.features, data.labels, "training features")
+    for field in ("learning_rate", "weight_decay"):
+        value = getattr(cfg, field)
+        if value > FLOAT32_MAX:
+            raise OutOfRangeError(f"{field}: {value:.6g} is beyond {FLOAT32_MAX:.6g}, the largest "
+                                  f"finite float32 value, and training computes in float32")
     _check_float32_range(x, "training features")
     for k, l in enumerate(mlp.layers):
         _check_float32_range(l.weight, f"layer {k} weight")
@@ -384,8 +405,7 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
             EpochStats(epoch=epoch, loss=loss_sum / n, accuracy=correct / n)
         )
     # the last update is checked by no later loss
-    if not all(np.isfinite(a).all() for l in net.layers for a in (l.weight, l.bias)
-               if a is not None):
+    if not all(all_finite(a) for l in net.layers for a in (l.weight, l.bias) if a is not None):
         raise _diverged("a weight", cfg.epochs, cfg)
     return _copied(net, np.float64), history
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotFiniteError, ShapeError, StandardizationError
-from .linalg import as_matrix, check_finite_fields, least_squares_with_fallback
+from .linalg import all_finite, as_matrix, check_finite_fields, least_squares_with_fallback
 
 # Cap of every similarity penalty. r / (1 - r) is unbounded as r -> 1; the
 # cap only keeps an exact duplicate pair (r = 1) finite, it is no setting.
@@ -237,7 +237,7 @@ def iilasso_residual(gram, corr, r, cfg: SparseConfig) -> SparseSolution:
         raise ShapeError(
             f"gram is {gram.shape} and corr is {corr.shape}; expected (D, D) and (D,)"
         )
-    if not np.isfinite(corr).all():
+    if not all_finite(corr):
         raise NotFiniteError("corr contains non-finite entries")
     off = np.abs(gram.diagonal() - 1.0)
     if off.size and off.max() > 1e-6:  # a unit diagonal up to rounding
@@ -263,7 +263,7 @@ def refit_w1(a1, o_new, beta) -> tuple[np.ndarray, bool]:
         raise ShapeError(
             f"beta has shape {beta.shape}, expected ({o_new.shape[1]},)"
         )
-    if not np.isfinite(beta).all():
+    if not all_finite(beta):
         raise NotFiniteError("beta contains non-finite entries")
     w_ls, fell_back = least_squares_with_fallback(a1, o_new)
     w = np.zeros_like(w_ls)

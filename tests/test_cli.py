@@ -146,6 +146,14 @@ class TestMorph:
         assert f"{field} must be finite, got {float(value)!r}" in capsys.readouterr().err
         assert not (parent_dir / "never.model").exists()
 
+    def test_unwritable_report_leaves_no_child(self, parent_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
+                   "--at", "1", "--width", "10", "--report", str(tmp_path / "nodir" / "r.json"),
+                   "--out", "child.model", "--out-dir", str(out)) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert not (out / "child.model").exists()
+
     def test_morph_writes_child_and_report(self, parent_dir, capsys):
         code = run(
             "morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,

@@ -1,10 +1,18 @@
-"""Dense-kernel tests: least squares, standardization, vec."""
+"""Dense-kernel tests: the one-pass checks, least squares, standardization,
+vec."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from morphkit.errors import NotFiniteError, ShapeError, SingularMatrixError
+from morphkit.errors import NotFiniteError, OutOfRangeError, ShapeError, SingularMatrixError
 from morphkit.linalg import (
+    all_finite,
+    as_matrix,
     constant_columns,
     least_squares,
     least_squares_with_fallback,
@@ -12,11 +20,89 @@ from morphkit.linalg import (
     standardize_columns,
     vectorize,
 )
+from morphkit.network import FLOAT32_MAX, _check_float32_range
 from morphkit.verify import (
     check_least_squares_stationarity,
     check_standardize_roundtrip,
     check_vectorize_frobenius,
 )
+
+# finite magnitudes whose squares, or their sum, overflow float64
+HUGE = st.floats(1e150, 1.7e308)
+SUBNORMAL = st.floats(-2.2e-308, 2.2e-308, allow_subnormal=True)
+ORDINARY = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def laid_out(draw, values: np.ndarray) -> np.ndarray:
+    """`values` copied into a C-ordered, F-ordered or strided array."""
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout != "strided":
+        return np.array(values, order=layout)
+    # every other row and column of a larger zeroed array
+    big = np.zeros(tuple(2 * n + 1 for n in values.shape), dtype=values.dtype)
+    view = big[tuple(slice(0, 2 * n, 2) for n in values.shape)]
+    view[...] = values
+    return view
+
+
+@st.composite
+def finite_arrays(draw, elements) -> np.ndarray:
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7))
+    return draw(hnp.arrays(np.float64, shape, elements=elements))
+
+
+@st.composite
+def checked_arrays(draw) -> np.ndarray:
+    """A 1-D or 2-D array, possibly empty, of ordinary, huge, subnormal or
+    zero values, with NaN and +-inf at random positions, in any layout and
+    as float64 or float32."""
+    values = draw(finite_arrays(st.one_of(ORDINARY, HUGE, SUBNORMAL, st.just(0.0))))
+    if values.size:
+        flat = values.reshape(-1)
+        bad = draw(st.lists(st.integers(0, values.size - 1), max_size=3))
+        flat[bad] = draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]),
+                                  min_size=len(bad), max_size=len(bad)))
+    if draw(st.booleans()):
+        with np.errstate(over="ignore"):  # a huge value casts to inf
+            values = values.astype(np.float32)
+    return draw(laid_out(values))
+
+
+class TestOnePassChecks:
+    """`all_finite` and the float32 range rule decide from one sum of squares
+    where it settles the answer; they must agree with the exact rules."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(arr=checked_arrays())
+    def test_all_finite_agrees_with_isfinite(self, arr):
+        assert all_finite(arr) == bool(np.isfinite(arr).all())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(arr=finite_arrays(st.one_of(
+        ORDINARY, HUGE, SUBNORMAL, st.floats(-1e39, 1e39),
+        st.sampled_from([FLOAT32_MAX, np.nextafter(FLOAT32_MAX, np.inf),
+                         np.nextafter(FLOAT32_MAX, 0.0), 3.4028235e38, 3.4028236e38,
+                         2.5e38, -2.5e38, -FLOAT32_MAX, -np.nextafter(FLOAT32_MAX, np.inf)]),
+    )).flatmap(laid_out))
+    def test_float32_range_rule_agrees_with_exact_max(self, arr):
+        beyond = arr.size > 0 and float(np.abs(arr).max()) > FLOAT32_MAX
+        if beyond:
+            with pytest.raises(OutOfRangeError, match="^x: an entry of magnitude"):
+                _check_float32_range(arr, "x")
+        else:
+            _check_float32_range(arr, "x")
+
+    def test_as_matrix_takes_no_temporary_the_size_of_its_input(self):
+        # a boolean mask of this 6000x784 split would take 4.7 MB
+        arr = np.random.default_rng(0).normal(size=(6000, 784))
+        tracemalloc.start()
+        try:
+            as_matrix(arr, "split")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, f"peak {peak / 1024:.1f} KiB"
 
 
 def gauss_solve(a, b):

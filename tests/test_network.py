@@ -290,14 +290,35 @@ class TestTrainSgd:
         with pytest.raises(TrainingDivergedError, match="learning"):
             train_sgd(net, data, cfg)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_learning_rate_beyond_float32_raises_instead_of_returning_inf(self):
-        # one step, so no later loss sees the weights it made infinite
+        # refused before any cast, so with no overflow warning
+        data = synth_dataset(6, 40, 4, 2)
+        net = random_mlp(np.random.default_rng(16), [4, 3, 2], ["relu", "identity"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError, match=r"^learning_rate: 1e\+39 is beyond "
+                                                      r"3.40282e\+38, the largest finite float32"):
+                train_sgd(net, data, TrainConfig(learning_rate=1e39, epochs=1, batch_size=64))
+
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_weight_decay_beyond_float32_is_refused_up_front(self, epochs):
+        data = synth_dataset(6, 40, 4, 2)
+        net = random_mlp(np.random.default_rng(16), [4, 3, 2], ["relu", "identity"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError, match=r"^weight_decay: 4e\+38 is beyond "
+                                                      r"3.40282e\+38, the largest finite float32"):
+                train_sgd(net, data, TrainConfig(weight_decay=4e38, epochs=epochs))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_step_that_overflows_the_weights_raises_instead_of_returning_inf(self):
+        # a float32 learning rate whose one step, which no later loss
+        # checks, takes the weights past float32's range
         data = synth_dataset(6, 40, 4, 2)
         net = random_mlp(np.random.default_rng(16), [4, 3, 2], ["relu", "identity"])
         with pytest.raises(TrainingDivergedError, match="^a weight became non-finite at epoch 1; "
-                                                        "the learning rate 1e[+]39 "):
-            train_sgd(net, data, TrainConfig(learning_rate=1e39, epochs=1, batch_size=64))
+                                                        "the learning rate 3e[+]38 "):
+            train_sgd(net, data, TrainConfig(learning_rate=3e38, epochs=1, batch_size=64))
 
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_feature_beyond_float32_is_refused_up_front(self, epochs):
