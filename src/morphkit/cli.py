@@ -279,12 +279,15 @@ def cmd_morph(args) -> int:
     parent, meta = mio.load_model(args.model)
     child, report = morph(parent, spec, _morph_probe(args, parent))
     report.run_id = args.run_id or os.path.splitext(os.path.basename(args.out))[0]
-    # the report first, so a report that cannot be written leaves no child
-    mio.save_report_json(report, _out_path(args, args.report or (args.out + ".report.json")))
     out = _out_path(args, args.out)
-    mio.save_model(child, out, metadata={
-        "spec": dataclasses.asdict(spec), "probe_size": args.probe_size, "parent_metadata": meta,
-    })
+    report_path = _out_path(args, args.report or (args.out + ".report.json"))
+    # the child is written inside the report's write, so a report that
+    # cannot be written leaves no child and a child that cannot, no report
+    with mio.writing_report_json(report, report_path):
+        mio.save_model(child, out, metadata={
+            "spec": dataclasses.asdict(spec), "probe_size": args.probe_size,
+            "parent_metadata": meta,
+        })
     print(
         f"{args.alg}: {report.n_redundant} -> {report.n_sparse} neurons "
         f"(ratio {report.compression_ratio:.3f}, preservation max "

@@ -1,23 +1,29 @@
 """Model serialization, IDX dataset ingestion, synthetic data, the cache
 of synthetic splits and probe passes, and report files.
 
-Models are stored as UTF-8 JSON with an explicit schema version. Schema 2
-carries each weight matrix and bias as one base64 string of its
-little-endian float64 bytes in row-major order, so a load reproduces every
-weight bit-for-bit; schema 1 files (nested number lists) are still read.
+Model files and cache entries share one container (`_encode_records`,
+`_decode_records`): npy records whose headers must match byte for byte,
+then a chained CRC-32 of the records' bytes as a uint32 scalar record,
+with nothing after it. A model file (schema 3) opens with one uint8 record
+holding its UTF-8 JSON header (schema version, each layer's widths,
+activation and whether it has a bias, and the metadata), followed by each
+layer's weights and then bias as little-endian float64 C-order records, so
+a load reproduces every weight bit for bit. The two uses differ only in
+policy: a corrupt model is a `ModelFormatError` naming the file, a corrupt
+cache entry is a miss. JSON model files of schema 1 (nested number lists)
+and schema 2 (base64 float64 arrays) are still read.
 IDX files follow the classic big-endian layout (magic, dims,
 unsigned bytes); gzipped files are handled transparently by extension.
 
 The cache under `$XDG_CACHE_HOME/morphkit` (default `~/.cache/morphkit`)
-holds two kinds of entry in one format (`_read_entry`, `_write_entry`):
-npy records whose headers must match byte for byte, an exact length, and a
-chained CRC-32 of the records' bytes. One kind is a split of a synthetic
-draw, named by a hash of everything that decides the draw; the other is a
-parent's probe pass on rows of such a split (`probe_cache_path`), named by
-a hash of the split's entry, the row sample, the insertion point and a
-digest of the parent. Every read checks dtype, shape and CRC-32, so a hit
-has the bits of a fresh computation and anything else is a miss. A hit's
-arrays are read-only views of a read-only memory mapping of the entry.
+holds two kinds of entry (`_read_entry`, `_write_entry`). One kind is a
+split of a synthetic draw, named by a hash of everything that decides the
+draw; the other is a parent's probe pass on rows of such a split
+(`probe_cache_path`), named by a hash of the split's entry, the row sample,
+the insertion point and a digest of the parent. Every read checks dtype,
+shape and CRC-32, so a hit has the bits of a fresh computation and anything
+else is a miss. A hit's arrays are read-only views of a read-only memory
+mapping of the entry.
 morphkit only ever replaces an entry atomically, and a live mapping keeps
 the bytes of the file it mapped. An entry must never be edited in place
 while a command runs (delete the directory instead): the mapping would see
@@ -32,6 +38,7 @@ import base64
 import contextlib
 import csv
 import dataclasses
+import functools
 import gzip
 import hashlib
 import io as stdio
@@ -53,8 +60,10 @@ from .network import ACTIVATION_KINDS, Layer, Mlp
 
 log = logging.getLogger(__name__)
 
-MODEL_SCHEMA_VERSION = 2
-READABLE_SCHEMA_VERSIONS = (1, 2)
+MODEL_SCHEMA_VERSION = 3
+# schema 1 and 2 files are JSON, and still read; schema 3 is the record container
+JSON_SCHEMA_VERSIONS = (1, 2)
+_UINT8 = np.dtype("u1")
 _FLOAT64_LE = np.dtype("<f8")
 _INT64_LE = np.dtype("<i8")
 _UINT32_LE = np.dtype("<u4")
@@ -119,29 +128,97 @@ class Dataset:
         return self.features.shape[0]
 
 
-def _encode_array(array: np.ndarray) -> str:
-    return base64.b64encode(array.astype(_FLOAT64_LE, copy=False).tobytes()).decode("ascii")
+def _checksum(arrays) -> int:
+    crc = 0
+    for array in arrays:
+        crc = zlib.crc32(array, crc)
+    return crc
+
+
+@functools.lru_cache(maxsize=64)
+def _npy_header(dtype: np.dtype, shape: tuple) -> bytes:
+    buf = stdio.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape,
+    })
+    return buf.getvalue()
+
+
+def _record_at(buf, offset: int, dtype: np.dtype, shape: tuple) -> tuple[np.ndarray, int]:
+    """The npy record at `offset` of `buf`, which must hold exactly `dtype`
+    and `shape` in C order, as a view of `buf`, and the offset after it. Its
+    header must equal the one `np.save` writes for them byte for byte, so a
+    corrupt header is never parsed and never sizes a view."""
+    header = _npy_header(dtype, shape)
+    end = offset + len(header)
+    count = math.prod(shape)
+    stop = end + count * dtype.itemsize
+    if buf[offset:end] != header:
+        raise ValueError(f"byte {offset}: not an npy header for {dtype} {shape}")
+    if stop > len(buf):
+        raise ValueError(f"truncated: the record at byte {offset} ends at byte {stop}, "
+                         f"the file at byte {len(buf)}")
+    return np.frombuffer(buf, dtype=dtype, count=count, offset=end).reshape(shape), stop
+
+
+def _byte_string_at(buf, offset: int) -> np.ndarray:
+    """The uint8 record at `offset` of `buf`, of the length its npy header
+    declares (`_record_at`). Only that length is read from the header
+    before the whole header is compared byte for byte."""
+    start = offset + len(np.lib.format.MAGIC_PREFIX) + 4  # version, header length
+    text = bytes(buf[start:start + int.from_bytes(buf[start - 2:start], "little")])
+    digits = text.partition(b"'shape': (")[2].partition(b",")[0]
+    if not digits.isdigit():
+        raise ValueError(f"byte {offset}: not an npy header of a byte string")
+    return _record_at(buf, offset, _UINT8, (int(digits),))[0]
+
+
+def _encode_records(fh, arrays) -> None:
+    """Write the C-contiguous little-endian `arrays` to the binary file `fh`
+    as npy records, then the CRC-32 of their bytes, chained in order, as a
+    uint32 scalar record."""
+    crc = np.array(_checksum(arrays), dtype=_UINT32_LE)
+    for array in (*arrays, crc):
+        np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def _decode_records(buf, layout) -> list[np.ndarray]:
+    """The arrays of `_encode_records`' records in `buf`, one per
+    `(dtype, shape)` of `layout`, as views of `buf`. The checksum record
+    must follow them, end `buf` and match them; any fault raises
+    ValueError. Each caller sets its own policy for a fault."""
+    arrays, offset = [], 0
+    for dtype, shape in layout:
+        array, offset = _record_at(buf, offset, dtype, tuple(shape))
+        arrays.append(array)
+    crc, offset = _record_at(buf, offset, _UINT32_LE, ())
+    if offset != len(buf):
+        raise ValueError(f"{len(buf) - offset} bytes after the checksum")
+    if int(crc) != _checksum(arrays):
+        raise ValueError("checksum mismatch")
+    return arrays
 
 
 def save_model(mlp: Mlp, path, metadata: dict | None = None) -> None:
-    """Write the network as versioned JSON; weights round-trip exactly."""
-    doc = {
+    """Write the network as a schema-3 model file in one atomic replace:
+    a uint8 record of the UTF-8 JSON header (schema_version, each layer's
+    `in`, `out`, `activation` and whether it has a `bias`, and `metadata`),
+    then each layer's weights and bias as little-endian float64 C-order
+    records, then the CRC-32 of all the records. Every weight round-trips
+    bit for bit, and equal arguments give equal bytes."""
+    header = json.dumps({
         "schema_version": MODEL_SCHEMA_VERSION,
-        "layers": [
-            {
-                "in": layer.d_in,
-                "out": layer.d_out,
-                "activation": layer.activation,
-                "weights": _encode_array(layer.weight),
-                "bias": None if layer.bias is None else _encode_array(layer.bias),
-            }
-            for layer in mlp.layers
-        ],
+        "layers": [{"in": layer.d_in, "out": layer.d_out, "activation": layer.activation,
+                    "bias": layer.bias is not None} for layer in mlp.layers],
         "metadata": dict(metadata or {}),
-    }
-    with _atomic_open(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    }, separators=(",", ":")).encode("utf-8")
+    header += b" " * (-len(header) % _FLOAT64_LE.itemsize)  # aligns every float64 record
+    arrays = [np.frombuffer(header, dtype=_UINT8)]
+    for layer in mlp.layers:
+        arrays += [np.ascontiguousarray(a, dtype=_FLOAT64_LE)
+                   for a in (layer.weight, layer.bias) if a is not None]
+    with _atomic_open(path, binary=True) as fh:
+        _encode_records(fh, arrays)
 
 
 def _require(doc: dict, key: str, where: str):
@@ -155,6 +232,33 @@ def _require_width(raw: dict, key: str, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ModelFormatError(f"{where}.{key}: expected a positive integer, got {value!r}")
     return value
+
+
+def _model_header(doc, path, versions: tuple) -> tuple[int, list, dict]:
+    """The schema version, each layer's `(where, entry, in, out, activation)`
+    and the metadata of a model document whose version is in `versions`."""
+    version = _require(doc, "schema_version", str(path))
+    if version not in versions:
+        raise ModelFormatError(
+            f"{path}: schema_version {version!r} is not supported "
+            f"(expected one of {versions})"
+        )
+    raw_layers = _require(doc, "layers", str(path))
+    if not isinstance(raw_layers, list) or not raw_layers:
+        raise ModelFormatError(f"{path}: layers: expected a nonempty list")
+    layers = []
+    for k, raw in enumerate(raw_layers):
+        where = f"{path}: layers[{k}]"
+        d_in = _require_width(raw, "in", where)
+        d_out = _require_width(raw, "out", where)
+        activation = _require(raw, "activation", where)
+        if activation not in ACTIVATION_KINDS:
+            raise ModelFormatError(f"{where}.activation: unknown kind {activation!r}")
+        layers.append((where, raw, d_in, d_out, activation))
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ModelFormatError(f"{path}: metadata: expected an object")
+    return version, layers, metadata
 
 
 def _decode_array(value, shape: tuple, version: int, where: str) -> np.ndarray:
@@ -186,43 +290,76 @@ def _decode_array(value, shape: tuple, version: int, where: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=_FLOAT64_LE).reshape(shape).astype(np.float64)
 
 
-def load_model(path) -> tuple[Mlp, dict]:
-    """Load a model file, returning the network and its metadata dict."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
-    version = _require(doc, "schema_version", str(path))
-    if version not in READABLE_SCHEMA_VERSIONS:
-        raise ModelFormatError(
-            f"{path}: schema_version {version!r} is not supported "
-            f"(expected one of {READABLE_SCHEMA_VERSIONS})"
-        )
-    raw_layers = _require(doc, "layers", str(path))
-    if not isinstance(raw_layers, list) or not raw_layers:
-        raise ModelFormatError(f"{path}: layers: expected a nonempty list")
-    layers = []
-    for k, raw in enumerate(raw_layers):
-        where = f"{path}: layers[{k}]"
-        d_in = _require_width(raw, "in", where)
-        d_out = _require_width(raw, "out", where)
-        activation = _require(raw, "activation", where)
-        if activation not in ACTIVATION_KINDS:
-            raise ModelFormatError(f"{where}.activation: unknown kind {activation!r}")
-        weights = _decode_array(_require(raw, "weights", where), (d_in, d_out), version,
+def _json_model(raw: bytearray, path) -> tuple[list, dict]:
+    """Each layer's (weights, bias, activation) and the metadata of a
+    schema 1 or 2 (JSON) model file's bytes."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
+    version, layers, metadata = _model_header(doc, path, JSON_SCHEMA_VERSIONS)
+    parts = []
+    for where, entry, d_in, d_out, activation in layers:
+        weights = _decode_array(_require(entry, "weights", where), (d_in, d_out), version,
                                 f"{where}.weights")
-        bias_raw = _require(raw, "bias", where)
+        bias_raw = _require(entry, "bias", where)
         bias = None if bias_raw is None else _decode_array(bias_raw, (d_out,), version,
                                                            f"{where}.bias")
+        parts.append((weights, bias, activation))
+    return parts, metadata
+
+
+def _record_model(raw: bytearray, path) -> tuple[list, dict]:
+    """Each layer's (weights, bias, activation), as writeable views of
+    `raw`, and the metadata of a schema-3 model file's bytes."""
+    try:
+        header = _byte_string_at(raw, 0)
+        doc = json.loads(header.tobytes().decode("utf-8"))
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: corrupt model file ({exc})") from exc
+    _, layers, metadata = _model_header(doc, path, (MODEL_SCHEMA_VERSION,))
+    layout = [(_UINT8, header.shape)]
+    for where, entry, d_in, d_out, _ in layers:
+        has_bias = _require(entry, "bias", where)
+        if not isinstance(has_bias, bool):
+            raise ModelFormatError(f"{where}.bias: expected true or false, got {has_bias!r}")
+        layout.append((_FLOAT64_LE, (d_in, d_out)))
+        if has_bias:
+            layout.append((_FLOAT64_LE, (d_out,)))
+    try:
+        arrays = iter(_decode_records(raw, layout)[1:])
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: corrupt model file ({exc})") from exc
+    parts = [(next(arrays), next(arrays) if entry["bias"] else None, activation)
+             for _, entry, _, _, activation in layers]
+    return parts, metadata
+
+
+def load_model(path) -> tuple[Mlp, dict]:
+    """Load a model file, returning the network and its metadata dict.
+
+    A file that starts with the npy magic is schema 3 (`save_model`); any
+    other is read as JSON of schema 1 or 2. A bad header, short or
+    trailing bytes, a checksum mismatch or any other fault raises
+    ModelFormatError naming the file. The weights and biases are fresh,
+    writeable float64 arrays: views of a buffer that nothing else holds."""
+    with open(path, "rb") as fh:
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        fh.readinto(raw)
+    if raw.startswith(np.lib.format.MAGIC_PREFIX):
+        parts, metadata = _record_model(raw, path)
+    else:
+        parts, metadata = _json_model(raw, path)
+    layers = []
+    for k, (weights, bias, activation) in enumerate(parts):
         try:
             layers.append(Layer(weights, bias, activation))
         except MorphkitError as exc:  # such as bytes that decode to NaN
-            raise ModelFormatError(f"{where}: {exc}") from exc
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ModelFormatError(f"{path}: metadata: expected an object")
-    return Mlp(layers), metadata
+            raise ModelFormatError(f"{path}: layers[{k}]: {exc}") from exc
+    try:
+        return Mlp(layers), metadata
+    except MorphkitError as exc:  # widths that do not chain
+        raise ModelFormatError(f"{path}: {exc}") from exc
 
 
 def _open_maybe_gzip(path):
@@ -384,63 +521,22 @@ def probe_cache_path(dataset_entry: str, split: str, probe_size: int, seed: int,
     }, "")
 
 
-def _checksum(arrays) -> int:
-    crc = 0
-    for array in arrays:
-        crc = zlib.crc32(array, crc)
-    return crc
-
-
-def _npy_header(dtype: np.dtype, shape: tuple) -> bytes:
-    buf = stdio.BytesIO()
-    np.lib.format.write_array_header_1_0(buf, {
-        "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape,
-    })
-    return buf.getvalue()
-
-
-def _record_at(buf, offset: int, dtype: np.dtype, shape: tuple) -> tuple[np.ndarray, int]:
-    """The npy record at `offset` of `buf`, which must hold exactly `dtype`
-    and `shape` in C order, as a view of `buf`, and the offset after it. Its
-    header must equal the one `np.save` writes for them byte for byte, so a
-    corrupt header is never parsed and never sizes a view."""
-    header = _npy_header(dtype, shape)
-    end = offset + len(header)
-    if buf[offset:end] != header:
-        raise ValueError(f"not an npy header for {dtype} {shape}")
-    count = math.prod(shape)
-    array = np.frombuffer(buf, dtype=dtype, count=count, offset=end)  # short: ValueError
-    return array.reshape(shape), end + count * dtype.itemsize
-
-
 def _read_entry(path, layout, what: str) -> list[np.ndarray] | None:
-    """The arrays of the cache entry at `path`, or None on a miss.
-
-    An entry is one npy record per `(dtype, shape)` of `layout`, in order,
-    then the CRC-32 of their bytes, chained in that order, as a uint32
-    scalar record, with nothing after it. A missing, truncated or corrupt
-    entry is a miss. A hit's arrays are read-only views of a read-only
-    memory mapping of the entry, so a hit copies nothing. Logs one INFO
-    line, "`what` cache hit" or "miss", either way.
+    """The arrays of the cache entry at `path` (`_decode_records` of
+    `layout`), or None on a miss: a missing, truncated or corrupt entry is
+    a miss. A hit's arrays are read-only views of a read-only memory mapping
+    of the entry, so a hit copies nothing. Logs one INFO line, "`what`
+    cache hit" or "miss", either way.
     """
     try:
         with open(path, "rb") as fh:
             buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        arrays, offset = [], 0
-        for dtype, shape in layout:
-            array, offset = _record_at(buf, offset, dtype, tuple(shape))
-            arrays.append(array)
-        crc, offset = _record_at(buf, offset, _UINT32_LE, ())
-        if offset != len(buf):
-            raise ValueError("bytes after the checksum")
+        arrays = _decode_records(buf, layout)
     except FileNotFoundError:
         log.info("%s cache miss: %s", what, path)
         return None
     except (OSError, ValueError) as exc:  # mmap refuses an empty file with ValueError
         log.info("%s cache miss (%s): %s", what, exc, path)
-        return None
-    if int(crc) != _checksum(arrays):
-        log.info("%s cache miss (checksum mismatch): %s", what, path)
         return None
     log.info("%s cache hit: %s", what, path)
     return arrays
@@ -448,14 +544,12 @@ def _read_entry(path, layout, what: str) -> list[np.ndarray] | None:
 
 def _write_entry(path, arrays, what: str) -> None:
     """Cache the C-contiguous little-endian `arrays` at `path` in one
-    atomic replace, in `_read_entry`'s layout. A cache that cannot be
-    written is logged and skipped: the caller already holds the arrays."""
-    crc = np.array(_checksum(arrays), dtype=_UINT32_LE)
+    atomic replace (`_encode_records`). A cache that cannot be written is
+    logged and skipped: the caller already holds the arrays."""
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with _atomic_open(path, binary=True) as fh:
-            for array in (*arrays, crc):
-                np.lib.format.write_array(fh, array, allow_pickle=False)
+            _encode_records(fh, arrays)
     except OSError as exc:
         log.info("%s cache not written (%s): %s", what, exc, path)
 
@@ -506,10 +600,21 @@ def write_report_csv(reports: list[MorphReport], path) -> None:
             writer.writerow([_format_value(getattr(rep, name)) for name in REPORT_CSV_COLUMNS])
 
 
-def save_report_json(report: MorphReport, path) -> None:
+@contextlib.contextmanager
+def writing_report_json(report: MorphReport, path):
+    """Write `report` to `path` as JSON when the block finishes; when the
+    block raises, `path` keeps its old contents. A file written inside the
+    block with `_atomic_open` (as `save_model` writes) and the report are
+    then all or nothing, bar a failure of the report's final rename."""
     with _atomic_open(path) as fh:
         json.dump(dataclasses.asdict(report), fh, indent=1)
         fh.write("\n")
+        yield
+
+
+def save_report_json(report: MorphReport, path) -> None:
+    with writing_report_json(report, path):
+        pass
 
 
 def load_report_json(path) -> MorphReport:

@@ -89,9 +89,9 @@ def check_finite_fields(config) -> None:
             raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
-def _checked_design(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
+def _checked_design(x, y, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    x = as_matrix(x, names[0])
+    y = as_matrix(y, names[1])
     if x.shape[0] != y.shape[0]:
         raise ShapeError(
             f"design has {x.shape[0]} rows but response has {y.shape[0]}"
@@ -130,7 +130,7 @@ def least_squares(x, y, ridge: float = 0.0) -> np.ndarray:
     SingularMatrixError; callers can retry with `ridge_fallback(x)`, or
     call `least_squares_with_fallback`.
     """
-    x, y = _checked_design(x, y)
+    x, y = _checked_design(x, y, ("x", "y"))
     if ridge < 0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
     w = _cholesky_solve(x.T @ x, x.T @ y, ridge)
@@ -139,17 +139,18 @@ def least_squares(x, y, ridge: float = 0.0) -> np.ndarray:
     return w
 
 
-def least_squares_with_fallback(x, y) -> tuple[np.ndarray, bool]:
+def least_squares_with_fallback(x, y, names: tuple[str, str] = ("x", "y")
+                                ) -> tuple[np.ndarray, bool]:
     """`least_squares` that falls back to ridge_fallback(x), reusing
     the Gram matrix and right-hand side. A design with fewer rows than
     columns is underdetermined: it goes straight to the fallback with a
     RuntimeWarning. Any other design falls back only when its system is
-    singular.
+    singular. `names` name x and y in the errors of their checks.
 
     Returns (w, fell_back). Raises SingularMatrixError if the fallback
     fails too, as it does for an all-zero x, whose fallback ridge is 0.
     """
-    x, y = _checked_design(x, y)
+    x, y = _checked_design(x, y, names)
     gram = x.T @ x
     rhs = x.T @ y
     underdetermined = x.shape[0] < x.shape[1]

@@ -254,18 +254,17 @@ def refit_w1(a1, o_new, beta) -> tuple[np.ndarray, bool]:
     get (1/beta_j) times the least-squares fit of o_new_j on a1; columns
     with beta_j == 0 are returned as zeros. An underdetermined or
     rank-deficient a1 falls back to a small automatic ridge. Returns
-    (w, fell_back).
+    (w, fell_back). The fit checks a1 and o_new, once each; beta is checked
+    against the fit's width.
     """
-    a1 = as_matrix(a1, "a1")
-    o_new = as_matrix(o_new, "o_new")
+    w_ls, fell_back = least_squares_with_fallback(a1, o_new, ("a1", "o_new"))
     beta = np.asarray(beta, dtype=np.float64)
-    if beta.ndim != 1 or beta.shape[0] != o_new.shape[1]:
+    if beta.ndim != 1 or beta.shape[0] != w_ls.shape[1]:
         raise ShapeError(
-            f"beta has shape {beta.shape}, expected ({o_new.shape[1]},)"
+            f"beta has shape {beta.shape}, expected ({w_ls.shape[1]},)"
         )
     if not all_finite(beta):
         raise NotFiniteError("beta contains non-finite entries")
-    w_ls, fell_back = least_squares_with_fallback(a1, o_new)
     w = np.zeros_like(w_ls)
     active = beta != 0
     w[:, active] = w_ls[:, active] / beta[active]

@@ -32,6 +32,7 @@ import zlib
 import numpy as np
 
 from . import io as mio
+from .errors import ModelFormatError
 from .linalg import constant_columns, least_squares, standardize_columns, vectorize
 from .morph import MorphSpec, _candidate_moments, morph
 from .network import (
@@ -603,6 +604,8 @@ def _layer_bytes(layer: Layer) -> tuple:
 
 
 def check_model_roundtrip(seed: int) -> None:
+    """A saved model loads with every bit, and a copy of its file with one
+    weight byte flipped is refused."""
     rng = np.random.default_rng(seed)
     net = random_mlp(rng, [4, 6, 3], ["relu", "identity"])
     net.layers[0] = Layer(net.layers[0].weight, None, net.layers[0].activation)
@@ -611,6 +614,20 @@ def check_model_roundtrip(seed: int) -> None:
         path = os.path.join(tmp, "net.model")
         mio.save_model(net, path, metadata={"seed": seed})
         loaded, meta = mio.load_model(path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        start = raw.find(net.layers[1].weight.tobytes())
+        assert start > 0, "the file does not hold the weight bytes"
+        k = start + int(rng.integers(net.layers[1].weight.nbytes))
+        flipped = os.path.join(tmp, "flipped.model")
+        with open(flipped, "wb") as fh:
+            fh.write(raw[:k] + bytes([raw[k] ^ 0xFF]) + raw[k + 1:])
+        try:
+            mio.load_model(flipped)
+        except ModelFormatError:
+            pass
+        else:
+            raise AssertionError(f"a copy with weight byte {k} flipped loaded")
     assert meta == {"seed": seed}, f"metadata {meta!r}"
     assert len(loaded.layers) == len(net.layers), f"{len(loaded.layers)} layers loaded"
     for k, (a, b) in enumerate(zip(net.layers, loaded.layers)):

@@ -154,6 +154,14 @@ class TestMorph:
         assert "No such file or directory" in capsys.readouterr().err
         assert not (out / "child.model").exists()
 
+    def test_unwritable_child_leaves_no_report(self, parent_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
+                   "--at", "1", "--width", "10", "--report", "r.json",
+                   "--out", os.path.join("nodir", "child.model"), "--out-dir", str(out)) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert list(out.iterdir()) == []  # neither the report nor its temporary file
+
     def test_morph_writes_child_and_report(self, parent_dir, capsys):
         code = run(
             "morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,

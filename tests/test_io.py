@@ -5,12 +5,14 @@ import csv
 import dataclasses
 import gzip
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from morphkit import io as mio
+from morphkit import verify
 from morphkit.errors import IdxFormatError, ModelFormatError
 from morphkit.io import (
     Dataset,
@@ -62,6 +65,39 @@ def write_idx_fixture(tmp_path, pixels, labels, gz=False):
     return img_path, lbl_path
 
 
+def schema2_text(net):
+    """A schema-2 (JSON, base64 arrays) model file's text, built here as the
+    schema-2 writer built it: `load_model` still reads such files."""
+    def encode(array):
+        return base64.b64encode(array.astype("<f8").tobytes()).decode("ascii")
+
+    return json.dumps({
+        "schema_version": 2,
+        "layers": [{"in": layer.d_in, "out": layer.d_out, "activation": layer.activation,
+                    "weights": encode(layer.weight),
+                    "bias": None if layer.bias is None else encode(layer.bias)}
+                   for layer in net.layers],
+        "metadata": {},
+    }, indent=1)
+
+
+def schema2_doc(net):
+    return json.loads(schema2_text(net))
+
+
+def record_bounds(raw):
+    """The byte offset at which each npy record of a saved model starts, and
+    the file's length, read with numpy's own npy parser."""
+    fh = io.BytesIO(raw)
+    bounds = []
+    while fh.tell() < len(raw):
+        bounds.append(fh.tell())
+        assert np.lib.format.read_magic(fh) == (1, 0)
+        shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        fh.seek(math.prod(shape) * dtype.itemsize, 1)
+    return bounds + [len(raw)]
+
+
 class TestModelRoundTrip:
     @pytest.mark.parametrize("bias", [True, False])
     def test_forward_outputs_identical(self, tmp_path, bias):
@@ -84,17 +120,70 @@ class TestModelRoundTrip:
         loaded, _ = load_model(path)
         assert_same_layers(net, loaded)
 
-    def test_writes_schema_2_base64(self, tmp_path):
-        net = random_net(5, bias=False)
+    def test_writes_schema_3_records(self, tmp_path):
+        # read back with numpy's own npy reader, independent of load_model
+        net = random_net(5)
+        net.layers[1] = Layer(net.layers[1].weight, None, "tanh")
         path = tmp_path / "net.model"
         save_model(net, path, metadata={"note": "readable"})
-        doc = json.loads(path.read_text())
-        assert doc["schema_version"] == 2
-        assert doc["metadata"] == {"note": "readable"}
-        first = doc["layers"][0]
-        assert (first["in"], first["out"], first["activation"], first["bias"]) == (4, 6, "relu", None)
-        raw = base64.b64decode(first["weights"], validate=True)
-        np.testing.assert_array_equal(np.frombuffer(raw, "<f8").reshape(4, 6), net.layers[0].weight)
+        raw = path.read_bytes()
+        fh = io.BytesIO(raw)
+        records = []
+        while fh.tell() < len(raw):
+            records.append(np.lib.format.read_array(fh, allow_pickle=False))
+        header = json.loads(records[0].tobytes())
+        assert records[0].dtype == np.uint8
+        # the header is padded so that every record starts 8-byte aligned
+        assert [b % 8 for b in record_bounds(raw)[:-1]] == [0] * 7
+        assert header == {"schema_version": 3, "metadata": {"note": "readable"}, "layers": [
+            {"in": 4, "out": 6, "activation": "relu", "bias": True},
+            {"in": 6, "out": 5, "activation": "tanh", "bias": False},
+            {"in": 5, "out": 3, "activation": "identity", "bias": True}]}
+        arrays = [net.layers[0].weight, net.layers[0].bias, net.layers[1].weight,
+                  net.layers[2].weight, net.layers[2].bias]
+        assert len(records) == len(arrays) + 2
+        for got, want in zip(records[1:], arrays):
+            assert got.dtype == np.dtype("<f8") and got.tobytes() == want.tobytes()
+        crc = 0
+        for record in records[:-1]:
+            crc = zlib.crc32(record.tobytes(), crc)
+        assert records[-1].dtype == np.dtype("<u4") and records[-1].shape == ()
+        assert int(records[-1]) == crc
+
+    def test_loaded_arrays_are_fresh_and_writeable(self, tmp_path):
+        net = random_net(6)
+        path = tmp_path / "net.model"
+        save_model(net, path)
+        loaded, _ = load_model(path)
+        arrays = [a for layer in loaded.layers for a in (layer.weight, layer.bias)]
+        for k, array in enumerate(arrays):
+            assert array.dtype == np.float64 and array.flags.writeable and array.flags.aligned
+            assert not any(np.shares_memory(array, other) for other in arrays[k + 1:])
+        loaded.layers[0].weight[0, 0] = 7.0  # the file and the saved network keep their values
+        assert_same_layers(net, load_model(path)[0])
+
+    def test_hand_written_v2_loads_bit_exact(self, tmp_path):
+        # schema 2, as written before record files: base64 little-endian float64
+        text = (
+            '{"schema_version": 2, "layers": ['
+            '{"in": 2, "out": 2, "activation": "relu",'
+            ' "weights": "AAAAAAAAAIABAAAAAAAAAP///////+9/mpmZmZmZuT8=",'
+            ' "bias": "AAAAAAAAEIAr5nCLaBIAgA=="},'
+            '{"in": 2, "out": 1, "activation": "identity",'
+            ' "weights": "AAAAAAAA+D/////////v/w==", "bias": null}'
+            '], "metadata": {"seed": 3, "nested": {"list": [1, 2.5]}}}'
+        )
+        path = tmp_path / "old.model"
+        path.write_text(text)
+        net, meta = load_model(path)
+        assert meta == {"seed": 3, "nested": {"list": [1, 2.5]}}
+        assert net.layers[0].weight.tobytes() == \
+            np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.1]]).tobytes()
+        assert net.layers[0].bias.tobytes() == \
+            np.array([-2.2250738585072014e-308, -1e-310]).tobytes()
+        assert net.layers[1].weight.tobytes() == np.array([[1.5], [-1.7976931348623157e308]]).tobytes()
+        assert net.layers[1].bias is None
+        assert [layer.activation for layer in net.layers] == ["relu", "identity"]
 
     def test_hand_written_v1_loads_bit_exact(self, tmp_path):
         # schema 1, as written before base64 arrays: nested lists of repr floats
@@ -133,8 +222,7 @@ class TestModelRoundTrip:
     def test_truncated_file(self, tmp_path):
         net = random_net(4)
         path = tmp_path / "net.model"
-        save_model(net, path)
-        data = path.read_text()
+        data = schema2_text(net)
         path.write_text(data[: len(data) // 2])
         with pytest.raises(ModelFormatError, match="JSON"):
             load_model(path)
@@ -185,8 +273,7 @@ class TestModelRoundTrip:
     )
     def test_bad_v2_array_names_field(self, tmp_path, field, value, message):
         path = tmp_path / "net.model"
-        save_model(Mlp([Layer(np.ones((2, 3)), np.ones(3), "relu")]), path)
-        doc = json.loads(path.read_text())
+        doc = schema2_doc(Mlp([Layer(np.ones((2, 3)), np.ones(3), "relu")]))
         doc["layers"][0][field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=rf"layers\[0\]\.{field}: {message}"):
@@ -195,8 +282,7 @@ class TestModelRoundTrip:
     @pytest.mark.parametrize("width", [0, -2, "3", 2.0, None])
     def test_declared_width_must_be_positive_integer(self, tmp_path, width):
         path = tmp_path / "net.model"
-        save_model(Mlp([Layer(np.ones((2, 3)), None, "relu")]), path)
-        doc = json.loads(path.read_text())
+        doc = schema2_doc(Mlp([Layer(np.ones((2, 3)), None, "relu")]))
         doc["layers"][0]["in"] = width
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=r"layers\[0\]\.in: expected a positive integer"):
@@ -208,13 +294,71 @@ class TestModelRoundTrip:
         # well-formed bytes that decode to NaN: the file parses, the layer
         # refuses them, and the error names the file and the layer
         path = tmp_path / "net.model"
-        save_model(Mlp([Layer(np.ones((2, 3)), np.ones(3), "relu")]), path)
-        doc = json.loads(path.read_text())
+        doc = schema2_doc(Mlp([Layer(np.ones((2, 3)), np.ones(3), "relu")]))
         doc["layers"][0][field] = base64.b64encode(np.full(shape, np.nan).astype("<f8").tobytes()).decode()
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError) as info:
             load_model(path)
         assert str(info.value) == f"{path}: layers[0]: {name}: contains non-finite entries"
+
+
+def assert_refused(path, match=None):
+    with pytest.raises(ModelFormatError, match=match) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: ")
+    return str(info.value)
+
+
+class TestModelCorruption:
+    """Any change to a schema-3 file's bytes is refused, naming the file."""
+
+    def small_model(self, tmp_path):
+        net = Mlp([Layer(np.array([[0.5, -0.0], [5e-324, -2.0]]), np.array([1.0, -1.0]), "relu"),
+                   Layer(np.array([[3.0], [0.25]]), None, "identity")])
+        path = tmp_path / "net.model"
+        save_model(net, path, metadata={"seed": 1})
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("mask", [0xFF, 0x01, 0x80], ids=["ff", "01", "80"])
+    def test_every_flipped_byte_is_refused(self, tmp_path, mask):
+        path, raw = self.small_model(tmp_path)
+        for k in range(len(raw)):
+            path.write_bytes(raw[:k] + bytes([raw[k] ^ mask]) + raw[k + 1:])
+            assert_refused(path)
+
+    def test_flipped_weight_byte_is_a_checksum_mismatch(self, tmp_path):
+        path, raw = self.small_model(tmp_path)
+        k = record_bounds(raw)[1] + 128 + 3  # inside the first weight record's data
+        path.write_bytes(raw[:k] + bytes([raw[k] ^ 0x10]) + raw[k + 1:])
+        assert assert_refused(path) == f"{path}: corrupt model file (checksum mismatch)"
+
+    def test_truncation_at_each_record_boundary_is_refused(self, tmp_path):
+        path, raw = self.small_model(tmp_path)
+        bounds = record_bounds(raw)
+        assert len(bounds) == 6  # header, 2 weights, 1 bias, checksum, end
+        cuts = {cut for b in bounds[:-1] for cut in (b, b + 1, b + 127, b + 128, b + 129)}
+        for cut in sorted(c for c in cuts | {len(raw) - 1} if c < len(raw)):
+            path.write_bytes(raw[:cut])
+            assert_refused(path)
+
+    @pytest.mark.parametrize("tail", [b"\0", b"\n", bytes(132)])
+    def test_trailing_bytes_are_refused(self, tmp_path, tail):
+        path, raw = self.small_model(tmp_path)
+        path.write_bytes(raw + tail)
+        assert_refused(path, "bytes after the checksum")
+
+    def test_verify_check_refuses_a_loader_that_skips_the_checksum(self, monkeypatch):
+        verify.check_model_roundtrip(0)
+        monkeypatch.setattr(mio, "_checksum", lambda arrays: 0)  # written and read as 0
+        with pytest.raises(AssertionError, match="flipped loaded"):
+            verify.check_model_roundtrip(0)
+
+    def test_json_claiming_schema_3_is_refused(self, tmp_path):
+        path = tmp_path / "net.model"
+        doc = schema2_doc(random_net(1))
+        doc["schema_version"] = 3
+        path.write_text(json.dumps(doc))
+        assert_refused(path, "schema_version 3 is not supported")
 
 
 def assert_same_layers(net, loaded):
@@ -236,13 +380,19 @@ JSON_VALUES = st.recursive(
 )
 
 
+# the values most likely to lose bits on the way through a file
+EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                               1.7976931348623157e308, -1.7976931348623157e308])
+
+
 @st.composite
 def mlps(draw):
-    widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    """Depth 1-3, widths 1-12, each layer with or without a bias."""
+    widths = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4))
     layers = []
     for d_in, d_out in zip(widths, widths[1:]):
-        weight = draw(hnp.arrays(np.float64, (d_in, d_out), elements=FINITE))
-        bias = draw(st.none() | hnp.arrays(np.float64, d_out, elements=FINITE))
+        weight = draw(hnp.arrays(np.float64, (d_in, d_out), elements=EDGE_FLOATS | FINITE))
+        bias = draw(st.none() | hnp.arrays(np.float64, d_out, elements=EDGE_FLOATS | FINITE))
         layers.append(Layer(weight, bias, draw(st.sampled_from(ACTIVATION_KINDS))))
     return Mlp(layers)
 
@@ -257,7 +407,7 @@ def float_or_nan_equal(a, b) -> bool:
 class TestGeneratedRoundTrips:
     """Any finite float64, -0.0 and subnormals included, survives a file."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(net=mlps(), metadata=st.dictionaries(st.text(), JSON_VALUES, max_size=4))
     def test_model_round_trip(self, tmp_path_factory, net, metadata):
         path = tmp_path_factory.mktemp("model") / "net.model"
@@ -698,6 +848,11 @@ def _failing_dump(doc, fh, **kw):
     raise RuntimeError("interrupted mid-write")
 
 
+def _failing_write_array(fh, array, **kw):
+    fh.write(b"\x93NUMPY")
+    raise RuntimeError("interrupted mid-write")
+
+
 class TestAtomicWrites:
     """An interrupted write leaves the previous file and no temporary."""
 
@@ -705,7 +860,7 @@ class TestAtomicWrites:
         path = tmp_path / "net.model"
         save_model(random_net(0), path, metadata={"v": 1})
         before = path.read_bytes()
-        monkeypatch.setattr(mio.json, "dump", _failing_dump)
+        monkeypatch.setattr(mio.np.lib.format, "write_array", _failing_write_array)
         with pytest.raises(RuntimeError, match="interrupted"):
             save_model(random_net(1), path, metadata={"v": 2})
         assert path.read_bytes() == before

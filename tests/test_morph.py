@@ -264,6 +264,36 @@ class TestAlg2:
             rtol=0, atol=1e-9,
         )
 
+    def test_refit_reads_a1_and_its_target_once(self, monkeypatch):
+        # every finiteness check is one `linalg.sum_of_squares` read of its array
+        rng = np.random.default_rng(40)
+        parent = random_mlp(rng, [30, 12, 3], ["relu", "identity"])
+        prepared = prepare_probe(parent, 0, rng.normal(size=(200, 30)))
+        spec = spec_for("alg2", width=20, seed=40)
+        want, _ = morph(parent, spec, prepared)
+        linalg_mod = importlib.import_module("morphkit.linalg")
+        reads, refits = [], []
+        original_sum, original_refit = linalg_mod.sum_of_squares, morph_mod.refit_w1
+
+        def read(arr):
+            reads.append(arr)
+            return original_sum(arr)
+
+        def refit(a1, o_new, beta):
+            refits.append((a1, o_new))
+            return original_refit(a1, o_new, beta)
+
+        monkeypatch.setattr(linalg_mod, "sum_of_squares", read)
+        monkeypatch.setattr(morph_mod, "refit_w1", refit)
+        child, _ = morph(parent, spec, prepared)
+        [(a1, o_new)] = refits
+        assert a1 is prepared.a1 and o_new.shape == (200, 20)
+        assert [sum(r is a for r in reads) for a in (a1, o_new)] == [1, 1]
+        for got, expected in zip(child.layers, want.layers):  # the same child, bit for bit
+            assert got.weight.tobytes() == expected.weight.tobytes()
+            assert (got.bias is None) == (expected.bias is None)
+            assert got.bias is None or got.bias.tobytes() == expected.bias.tobytes()
+
     def test_refit_fallback_counted(self, monkeypatch):
         # 4 probe rows make a1 (4 x 5) rank-deficient, so the refit falls back
         parent = random_parent(15)
