@@ -58,7 +58,11 @@ def all_finite(arr: np.ndarray) -> bool:
     """True when no entry of the float array `arr` is NaN or infinite: a
     finite `sum_of_squares` says so in one read; otherwise the answer is
     `np.isfinite`'s, entry by entry."""
-    total = sum_of_squares(arr)
+    return _finite_given(arr, sum_of_squares(arr))
+
+
+def _finite_given(arr: np.ndarray, total: float | None) -> bool:
+    """`all_finite(arr)` given `total`, the `sum_of_squares` of `arr`."""
     if total is not None and math.isfinite(total):
         return True
     return bool(np.isfinite(arr).all())
@@ -66,12 +70,19 @@ def all_finite(arr: np.ndarray) -> bool:
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate `a` as a finite 2-D float64 array and return it."""
+    return as_matrix_with_sum(a, name)[0]
+
+
+def as_matrix_with_sum(a, name: str = "matrix") -> tuple[np.ndarray, float | None]:
+    """`as_matrix`, also returning the `sum_of_squares` its finiteness check
+    read, so that a caller with another rule on that sum reads `a` once."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"{name}: expected a 2-D matrix, got ndim={arr.ndim}")
-    if not all_finite(arr):
+    total = sum_of_squares(arr)
+    if not _finite_given(arr, total):
         raise NotFiniteError(f"{name}: contains non-finite entries")
-    return arr
+    return arr, total
 
 
 def ensure_finite(arr: np.ndarray, name: str) -> np.ndarray:

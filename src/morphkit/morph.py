@@ -209,7 +209,7 @@ def _probe_pass(mlp: Mlp, insert_after: int, probe) -> tuple[np.ndarray, np.ndar
     covers. The pass runs only those layers and keeps no other
     pre-activation; the arrays have the bits of a full `forward`'s."""
     _check_insert_after(mlp, insert_after)
-    probe = _checked_input(mlp, probe, "probe")  # the probe's one check
+    probe, _ = _checked_input(mlp, probe, "probe")  # the probe's one check
     n = probe.shape[0]
     if n < 2:
         raise ShapeError(

@@ -10,12 +10,17 @@ in float32 and returns float64 weights, as every other function here takes.
 
 from __future__ import annotations
 
+import logging
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotFiniteError, OutOfRangeError, ShapeError, TrainingDivergedError
-from .linalg import all_finite, as_matrix, check_finite_fields, sum_of_squares
+from .linalg import all_finite, as_matrix, as_matrix_with_sum, check_finite_fields, sum_of_squares
+
+log = logging.getLogger(__name__)
 
 ACTIVATION_KINDS = ("relu", "sigmoid", "tanh", "identity")
 FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -154,23 +159,26 @@ def _check_chain(layers: list[Layer]) -> None:
             )
 
 
-def _checked_input(mlp: Mlp, x, name: str = "input") -> np.ndarray:
+def _checked_input(mlp: Mlp, x, name: str = "input") -> tuple[np.ndarray, float | None]:
     """Validate the layer chain of `mlp`, edited or not since it was built,
-    and `x` as a finite batch of `mlp.d_in` features; returns `x` as a matrix."""
+    and `x` as a finite batch of `mlp.d_in` features; returns `x` as a matrix
+    and the `sum_of_squares` its finiteness check read."""
     _check_chain(mlp.layers)
-    x = as_matrix(x, name)
+    x, total = as_matrix_with_sum(x, name)
     if x.shape[1] != mlp.d_in:
         raise ShapeError(
             f"{name} has {x.shape[1]} features but layer 0 expects {mlp.d_in}"
         )
-    return x
+    return x, total
 
 
-def _checked_data(mlp: Mlp, features, labels, name: str) -> tuple[np.ndarray, np.ndarray]:
+def _checked_data(mlp: Mlp, features, labels,
+                  name: str) -> tuple[np.ndarray, np.ndarray, float | None]:
     """The one check of a labelled data set against `mlp`: features through
     `_checked_input` as `name`, at least one row, and 1-D integer labels, one
-    per row, in [0, mlp.d_out). Returns the features and labels as arrays."""
-    x = _checked_input(mlp, features, name)
+    per row, in [0, mlp.d_out). Returns the features and labels as arrays,
+    and the features' sum of squares."""
+    x, total = _checked_input(mlp, features, name)
     n = x.shape[0]
     if n == 0:
         raise ShapeError(f"{name}: 0 rows, and at least one is needed (a synthetic --data spec "
@@ -183,7 +191,7 @@ def _checked_data(mlp: Mlp, features, labels, name: str) -> tuple[np.ndarray, np
     if lo < 0 or hi >= mlp.d_out:
         raise ShapeError(f"{name}: labels must lie in [0, {mlp.d_out}) for a network of "
                          f"{mlp.d_out} outputs; got label {lo if lo < 0 else hi}")
-    return x, labels
+    return x, labels, total
 
 
 def _pre_activation(layer: Layer, a: np.ndarray) -> np.ndarray:
@@ -195,27 +203,34 @@ def _pre_activation(layer: Layer, a: np.ndarray) -> np.ndarray:
     return pre
 
 
+def _forward_layer(layer: Layer, a: np.ndarray) -> np.ndarray:
+    """One layer of the forward pass on its input batch `a`: the
+    pre-activation in a fresh array, activated in place, so an identity
+    layer's output is its pre-activation."""
+    return _activate(layer.activation, _pre_activation(layer, a), in_place=True)
+
+
 def _layer_outputs(mlp: Mlp, x: np.ndarray, keep_pre: bool = True):
     """The forward pass on a batch `_checked_input` accepted, unchecked:
     (pre-activations, activations), one per layer. Without `keep_pre` each
-    activation is computed in place over its pre-activation, which is not
-    kept (the list is empty), and an identity layer's output is its
-    pre-activation. The activations have the same bits either way."""
+    layer is one `_forward_layer` call and no pre-activation is kept (the
+    list is empty). The activations have the same bits either way."""
     pres: list[np.ndarray] = []
     acts: list[np.ndarray] = []
     a = x
     for layer in mlp.layers:
-        pre = _pre_activation(layer, a)
         if keep_pre:
-            pres.append(pre)
-        a = _activate(layer.activation, pre, in_place=not keep_pre)
+            pres.append(_pre_activation(layer, a))
+            a = _activate(layer.activation, pres[-1])
+        else:
+            a = _forward_layer(layer, a)
         acts.append(a)
     return pres, acts
 
 
 def forward(mlp: Mlp, x) -> TapOutputs:
     """Run the batch through every layer, capturing all tap points."""
-    x = _checked_input(mlp, x)
+    x, _ = _checked_input(mlp, x)
     pres, acts = _layer_outputs(mlp, x)
     return TapOutputs(input=x, pre_activations=pres, activations=acts)
 
@@ -250,53 +265,88 @@ class EpochStats:
     accuracy: float
 
 
-def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+def _cross_entropy(logits: np.ndarray, labels: np.ndarray,
+                   rows: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy of `logits` against `labels`, and the log
-    probabilities it came from."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return -float(log_probs[np.arange(len(labels)), labels].mean()), log_probs
+    probabilities it came from; `rows` is np.arange(len(labels)). The mean
+    has `np.mean`'s arithmetic: the sum in the logits' dtype, divided by the
+    count in float64 and rounded back to that dtype."""
+    log_probs = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=1, keepdims=True))
+    total = float(np.add.reduce(log_probs[rows, labels]))
+    return -float(logits.dtype.type(total / len(labels))), log_probs
 
 
-def _backward(mlp: Mlp, x: np.ndarray, acts: list[np.ndarray], labels: np.ndarray):
-    """Loss and (dw, db) per layer from the input and the activations of a
-    forward pass; leaves `acts` unchanged."""
-    n = x.shape[0]
-    loss, log_probs = _cross_entropy(acts[-1], labels)
+def _output_delta(log_probs: np.ndarray, labels: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The gradient of the mean cross-entropy with respect to the logits,
+    (softmax - one-hot) / n, computed over `log_probs`, which it overwrites."""
+    delta = np.exp(log_probs, out=log_probs)
+    delta[rows, labels] -= 1.0
+    delta /= len(labels)
+    return delta
 
-    delta = np.exp(log_probs)
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-    grads: list[tuple[np.ndarray, np.ndarray | None]] = [None] * len(mlp.layers)
-    for k in range(len(mlp.layers) - 1, -1, -1):
-        layer = mlp.layers[k]
-        _scale_by_derivative(layer.activation, delta, acts[k])
-        dw = (x if k == 0 else acts[k - 1]).T @ delta
-        db = delta.sum(axis=0) if layer.bias is not None else None
-        grads[k] = (dw, db)
-        if k > 0:
-            delta = delta @ layer.weight.T
-    return loss, grads
+
+def _backward_layer(layer: Layer, a_in: np.ndarray, a_out: np.ndarray, delta: np.ndarray,
+                    below: bool) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """One layer of backpropagation. `delta`, the loss gradient with respect
+    to the layer's output `a_out`, is scaled in place by the activation's
+    derivative. Returns the weight gradient, the bias gradient (None without
+    a bias) and, when `below`, the loss gradient with respect to the input
+    `a_in`. That one is computed with the layer's current weight, so the
+    layer's update must come after this call."""
+    _scale_by_derivative(layer.activation, delta, a_out)
+    dw = a_in.T @ delta
+    db = None if layer.bias is None else np.add.reduce(delta, axis=0)
+    return dw, db, (delta @ layer.weight.T if below else None)
+
+
+def _update_layer(layer: Layer, dw: np.ndarray, db: np.ndarray | None, state, hyper) -> None:
+    """One layer's momentum step, in place: v = m*v - lr*(dw + wd*W) and
+    W = W + v, operation for operation, and the same for the bias without
+    decay. `state` is the layer's (weight velocity, scratch the weight's
+    shape, bias velocity) and `hyper` is (lr, m, wd); `dw` and `db` are
+    overwritten."""
+    vw, decayed, vb = state
+    lr, momentum, decay = hyper
+    np.multiply(layer.weight, decay, out=decayed)
+    dw += decayed
+    vw *= momentum
+    dw *= lr
+    vw -= dw
+    layer.weight += vw
+    if db is not None:
+        vb *= momentum
+        db *= lr
+        vb -= db
+        layer.bias += vb
 
 
 def loss_and_gradients(
         mlp: Mlp, x, labels) -> tuple[float, list[tuple[np.ndarray, np.ndarray | None]]]:
     """Softmax cross-entropy on the final activation output, plus analytic
     gradients for every weight and bias (ordered like mlp.layers). `x` and
-    `labels` get `train_sgd`'s data check, with `x` named "input"."""
-    x, labels = _checked_data(mlp, x, labels, "input")
-    _, acts = _layer_outputs(mlp, x, keep_pre=False)
-    return _backward(mlp, x, acts, labels)
+    `labels` get `train_sgd`'s data check, with `x` named "input". The
+    gradients come from the backward calls of `train_sgd`'s step."""
+    x, labels, _ = _checked_data(mlp, x, labels, "input")
+    acts = [x, *_layer_outputs(mlp, x, keep_pre=False)[1]]
+    rows = np.arange(x.shape[0])
+    loss, log_probs = _cross_entropy(acts[-1], labels, rows)
+    delta = _output_delta(log_probs, labels, rows)
+    grads: list[tuple[np.ndarray, np.ndarray | None]] = [None] * len(mlp.layers)
+    for k in range(len(mlp.layers) - 1, -1, -1):
+        dw, db, delta = _backward_layer(mlp.layers[k], acts[k], acts[k + 1], delta, k > 0)
+        grads[k] = (dw, db)
+    return loss, grads
 
 
 def evaluate(mlp: Mlp, data) -> tuple[float, float]:
     """Mean cross-entropy loss and argmax accuracy over the dataset, after
     `train_sgd`'s data check with the features named "evaluation features";
     the forward pass keeps no pre-activation."""
-    x, labels = _checked_data(mlp, data.features, data.labels, "evaluation features")
+    x, labels, _ = _checked_data(mlp, data.features, data.labels, "evaluation features")
     logits = _layer_outputs(mlp, x, keep_pre=False)[1][-1]
-    loss, _ = _cross_entropy(logits, labels)
-    return loss, float((logits.argmax(axis=1) == labels).mean())
+    loss, _ = _cross_entropy(logits, labels, np.arange(len(labels)))
+    return loss, int(np.count_nonzero(logits.argmax(axis=1) == labels)) / len(labels)
 
 
 def _copied(mlp: Mlp, dtype) -> Mlp:
@@ -311,13 +361,15 @@ def _copied(mlp: Mlp, dtype) -> Mlp:
     return net
 
 
-def _check_float32_range(arr: np.ndarray, name: str) -> None:
+def _check_float32_range(arr: np.ndarray, name: str, total: float | None = None) -> None:
     """Refuse a finite float64 array with an entry beyond float32's largest
     finite value, which the cast to float32 would make infinite. A sum of
-    squares within `_FLOAT32_SAFE_SUM` clears the array in one read; above
-    it, the exact max and min decide. Neither takes a temporary the size of
+    squares within `_FLOAT32_SAFE_SUM` clears the array in one read, none
+    when the caller passes `arr`'s `sum_of_squares` as `total`; above it,
+    the exact max and min decide. Neither takes a temporary the size of
     `arr`."""
-    total = sum_of_squares(arr)
+    if total is None:
+        total = sum_of_squares(arr)
     if total is not None and total <= _FLOAT32_SAFE_SUM:
         return
     top = max(arr.max(), -arr.min()) if arr.size else 0.0
@@ -336,26 +388,31 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
     the history is empty and the copy has the input's bytes; `evaluate`
     gives a network's metrics at any point, the starting one included.
     Weight decay applies to weights only. Mini-batch order is a pure
-    function of cfg.seed.
+    function of cfg.seed. Each epoch's row is also logged at INFO on the
+    `morphkit.network` logger, with the epoch's wall time.
 
     The data is checked once, up front, as "training features" (the check
     `evaluate` and `loss_and_gradients` make too), and so is the float32
-    range of the learning rate, the weight decay, the features, the weights
-    and the biases. The copy, the velocities, the hyperparameters and each
-    mini-batch, gathered one at a time, are float32, and every step runs
-    unchecked and updates the copy in place, with the arithmetic of the
-    out-of-place update, v = m*v - lr*(dw + wd*W) and W = W + v, operation
-    for operation. The trained weights come back
-    as float64, each one a float32 value; a non-finite one is a
+    range of the learning rate, the weight decay, the features (from the
+    sum of squares the data check read), the weights and the biases. The
+    copy, the velocities, the hyperparameters and each mini-batch, gathered
+    one at a time, are float32, and every step runs unchecked and updates
+    the copy in place, with the arithmetic of the out-of-place update,
+    v = m*v - lr*(dw + wd*W) and W = W + v, operation for operation. A step
+    is one `_forward_layer` call per layer, bottom up, then one
+    `_backward_layer` and one `_update_layer` call per layer, top down: a
+    layer is updated as soon as its gradient and the gradient for the
+    layer below, which reads its weight, exist. The trained weights come
+    back as float64, each one a float32 value; a non-finite one is a
     `TrainingDivergedError`, as a non-finite loss is.
     """
-    x, labels = _checked_data(mlp, data.features, data.labels, "training features")
+    x, labels, x_total = _checked_data(mlp, data.features, data.labels, "training features")
     for field in ("learning_rate", "weight_decay"):
         value = getattr(cfg, field)
         if value > FLOAT32_MAX:
             raise OutOfRangeError(f"{field}: {value:.6g} is beyond {FLOAT32_MAX:.6g}, the largest "
                                   f"finite float32 value, and training computes in float32")
-    _check_float32_range(x, "training features")
+    _check_float32_range(x, "training features", x_total)
     for k, l in enumerate(mlp.layers):
         _check_float32_range(l.weight, f"layer {k} weight")
         if l.bias is not None:
@@ -364,48 +421,45 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
         return _copied(mlp, np.float64), []
     n = x.shape[0]
     net = _copied(mlp, np.float32)
+    layers = net.layers
     history = []
 
-    lr, momentum, decay = (np.float32(v) for v in
-                           (cfg.learning_rate, cfg.momentum, cfg.weight_decay))
+    hyper = tuple(np.float32(v) for v in (cfg.learning_rate, cfg.momentum, cfg.weight_decay))
     # per layer: weight velocity, weight-decay scratch, bias velocity
     state = [
         (np.zeros_like(l.weight), np.empty_like(l.weight),
          np.zeros_like(l.bias) if l.bias is not None else None)
-        for l in net.layers
+        for l in layers
     ]
+    all_rows = np.arange(min(cfg.batch_size, n))
     rng = np.random.default_rng(cfg.seed)
     for epoch in range(1, cfg.epochs + 1):
+        began = time.perf_counter()
         perm = rng.permutation(n)
         loss_sum = 0.0
         correct = 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            xb = x[idx].astype(np.float32)
+            rows = all_rows[: len(idx)]
             yb = labels[idx]
-            _, acts = _layer_outputs(net, xb, keep_pre=False)
-            loss, grads = _backward(net, xb, acts, yb)
-            if not np.isfinite(loss):
+            # acts[k] is layer k's input and acts[k + 1] its output
+            acts = [x.take(idx, axis=0).astype(np.float32)]
+            for layer in layers:
+                acts.append(_forward_layer(layer, acts[-1]))
+            loss, log_probs = _cross_entropy(acts[-1], yb, rows)
+            if not math.isfinite(loss):
                 raise _diverged("loss", epoch, cfg)
             loss_sum += loss * len(idx)
-            correct += int((acts[-1].argmax(axis=1) == yb).sum())
-            for layer, (vw, decayed, vb), (dw, db) in zip(net.layers, state, grads):
-                np.multiply(layer.weight, decay, out=decayed)
-                dw += decayed
-                vw *= momentum
-                dw *= lr
-                vw -= dw
-                layer.weight += vw
-                if db is not None:
-                    vb *= momentum
-                    db *= lr
-                    vb -= db
-                    layer.bias += vb
-        history.append(
-            EpochStats(epoch=epoch, loss=loss_sum / n, accuracy=correct / n)
-        )
+            correct += int(np.count_nonzero(acts[-1].argmax(axis=1) == yb))
+            delta = _output_delta(log_probs, yb, rows)
+            for k in range(len(layers) - 1, -1, -1):
+                dw, db, delta = _backward_layer(layers[k], acts[k], acts[k + 1], delta, k > 0)
+                _update_layer(layers[k], dw, db, state[k], hyper)
+        history.append(EpochStats(epoch=epoch, loss=loss_sum / n, accuracy=correct / n))
+        log.info("epoch %d of %d: loss %.6g, accuracy %.4f, %.3f s", epoch, cfg.epochs,
+                 history[-1].loss, history[-1].accuracy, time.perf_counter() - began)
     # the last update is checked by no later loss
-    if not all(all_finite(a) for l in net.layers for a in (l.weight, l.bias) if a is not None):
+    if not all(all_finite(a) for l in layers for a in (l.weight, l.bias) if a is not None):
         raise _diverged("a weight", cfg.epochs, cfg)
     return _copied(net, np.float64), history
 

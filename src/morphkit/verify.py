@@ -35,9 +35,7 @@ from . import io as mio
 from .errors import ModelFormatError
 from .linalg import constant_columns, least_squares, standardize_columns, vectorize
 from .morph import MorphSpec, _candidate_moments, morph
-from .network import (
-    EpochStats, Layer, Mlp, TrainConfig, _backward, _layer_outputs, loss_and_gradients, train_sgd,
-)
+from .network import EpochStats, Layer, Mlp, TrainConfig, loss_and_gradients, train_sgd
 from .sparse import (
     R_CAP,
     SparseConfig,
@@ -516,11 +514,36 @@ def check_trainer_gradients(seed: int) -> float:
     return gradient_check(net, x, rng.integers(0, widths[-1], size=6))
 
 
+def _reference_activation(kind: str, pre: np.ndarray) -> np.ndarray:
+    """The named activation of `pre`, out of place."""
+    if kind == "relu":
+        return np.maximum(pre, 0.0)
+    if kind == "sigmoid":
+        with np.errstate(over="ignore"):  # exp(-x) overflows to inf below x = -88
+            return 1.0 / (1.0 + np.exp(-pre))
+    if kind == "tanh":
+        return np.tanh(pre)
+    return pre
+
+
+def _reference_derivative(kind: str, act: np.ndarray) -> np.ndarray | float:
+    """The activation's derivative in terms of its output `act`."""
+    if kind == "relu":
+        return act > 0
+    if kind == "sigmoid":
+        return act * (1.0 - act)
+    if kind == "tanh":
+        return 1.0 - act * act
+    return 1.0
+
+
 def _reference_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
-    """`train_sgd` as a plain float32 loop: the forward and backward pass on
-    each mini-batch cast to float32, then v = m*v - lr*(dw + wd*W) and
-    W = W + v with a fresh float32 array per update (biases without decay),
-    and float64 weights on return. 0 epochs give a copy of the input."""
+    """`train_sgd` as a plain float32 loop that shares no code with it, every
+    array operation out of place: on each mini-batch cast to float32, the
+    forward pass, softmax cross-entropy through `.max`, `.sum` and `.mean`,
+    the backward pass with every layer's gradient taken before any update,
+    then v = m*v - lr*(dw + wd*W) and W = W + v (biases without decay), and
+    float64 weights on return. 0 epochs give a copy of the input."""
     net = copy.deepcopy(mlp)
     if cfg.epochs == 0:
         return net, []
@@ -541,10 +564,22 @@ def _reference_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochSta
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             xb, yb = data.features[idx].astype(np.float32), data.labels[idx]
-            _, acts = _layer_outputs(net, xb, keep_pre=False)
-            loss, grads = _backward(net, xb, acts, yb)
-            loss_sum += loss * len(idx)
+            acts = [xb]
+            for layer in net.layers:
+                pre = acts[-1] @ layer.weight
+                acts.append(_reference_activation(
+                    layer.activation, pre if layer.bias is None else pre + layer.bias))
+            shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            loss_sum += -float(log_probs[np.arange(len(idx)), yb].mean()) * len(idx)
             correct += int((acts[-1].argmax(axis=1) == yb).sum())
+            delta = (np.exp(log_probs) - np.eye(log_probs.shape[1], dtype=np.float32)[yb]) / len(idx)
+            grads = [None] * len(net.layers)
+            for k in range(len(net.layers) - 1, -1, -1):
+                layer = net.layers[k]
+                delta = delta * _reference_derivative(layer.activation, acts[k + 1])
+                grads[k] = (acts[k].T @ delta, None if layer.bias is None else delta.sum(axis=0))
+                delta = delta @ layer.weight.T
             for k, (layer, (dw, db)) in enumerate(zip(net.layers, grads)):
                 vw[k] = momentum * vw[k] - lr * (dw + decay * layer.weight)
                 layer.weight = layer.weight + vw[k]

@@ -2,11 +2,14 @@
 
 import copy
 import importlib
+import logging
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphkit.errors import NotFiniteError, OutOfRangeError, ShapeError, TrainingDivergedError
 from morphkit.io import Dataset, synth_dataset
@@ -24,7 +27,9 @@ from morphkit.network import (
     loss_and_gradients,
     train_sgd,
 )
-from morphkit.verify import check_trainer_reference, gradient_check, random_mlp
+from morphkit.verify import (
+    _layer_bytes, _reference_sgd, check_trainer_reference, gradient_check, random_mlp,
+)
 
 
 class TestLayer:
@@ -243,6 +248,41 @@ def blob_net(rng, d_in, hidden, classes):
     )
 
 
+def layer_bytes(net):
+    return [_layer_bytes(l) for l in net.layers]
+
+
+@st.composite
+def training_runs(draw):
+    """A net of depth 1-4 and widths 1-12 with any activations, each bias
+    present or absent; data whose row count leaves a partial last batch or
+    fits in one batch smaller than the batch size; 0-2 epochs, momentum and
+    weight decay each zero or positive."""
+    depth = draw(st.integers(1, 4))
+    widths = draw(st.lists(st.integers(1, 12), min_size=depth + 1, max_size=depth + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = Mlp([
+        Layer(rng.normal(size=(widths[k], widths[k + 1])) / np.sqrt(widths[k]),
+              rng.normal(size=widths[k + 1]) * 0.2 if draw(st.booleans()) else None,
+              draw(st.sampled_from(ACTIVATION_KINDS)))
+        for k in range(depth)
+    ])
+    n = draw(st.integers(3, 30))
+    if draw(st.booleans()):
+        batch = n + draw(st.integers(1, 4))
+    else:
+        batch = draw(st.integers(2, n - 1))
+        if n % batch == 0:  # leave a partial last batch
+            n += 1
+    data = Dataset(rng.normal(size=(n, widths[0])), rng.integers(0, widths[-1], size=n))
+    cfg = TrainConfig(learning_rate=draw(st.sampled_from([0.0, 0.05, 0.2])),
+                      momentum=draw(st.sampled_from([0.0, 0.9])),
+                      weight_decay=draw(st.sampled_from([0.0, 1e-3])),
+                      epochs=draw(st.integers(0, 2)), batch_size=batch,
+                      seed=draw(st.integers(0, 2**31 - 1)))
+    return net, data, cfg
+
+
 class TestTrainSgd:
     def test_zero_epochs_keeps_weights(self):
         rng = np.random.default_rng(7)
@@ -357,6 +397,60 @@ class TestTrainSgd:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference_loop(self, seed):
         assert check_trainer_reference(seed) == 5
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(run=training_runs())
+    def test_matches_reference_loop_on_generated_nets(self, run):
+        net, data, cfg = run
+        trained, history = train_sgd(net, data, cfg)
+        want, want_history = _reference_sgd(net, data, cfg)
+        assert layer_bytes(trained) == layer_bytes(want)
+        assert history == want_history
+        assert all(type(v) is float for row in history for v in (row.loss, row.accuracy))
+
+    def test_one_forward_backward_and_update_call_per_layer_and_step(self, monkeypatch):
+        # bottom up forward; top down, each layer's backward then its update
+        network = importlib.import_module("morphkit.network")
+        net = random_mlp(np.random.default_rng(21), [4, 5, 6, 3], ["relu", "tanh", "identity"])
+        data = synth_dataset(9, 20, 4, 3)
+        cfg = TrainConfig(epochs=2, batch_size=10, seed=0)
+        want, _ = train_sgd(net, data, cfg)
+        calls = []
+        for name in ("_forward_layer", "_backward_layer", "_update_layer"):
+            original = getattr(network, name)
+            monkeypatch.setattr(network, name, lambda layer, *a, _name=name, _fn=original:
+                                calls.append((_name, layer.d_in)) or _fn(layer, *a))
+        trained, _ = train_sgd(net, data, cfg)
+        step = ([("_forward_layer", d) for d in (4, 5, 6)]
+                + [(name, d) for d in (6, 5, 4) for name in ("_backward_layer", "_update_layer")])
+        assert calls == step * 4  # 2 epochs of 2 steps
+        assert layer_bytes(trained) == layer_bytes(want)
+
+    def test_features_are_read_once_for_both_checks(self, monkeypatch):
+        # the finiteness check and the float32 range rule share one sum of squares
+        network, linalg = (importlib.import_module(f"morphkit.{m}") for m in ("network", "linalg"))
+        data = synth_dataset(6, 60, 4, 2)
+        reads = []
+        original = linalg.sum_of_squares
+        for module in (network, linalg):
+            monkeypatch.setattr(module, "sum_of_squares",
+                                lambda arr: reads.append(arr is data.features) or original(arr))
+        train_sgd(random_mlp(np.random.default_rng(14), [4, 3, 2], ["relu", "identity"]),
+                  data, TrainConfig(epochs=1, seed=0))
+        assert reads.count(True) == 1
+
+    @pytest.mark.parametrize("epochs", [0, 3])
+    def test_logs_one_info_line_per_epoch(self, caplog, epochs):
+        data = synth_dataset(6, 60, 4, 2)
+        net = random_mlp(np.random.default_rng(14), [4, 3, 2], ["relu", "identity"])
+        with caplog.at_level(logging.INFO, logger="morphkit.network"):
+            _, history = train_sgd(net, data, TrainConfig(epochs=epochs, seed=0))
+        lines = [r.getMessage() for r in caplog.records if r.name == "morphkit.network"]
+        assert len(lines) == epochs
+        for row, line in zip(history, lines):
+            assert line.startswith(f"epoch {row.epoch} of {epochs}: loss {row.loss:.6g}, "
+                                   f"accuracy {row.accuracy:.4f}, "), line
+            assert line.endswith(" s"), line
 
     def test_data_checked_once(self, monkeypatch):
         # one check over every row up front; no evaluate and no checked
