@@ -13,6 +13,7 @@ paths are joined under --out-dir. Set MORPHKIT_LOG to adjust verbosity.
 --data is a generator spec whose name matches `synth` or `lowrank` exactly,
 `mnist`, or a directory of IDX files. Every split of a synthetic spec comes
 from one draw, and later reads get it from the dataset cache (`morphkit.io`).
+`train` and `finetune` train on the cache's float32 rounding of the split.
 `morph` caches the parent's probe pass on a synthetic split the same way,
 so later morphs of that parent read neither the split nor run the pass.
 """
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import io as mio
 from .errors import MorphkitError
+from .linalg import all_finite
 from .morph import (
     ALGORITHM_NAMES, MorphReport, MorphSpec, PreparedProbe, morph, parent_digest, prepare_probe,
     sample_rows,
@@ -165,6 +167,32 @@ def _load_dataset(spec: str, split: str) -> mio.Dataset:
     return _load_synthetic(spec, *resolved, split)
 
 
+def _load_training_split(spec: str, split: str) -> mio.Dataset:
+    """The `split` rows of the --data `spec` that `train_sgd` reads. For a
+    synthetic spec these are the float32 entry of the dataset cache: a miss
+    rounds the float64 split (`_load_synthetic`) to float32, as the
+    per-batch cast would, caches the result and keeps no array of the
+    float64 split. A split beyond float32's range is handed back as float64,
+    for `train_sgd` to refuse by name. IDX data is read as float64. The
+    arrays are read-only, hit or miss."""
+    resolved = _resolve_synthetic(spec)
+    if resolved is None:
+        return _load_dataset(spec, split)
+    name, p = resolved
+    path = mio.dataset_cache_path(name, p, split, np.float32)
+    cached = mio.read_cached_split(path, (p[_split_param(split)], p["d"]), np.float32)
+    if cached is not None:
+        return cached
+    full = _load_synthetic(spec, name, p, split)
+    with np.errstate(over="ignore"):
+        data = mio.Dataset(full.features.astype(np.float32), full.labels.copy())
+    if not all_finite(data.features):
+        return full
+    mio.write_cached_split(path, data)
+    data.features.flags.writeable = data.labels.flags.writeable = False
+    return data
+
+
 def _add_data_flags(p: argparse.ArgumentParser):
     p.add_argument(
         "--data",
@@ -207,7 +235,7 @@ def _write_history(path: str, history, append: bool = False) -> None:
 
 def cmd_train(args) -> int:
     widths = _parse_arch(args.arch)
-    data = _load_dataset(args.data, args.split)
+    data = _load_training_split(args.data, args.split)
     if widths[0] != data.features.shape[1]:
         raise MorphkitError(
             f"--arch input width {widths[0]} does not match data width "
@@ -221,6 +249,9 @@ def cmd_train(args) -> int:
     untrained = Mlp(layers)
     cfg = _train_config(args)
     net, history = train_sgd(untrained, data, cfg)
+    if data.features.dtype == np.float32:  # row 0 is evaluated on the float64 split
+        del data  # which is read only once the float32 one is let go
+        data = _load_dataset(args.data, args.split)
     # row 0 is where training started; train_sgd left `untrained` as it was
     history = [EpochStats(0, *evaluate(untrained, data)), *history]
     out = _out_path(args, args.out)
@@ -322,10 +353,15 @@ def cmd_eval(args) -> int:
 def cmd_finetune(args) -> int:
     net, meta = mio.load_model(args.model)
     report = _load_report(args)
-    data = _load_dataset(args.data, args.split)
-    eval_data = _load_dataset(args.eval_data, "test") if args.eval_data else data
+    data = _load_training_split(args.data, args.split)
+    eval_data = _load_dataset(args.eval_data, "test") if args.eval_data else None
     cfg = _train_config(args)
     net, history = train_sgd(net, data, cfg)
+    if eval_data is None:  # the float64 split, read only once the float32 one is let go
+        if data.features.dtype == np.float32:
+            del data
+            data = _load_dataset(args.data, args.split)
+        eval_data = data
     _, accuracy = evaluate(net, eval_data)  # before any write, so a refusal leaves no file
     out = _out_path(args, args.out)
     # each tuning appends its schedule; the parent's `train` block stays as it was

@@ -16,9 +16,13 @@ IDX files follow the classic big-endian layout (magic, dims,
 unsigned bytes); gzipped files are handled transparently by extension.
 
 The cache under `$XDG_CACHE_HOME/morphkit` (default `~/.cache/morphkit`)
-holds two kinds of entry (`_read_entry`, `_write_entry`). One kind is a
-split of a synthetic draw, named by a hash of everything that decides the
-draw; the other is a parent's probe pass on rows of such a split
+holds three kinds of entry (`_read_entry`, `_write_entry`). One is a split
+of a synthetic draw, named by a hash of everything that decides the draw.
+One is the float32 rounding of such a split's features with its labels,
+under the same name with `-float32` after the split, which training reads
+(written from the float64 split the first time something trains on it),
+so a split that is trained on takes 1.5 times its float64 bytes on disk.
+One is a parent's probe pass on rows of a float64 split
 (`probe_cache_path`), named by a hash of the split's entry, the row sample,
 the insertion point and a digest of the parent. Every read checks dtype,
 shape and CRC-32, so a hit has the bits of a fresh computation and anything
@@ -105,27 +109,47 @@ def _atomic_open(path, newline=None, binary=False):
 
 @dataclass
 class Dataset:
-    """Feature matrix with integer class labels."""
+    """Feature matrix with integer class labels. Float32 features stay
+    float32 and any other features become float64; labels must be finite
+    whole numbers, and become int64."""
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        features = np.asarray(self.features)
+        self.features = (features if features.dtype == np.float32
+                         else features.astype(np.float64, copy=False))
+        labels = np.asarray(self.labels)
         if self.features.ndim != 2:
             raise ValueError("features must be 2-D")
-        if self.labels.ndim != 1 or self.labels.shape[0] != self.features.shape[0]:
+        if labels.ndim != 1 or labels.shape[0] != self.features.shape[0]:
             raise ValueError(
-                f"{self.labels.shape[0] if self.labels.ndim == 1 else '?'} labels "
+                f"{labels.shape[0] if labels.ndim == 1 else '?'} labels "
                 f"for {self.features.shape[0]} feature rows"
             )
+        self.labels = _whole_labels(labels)
         if self.labels.size and self.labels.min() < 0:
             raise ValueError("labels must be nonnegative")
 
     @property
     def n(self) -> int:
         return self.features.shape[0]
+
+
+def _whole_labels(labels: np.ndarray) -> np.ndarray:
+    """1-D `labels` as int64, refusing with a ValueError that names the
+    first row any label that is not a finite whole number int64 can hold."""
+    if labels.dtype.kind not in "biu":
+        labels = labels.astype(np.float64, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN, inf and out-of-range casts are caught below
+        whole = labels.astype(np.int64, copy=False)
+    if whole is not labels:
+        bad = np.flatnonzero(whole != labels)
+        if bad.size:
+            raise ValueError(f"labels must be finite whole numbers in int64's range; "
+                             f"row {bad[0]} holds {labels[bad[0]].item()!r}")
+    return whole
 
 
 def _checksum(arrays) -> int:
@@ -496,11 +520,15 @@ def _cache_path(name: str, key: dict, suffix: str) -> str:
     return os.path.join(base, "morphkit", f"{name}-{digest}{suffix}.npys")
 
 
-def dataset_cache_path(generator: str, params: dict, split: str) -> str:
-    """The cache entry of one split of a synthetic draw. Its name hashes the
-    generator, its fully resolved parameters, the numpy version (Generator
-    streams may change between releases) and DATASET_CACHE_FORMAT."""
-    return _cache_path(generator, {"generator": generator, "params": params}, f"-{split}")
+def dataset_cache_path(generator: str, params: dict, split: str, dtype=np.float64) -> str:
+    """The cache entry of one split of a synthetic draw, with float64
+    features, or `<name>-<hash>-<split>-float32.npys` for their float32
+    rounding when `dtype` is float32. Its name hashes the generator, its
+    fully resolved parameters, the numpy version (Generator streams may
+    change between releases) and DATASET_CACHE_FORMAT."""
+    kind = "" if np.dtype(dtype) == np.float64 else f"-{np.dtype(dtype).name}"
+    return _cache_path(generator, {"generator": generator, "params": params},
+                       f"-{split}{kind}")
 
 
 def probe_cache_path(dataset_entry: str, split: str, probe_size: int, seed: int,
@@ -554,16 +582,20 @@ def _write_entry(path, arrays, what: str) -> None:
         log.info("%s cache not written (%s): %s", what, exc, path)
 
 
-def read_cached_split(path, shape: tuple) -> Dataset | None:
+def read_cached_split(path, shape: tuple, dtype=np.float64) -> Dataset | None:
     """The split cached at `path`, or None on a miss (see `_read_entry`):
-    `shape` little-endian float64 features, then int64 labels."""
-    arrays = _read_entry(path, [(_FLOAT64_LE, shape), (_INT64_LE, shape[:1])], "dataset")
+    `shape` little-endian features of `dtype` (float64 or float32), then
+    int64 labels."""
+    layout = [(np.dtype(dtype).newbyteorder("<"), shape), (_INT64_LE, shape[:1])]
+    arrays = _read_entry(path, layout, "dataset")
     return None if arrays is None else Dataset(*arrays)
 
 
 def write_cached_split(path, data: Dataset) -> None:
-    """Cache `data` at `path` (see `_write_entry`)."""
-    _write_entry(path, [np.ascontiguousarray(data.features, dtype=_FLOAT64_LE),
+    """Cache `data` at `path`, its features in their own dtype (see
+    `_write_entry`)."""
+    _write_entry(path, [np.ascontiguousarray(data.features,
+                                             dtype=data.features.dtype.newbyteorder("<")),
                         np.ascontiguousarray(data.labels, dtype=_INT64_LE)], "dataset")
 
 

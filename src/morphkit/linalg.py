@@ -73,10 +73,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return as_matrix_with_sum(a, name)[0]
 
 
-def as_matrix_with_sum(a, name: str = "matrix") -> tuple[np.ndarray, float | None]:
+def as_matrix_with_sum(a, name: str = "matrix",
+                       keep_float32: bool = False) -> tuple[np.ndarray, float | None]:
     """`as_matrix`, also returning the `sum_of_squares` its finiteness check
-    read, so that a caller with another rule on that sum reads `a` once."""
-    arr = np.asarray(a, dtype=np.float64)
+    read, so that a caller with another rule on that sum reads `a` once.
+    With `keep_float32` a float32 array is checked and returned as it is,
+    with no float64 copy; its sum of squares is then float32 arithmetic."""
+    arr = np.asarray(a)
+    if not (keep_float32 and arr.dtype == np.float32):
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2:
         raise ShapeError(f"{name}: expected a 2-D matrix, got ndim={arr.ndim}")
     total = sum_of_squares(arr)

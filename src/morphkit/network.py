@@ -159,12 +159,14 @@ def _check_chain(layers: list[Layer]) -> None:
             )
 
 
-def _checked_input(mlp: Mlp, x, name: str = "input") -> tuple[np.ndarray, float | None]:
+def _checked_input(mlp: Mlp, x, name: str = "input",
+                   keep_float32: bool = False) -> tuple[np.ndarray, float | None]:
     """Validate the layer chain of `mlp`, edited or not since it was built,
-    and `x` as a finite batch of `mlp.d_in` features; returns `x` as a matrix
-    and the `sum_of_squares` its finiteness check read."""
+    and `x` as a finite batch of `mlp.d_in` features; returns `x` as a
+    float64 matrix (a float32 one stays float32 with `keep_float32`) and the
+    `sum_of_squares` its finiteness check read."""
     _check_chain(mlp.layers)
-    x, total = as_matrix_with_sum(x, name)
+    x, total = as_matrix_with_sum(x, name, keep_float32)
     if x.shape[1] != mlp.d_in:
         raise ShapeError(
             f"{name} has {x.shape[1]} features but layer 0 expects {mlp.d_in}"
@@ -172,13 +174,13 @@ def _checked_input(mlp: Mlp, x, name: str = "input") -> tuple[np.ndarray, float 
     return x, total
 
 
-def _checked_data(mlp: Mlp, features, labels,
-                  name: str) -> tuple[np.ndarray, np.ndarray, float | None]:
+def _checked_data(mlp: Mlp, features, labels, name: str,
+                  keep_float32: bool = False) -> tuple[np.ndarray, np.ndarray, float | None]:
     """The one check of a labelled data set against `mlp`: features through
     `_checked_input` as `name`, at least one row, and 1-D integer labels, one
     per row, in [0, mlp.d_out). Returns the features and labels as arrays,
     and the features' sum of squares."""
-    x, total = _checked_input(mlp, features, name)
+    x, total = _checked_input(mlp, features, name, keep_float32)
     n = x.shape[0]
     if n == 0:
         raise ShapeError(f"{name}: 0 rows, and at least one is needed (a synthetic --data spec "
@@ -367,7 +369,9 @@ def _check_float32_range(arr: np.ndarray, name: str, total: float | None = None)
     squares within `_FLOAT32_SAFE_SUM` clears the array in one read, none
     when the caller passes `arr`'s `sum_of_squares` as `total`; above it,
     the exact max and min decide. Neither takes a temporary the size of
-    `arr`."""
+    `arr`. A float32 array is in range by its type and is not read."""
+    if arr.dtype == np.float32:
+        return
     if total is None:
         total = sum_of_squares(arr)
     if total is not None and total <= _FLOAT32_SAFE_SUM:
@@ -394,19 +398,26 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
     The data is checked once, up front, as "training features" (the check
     `evaluate` and `loss_and_gradients` make too), and so is the float32
     range of the learning rate, the weight decay, the features (from the
-    sum of squares the data check read), the weights and the biases. The
-    copy, the velocities, the hyperparameters and each mini-batch, gathered
-    one at a time, are float32, and every step runs unchecked and updates
-    the copy in place, with the arithmetic of the out-of-place update,
-    v = m*v - lr*(dw + wd*W) and W = W + v, operation for operation. A step
-    is one `_forward_layer` call per layer, bottom up, then one
-    `_backward_layer` and one `_update_layer` call per layer, top down: a
-    layer is updated as soon as its gradient and the gradient for the
-    layer below, which reads its weight, exist. The trained weights come
-    back as float64, each one a float32 value; a non-finite one is a
-    `TrainingDivergedError`, as a non-finite loss is.
+    sum of squares the data check read), the weights and the biases.
+    Float32 features are trained on as given: checked in place, with no
+    float64 copy, and each mini-batch is gathered from them with no cast.
+    Features of any other dtype are checked as float64, and each mini-batch
+    is gathered and cast to float32 one at a time, so the whole split is
+    never copied. The cast rounds an entry as `features.astype(np.float32)`
+    does, so a split and its float32 rounding train to the same bytes. The
+    copy, the velocities, the hyperparameters and each mini-batch are
+    float32, and every step runs unchecked and updates the copy in place,
+    with the arithmetic of the out-of-place update, v = m*v - lr*(dw +
+    wd*W) and W = W + v, operation for operation. A step is one
+    `_forward_layer` call per layer, bottom up, then one `_backward_layer`
+    and one `_update_layer` call per layer, top down: a layer is updated as
+    soon as its gradient and the gradient for the layer below, which reads
+    its weight, exist. The trained weights come back as float64, each one a
+    float32 value; a non-finite one is a `TrainingDivergedError`, as a
+    non-finite loss is.
     """
-    x, labels, x_total = _checked_data(mlp, data.features, data.labels, "training features")
+    x, labels, x_total = _checked_data(mlp, data.features, data.labels, "training features",
+                                       keep_float32=True)
     for field in ("learning_rate", "weight_decay"):
         value = getattr(cfg, field)
         if value > FLOAT32_MAX:
@@ -443,7 +454,7 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
             rows = all_rows[: len(idx)]
             yb = labels[idx]
             # acts[k] is layer k's input and acts[k + 1] its output
-            acts = [x.take(idx, axis=0).astype(np.float32)]
+            acts = [x.take(idx, axis=0).astype(np.float32, copy=False)]
             for layer in layers:
                 acts.append(_forward_layer(layer, acts[-1]))
             loss, log_probs = _cross_entropy(acts[-1], yb, rows)

@@ -659,6 +659,62 @@ class TestDatasetCache:
         assert path.read_bytes() == good
         assert (tmp_path / "a" / product).read_bytes() == (tmp_path / "b" / product).read_bytes()
 
+    def test_training_reads_the_float32_rounding_of_the_split(self, tmp_path, monkeypatch,
+                                                              dataset_cache):
+        train = ("train", "--data", LOWRANK, "--arch", "30,6,3", "--epochs", "1")
+        assert run(*train, "--out-dir", str(tmp_path / "a")) == 0
+        (f64,) = dataset_cache.glob("lowrank-*-train.npys")
+        (f32,) = dataset_cache.glob("lowrank-*-train-float32.npys")
+        assert f32.name == f64.name[:-len(".npys")] + "-float32.npys"
+        assert len(list(dataset_cache.iterdir())) == 3  # and the test split's entry
+        features, labels = fresh_split(LOWRANK, "train")
+        hit = mio.read_cached_split(f32, features.shape, np.float32)
+        assert hit.features.tobytes() == features.astype(np.float32).tobytes()
+        assert hit.labels.tobytes() == labels.tobytes()
+        # a warm train reads that entry, draws nothing and writes the same files
+        draws = count_draws(monkeypatch)
+        assert run(*train, "--out-dir", str(tmp_path / "b")) == 0
+        assert draws == []
+        for name in ("parent.model", "history.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped byte", "float64 records"])
+    def test_damaged_float32_entry_is_rebuilt(self, tmp_path, monkeypatch, caplog,
+                                              dataset_cache, damage):
+        assert run("train", "--data", LOWRANK, "--arch", "30,6,3", "--epochs", "1",
+                   "--out-dir", str(tmp_path)) == 0
+        finetune = ("finetune", "--model", str(tmp_path / "parent.model"), "--data", LOWRANK,
+                    "--epochs", "2", "--eval-data", LOWRANK, "--out", "tuned.model")
+        assert run(*finetune, "--out-dir", str(tmp_path / "a")) == 0
+        (path,) = dataset_cache.glob("*-train-float32.npys")
+        good = path.read_bytes()
+        path.write_bytes({
+            "truncated": good[: len(good) // 2],
+            "flipped byte": good[:200] + bytes([good[200] ^ 0x01]) + good[201:],
+            # a well-formed entry of the float64 split, under the float32 name
+            "float64 records": next(dataset_cache.glob("*-train.npys")).read_bytes(),
+        }[damage])
+        draws = count_draws(monkeypatch)
+        caplog.set_level(logging.INFO, logger="morphkit.io")
+        assert run(*finetune, "--out-dir", str(tmp_path / "b")) == 0
+        misses = [r.getMessage() for r in caplog.records
+                  if r.name == "morphkit.io" and " miss" in r.getMessage()]
+        assert len(misses) == 1 and misses[0].endswith(str(path))
+        # rebuilt from the intact float64 split, with the bytes it had
+        assert draws == []
+        assert path.read_bytes() == good
+        assert (tmp_path / "a" / "tuned.model").read_bytes() == \
+            (tmp_path / "b" / "tuned.model").read_bytes()
+
+    def test_split_beyond_float32_is_refused_by_name_and_not_cached(self, tmp_path, capsys,
+                                                                    dataset_cache):
+        data = "lowrank:n=80,test=30,d=30,classes=3,side_dims=4,seed=5,spacing=1e300"
+        assert run("train", "--data", data, "--arch", "30,6,3", "--epochs", "1",
+                   "--out-dir", str(tmp_path)) == 1
+        assert "training features: an entry of magnitude" in capsys.readouterr().err
+        assert not list(dataset_cache.glob("*-float32.npys"))
+        assert not (tmp_path / "parent.model").exists()
+
     def test_second_morph_of_a_parent_reads_no_split(self, tmp_path, monkeypatch,
                                                      dataset_cache):
         assert run("train", "--data", SYNTH, "--arch", "12,6,3", "--epochs", "1",
@@ -770,8 +826,11 @@ class TestDatasetCache:
         assert run("finetune", "--model", model, "--data", SYNTH, "--epochs", "1",
                    "--eval-data", SYNTH, "--out-dir", str(tmp_path)) == 0
         lines = [r.getMessage().split(":")[0] for r in caplog.records if r.name == "morphkit.io"]
-        assert lines == ["dataset cache miss", "dataset cache hit",
-                         "dataset cache hit", "dataset cache hit"]
+        # train: float32 train split, float64 train split (drawn), and the
+        # float64 one again for row 0; eval: test split; finetune: float32
+        # train split, test split
+        assert lines == ["dataset cache miss", "dataset cache miss", "dataset cache hit",
+                         "dataset cache hit", "dataset cache hit", "dataset cache hit"]
 
 
 class TestVerify:

@@ -12,6 +12,7 @@ import os
 import re
 import struct
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -689,6 +690,27 @@ class TestDatasetCache:
                 np.lib.format.write_array(fh, array, allow_pickle=True)
             assert mio.read_cached_split(path, (5, 3)) is None
 
+    @pytest.mark.parametrize("rows", [0, 7])
+    def test_float32_entry_round_trip(self, tmp_path, rows):
+        _, data = cache_entry(tmp_path, rows=rows)
+        rounded = Dataset(data.features.astype(np.float32), data.labels)
+        path = tmp_path / "entry-float32.npys"
+        mio.write_cached_split(path, rounded)
+        back = mio.read_cached_split(path, (rows, 3), np.float32)
+        assert back.features.dtype == np.float32 and back.labels.dtype == np.int64
+        assert back.features.tobytes() == rounded.features.tobytes()
+        assert back.labels.tobytes() == data.labels.tobytes()
+        assert not back.features.flags.writeable and not back.features.flags.owndata
+        # 4 bytes less per feature than the float64 entry, all else equal
+        assert path.stat().st_size == (tmp_path / "entry.npys").stat().st_size - 4 * rows * 3
+
+    def test_entry_of_the_other_feature_dtype_is_a_miss(self, tmp_path):
+        path64, data = cache_entry(tmp_path)
+        path32 = tmp_path / "entry-float32.npys"
+        mio.write_cached_split(path32, Dataset(data.features.astype(np.float32), data.labels))
+        assert mio.read_cached_split(path64, (5, 3), np.float32) is None
+        assert mio.read_cached_split(path32, (5, 3)) is None
+
     def test_missing_entry_is_a_miss(self, tmp_path):
         assert mio.read_cached_split(tmp_path / "absent.npys", (5, 3)) is None
 
@@ -721,6 +743,9 @@ class TestDatasetCache:
         assert len({path, *others}) == 5
         name = os.path.basename(path)
         assert name.startswith("synth-") and name.endswith("-train.npys")
+        # the float32 entry of the split: the same hash, `-float32` after the split
+        assert mio.dataset_cache_path("synth", params, "train", np.float32) == \
+            path[:-len(".npys")] + "-float32.npys"
 
     def test_probe_path_hashes_every_key_part(self, monkeypatch):
         split = mio.dataset_cache_path("synth", {"n": 10}, "train")
@@ -841,6 +866,32 @@ class TestDatasetValidation:
     def test_negative_labels(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), np.array([0, -1]))
+
+    @pytest.mark.parametrize("labels,row,shown", [
+        ([0.5, 1.7, 2.0], 0, "0.5"),  # once truncated to [0, 1, 2]
+        ([0.0, 1e30, 1.0], 1, "1e+30"),  # whole, but beyond int64
+        ([0.0, 1.0, np.nan], 2, "nan"),
+    ], ids=["fraction", "beyond-int64", "nan"])
+    def test_label_that_is_not_a_finite_whole_number_is_refused(self, labels, row, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy cast warning on the way
+            with pytest.raises(ValueError, match=rf"^labels must be finite whole numbers in "
+                                                 rf"int64's range; row {row} holds {re.escape(shown)}$"):
+                Dataset(np.zeros((3, 2)), np.array(labels))
+
+    @pytest.mark.parametrize("labels", [np.array([2.0, 0.0, -0.0]), np.array([2, 0, 0], np.uint8),
+                                        np.array([2, 0, 0], np.uint64)])
+    def test_whole_labels_of_any_numeric_dtype_become_int64(self, labels):
+        data = Dataset(np.zeros((3, 2)), labels)
+        assert data.labels.dtype == np.int64 and data.labels.tolist() == [2, 0, 0]
+
+    @pytest.mark.parametrize("dtype,kept", [(np.float32, np.float32), (np.float64, np.float64),
+                                            (np.float16, np.float64), (np.int64, np.float64)])
+    def test_float32_features_stay_float32(self, dtype, kept):
+        features = np.arange(6).reshape(3, 2).astype(dtype)
+        data = Dataset(features, [0, 1, 2])
+        assert data.features.dtype == kept
+        assert data.features.tolist() == features.tolist()
 
 
 def _failing_dump(doc, fh, **kw):

@@ -394,6 +394,36 @@ class TestTrainSgd:
             tracemalloc.stop()
         assert peak < 0.5 * data.features.size * 4, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_float32_split_is_trained_on_in_place(self):
+        # neither a float64 copy (37.6 MB) nor a float32 one (18.8 MB) of
+        # this float32 split: the peak of what training allocates stays well
+        # under the split's own size
+        rng = np.random.default_rng(20)
+        data = Dataset(rng.normal(size=(6000, 784)).astype(np.float32),
+                       rng.integers(0, 10, size=6000))
+        assert data.features.dtype == np.float32
+        net = Mlp([Layer(init_weights(784, 64, "relu", 1), np.zeros(64), "relu"),
+                   Layer(init_weights(64, 10, "identity", 2), np.zeros(10), "identity")])
+        cfg = TrainConfig(epochs=1, batch_size=48)
+        tracemalloc.start()
+        try:
+            train_sgd(net, data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * data.features.nbytes, f"peak {peak / 2**20:.1f} MiB"
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(run=training_runs())
+    def test_float32_rounding_of_a_split_trains_to_the_same_bytes(self, run):
+        net, data, cfg = run
+        rounded = Dataset(data.features.astype(np.float32), data.labels)
+        assert rounded.features.dtype == np.float32
+        trained, history = train_sgd(net, rounded, cfg)
+        want, want_history = train_sgd(net, data, cfg)
+        assert layer_bytes(trained) == layer_bytes(want)
+        assert history == want_history
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference_loop(self, seed):
         assert check_trainer_reference(seed) == 5
@@ -459,7 +489,8 @@ class TestTrainSgd:
         checks = []
         checked = network._checked_input
         monkeypatch.setattr(network, "_checked_input",
-                            lambda mlp, x, name: checks.append((x, name)) or checked(mlp, x, name))
+                            lambda mlp, x, name, *rest: checks.append((x, name))
+                            or checked(mlp, x, name, *rest))
         for name in ("evaluate", "forward"):
             monkeypatch.setattr(network, name, lambda *a, _name=name: pytest.fail(f"{_name} called"))
         data = synth_dataset(6, 60, 4, 2)
@@ -545,13 +576,35 @@ class TestEvaluate:
         with pytest.raises(NotFiniteError, match="^evaluation features: contains non-finite"):
             evaluate(net, Dataset(np.array([[0.0, 1.0], [np.inf, 0.0]]), np.array([0, 1])))
 
+    def test_float32_input_is_computed_in_float64(self):
+        # evaluate, loss_and_gradients and prepare_probe give the bits of
+        # the same call on the float64 cast of float32 input
+        rng = np.random.default_rng(23)
+        net = random_mlp(rng, [6, 7, 5, 3], ["relu", "tanh", "identity"])
+        x32 = rng.normal(size=(40, 6)).astype(np.float32)
+        x64 = x32.astype(np.float64)
+        labels = rng.integers(0, 3, size=40)
+        assert evaluate(net, Dataset(x32, labels)) == evaluate(net, Dataset(x64, labels))
+        loss32, grads32 = loss_and_gradients(net, x32, labels)
+        loss64, grads64 = loss_and_gradients(net, x64, labels)
+        assert np.float64(loss32).tobytes() == np.float64(loss64).tobytes()
+        for (dw32, db32), (dw64, db64) in zip(grads32, grads64):
+            assert dw32.dtype == np.float64 and dw32.tobytes() == dw64.tobytes()
+            assert db32.tobytes() == db64.tobytes()
+        for at in (0, 1):
+            got, want = prepare_probe(net, at, x32), prepare_probe(net, at, x64)
+            for a, b in ((got.a1, want.a1), (got.downstream_pre, want.downstream_pre)):
+                assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+            assert got.parent_digest == want.parent_digest
+
     def test_data_checked_once_without_forward(self, monkeypatch):
         # one check, then the unchecked pass that keeps no pre-activation
         network = importlib.import_module("morphkit.network")
         checks, passes = [], []
         checked, outputs = network._checked_input, network._layer_outputs
         monkeypatch.setattr(network, "_checked_input",
-                            lambda mlp, x, name: checks.append((x, name)) or checked(mlp, x, name))
+                            lambda mlp, x, name, *rest: checks.append((x, name))
+                            or checked(mlp, x, name, *rest))
         monkeypatch.setattr(network, "_layer_outputs",
                             lambda mlp, x, keep_pre: passes.append(keep_pre) or outputs(mlp, x, keep_pre))
         monkeypatch.setattr(network, "forward", lambda *a: pytest.fail("forward called"))
