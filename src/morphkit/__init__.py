@@ -63,4 +63,4 @@ from .sparse import (
     similarity_matrix,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

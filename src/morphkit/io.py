@@ -10,8 +10,9 @@ activation and whether it has a bias, and the metadata), followed by each
 layer's weights and then bias as little-endian float64 C-order records, so
 a load reproduces every weight bit for bit. The two uses differ only in
 policy: a corrupt model is a `ModelFormatError` naming the file, a corrupt
-cache entry is a miss. JSON model files of schema 1 (nested number lists)
-and schema 2 (base64 float64 arrays) are still read.
+cache entry is a miss. Schema 3 is the only model format read: the JSON
+model files of schema 1 and 2 are refused, and morphkit 0.1.0, the last
+version to read them, converts one by loading it and saving it again.
 IDX files follow the classic big-endian layout (magic, dims,
 unsigned bytes); gzipped files are handled transparently by extension.
 
@@ -38,7 +39,6 @@ themselves stay pure.
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import csv
 import dataclasses
@@ -65,8 +65,6 @@ from .network import ACTIVATION_KINDS, Layer, Mlp
 log = logging.getLogger(__name__)
 
 MODEL_SCHEMA_VERSION = 3
-# schema 1 and 2 files are JSON, and still read; schema 3 is the record container
-JSON_SCHEMA_VERSIONS = (1, 2)
 _UINT8 = np.dtype("u1")
 _FLOAT64_LE = np.dtype("<f8")
 _INT64_LE = np.dtype("<i8")
@@ -258,122 +256,68 @@ def _require_width(raw: dict, key: str, where: str) -> int:
     return value
 
 
-def _model_header(doc, path, versions: tuple) -> tuple[int, list, dict]:
-    """The schema version, each layer's `(where, entry, in, out, activation)`
-    and the metadata of a model document whose version is in `versions`."""
-    version = _require(doc, "schema_version", str(path))
-    if version not in versions:
-        raise ModelFormatError(
-            f"{path}: schema_version {version!r} is not supported "
-            f"(expected one of {versions})"
-        )
-    raw_layers = _require(doc, "layers", str(path))
-    if not isinstance(raw_layers, list) or not raw_layers:
-        raise ModelFormatError(f"{path}: layers: expected a nonempty list")
-    layers = []
-    for k, raw in enumerate(raw_layers):
-        where = f"{path}: layers[{k}]"
-        d_in = _require_width(raw, "in", where)
-        d_out = _require_width(raw, "out", where)
-        activation = _require(raw, "activation", where)
-        if activation not in ACTIVATION_KINDS:
-            raise ModelFormatError(f"{where}.activation: unknown kind {activation!r}")
-        layers.append((where, raw, d_in, d_out, activation))
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise ModelFormatError(f"{path}: metadata: expected an object")
-    return version, layers, metadata
-
-
-def _decode_array(value, shape: tuple, version: int, where: str) -> np.ndarray:
-    """Schema 1: nested number lists of `shape`. Schema 2: a base64 string
-    of exactly 8 bytes per entry, little-endian float64, row-major."""
-    if version == 1:
-        try:
-            array = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ModelFormatError(f"{where}: not a numeric array ({exc})") from exc
-        if array.shape != shape:
-            raise ModelFormatError(
-                f"{where}: shape {array.shape} does not match declared {shape}"
-            )
-        return array
-    if not isinstance(value, str):
-        raise ModelFormatError(
-            f"{where}: expected a base64 string, got {type(value).__name__}"
-        )
-    try:
-        raw = base64.b64decode(value, validate=True)
-    except ValueError as exc:  # binascii.Error, or non-ASCII text
-        raise ModelFormatError(f"{where}: not valid base64 ({exc})") from exc
-    expected = _FLOAT64_LE.itemsize * math.prod(shape)
-    if len(raw) != expected:
-        raise ModelFormatError(
-            f"{where}: {len(raw)} bytes, expected {expected} for shape {shape}"
-        )
-    return np.frombuffer(raw, dtype=_FLOAT64_LE).reshape(shape).astype(np.float64)
-
-
-def _json_model(raw: bytearray, path) -> tuple[list, dict]:
-    """Each layer's (weights, bias, activation) and the metadata of a
-    schema 1 or 2 (JSON) model file's bytes."""
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-        raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
-    version, layers, metadata = _model_header(doc, path, JSON_SCHEMA_VERSIONS)
-    parts = []
-    for where, entry, d_in, d_out, activation in layers:
-        weights = _decode_array(_require(entry, "weights", where), (d_in, d_out), version,
-                                f"{where}.weights")
-        bias_raw = _require(entry, "bias", where)
-        bias = None if bias_raw is None else _decode_array(bias_raw, (d_out,), version,
-                                                           f"{where}.bias")
-        parts.append((weights, bias, activation))
-    return parts, metadata
-
-
 def _record_model(raw: bytearray, path) -> tuple[list, dict]:
     """Each layer's (weights, bias, activation), as writeable views of
-    `raw`, and the metadata of a schema-3 model file's bytes."""
+    `raw`, and the metadata of a schema-3 model file's bytes. Bytes that do
+    not start with the npy magic, a JSON model file's among them, are
+    refused before anything is parsed."""
+    if not raw.startswith(np.lib.format.MAGIC_PREFIX):
+        raise ModelFormatError(
+            f"{path}: not a schema-3 model file (it does not start with the npy magic); "
+            "JSON model files (schema 1 and 2) are no longer read: to convert one, "
+            "load it and save it again with morphkit 0.1.0"
+        )
     try:
         header = _byte_string_at(raw, 0)
         doc = json.loads(header.tobytes().decode("utf-8"))
     except ValueError as exc:
         raise ModelFormatError(f"{path}: corrupt model file ({exc})") from exc
-    _, layers, metadata = _model_header(doc, path, (MODEL_SCHEMA_VERSION,))
-    layout = [(_UINT8, header.shape)]
-    for where, entry, d_in, d_out, _ in layers:
+    version = _require(doc, "schema_version", str(path))
+    if version != MODEL_SCHEMA_VERSION:
+        raise ModelFormatError(f"{path}: schema_version {version!r} is not supported "
+                               f"(expected {MODEL_SCHEMA_VERSION})")
+    raw_layers = _require(doc, "layers", str(path))
+    if not isinstance(raw_layers, list) or not raw_layers:
+        raise ModelFormatError(f"{path}: layers: expected a nonempty list")
+    layout, kinds = [(_UINT8, header.shape)], []
+    for k, entry in enumerate(raw_layers):
+        where = f"{path}: layers[{k}]"
+        d_in = _require_width(entry, "in", where)
+        d_out = _require_width(entry, "out", where)
+        activation = _require(entry, "activation", where)
+        if activation not in ACTIVATION_KINDS:
+            raise ModelFormatError(f"{where}.activation: unknown kind {activation!r}")
         has_bias = _require(entry, "bias", where)
         if not isinstance(has_bias, bool):
             raise ModelFormatError(f"{where}.bias: expected true or false, got {has_bias!r}")
         layout.append((_FLOAT64_LE, (d_in, d_out)))
         if has_bias:
             layout.append((_FLOAT64_LE, (d_out,)))
+        kinds.append((activation, has_bias))
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ModelFormatError(f"{path}: metadata: expected an object")
     try:
         arrays = iter(_decode_records(raw, layout)[1:])
     except ValueError as exc:
         raise ModelFormatError(f"{path}: corrupt model file ({exc})") from exc
-    parts = [(next(arrays), next(arrays) if entry["bias"] else None, activation)
-             for _, entry, _, _, activation in layers]
+    parts = [(next(arrays), next(arrays) if has_bias else None, activation)
+             for activation, has_bias in kinds]
     return parts, metadata
 
 
 def load_model(path) -> tuple[Mlp, dict]:
-    """Load a model file, returning the network and its metadata dict.
+    """Load a schema-3 model file (`save_model`), returning the network and
+    its metadata dict.
 
-    A file that starts with the npy magic is schema 3 (`save_model`); any
-    other is read as JSON of schema 1 or 2. A bad header, short or
+    A file that does not start with the npy magic, a bad header, short or
     trailing bytes, a checksum mismatch or any other fault raises
     ModelFormatError naming the file. The weights and biases are fresh,
     writeable float64 arrays: views of a buffer that nothing else holds."""
     with open(path, "rb") as fh:
         raw = bytearray(os.fstat(fh.fileno()).st_size)
         fh.readinto(raw)
-    if raw.startswith(np.lib.format.MAGIC_PREFIX):
-        parts, metadata = _record_model(raw, path)
-    else:
-        parts, metadata = _json_model(raw, path)
+    parts, metadata = _record_model(raw, path)
     layers = []
     for k, (weights, bias, activation) in enumerate(parts):
         try:

@@ -1,6 +1,5 @@
 """Serialization, IDX ingestion, synthetic data, and report CSV tests."""
 
-import base64
 import csv
 import dataclasses
 import gzip
@@ -17,10 +16,11 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import morphkit
 from morphkit import io as mio
 from morphkit import verify
 from morphkit.errors import IdxFormatError, ModelFormatError
@@ -66,24 +66,23 @@ def write_idx_fixture(tmp_path, pixels, labels, gz=False):
     return img_path, lbl_path
 
 
-def schema2_text(net):
-    """A schema-2 (JSON, base64 arrays) model file's text, built here as the
-    schema-2 writer built it: `load_model` still reads such files."""
-    def encode(array):
-        return base64.b64encode(array.astype("<f8").tobytes()).decode("ascii")
-
-    return json.dumps({
-        "schema_version": 2,
-        "layers": [{"in": layer.d_in, "out": layer.d_out, "activation": layer.activation,
-                    "weights": encode(layer.weight),
-                    "bias": None if layer.bias is None else encode(layer.bias)}
-                   for layer in net.layers],
-        "metadata": {},
-    }, indent=1)
+def write_record_model(path, doc, arrays=()):
+    """Write a schema-3 container by hand: the header document `doc`, then
+    `arrays` as little-endian float64 records, through `_encode_records`, so
+    that the CRC-32 holds and a load reaches the checks behind it."""
+    header = np.frombuffer(json.dumps(doc).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        mio._encode_records(fh, [header, *(np.asarray(a, dtype="<f8") for a in arrays)])
 
 
-def schema2_doc(net):
-    return json.loads(schema2_text(net))
+def small_header(**fields):
+    """The header document of one 2-to-3 relu layer with a bias (`SMALL_ARRAYS`),
+    with `fields` replacing the layer's own."""
+    layer = {"in": 2, "out": 3, "activation": "relu", "bias": True, **fields}
+    return {"schema_version": 3, "layers": [layer], "metadata": {}}
+
+
+SMALL_ARRAYS = (np.ones((2, 3)), np.ones(3))
 
 
 def record_bounds(raw):
@@ -163,54 +162,22 @@ class TestModelRoundTrip:
         loaded.layers[0].weight[0, 0] = 7.0  # the file and the saved network keep their values
         assert_same_layers(net, load_model(path)[0])
 
-    def test_hand_written_v2_loads_bit_exact(self, tmp_path):
-        # schema 2, as written before record files: base64 little-endian float64
-        text = (
-            '{"schema_version": 2, "layers": ['
-            '{"in": 2, "out": 2, "activation": "relu",'
-            ' "weights": "AAAAAAAAAIABAAAAAAAAAP///////+9/mpmZmZmZuT8=",'
-            ' "bias": "AAAAAAAAEIAr5nCLaBIAgA=="},'
-            '{"in": 2, "out": 1, "activation": "identity",'
-            ' "weights": "AAAAAAAA+D/////////v/w==", "bias": null}'
-            '], "metadata": {"seed": 3, "nested": {"list": [1, 2.5]}}}'
-        )
-        path = tmp_path / "old.model"
-        path.write_text(text)
+    def test_hand_written_v3_loads_bit_exact(self, tmp_path):
+        # a header document written here, not by save_model, and the values
+        # most likely to lose bits
+        w0 = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
+                       [0.1, -2.2250738585072014e-308, -1e-310]])
+        b0 = np.array([0.30000000000000004, -0.0, 1.0])
+        w1 = np.array([[1.5], [-1.7976931348623157e308], [2.0]])
+        doc = {"schema_version": 3, "layers": [
+            {"in": 2, "out": 3, "activation": "tanh", "bias": True},
+            {"in": 3, "out": 1, "activation": "identity", "bias": False},
+        ], "metadata": {"seed": 3, "nested": {"list": [1, 2.5]}}}
+        path = tmp_path / "hand.model"
+        write_record_model(path, doc, [w0, b0, w1])
         net, meta = load_model(path)
         assert meta == {"seed": 3, "nested": {"list": [1, 2.5]}}
-        assert net.layers[0].weight.tobytes() == \
-            np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.1]]).tobytes()
-        assert net.layers[0].bias.tobytes() == \
-            np.array([-2.2250738585072014e-308, -1e-310]).tobytes()
-        assert net.layers[1].weight.tobytes() == np.array([[1.5], [-1.7976931348623157e308]]).tobytes()
-        assert net.layers[1].bias is None
-        assert [layer.activation for layer in net.layers] == ["relu", "identity"]
-
-    def test_hand_written_v1_loads_bit_exact(self, tmp_path):
-        # schema 1, as written before base64 arrays: nested lists of repr floats
-        text = (
-            '{"schema_version": 1, "layers": ['
-            '{"in": 2, "out": 3, "activation": "tanh",'
-            ' "weights": [[-0.0, 5e-324, 1.7976931348623157e+308],'
-            ' [0.1, -2.2250738585072014e-308, -1e-310]],'
-            ' "bias": [0.30000000000000004, -0.0, 1]},'
-            '{"in": 3, "out": 1, "activation": "identity",'
-            ' "weights": [[1.5], [-1.7976931348623157e+308], [2]], "bias": null}'
-            '], "metadata": {"seed": 3}}'
-        )
-        path = tmp_path / "old.model"
-        path.write_text(text)
-        net, meta = load_model(path)
-        assert meta == {"seed": 3}
-        want = [
-            [[-0.0, 5e-324, 1.7976931348623157e308], [0.1, -2.2250738585072014e-308, -1e-310]],
-            [[1.5], [-1.7976931348623157e308], [2.0]],
-        ]
-        for layer, w in zip(net.layers, want):
-            assert layer.weight.tobytes() == np.array(w).tobytes()
-        assert net.layers[0].bias.tobytes() == np.array([0.30000000000000004, -0.0, 1.0]).tobytes()
-        assert net.layers[1].bias is None
-        assert [layer.activation for layer in net.layers] == ["tanh", "identity"]
+        assert_same_layers(Mlp([Layer(w0, b0, "tanh"), Layer(w1, None, "identity")]), net)
 
     def test_unknown_metadata_keys_survive(self, tmp_path):
         net = random_net(3)
@@ -220,87 +187,63 @@ class TestModelRoundTrip:
         assert meta["custom"] == {"deep": [1, 2]}
         assert meta["x"] == "y"
 
-    def test_truncated_file(self, tmp_path):
-        net = random_net(4)
-        path = tmp_path / "net.model"
-        data = schema2_text(net)
-        path.write_text(data[: len(data) // 2])
-        with pytest.raises(ModelFormatError, match="JSON"):
-            load_model(path)
-
-    @pytest.mark.parametrize("version", [0, 3, 99])
+    @pytest.mark.parametrize("version", [0, 1, 2, "3", 99])
     def test_version_mismatch(self, tmp_path, version):
+        # the JSON schemas' numbers, a string and a future version, each in a
+        # record header
         path = tmp_path / "net.model"
-        path.write_text(json.dumps({"schema_version": version, "layers": []}))
-        with pytest.raises(ModelFormatError, match="schema_version"):
-            load_model(path)
+        write_record_model(path, {**small_header(), "schema_version": version}, SMALL_ARRAYS)
+        assert_refused(path, rf"schema_version {re.escape(repr(version))} is not supported")
 
     def test_missing_field_names_path(self, tmp_path):
-        doc = {
-            "schema_version": 1,
-            "layers": [{"in": 2, "out": 2, "activation": "relu", "weights": [[1, 0], [0, 1]]}],
-        }
+        doc = small_header()
+        del doc["layers"][0]["bias"]
         path = tmp_path / "net.model"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match=r"layers\[0\].*bias"):
-            load_model(path)
+        write_record_model(path, doc, SMALL_ARRAYS)
+        assert_refused(path, r"layers\[0\]: missing required field 'bias'")
 
     def test_shape_mismatch_reported(self, tmp_path):
-        doc = {
-            "schema_version": 1,
-            "layers": [
-                {"in": 3, "out": 2, "activation": "relu", "weights": [[1, 0], [0, 1]], "bias": None}
-            ],
-        }
+        # the declared widths fix each record's npy header: a record of
+        # another shape is refused, though the checksum holds
         path = tmp_path / "net.model"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match="weights"):
-            load_model(path)
+        write_record_model(path, small_header(**{"in": 3}), SMALL_ARRAYS)
+        assert_refused(path, r"not an npy header for float64 \(3, 3\)")
 
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("weights", "not*base64", "not valid base64"),
-            ("weights", "AAA", "not valid base64"),  # padding missing
-            ("weights", "AAAA\u00e9AAA", "not valid base64"),  # not ASCII
-            ("weights", base64.b64encode(bytes(8 * 5)).decode(), "40 bytes, expected 48"),
-            ("weights", base64.b64encode(bytes(8 * 7)).decode(), "56 bytes, expected 48"),
-            ("bias", base64.b64encode(bytes(8 * 2)).decode(), "16 bytes, expected 24"),
-            ("bias", "", "0 bytes, expected 24"),
-            ("weights", [[0.0] * 3] * 2, "expected a base64 string, got list"),
-            ("bias", [0.0, 0.0, 0.0], "expected a base64 string, got list"),
-            ("bias", 0, "expected a base64 string, got int"),
-        ],
-    )
-    def test_bad_v2_array_names_field(self, tmp_path, field, value, message):
-        path = tmp_path / "net.model"
-        doc = schema2_doc(Mlp([Layer(np.ones((2, 3)), np.ones(3), "relu")]))
-        doc["layers"][0][field] = value
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match=rf"layers\[0\]\.{field}: {message}"):
-            load_model(path)
-
-    @pytest.mark.parametrize("width", [0, -2, "3", 2.0, None])
+    @pytest.mark.parametrize("width", [0, -2, "3", 2.0, None, True])
     def test_declared_width_must_be_positive_integer(self, tmp_path, width):
         path = tmp_path / "net.model"
-        doc = schema2_doc(Mlp([Layer(np.ones((2, 3)), None, "relu")]))
-        doc["layers"][0]["in"] = width
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError, match=r"layers\[0\]\.in: expected a positive integer"):
-            load_model(path)
+        write_record_model(path, small_header(**{"in": width}), SMALL_ARRAYS)
+        assert_refused(path, r"layers\[0\]\.in: expected a positive integer")
+
+    @pytest.mark.parametrize("doc, message", [
+        (small_header(activation="softmax"), r"layers\[0\]\.activation: unknown kind 'softmax'"),
+        (small_header(bias=1), r"layers\[0\]\.bias: expected true or false, got 1"),
+        ({**small_header(), "layers": []}, "layers: expected a nonempty list"),
+        ({**small_header(), "metadata": [1]}, "metadata: expected an object"),
+        ([3], "missing required field 'schema_version'"),
+    ], ids=["activation", "bias", "no layers", "metadata", "not an object"])
+    def test_bad_header_field_is_refused(self, tmp_path, doc, message):
+        path = tmp_path / "net.model"
+        write_record_model(path, doc, SMALL_ARRAYS)
+        assert_refused(path, message)
+
+    def test_widths_that_do_not_chain_are_refused(self, tmp_path):
+        doc = small_header()
+        doc["layers"].append({"in": 4, "out": 1, "activation": "identity", "bias": False})
+        path = tmp_path / "net.model"
+        write_record_model(path, doc, [*SMALL_ARRAYS, np.ones((4, 1))])
+        assert_refused(path, "layer 0 outputs 3 features but layer 1 expects 4")
 
     @pytest.mark.parametrize("field, shape, name", [("weights", (2, 3), "layer weight"),
                                                     ("bias", (3,), "layer bias")])
     def test_bytes_decoding_to_nan_are_not_finite(self, tmp_path, field, shape, name):
-        # well-formed bytes that decode to NaN: the file parses, the layer
-        # refuses them, and the error names the file and the layer
+        # well-formed records that hold NaN: the file parses and its checksum
+        # holds, the layer refuses them, and the error names the file and the layer
+        arrays = dict(zip(["weights", "bias"], SMALL_ARRAYS))
+        arrays[field] = np.full(shape, np.nan)
         path = tmp_path / "net.model"
-        doc = schema2_doc(Mlp([Layer(np.ones((2, 3)), np.ones(3), "relu")]))
-        doc["layers"][0][field] = base64.b64encode(np.full(shape, np.nan).astype("<f8").tobytes()).decode()
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError) as info:
-            load_model(path)
-        assert str(info.value) == f"{path}: layers[0]: {name}: contains non-finite entries"
+        write_record_model(path, small_header(), arrays.values())
+        assert assert_refused(path) == f"{path}: layers[0]: {name}: contains non-finite entries"
 
 
 def assert_refused(path, match=None):
@@ -308,6 +251,15 @@ def assert_refused(path, match=None):
         load_model(path)
     assert str(info.value).startswith(f"{path}: ")
     return str(info.value)
+
+
+NPY_MAGIC = np.lib.format.MAGIC_PREFIX
+# JSON model files, which morphkit 0.1.0 was the last version to read: schema 1
+# (nested number lists) and schema 2 (base64 little-endian float64)
+SCHEMA1_MODEL = ('{"schema_version": 1, "layers": [{"in": 2, "out": 1, "activation": "identity",'
+                 ' "weights": [[1.5], [-0.0]], "bias": null}], "metadata": {"seed": 3}}')
+SCHEMA2_MODEL = ('{"schema_version": 2, "layers": [{"in": 2, "out": 1, "activation": "identity",'
+                 ' "weights": "AAAAAAAA+D/////////v/w==", "bias": null}], "metadata": {"seed": 3}}')
 
 
 class TestModelCorruption:
@@ -355,11 +307,29 @@ class TestModelCorruption:
             verify.check_model_roundtrip(0)
 
     def test_json_claiming_schema_3_is_refused(self, tmp_path):
+        # JSON text is refused before it is parsed, whatever schema it claims
         path = tmp_path / "net.model"
-        doc = schema2_doc(random_net(1))
-        doc["schema_version"] = 3
-        path.write_text(json.dumps(doc))
-        assert_refused(path, "schema_version 3 is not supported")
+        path.write_text(json.dumps({**small_header(), "schema_version": 3}))
+        assert_refused(path, r"\(schema 1 and 2\) are no longer read")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(raw=(st.binary(max_size=64)
+                | st.builds(lambda k, tail: NPY_MAGIC[:k] + tail, st.integers(0, len(NPY_MAGIC)),
+                            st.binary(max_size=16))).filter(lambda raw: not raw.startswith(NPY_MAGIC)))
+    @example(raw=SCHEMA1_MODEL.encode())
+    @example(raw=SCHEMA2_MODEL.encode())
+    def test_bytes_without_the_npy_magic_are_refused(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("model") / "net.model"
+        path.write_bytes(raw)
+        message = assert_refused(path, r"JSON model files \(schema 1 and 2\) are no longer read")
+        assert message.endswith("load it and save it again with morphkit 0.1.0")
+
+
+def test_package_and_pyproject_versions_agree():
+    # the refusal of JSON model files points at 0.1.0, the last version that read them
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")) as fh:
+        pyproject = fh.read()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M)[1] == morphkit.__version__
 
 
 def assert_same_layers(net, loaded):
