@@ -1,5 +1,6 @@
 """Serialization, IDX ingestion, synthetic data, and report CSV tests."""
 
+import base64
 import csv
 import dataclasses
 import gzip
@@ -162,22 +163,42 @@ class TestModelRoundTrip:
         loaded.layers[0].weight[0, 0] = 7.0  # the file and the saved network keep their values
         assert_same_layers(net, load_model(path)[0])
 
-    def test_hand_written_v3_loads_bit_exact(self, tmp_path):
-        # a header document written here, not by save_model, and the values
-        # most likely to lose bits
+    def test_hand_written_v2_loads_bit_exact(self, tmp_path):
+        # a schema-2 document as written before record files (base64
+        # little-endian float64) is refused; its layers and metadata, written
+        # here as the schema-3 file its conversion holds, load bit for bit
+        text = (
+            '{"schema_version": 2, "layers": ['
+            '{"in": 2, "out": 2, "activation": "relu",'
+            ' "weights": "AAAAAAAAAIABAAAAAAAAAP///////+9/mpmZmZmZuT8=",'
+            ' "bias": "AAAAAAAAEIAr5nCLaBIAgA=="},'
+            '{"in": 2, "out": 1, "activation": "identity",'
+            ' "weights": "AAAAAAAA+D/////////v/w==", "bias": null}'
+            '], "metadata": {"seed": 3, "nested": {"list": [1, 2.5]}}}'
+        )
+        w0 = np.array([[-0.0, 5e-324], [1.7976931348623157e308, 0.1]])
+        b0 = np.array([-2.2250738585072014e-308, -1e-310])
+        w1 = np.array([[1.5], [-1.7976931348623157e308]])
+        assert_converted_document_loads(tmp_path, text, [w0, b0, w1])
+
+    def test_hand_written_v1_loads_bit_exact(self, tmp_path):
+        # a schema-1 document as written before base64 arrays (nested lists of
+        # repr floats) is refused; its conversion loads bit for bit
+        text = (
+            '{"schema_version": 1, "layers": ['
+            '{"in": 2, "out": 3, "activation": "tanh",'
+            ' "weights": [[-0.0, 5e-324, 1.7976931348623157e+308],'
+            ' [0.1, -2.2250738585072014e-308, -1e-310]],'
+            ' "bias": [0.30000000000000004, -0.0, 1]},'
+            '{"in": 3, "out": 1, "activation": "identity",'
+            ' "weights": [[1.5], [-1.7976931348623157e+308], [2]], "bias": null}'
+            '], "metadata": {"seed": 3}}'
+        )
         w0 = np.array([[-0.0, 5e-324, 1.7976931348623157e308],
                        [0.1, -2.2250738585072014e-308, -1e-310]])
         b0 = np.array([0.30000000000000004, -0.0, 1.0])
         w1 = np.array([[1.5], [-1.7976931348623157e308], [2.0]])
-        doc = {"schema_version": 3, "layers": [
-            {"in": 2, "out": 3, "activation": "tanh", "bias": True},
-            {"in": 3, "out": 1, "activation": "identity", "bias": False},
-        ], "metadata": {"seed": 3, "nested": {"list": [1, 2.5]}}}
-        path = tmp_path / "hand.model"
-        write_record_model(path, doc, [w0, b0, w1])
-        net, meta = load_model(path)
-        assert meta == {"seed": 3, "nested": {"list": [1, 2.5]}}
-        assert_same_layers(Mlp([Layer(w0, b0, "tanh"), Layer(w1, None, "identity")]), net)
+        assert_converted_document_loads(tmp_path, text, [w0, b0, w1])
 
     def test_unknown_metadata_keys_survive(self, tmp_path):
         net = random_net(3)
@@ -252,6 +273,34 @@ def assert_refused(path, match=None):
     assert str(info.value).startswith(f"{path}: ")
     return str(info.value)
 
+
+def assert_converted_document_loads(tmp_path, text, arrays):
+    """`text`, a JSON model document, is refused with the conversion hint; the
+    schema-3 file it converts to (its header fields and metadata, then
+    `arrays`, the weights and biases it holds, in layer order) loads with
+    every value bit for bit."""
+    old = tmp_path / "old.model"
+    old.write_text(text)
+    assert_refused(old, r"JSON model files \(schema 1 and 2\) are no longer read")
+    doc = json.loads(text)
+    held = [value for d in doc["layers"] for value in (d["weights"], d["bias"]) if value is not None]
+    for value, array in zip(held, arrays, strict=True):
+        # schema 2 held base64 little-endian float64, schema 1 nested lists
+        decoded = (np.frombuffer(base64.b64decode(value), dtype="<f8") if isinstance(value, str)
+                   else np.array(value, dtype=np.float64))
+        assert decoded.tobytes() == np.ascontiguousarray(array).tobytes()
+    header = {"schema_version": 3, "metadata": doc["metadata"], "layers": [
+        {"in": d["in"], "out": d["out"], "activation": d["activation"], "bias": d["bias"] is not None}
+        for d in doc["layers"]]}
+    new = tmp_path / "converted.model"
+    write_record_model(new, header, arrays)
+    net, meta = load_model(new)
+    assert meta == doc["metadata"]
+    layers, rest = [], list(arrays)
+    for d in doc["layers"]:
+        weight = rest.pop(0)
+        layers.append(Layer(weight, rest.pop(0) if d["bias"] is not None else None, d["activation"]))
+    assert_same_layers(Mlp(layers), net)
 
 NPY_MAGIC = np.lib.format.MAGIC_PREFIX
 # JSON model files, which morphkit 0.1.0 was the last version to read: schema 1
