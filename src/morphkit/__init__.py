@@ -52,6 +52,7 @@ from .network import (
     forward,
     init_weights,
     loss_and_gradients,
+    train_above,
     train_sgd,
 )
 from .sparse import (

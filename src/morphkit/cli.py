@@ -4,7 +4,7 @@ Subcommands:
   train     fit a parent MLP with SGD and save it
   morph     insert a layer into a saved model with a chosen algorithm
   eval      report loss/accuracy of a saved model on a dataset
-  finetune  continue SGD from a saved model
+  finetune  continue SGD from a saved model, above a morphed child's insertion
   verify    run the cross-module invariant suite
   report    collect per-run report JSON files into the fixed-column CSV
 
@@ -13,9 +13,16 @@ paths are joined under --out-dir. Set MORPHKIT_LOG to adjust verbosity.
 --data is a generator spec whose name matches `synth` or `lowrank` exactly,
 `mnist`, or a directory of IDX files. Every split of a synthetic spec comes
 from one draw, and later reads get it from the dataset cache (`morphkit.io`).
-`train` and `finetune` train on the cache's float32 rounding of the split.
+`train` and `finetune` train on the cache's float32 rounding of the split,
+which the first of them writes from the draw a block of rows at a time.
 `morph` caches the parent's probe pass on a synthetic split the same way,
 so later morphs of that parent read neither the split nor run the pass.
+`finetune` trains what a morph changed: for a child whose metadata records
+`spec.insert_after`, it holds layers 0 to `insert_after`, the parent's, at
+their bytes and trains the layers above (`network.train_above`); a model
+without a `spec`, such as a parent, is trained in full. Each tuning's
+entry in the tuned model's `finetune` metadata list records its
+`frozen_layers`.
 """
 
 from __future__ import annotations
@@ -32,13 +39,13 @@ import numpy as np
 
 from . import io as mio
 from .errors import MorphkitError
-from .linalg import all_finite
 from .morph import (
     ALGORITHM_NAMES, MorphReport, MorphSpec, PreparedProbe, morph, parent_digest, prepare_probe,
     sample_rows,
 )
 from .network import (
-    ACTIVATION_KINDS, EpochStats, Layer, Mlp, TrainConfig, evaluate, init_weights, train_sgd,
+    ACTIVATION_KINDS, EpochStats, Layer, Mlp, TrainConfig, evaluate, init_weights, train_above,
+    train_sgd,
 )
 from .sparse import SparseConfig
 from .verify import CHECKS, run_checks
@@ -170,27 +177,28 @@ def _load_dataset(spec: str, split: str) -> mio.Dataset:
 def _load_training_split(spec: str, split: str) -> mio.Dataset:
     """The `split` rows of the --data `spec` that `train_sgd` reads. For a
     synthetic spec these are the float32 entry of the dataset cache: a miss
-    rounds the float64 split (`_load_synthetic`) to float32, as the
-    per-batch cast would, caches the result and keeps no array of the
-    float64 split. A split beyond float32's range is handed back as float64,
-    for `train_sgd` to refuse by name. IDX data is read as float64. The
-    arrays are read-only, hit or miss."""
+    writes it from the float64 split (`_load_synthetic`), rounded a block
+    of rows at a time as the per-batch cast would round it, lets the split
+    go and reads the entry back, so no float32 copy of the split is ever
+    held next to the draw. A split beyond float32's range gets no entry and
+    is handed back as float64, for `train_sgd` to refuse by name; so is a
+    split whose entry cannot be written or read back, which trains to the
+    bytes the entry would. IDX data is read as float64. The arrays are
+    read-only, hit or miss."""
     resolved = _resolve_synthetic(spec)
     if resolved is None:
         return _load_dataset(spec, split)
     name, p = resolved
     path = mio.dataset_cache_path(name, p, split, np.float32)
-    cached = mio.read_cached_split(path, (p[_split_param(split)], p["d"]), np.float32)
-    if cached is not None:
-        return cached
-    full = _load_synthetic(spec, name, p, split)
-    with np.errstate(over="ignore"):
-        data = mio.Dataset(full.features.astype(np.float32), full.labels.copy())
-    if not all_finite(data.features):
-        return full
-    mio.write_cached_split(path, data)
-    data.features.flags.writeable = data.labels.flags.writeable = False
-    return data
+    shape = (p[_split_param(split)], p["d"])
+    cached = mio.read_cached_split(path, shape, np.float32)
+    if cached is None:
+        full = _load_synthetic(spec, name, p, split)
+        if not mio.write_cached_split(path, full, np.float32):
+            return full
+        del full
+        cached = mio.read_cached_split(path, shape, np.float32)
+    return cached if cached is not None else _load_synthetic(spec, name, p, split)
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -350,13 +358,28 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _frozen_layers(args, net: Mlp, meta: dict) -> int:
+    """How many layers `finetune` holds fixed: for a morphed child, layers
+    0 to `spec.insert_after` of its metadata, which the morph copied from
+    the parent; none for a model without a `spec`, such as a parent. A
+    `spec.insert_after` that indexes no non-final layer is a user error."""
+    if "spec" not in meta:
+        return 0
+    at = meta["spec"].get("insert_after") if isinstance(meta["spec"], dict) else None
+    if type(at) is not int or not 0 <= at < len(net.layers) - 1:
+        raise MorphkitError(f"--model {args.model!r}: metadata spec.insert_after is {at!r}, "
+                            f"which indexes no non-final layer of its {len(net.layers)} layers")
+    return at + 1
+
+
 def cmd_finetune(args) -> int:
     net, meta = mio.load_model(args.model)
+    frozen = _frozen_layers(args, net, meta)
     report = _load_report(args)
     data = _load_training_split(args.data, args.split)
     eval_data = _load_dataset(args.eval_data, "test") if args.eval_data else None
     cfg = _train_config(args)
-    net, history = train_sgd(net, data, cfg)
+    net, history = train_above(net, data, cfg, frozen)
     if eval_data is None:  # the float64 split, read only once the float32 one is let go
         if data.features.dtype == np.float32:
             del data
@@ -364,8 +387,10 @@ def cmd_finetune(args) -> int:
         eval_data = data
     _, accuracy = evaluate(net, eval_data)  # before any write, so a refusal leaves no file
     out = _out_path(args, args.out)
-    # each tuning appends its schedule; the parent's `train` block stays as it was
-    meta = {**meta, "finetune": [*meta.get("finetune", []), dataclasses.asdict(cfg)]}
+    # each tuning appends its schedule and what it held fixed; the parent's
+    # `train` block stays as it was
+    meta = {**meta, "finetune": [*meta.get("finetune", []),
+                                 {**dataclasses.asdict(cfg), "frozen_layers": frozen}]}
     mio.save_model(net, out, metadata=meta)
     _write_history(_out_path(args, args.history), history, append=True)
     print(f"finetuned {args.epochs} epochs: accuracy {accuracy!r} -> {out}")
@@ -454,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("acc_parent", "acc_post_morph", "acc_after_finetune"))
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("finetune", help="continue SGD from a saved model")
+    p = sub.add_parser("finetune", help="continue SGD from a saved model: a parent's every "
+                       "layer, a morphed child's layers above the insertion")
     p.add_argument("--model", required=True)
     _add_data_flags(p)
     _add_train_flags(p)

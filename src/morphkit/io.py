@@ -58,7 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdxFormatError, ModelFormatError, MorphkitError
+from .errors import IdxFormatError, ModelFormatError, MorphkitError, OutOfRangeError
+from .linalg import all_finite
 from .morph import MorphReport, PreparedProbe
 from .network import ACTIVATION_KINDS, Layer, Mlp
 
@@ -76,9 +77,9 @@ _UINT32_LE = np.dtype("<u4")
 # what a probe pass computes.
 DATASET_CACHE_FORMAT = 1
 
-# `synth_lowrank_dataset` draws its noise in blocks of about this many
-# entries (2 MiB of float64)
-_NOISE_BLOCK_ENTRIES = 1 << 18
+# `synth_lowrank_dataset` draws its noise, and `write_cached_split` rounds
+# a split, in blocks of rows of about this many entries (2 MiB of float64)
+_BLOCK_ENTRIES = 1 << 18
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -201,6 +202,26 @@ def _encode_records(fh, arrays) -> None:
     uint32 scalar record."""
     crc = np.array(_checksum(arrays), dtype=_UINT32_LE)
     for array in (*arrays, crc):
+        np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def _encode_split(fh, features: np.ndarray, dtype: np.dtype, labels: np.ndarray) -> None:
+    """`_encode_records(fh, [features.astype(dtype), labels])`, byte for
+    byte, with the features cast and written a block of rows at a time, so
+    that no cast copy of them is ever held whole. A rounding to another
+    dtype with a non-finite entry, such as a float64 value beyond float32's
+    range, raises `OutOfRangeError`."""
+    fh.write(_npy_header(dtype, features.shape))
+    crc = 0
+    rows = max(1, _BLOCK_ENTRIES // max(1, features.shape[1]))
+    for start in range(0, features.shape[0], rows):
+        with np.errstate(over="ignore"):
+            block = np.ascontiguousarray(features[start:start + rows], dtype=dtype)
+        if dtype != features.dtype and not all_finite(block):
+            raise OutOfRangeError(f"the {dtype.name} rounding of the features is not finite")
+        fh.write(block)
+        crc = zlib.crc32(block, crc)
+    for array in (labels, np.array(zlib.crc32(labels, crc), dtype=_UINT32_LE)):
         np.lib.format.write_array(fh, array, allow_pickle=False)
 
 
@@ -443,7 +464,7 @@ def synth_lowrank_dataset(
     # a Generator draws row after row, so the stream is the same, and only
     # one n x d array is ever alive
     features = latent @ basis
-    block = max(1, _NOISE_BLOCK_ENTRIES // d)
+    block = max(1, _BLOCK_ENTRIES // d)
     for start in range(0, n, block):
         noise = rng.normal(size=(min(block, n - start), d))
         noise *= ambient
@@ -514,16 +535,20 @@ def _read_entry(path, layout, what: str) -> list[np.ndarray] | None:
     return arrays
 
 
-def _write_entry(path, arrays, what: str) -> None:
-    """Cache the C-contiguous little-endian `arrays` at `path` in one
-    atomic replace (`_encode_records`). A cache that cannot be written is
-    logged and skipped: the caller already holds the arrays."""
+def _write_entry(path, encode, what: str) -> bool:
+    """Write a cache entry at `path` in one atomic replace, `encode` writing
+    its records to the open binary file; returns whether it was written.
+    A cache that cannot be written, or records that `encode` refuses with
+    `OutOfRangeError`, are logged and skipped and leave no file: the caller
+    already holds the arrays."""
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with _atomic_open(path, binary=True) as fh:
-            _encode_records(fh, arrays)
-    except OSError as exc:
+            encode(fh)
+    except (OSError, OutOfRangeError) as exc:
         log.info("%s cache not written (%s): %s", what, exc, path)
+        return False
+    return True
 
 
 def read_cached_split(path, shape: tuple, dtype=np.float64) -> Dataset | None:
@@ -535,12 +560,15 @@ def read_cached_split(path, shape: tuple, dtype=np.float64) -> Dataset | None:
     return None if arrays is None else Dataset(*arrays)
 
 
-def write_cached_split(path, data: Dataset) -> None:
-    """Cache `data` at `path`, its features in their own dtype (see
-    `_write_entry`)."""
-    _write_entry(path, [np.ascontiguousarray(data.features,
-                                             dtype=data.features.dtype.newbyteorder("<")),
-                        np.ascontiguousarray(data.labels, dtype=_INT64_LE)], "dataset")
+def write_cached_split(path, data: Dataset, dtype=None) -> bool:
+    """Cache `data` at `path` (see `_write_entry`), its features in their
+    own dtype or rounded to `dtype`, a block of rows at a time
+    (`_encode_split`). Returns whether the entry was written: a rounding
+    with a non-finite entry is not."""
+    dtype = np.dtype(data.features.dtype if dtype is None else dtype).newbyteorder("<")
+    labels = np.ascontiguousarray(data.labels, dtype=_INT64_LE)
+    return _write_entry(path, lambda fh: _encode_split(fh, data.features, dtype, labels),
+                        "dataset")
 
 
 def read_cached_probe(path, insert_after: int, parent_digest: str,
@@ -555,8 +583,9 @@ def read_cached_probe(path, insert_after: int, parent_digest: str,
 
 def write_cached_probe(path, prepared: PreparedProbe) -> None:
     """Cache `prepared`'s arrays at `path` (see `_write_entry`)."""
-    _write_entry(path, [np.ascontiguousarray(a, dtype=_FLOAT64_LE)
-                        for a in (prepared.a1, prepared.downstream_pre)], "probe")
+    arrays = [np.ascontiguousarray(a, dtype=_FLOAT64_LE)
+              for a in (prepared.a1, prepared.downstream_pre)]
+    _write_entry(path, lambda fh: _encode_records(fh, arrays), "probe")
 
 
 def _format_value(value) -> str:

@@ -6,6 +6,8 @@ per-layer tap points (pre-activation and activation matrices) because the
 layer-insertion algorithms regress against them. A small SGD-with-momentum
 trainer with softmax cross-entropy loss produces parent models; it computes
 in float32 and returns float64 weights, as every other function here takes.
+`train_above` fine-tunes a morphed child with it: it trains the layers
+above the insertion on the outputs of the layers below, held fixed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,6 +30,9 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)
 # An array whose sum of squares is at most this has no entry beyond
 # sqrt(0.5) * FLOAT32_MAX, rounding of the sum included
 _FLOAT32_SAFE_SUM = 0.5 * FLOAT32_MAX**2
+# `train_above` runs the frozen layers over blocks of about this many
+# feature entries (1 MiB of float32)
+_FROZEN_BLOCK_ENTRIES = 1 << 18
 
 
 def _check_kind(kind: str) -> str:
@@ -383,6 +389,26 @@ def _check_float32_range(arr: np.ndarray, name: str, total: float | None = None)
                               f"and training computes in float32")
 
 
+def _checked_training(mlp: Mlp, data, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """`train_sgd`'s up-front checks of `mlp`, `data` and `cfg`: the data
+    check as "training features", then the float32 range of the learning
+    rate, the weight decay, the features, and every weight and bias.
+    Returns the checked features (float32 ones as given) and labels."""
+    x, labels, x_total = _checked_data(mlp, data.features, data.labels, "training features",
+                                       keep_float32=True)
+    for field in ("learning_rate", "weight_decay"):
+        value = getattr(cfg, field)
+        if value > FLOAT32_MAX:
+            raise OutOfRangeError(f"{field}: {value:.6g} is beyond {FLOAT32_MAX:.6g}, the largest "
+                                  f"finite float32 value, and training computes in float32")
+    _check_float32_range(x, "training features", x_total)
+    for k, l in enumerate(mlp.layers):
+        _check_float32_range(l.weight, f"layer {k} weight")
+        if l.bias is not None:
+            _check_float32_range(l.bias, f"layer {k} bias")
+    return x, labels
+
+
 def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
     """SGD with momentum on softmax cross-entropy, computed in float32.
 
@@ -416,18 +442,7 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
     float32 value; a non-finite one is a `TrainingDivergedError`, as a
     non-finite loss is.
     """
-    x, labels, x_total = _checked_data(mlp, data.features, data.labels, "training features",
-                                       keep_float32=True)
-    for field in ("learning_rate", "weight_decay"):
-        value = getattr(cfg, field)
-        if value > FLOAT32_MAX:
-            raise OutOfRangeError(f"{field}: {value:.6g} is beyond {FLOAT32_MAX:.6g}, the largest "
-                                  f"finite float32 value, and training computes in float32")
-    _check_float32_range(x, "training features", x_total)
-    for k, l in enumerate(mlp.layers):
-        _check_float32_range(l.weight, f"layer {k} weight")
-        if l.bias is not None:
-            _check_float32_range(l.bias, f"layer {k} bias")
+    x, labels = _checked_training(mlp, data, cfg)
     if cfg.epochs == 0:
         return _copied(mlp, np.float64), []
     n = x.shape[0]
@@ -473,6 +488,42 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
     if not all(all_finite(a) for l in layers for a in (l.weight, l.bias) if a is not None):
         raise _diverged("a weight", cfg.epochs, cfg)
     return _copied(net, np.float64), history
+
+
+def train_above(mlp: Mlp, data, cfg: TrainConfig,
+                frozen: int) -> tuple[Mlp, list[EpochStats]]:
+    """`train_sgd` on the layers above the first `frozen` of `mlp`, which
+    it holds fixed: a fine-tune of the layers a morph changed, the
+    parent's layers below the insertion left as they are.
+
+    With `frozen` 0 or no epochs it is `train_sgd(mlp, data, cfg)`. Else it
+    makes every check `train_sgd` makes on the whole network, with the same
+    error types and messages. It then runs float32 copies of the frozen
+    layers once over the features, a block of rows at a time (float64 ones
+    cast a block at a time, as `train_sgd` casts a mini-batch, so neither a
+    split nor its float32 rounding is ever copied whole, and both give the
+    same bytes), and refuses outputs that overflow float32. It trains the
+    upper layers on those outputs with `train_sgd`, and returns them under
+    the frozen layers' own float64 bytes, with `train_sgd`'s history.
+    """
+    if not 0 <= frozen < len(mlp.layers):
+        raise ValueError(f"frozen must lie in [0, {len(mlp.layers)}) for a network of "
+                         f"{len(mlp.layers)} layers, got {frozen}")
+    if frozen == 0 or cfg.epochs == 0:
+        return train_sgd(mlp, data, cfg)
+    x, labels = _checked_training(mlp, data, cfg)
+    lower = _copied(Mlp(mlp.layers[:frozen]), np.float32)
+    outputs = np.empty((x.shape[0], lower.d_out), dtype=np.float32)
+    rows = max(1, _FROZEN_BLOCK_ENTRIES // max(1, x.shape[1]))
+    for start in range(0, x.shape[0], rows):
+        block = x[start:start + rows].astype(np.float32, copy=False)
+        outputs[start:start + rows] = _layer_outputs(lower, block, keep_pre=False)[1][-1]
+    if not all_finite(outputs):
+        raise OutOfRangeError(f"layer {frozen - 1} outputs: not finite in float32 on the "
+                              f"training features, so the layers above cannot train on them")
+    upper, history = train_sgd(Mlp(mlp.layers[frozen:]), SimpleNamespace(
+        features=outputs, labels=labels), cfg)
+    return Mlp(_copied(Mlp(mlp.layers[:frozen]), np.float64).layers + upper.layers), history
 
 
 def _diverged(what: str, epoch: int, cfg: TrainConfig) -> TrainingDivergedError:

@@ -5,7 +5,8 @@ a PASS line on success (run with -s to see them). The desk-scale
 experiment trains a 784-64-10 relu parent on the packaged low-intrinsic-
 dimension dataset, inserts a width-100 layer with every algorithm at
 lambda = alpha = 0.1, and checks compression, immediate preservation of
-test accuracy, and recovery after five fine-tune epochs. The solver,
+test accuracy, and recovery after five fine-tune epochs of the layers
+above the insertion, as `morphkit finetune` trains them. The solver,
 preservation and trainer criteria run the `morphkit.verify` checks over
 many seeds.
 """
@@ -18,9 +19,12 @@ import pytest
 from morphkit import verify
 from morphkit.io import Dataset, synth_lowrank_dataset
 from morphkit.morph import MorphSpec, morph, sample_rows
-from morphkit.network import Layer, Mlp, TrainConfig, evaluate, init_weights, train_sgd
+from morphkit.network import (
+    Layer, Mlp, TrainConfig, evaluate, init_weights, train_above, train_sgd,
+)
 from morphkit.sparse import SparseConfig
 
+DESK_INSERT_AFTER = 0
 DESK_WIDTH = 100
 DESK_LAMBDA = 0.1
 DESK_ALPHA = 0.1
@@ -55,9 +59,15 @@ def desk_parent(train):
     return parent
 
 
+def desk_finetune(child, train):
+    """The child fine-tuned as `morphkit finetune` tunes it: the layers
+    above the insertion trained, layers 0 to `insert_after` held fixed."""
+    return train_above(child, train, DESK_FINETUNE, DESK_INSERT_AFTER + 1)[0]
+
+
 def desk_spec(algorithm, **kw):
     return MorphSpec(
-        insert_after=0,
+        insert_after=DESK_INSERT_AFTER,
         width=DESK_WIDTH,
         activation="relu",
         algorithm=algorithm,
@@ -81,8 +91,7 @@ def desk():
     for algorithm in ("alg1", "alg2", "alg3", "baseline"):
         child, report = morph(parent, desk_spec(algorithm), probe)
         _, post_acc = evaluate(child, test)
-        tuned, _ = train_sgd(child, train, DESK_FINETUNE)
-        _, tuned_acc = evaluate(tuned, test)
+        _, tuned_acc = evaluate(desk_finetune(child, train), test)
         runs[algorithm] = {
             "child": child,
             "report": report,
@@ -206,7 +215,6 @@ def test_determinism(desk):
         assert report_numbers(report) == report_numbers(desk["runs"][algorithm]["report"])
         _, post_acc = evaluate(child, desk["test"])
         assert post_acc == desk["runs"][algorithm]["post_acc"]
-        tuned, _ = train_sgd(child, desk["train"], DESK_FINETUNE)
-        _, tuned_acc = evaluate(tuned, desk["test"])
+        _, tuned_acc = evaluate(desk_finetune(child, desk["train"]), desk["test"])
         assert tuned_acc == desk["runs"][algorithm]["tuned_acc"]
     print("PASS  determinism: identical seeds reproduced every desk number exactly")

@@ -7,16 +7,20 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from morphkit import io as mio
-from morphkit.cli import _load_dataset, build_parser, main
+from morphkit.cli import _load_dataset, _load_training_split, build_parser, main
 from morphkit.io import load_model, load_report_json, save_report_json
 from morphkit.morph import NO_SIGNAL_ADVICE, MorphReport, MorphSpec
-from morphkit.network import Layer, Mlp, TrainConfig, evaluate, init_weights
+from morphkit.network import (
+    Layer, Mlp, TrainConfig, _copied, _layer_outputs, evaluate, init_weights, train_sgd,
+)
 from morphkit.sparse import SparseConfig
+from morphkit.verify import _layer_bytes
 
 SYNTH = "synth:n=300,test=100,d=12,classes=3,seed=4"
 # SYNTH's shape with overlapping classes, so accuracies stay below 1
@@ -475,9 +479,11 @@ class TestEvalAndFinetune:
                        "--history", "lr.csv", "--out-dir", str(parent_dir)) == 0
             metas[lr] = load_model(parent_dir / f"lr{lr}.model")[1]
         assert metas["0.01"] != metas["0.05"]
+        # a parent has no `spec`, so its tunings hold no layer fixed
         for lr, meta in metas.items():
-            assert meta == {**parent_meta, "finetune": [dataclasses.asdict(TrainConfig(
-                learning_rate=float(lr), weight_decay=1e-6, epochs=1, seed=3))]}
+            assert meta == {**parent_meta, "finetune": [{**dataclasses.asdict(TrainConfig(
+                learning_rate=float(lr), weight_decay=1e-6, epochs=1, seed=3)),
+                "frozen_layers": 0}]}
         # tuning a tuned model appends, and the parent's schedule stays as it was
         assert run("finetune", "--model", str(parent_dir / "lr0.01.model"), "--data", SYNTH,
                    "--epochs", "2", "--out", "twice.model", "--history", "lr.csv",
@@ -485,8 +491,86 @@ class TestEvalAndFinetune:
         twice = load_model(parent_dir / "twice.model")[1]
         assert [t["learning_rate"] for t in twice["finetune"]] == [0.01, 0.005]
         assert [t["epochs"] for t in twice["finetune"]] == [1, 2]
+        assert [t["frozen_layers"] for t in twice["finetune"]] == [0, 0]
         assert twice["train"] == parent_meta["train"]
 
+
+class TestFrozenFinetune:
+    """`finetune` trains a morphed child's layers above the insertion only."""
+
+    @pytest.fixture(scope="class")
+    def child(self, parent_dir):
+        # the 12-10-8-3 parent with a layer inserted after layer 1: layers
+        # 0 and 1 are the parent's, 2 is the inserted one, 3 the refit readout
+        assert run("morph", "--model", str(parent_dir / "parent.model"), "--data", SYNTH,
+                   "--at", "1", "--width", "6", "--seed", "2", "--out", "frozen-child.model",
+                   "--out-dir", str(parent_dir)) == 0
+        return parent_dir / "frozen-child.model"
+
+    @staticmethod
+    def tune(model, out_dir, *flags):
+        return run("finetune", "--model", str(model), "--data", SYNTH, "--lr", "0.01",
+                   "--epochs", "2", "--seed", "3", *flags, "--out", "tuned.model",
+                   "--out-dir", str(out_dir))
+
+    def test_layers_up_to_the_insertion_keep_the_child_bytes(self, child, tmp_path):
+        assert self.tune(child, tmp_path) == 0
+        net, _ = load_model(child)
+        tuned, meta = load_model(tmp_path / "tuned.model")
+        assert layer_bytes(tuned)[:2] == layer_bytes(net)[:2]
+        assert all(a != b for a, b in zip(layer_bytes(tuned)[2:], layer_bytes(net)[2:]))
+        assert meta["finetune"][-1]["frozen_layers"] == 2
+        # the layers above are `train_sgd` on the frozen layers' outputs
+        cfg = TrainConfig(learning_rate=0.01, weight_decay=1e-6, epochs=2, seed=3)
+        split = _load_training_split(SYNTH, "train")
+        lower = _copied(Mlp(net.layers[:2]), np.float32)
+        outputs = _layer_outputs(lower, split.features, keep_pre=False)[1][-1]
+        upper, _ = train_sgd(Mlp(net.layers[2:]), mio.Dataset(outputs, split.labels), cfg)
+        assert layer_bytes(tuned)[2:] == layer_bytes(upper)
+
+    def test_a_parent_is_tuned_in_full_as_before(self, parent_dir, tmp_path):
+        # no `spec`, so no layer is held fixed: `train_sgd` on the float32
+        # split, the bytes every earlier version wrote
+        parent, _ = load_model(parent_dir / "parent.model")
+        assert self.tune(parent_dir / "parent.model", tmp_path) == 0
+        tuned, meta = load_model(tmp_path / "tuned.model")
+        cfg = TrainConfig(learning_rate=0.01, weight_decay=1e-6, epochs=2, seed=3)
+        want, _ = train_sgd(parent, _load_training_split(SYNTH, "train"), cfg)
+        assert layer_bytes(tuned) == layer_bytes(want)
+        assert meta["finetune"][-1]["frozen_layers"] == 0
+
+    def test_zero_epochs_keep_the_child_bytes(self, child, tmp_path):
+        assert self.tune(child, tmp_path, "--epochs", "0") == 0
+        assert layer_bytes(load_model(tmp_path / "tuned.model")[0]) == \
+            layer_bytes(load_model(child)[0])
+
+    @pytest.mark.parametrize("at", [-1, 3, 9, "1", 1.0, True, None, "no spec object"])
+    def test_insert_after_that_indexes_no_non_final_layer_is_user_error(self, child, tmp_path,
+                                                                       capsys, at):
+        net, meta = load_model(child)
+        spec = [] if at == "no spec object" else {**meta["spec"], "insert_after": at}
+        model = tmp_path / "edited.model"
+        mio.save_model(net, model, metadata={**meta, "spec": spec})
+        assert self.tune(model, tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --model {str(model)!r}: metadata spec.insert_after is "
+                              f"{None if at == 'no spec object' else at!r}, which indexes no "
+                              f"non-final layer of its 4 layers"), err
+        assert not (tmp_path / "out").exists()
+
+    def test_frozen_weight_beyond_float32_is_refused_by_name(self, child, tmp_path, capsys):
+        net, meta = load_model(child)
+        net.layers[0].weight[2, 3] = 4e38
+        model = tmp_path / "huge.model"
+        mio.save_model(net, model, metadata=meta)
+        assert self.tune(model, tmp_path / "out") == 1
+        assert capsys.readouterr().err.startswith(
+            "error: layer 0 weight: an entry of magnitude 4e+38 is beyond 3.40282e+38")
+        assert not (tmp_path / "out" / "tuned.model").exists()
+
+
+def layer_bytes(net):
+    return [_layer_bytes(l) for l in net.layers]
 
 def count_draws(monkeypatch):
     """Route both generators through a counter; returns the list of draws."""
@@ -678,6 +762,33 @@ class TestDatasetCache:
         for name in ("parent.model", "history.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_cold_read_holds_no_float32_copy_next_to_the_draw(self, tmp_path, dataset_cache):
+        # a cold read rounds the float32 entry from the draw and writes it a
+        # block of rows at a time, then maps it: it allocates no more than
+        # the draw does, and never the 12.5 MB rounding of the 4,000 rows
+        spec, n, d = "lowrank:n=4000,test=500", 4000, 784
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                return fn(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        data, peak = traced_peak(lambda: _load_training_split(spec, "train"))
+        _, draw_peak = traced_peak(lambda: mio.synth_lowrank_dataset(11, n + 500, d))
+        assert peak < draw_peak + 0.25 * n * d * 4, \
+            f"peak {peak / 2**20:.1f} MiB, the draw's {draw_peak / 2**20:.1f} MiB"
+        assert data.features.dtype == np.float32 and not data.features.flags.writeable
+        # the entry has the bytes of one written from the whole rounding
+        (f64,) = dataset_cache.glob("lowrank-*-train.npys")
+        (f32,) = dataset_cache.glob("lowrank-*-train-float32.npys")
+        split = mio.read_cached_split(f64, (n, d))
+        whole = tmp_path / "whole.npys"
+        assert mio.write_cached_split(whole, mio.Dataset(split.features.astype(np.float32),
+                                                         split.labels))
+        assert f32.read_bytes() == whole.read_bytes()
+
     @pytest.mark.parametrize("damage", ["truncated", "flipped byte", "float64 records"])
     def test_damaged_float32_entry_is_rebuilt(self, tmp_path, monkeypatch, caplog,
                                               dataset_cache, damage):
@@ -826,11 +937,13 @@ class TestDatasetCache:
         assert run("finetune", "--model", model, "--data", SYNTH, "--epochs", "1",
                    "--eval-data", SYNTH, "--out-dir", str(tmp_path)) == 0
         lines = [r.getMessage().split(":")[0] for r in caplog.records if r.name == "morphkit.io"]
-        # train: float32 train split, float64 train split (drawn), and the
-        # float64 one again for row 0; eval: test split; finetune: float32
+        # train: float32 train split, float64 train split (drawn), the
+        # float32 entry it rounded from that split, read back, and the
+        # float64 split again for row 0; eval: test split; finetune: float32
         # train split, test split
         assert lines == ["dataset cache miss", "dataset cache miss", "dataset cache hit",
-                         "dataset cache hit", "dataset cache hit", "dataset cache hit"]
+                         "dataset cache hit", "dataset cache hit", "dataset cache hit",
+                         "dataset cache hit"]
 
 
 class TestVerify:

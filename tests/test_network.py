@@ -8,10 +8,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from morphkit.errors import NotFiniteError, OutOfRangeError, ShapeError, TrainingDivergedError
+from morphkit.errors import (
+    MorphkitError, NotFiniteError, OutOfRangeError, ShapeError, TrainingDivergedError,
+)
 from morphkit.io import Dataset, synth_dataset
 from morphkit.morph import prepare_probe
 from morphkit.network import (
@@ -20,11 +22,14 @@ from morphkit.network import (
     Mlp,
     TrainConfig,
     _activate,
+    _copied,
+    _layer_outputs,
     apply_activation,
     evaluate,
     forward,
     init_weights,
     loss_and_gradients,
+    train_above,
     train_sgd,
 )
 from morphkit.verify import (
@@ -531,6 +536,123 @@ class TestTrainSgd:
     def test_non_finite_value_names_its_field(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
             TrainConfig(**{name: value})
+
+
+class TestTrainAbove:
+    @staticmethod
+    def frozen_outputs(net, k, features):
+        """The outputs of float32 copies of the first `k` layers on the
+        float32 rounding of `features`, in one pass."""
+        lower = _copied(Mlp(net.layers[:k]), np.float32)
+        return _layer_outputs(lower, features.astype(np.float32), keep_pre=False)[1][-1]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(run=training_runs(), data=st.data())
+    def test_trains_the_upper_layers_on_the_frozen_outputs(self, run, data):
+        net, split, cfg = run
+        assume(len(net.layers) >= 2)
+        k = data.draw(st.integers(1, len(net.layers) - 1))
+        snapshot = layer_bytes(net)
+        tuned, history = train_above(net, split, cfg, k)
+        upper, want_history = train_sgd(
+            Mlp(net.layers[k:]), Dataset(self.frozen_outputs(net, k, split.features),
+                                         split.labels), cfg)
+        assert layer_bytes(tuned) == snapshot[:k] + layer_bytes(upper)
+        assert history == want_history
+        assert layer_bytes(net) == snapshot
+        assert all(a.dtype == np.float64 for l in tuned.layers for a in (l.weight, l.bias)
+                   if a is not None)
+
+    def test_without_frozen_layers_or_epochs_it_is_train_sgd(self):
+        net = random_mlp(np.random.default_rng(22), [4, 5, 6, 3], ["relu", "tanh", "identity"])
+        data = synth_dataset(9, 40, 4, 3)
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=1)
+        want, want_history = train_sgd(net, data, cfg)
+        tuned, history = train_above(net, data, cfg, 0)
+        assert layer_bytes(tuned) == layer_bytes(want) and history == want_history
+        for k in (1, 2):
+            tuned, history = train_above(net, data, TrainConfig(epochs=0), k)
+            assert layer_bytes(tuned) == layer_bytes(net) and history == []
+
+    def test_calls_train_sgd_through_its_module_name(self, monkeypatch):
+        # so a wrapper bound there, as the benchmark's tracer binds one, sees it
+        network = importlib.import_module("morphkit.network")
+        net = random_mlp(np.random.default_rng(22), [4, 5, 6, 3], ["relu", "tanh", "identity"])
+        calls = []
+        original = network.train_sgd
+        monkeypatch.setattr(network, "train_sgd",
+                            lambda mlp, *a: calls.append(mlp.d_in) or original(mlp, *a))
+        network.train_above(net, synth_dataset(9, 40, 4, 3), TrainConfig(epochs=1), 2)
+        assert calls == [6]
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_must_leave_a_layer_to_train(self, k):
+        net = random_mlp(np.random.default_rng(22), [4, 5, 6, 3], ["relu", "tanh", "identity"])
+        with pytest.raises(ValueError, match=r"^frozen must lie in \[0, 3\)"):
+            train_above(net, synth_dataset(9, 40, 4, 3), TrainConfig(epochs=1), k)
+
+    def test_float64_split_and_its_float32_rounding_give_the_same_bytes(self):
+        # 3,000 rows of 200 features are three blocks of the frozen pass
+        rng = np.random.default_rng(23)
+        data = Dataset(rng.normal(size=(3000, 200)), rng.integers(0, 3, size=3000))
+        rounded = Dataset(data.features.astype(np.float32), data.labels)
+        net = random_mlp(rng, [200, 8, 6, 3], ["relu", "relu", "identity"])
+        cfg = TrainConfig(epochs=1, batch_size=256, seed=2)
+        tuned, history = train_above(net, data, cfg, 1)
+        want, want_history = train_above(net, rounded, cfg, 1)
+        assert layer_bytes(tuned) == layer_bytes(want) and history == want_history
+
+    def test_split_is_cast_one_block_at_a_time(self):
+        # a float32 copy of this 6000x784 split would take 18.8 MB; the peak
+        # of what a frozen fine-tune allocates must stay well under it
+        rng = np.random.default_rng(20)
+        data = Dataset(rng.normal(size=(6000, 784)), rng.integers(0, 10, size=6000))
+        net = Mlp([Layer(init_weights(784, 64, "relu", 1), np.zeros(64), "relu"),
+                   Layer(init_weights(64, 32, "relu", 2), np.zeros(32), "relu"),
+                   Layer(init_weights(32, 10, "identity", 3), np.zeros(10), "identity")])
+        tracemalloc.start()
+        try:
+            train_above(net, data, TrainConfig(epochs=1, batch_size=48), 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * data.features.size * 4, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("where", ["layer 0 weight", "layer 0 bias", "layer 2 weight",
+                                       "learning_rate", "feature", "label", "width"])
+    def test_refuses_what_train_sgd_refuses_with_its_message(self, where):
+        # the checks of the frozen part run as in a fine-tune of every layer
+        rng = np.random.default_rng(24)
+        net = random_mlp(rng, [4, 5, 6, 3], ["relu", "tanh", "identity"])
+        data = synth_dataset(9, 40, 4, 3)
+        cfg = TrainConfig(epochs=1)
+        if where.startswith("layer"):
+            _, k, field = where.split()
+            getattr(net.layers[int(k)], field)[1] = 4e38
+        elif where == "learning_rate":
+            cfg = TrainConfig(learning_rate=1e39, epochs=1)
+        elif where == "feature":
+            data.features[3, 1] = -1e39
+        elif where == "label":
+            data.labels[5] = 3
+        else:
+            data = synth_dataset(9, 40, 5, 3)
+        with pytest.raises(MorphkitError) as want:
+            train_sgd(net, data, cfg)
+        with pytest.raises(type(want.value)) as got:
+            train_above(net, data, cfg, 2)
+        assert str(got.value) == str(want.value)
+        if where.startswith("layer"):
+            assert isinstance(got.value, OutOfRangeError)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_frozen_outputs_beyond_float32_are_refused(self):
+        net = random_mlp(np.random.default_rng(25), [4, 5, 3], ["relu", "identity"])
+        net.layers[0].weight[:] = 3e38
+        data = synth_dataset(9, 40, 4, 3)
+        data.features[:] = np.abs(data.features) + 1.0
+        with pytest.raises(OutOfRangeError, match="^layer 0 outputs: not finite in float32"):
+            train_above(net, data, TrainConfig(epochs=1), 1)
 
 
 class TestEvaluate:
