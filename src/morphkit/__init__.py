@@ -64,4 +64,4 @@ from .sparse import (
     similarity_matrix,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

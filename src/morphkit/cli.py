@@ -9,10 +9,13 @@ Subcommands:
   report    collect per-run report JSON files into the fixed-column CSV
 
 Exit codes: 0 success, 1 user error, 2 invariant failure. All artifact
-paths are joined under --out-dir. Set MORPHKIT_LOG to adjust verbosity.
+paths are joined under --out-dir. Set MORPHKIT_LOG to a logging level name
+(DEBUG, INFO, WARNING, ERROR or CRITICAL) to adjust verbosity.
 --data is a generator spec whose name matches `synth` or `lowrank` exactly,
-`mnist`, or a directory of IDX files. Every split of a synthetic spec comes
-from one draw, and later reads get it from the dataset cache (`morphkit.io`).
+`mnist`, or a directory of IDX files. `train`, `morph` and `finetune` read
+its train split; `eval --split` chooses a split, and `finetune --eval-data`
+is read at its test split. Every split of a synthetic spec comes from one
+draw, and later reads get it from the dataset cache (`morphkit.io`).
 `train` and `finetune` train on the cache's float32 rounding of the split,
 which the first of them writes from the draw a block of rows at a time.
 `morph` caches the parent's probe pass on a synthetic split the same way,
@@ -83,7 +86,23 @@ _GENERATORS = {
 }
 
 
-def _idx_pair(directory: str, split: str) -> tuple[str, str]:
+def _idx_pair(spec: str, split: str) -> tuple[str, str]:
+    """The image and label IDX files of `split` in the directory that the
+    --data `spec` names: `spec` itself, or for 'mnist' $MORPHKIT_MNIST
+    (default ./data/mnist). Each may be gzipped."""
+    directory = spec
+    if spec == "mnist":
+        directory = os.environ.get("MORPHKIT_MNIST", os.path.join("data", "mnist"))
+    if not os.path.isdir(directory):
+        if spec == "mnist":
+            source = ("from $MORPHKIT_MNIST" if "MORPHKIT_MNIST" in os.environ
+                      else "the default; set $MORPHKIT_MNIST to look elsewhere")
+            raise MorphkitError(f"--data 'mnist': no directory {os.path.abspath(directory)!r} "
+                                f"({source}) holding the MNIST IDX files")
+        raise MorphkitError(
+            f"--data {spec!r} is neither 'synth[:...]', 'lowrank[:...]' "
+            "nor a directory of IDX files"
+        )
     prefix = "train" if split == "train" else "t10k"
     pair = []
     for kind in (f"{prefix}-images-idx3-ubyte", f"{prefix}-labels-idx1-ubyte"):
@@ -124,81 +143,49 @@ def _resolve_synthetic(spec: str) -> tuple[str, dict] | None:
     return name, p
 
 
-def _split_param(split: str) -> str:
-    """The synthetic spec parameter that sets the row count of `split`."""
-    return "n" if split == "train" else "test"
+def _load_dataset(spec: str, split: str, dtype=np.float64) -> mio.Dataset:
+    """The `split` rows of the --data `spec`.
 
-
-def _load_synthetic(spec: str, name: str, p: dict, split: str) -> mio.Dataset:
-    """The `split` rows of the synthetic `spec`, resolved to generator `name`
-    and parameters `p`. Both splits come from one draw, so they share class
-    means: a cache miss draws once and caches each split
-    (`io.read_cached_split`). The arrays are read-only, hit or miss."""
-    paths = {s: mio.dataset_cache_path(name, p, s) for s in ("train", "test")}
-    cached = mio.read_cached_split(paths[split], (p[_split_param(split)], p["d"]))
+    IDX data is read as float64 and never cached. For a synthetic spec both
+    splits come from one draw, so they share class means: a float64 miss
+    draws once and caches each split (`io.read_cached_split`), and the
+    arrays are read-only, hit or miss. With `dtype` float32 the rows are
+    the cache's float32 entry, which `train_sgd` reads: a miss writes it
+    from the float64 split, rounded a block of rows at a time as the
+    per-batch cast would round it, lets the split go and reads the entry
+    back, so no float32 copy of the split is ever held next to the draw. A
+    split beyond float32's range gets no entry and is handed back as
+    float64, for `train_sgd` to refuse by name; so is a split whose entry
+    cannot be written or read back, which trains to the bytes the entry
+    would."""
+    resolved = _resolve_synthetic(spec)
+    if resolved is None:
+        return mio.read_idx(*_idx_pair(spec, split))
+    name, p = resolved
+    n = p["n"]
+    shape = (n if split == "train" else p["test"], p["d"])
+    path = mio.dataset_cache_path(name, p, split, dtype)
+    cached = mio.read_cached_split(path, shape, dtype)
     if cached is not None:
         return cached
+    if np.dtype(dtype) == np.float32:
+        full = _load_dataset(spec, split)
+        if not mio.write_cached_split(path, full, dtype):
+            return full
+        del full
+        cached = mio.read_cached_split(path, shape, dtype)
+        return cached if cached is not None else _load_dataset(spec, split)
     try:
         full = _GENERATORS[name][1](p)
     except ValueError as exc:  # a value the generator refuses, such as d=0
         raise MorphkitError(f"--data {spec!r}: {exc}") from None
-    n = p["n"]
     drawn = {"train": mio.Dataset(full.features[:n], full.labels[:n]),
              "test": mio.Dataset(full.features[n:], full.labels[n:])}
     for s, data in drawn.items():
-        mio.write_cached_split(paths[s], data)
+        mio.write_cached_split(mio.dataset_cache_path(name, p, s), data)
         # read-only, as a cache hit's mapped arrays are
         data.features.flags.writeable = data.labels.flags.writeable = False
     return drawn[split]
-
-
-def _load_dataset(spec: str, split: str) -> mio.Dataset:
-    """The `split` rows of the --data `spec`: a synthetic spec
-    (`_load_synthetic`), or else a directory of IDX files."""
-    resolved = _resolve_synthetic(spec)
-    if resolved is None:
-        directory = spec
-        if spec == "mnist":
-            directory = os.environ.get("MORPHKIT_MNIST", os.path.join("data", "mnist"))
-        if not os.path.isdir(directory):
-            if spec == "mnist":
-                source = ("from $MORPHKIT_MNIST" if "MORPHKIT_MNIST" in os.environ
-                          else "the default; set $MORPHKIT_MNIST to look elsewhere")
-                raise MorphkitError(f"--data 'mnist': no directory {os.path.abspath(directory)!r} "
-                                    f"({source}) holding the MNIST IDX files")
-            raise MorphkitError(
-                f"--data {spec!r} is neither 'synth[:...]', 'lowrank[:...]' "
-                "nor a directory of IDX files"
-            )
-        return mio.read_idx(*_idx_pair(directory, split))
-    return _load_synthetic(spec, *resolved, split)
-
-
-def _load_training_split(spec: str, split: str) -> mio.Dataset:
-    """The `split` rows of the --data `spec` that `train_sgd` reads. For a
-    synthetic spec these are the float32 entry of the dataset cache: a miss
-    writes it from the float64 split (`_load_synthetic`), rounded a block
-    of rows at a time as the per-batch cast would round it, lets the split
-    go and reads the entry back, so no float32 copy of the split is ever
-    held next to the draw. A split beyond float32's range gets no entry and
-    is handed back as float64, for `train_sgd` to refuse by name; so is a
-    split whose entry cannot be written or read back, which trains to the
-    bytes the entry would. IDX data is read as float64. The arrays are
-    read-only, hit or miss."""
-    resolved = _resolve_synthetic(spec)
-    if resolved is None:
-        return _load_dataset(spec, split)
-    name, p = resolved
-    path = mio.dataset_cache_path(name, p, split, np.float32)
-    shape = (p[_split_param(split)], p["d"])
-    cached = mio.read_cached_split(path, shape, np.float32)
-    if cached is None:
-        full = _load_synthetic(spec, name, p, split)
-        if not mio.write_cached_split(path, full, np.float32):
-            return full
-        del full
-        cached = mio.read_cached_split(path, shape, np.float32)
-    return cached if cached is not None else _load_synthetic(spec, name, p, split)
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -209,7 +196,6 @@ def _add_data_flags(p: argparse.ArgumentParser):
         "'lowrank[:n=..,d=..,spacing=..,side_dims=..,side_scale=..]', a "
         "directory of IDX files, or 'mnist' ($MORPHKIT_MNIST or ./data/mnist)",
     )
-    p.add_argument("--split", choices=("train", "test"), default="train")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -243,7 +229,7 @@ def _write_history(path: str, history, append: bool = False) -> None:
 
 def cmd_train(args) -> int:
     widths = _parse_arch(args.arch)
-    data = _load_training_split(args.data, args.split)
+    data = _load_dataset(args.data, "train", np.float32)
     if widths[0] != data.features.shape[1]:
         raise MorphkitError(
             f"--arch input width {widths[0]} does not match data width "
@@ -259,7 +245,7 @@ def cmd_train(args) -> int:
     net, history = train_sgd(untrained, data, cfg)
     if data.features.dtype == np.float32:  # row 0 is evaluated on the float64 split
         del data  # which is read only once the float32 one is let go
-        data = _load_dataset(args.data, args.split)
+        data = _load_dataset(args.data, "train")
     # row 0 is where training started; train_sgd left `untrained` as it was
     history = [EpochStats(0, *evaluate(untrained, data)), *history]
     out = _out_path(args, args.out)
@@ -273,32 +259,32 @@ def cmd_train(args) -> int:
 
 
 def _morph_probe(args, parent: Mlp) -> PreparedProbe:
-    """The parent's probe pass on --probe-size rows of the --data split.
-    For a synthetic spec it is cached next to the split's entry
+    """The parent's probe pass on --probe-size rows of the --data train
+    split. For a synthetic spec it is cached next to the split's entry
     (`io.probe_cache_path`), and a hit never reads the split; IDX data is
     never cached."""
     resolved = _resolve_synthetic(args.data)
     if resolved is None:
-        data = _load_dataset(args.data, args.split)
+        data = _load_dataset(args.data, "train")
         n, raise_what = data.n, "use IDX files with more images"
     else:
         name, p = resolved
-        n, raise_what = p[_split_param(args.split)], f"raise {_split_param(args.split)}"
+        n, raise_what = p["n"], "raise n"
     if n < 2:
         raise MorphkitError(
-            f"--data {args.data!r}: the {args.split} split has {n} row{'' if n == 1 else 's'}, "
+            f"--data {args.data!r}: the train split has {n} row{'' if n == 1 else 's'}, "
             f"and a morph needs a probe of at least 2; {raise_what}"
         )
     rows = sample_rows(n, args.probe_size, args.seed)
     if resolved is None:
         return prepare_probe(parent, args.at, data.features[rows])
     digest = parent_digest(parent, args.at)
-    path = mio.probe_cache_path(mio.dataset_cache_path(name, p, args.split), args.split,
+    path = mio.probe_cache_path(mio.dataset_cache_path(name, p, "train"), "train",
                                 args.probe_size, args.seed, args.at, digest)
     shapes = [(len(rows), parent.layers[k].d_out) for k in (args.at, args.at + 1)]
     prepared = mio.read_cached_probe(path, args.at, digest, shapes)
     if prepared is None:
-        data = _load_synthetic(args.data, name, p, args.split)
+        data = _load_dataset(args.data, "train")
         prepared = prepare_probe(parent, args.at, data.features[rows])
         mio.write_cached_probe(path, prepared)
     return prepared
@@ -375,15 +361,18 @@ def _frozen_layers(args, net: Mlp, meta: dict) -> int:
 def cmd_finetune(args) -> int:
     net, meta = mio.load_model(args.model)
     frozen = _frozen_layers(args, net, meta)
+    if not isinstance(meta.get("finetune", []), list):
+        raise MorphkitError(f"--model {args.model!r}: metadata finetune is {meta['finetune']!r}, "
+                            "not the list of earlier tunings")
     report = _load_report(args)
-    data = _load_training_split(args.data, args.split)
+    data = _load_dataset(args.data, "train", np.float32)
     eval_data = _load_dataset(args.eval_data, "test") if args.eval_data else None
     cfg = _train_config(args)
     net, history = train_above(net, data, cfg, frozen)
     if eval_data is None:  # the float64 split, read only once the float32 one is let go
         if data.features.dtype == np.float32:
             del data
-            data = _load_dataset(args.data, args.split)
+            data = _load_dataset(args.data, "train")
         eval_data = data
     _, accuracy = evaluate(net, eval_data)  # before any write, so a refusal leaves no file
     out = _out_path(args, args.out)
@@ -474,6 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a saved model")
     p.add_argument("--model", required=True)
     _add_data_flags(p)
+    p.add_argument("--split", choices=("train", "test"), default="train")
     p.add_argument("--report", default=None, help="record accuracy into this report JSON")
     p.add_argument("--as", dest="record_as", default="acc_parent",
                    choices=("acc_parent", "acc_post_morph", "acc_after_finetune"))
@@ -508,8 +498,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _configure_logging() -> None:
+    level = os.environ.get("MORPHKIT_LOG", "WARNING").upper()
+    if not isinstance(logging.getLevelName(level), int):  # a known name maps to its number
+        raise MorphkitError(f"MORPHKIT_LOG={os.environ['MORPHKIT_LOG']!r} is not a log level: "
+                            "use DEBUG, INFO, WARNING, ERROR or CRITICAL")
+    logging.basicConfig(level=level)
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("MORPHKIT_LOG", "WARNING").upper())
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -518,6 +515,7 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
+        _configure_logging()
         return args.func(args)
     except (MorphkitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

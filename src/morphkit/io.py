@@ -15,6 +15,9 @@ model files of schema 1 and 2 are refused, and morphkit 0.1.0, the last
 version to read them, converts one by loading it and saving it again.
 IDX files follow the classic big-endian layout (magic, dims,
 unsigned bytes); gzipped files are handled transparently by extension.
+One reader (`_read_idx_file`) reads each whole file before its header
+sizes anything, so a header that declares more bytes than the file holds
+is an `IdxFormatError` naming the file; bytes after the data are ignored.
 
 The cache under `$XDG_CACHE_HOME/morphkit` (default `~/.cache/morphkit`)
 holds three kinds of entry (`_read_entry`, `_write_entry`). One is a split
@@ -351,63 +354,48 @@ def load_model(path) -> tuple[Mlp, dict]:
         raise ModelFormatError(f"{path}: {exc}") from exc
 
 
-def _open_maybe_gzip(path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
-def _read_be32(fh, path, what) -> int:
-    data = fh.read(4)
-    if len(data) != 4:
-        raise IdxFormatError(f"{path}: truncated while reading {what}")
-    return struct.unpack(">I", data)[0]
+def _read_idx_file(path, magic: int, what: str) -> tuple[list[int], np.ndarray]:
+    """The dimensions and the unsigned bytes of the IDX file at `path`,
+    gzipped when its name ends in `.gz`: the big-endian uint32 `magic`,
+    whose low byte counts the dimensions, then each dimension as a
+    big-endian uint32, then their product of bytes, after which any bytes
+    are ignored. The whole file is read before the header's dimensions size
+    anything, so a header that declares more bytes than the file holds is
+    an IdxFormatError naming the file, never an allocation of that size.
+    `what` names the kind of file in errors."""
+    try:
+        with (gzip.open if str(path).endswith(".gz") else open)(path, "rb") as fh:
+            raw = fh.read()
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:  # a damaged .gz
+        raise IdxFormatError(f"{path}: corrupt gzip data ({exc})") from exc
+    if raw[:4] != struct.pack(">I", magic):
+        raise IdxFormatError(f"{path}: bad {what} magic 0x{raw[:4].hex()}, "
+                             f"expected 0x{magic:08x}")
+    ndim = magic & 0xFF
+    header = 4 * (1 + ndim)
+    if len(raw) < header:
+        raise IdxFormatError(f"{path}: truncated {what} header ({len(raw)} of {header} bytes)")
+    dims = list(struct.unpack_from(f">{ndim}I", raw, 4))
+    size = math.prod(dims)
+    # a row wider than an index is corrupt even with no rows
+    if size > len(raw) - header or math.prod(dims[1:]) > np.iinfo(np.intp).max:
+        raise IdxFormatError(f"{path}: truncated {what} data: the header declares "
+                             f"{' x '.join(map(str, dims))} bytes, and {len(raw) - header} "
+                             "follow it")
+    return dims, np.frombuffer(raw, dtype=np.uint8, count=size, offset=header)
 
 
 def read_idx(images_path, labels_path) -> Dataset:
-    """Decode an IDX image/label file pair into a Dataset.
+    """Decode an IDX image/label file pair (`_read_idx_file`) into a Dataset.
 
     Pixels are flattened row-major per image and scaled to [0, 1].
     """
-    with _open_maybe_gzip(images_path) as fh:
-        magic = _read_be32(fh, images_path, "image magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"{images_path}: bad image magic 0x{magic:08x}, "
-                f"expected 0x{IDX_IMAGE_MAGIC:08x}"
-            )
-        count = _read_be32(fh, images_path, "image count")
-        rows = _read_be32(fh, images_path, "row count")
-        cols = _read_be32(fh, images_path, "column count")
-        raw = fh.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise IdxFormatError(
-                f"{images_path}: truncated pixel data "
-                f"({len(raw)} of {count * rows * cols} bytes)"
-            )
-    features = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    features = features.astype(np.float64) / 255.0
-
-    with _open_maybe_gzip(labels_path) as fh:
-        magic = _read_be32(fh, labels_path, "label magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x}, "
-                f"expected 0x{IDX_LABEL_MAGIC:08x}"
-            )
-        label_count = _read_be32(fh, labels_path, "label count")
-        if label_count != count:
-            raise IdxFormatError(
-                f"{labels_path}: {label_count} labels for {count} images"
-            )
-        raw = fh.read(label_count)
-        if len(raw) != label_count:
-            raise IdxFormatError(
-                f"{labels_path}: truncated label data "
-                f"({len(raw)} of {label_count} bytes)"
-            )
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    return Dataset(features=features, labels=labels)
+    (count, rows, cols), pixels = _read_idx_file(images_path, IDX_IMAGE_MAGIC, "image")
+    (label_count,), labels = _read_idx_file(labels_path, IDX_LABEL_MAGIC, "label")
+    if label_count != count:
+        raise IdxFormatError(f"{labels_path}: {label_count} labels for {count} images")
+    return Dataset(features=pixels.reshape(count, rows * cols).astype(np.float64) / 255.0,
+                   labels=labels.astype(np.int64))
 
 
 def synth_dataset(seed: int, n: int, d: int, classes: int, separation: float = 6.0) -> Dataset:
@@ -628,6 +616,9 @@ def load_report_json(path) -> MorphReport:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ModelFormatError(f"{path}: not a report: expected a JSON object, "
+                               f"got {type(doc).__name__}")
     names = {f.name for f in dataclasses.fields(MorphReport)}
     unknown = set(doc) - names
     if unknown:

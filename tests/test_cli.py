@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from morphkit import io as mio
-from morphkit.cli import _load_dataset, _load_training_split, build_parser, main
+from morphkit.cli import _load_dataset, build_parser, main
 from morphkit.io import load_model, load_report_json, save_report_json
 from morphkit.morph import NO_SIGNAL_ADVICE, MorphReport, MorphSpec
 from morphkit.network import (
@@ -300,6 +300,18 @@ def test_flag_defaults_are_the_dataclass_defaults():
         assert getattr(args, dest) == getattr(MorphSpec, name), name
 
 
+@pytest.mark.parametrize("command", ["train", "morph", "finetune"])
+def test_only_eval_chooses_a_split(parent_dir, tmp_path, capsys, dataset_cache, command):
+    # train, morph and finetune read the train split: --split is no flag of theirs
+    flags = {"train": ("--arch", "12,6,3"),
+             "morph": ("--model", str(parent_dir / "parent.model"), "--at", "0", "--width", "6"),
+             "finetune": ("--model", str(parent_dir / "parent.model"))}[command]
+    out = tmp_path / "out"
+    assert run(command, "--data", SYNTH, *flags, "--split", "test", "--out-dir", str(out)) == 1
+    assert "unrecognized arguments: --split test" in capsys.readouterr().err
+    assert not out.exists() and not dataset_cache.exists()
+
+
 class TestEvalAndFinetune:
     def test_eval_deterministic(self, parent_dir, capsys):
         args = ("eval", "--model", str(parent_dir / "parent.model"),
@@ -522,7 +534,7 @@ class TestFrozenFinetune:
         assert meta["finetune"][-1]["frozen_layers"] == 2
         # the layers above are `train_sgd` on the frozen layers' outputs
         cfg = TrainConfig(learning_rate=0.01, weight_decay=1e-6, epochs=2, seed=3)
-        split = _load_training_split(SYNTH, "train")
+        split = _load_dataset(SYNTH, "train", np.float32)
         lower = _copied(Mlp(net.layers[:2]), np.float32)
         outputs = _layer_outputs(lower, split.features, keep_pre=False)[1][-1]
         upper, _ = train_sgd(Mlp(net.layers[2:]), mio.Dataset(outputs, split.labels), cfg)
@@ -535,7 +547,7 @@ class TestFrozenFinetune:
         assert self.tune(parent_dir / "parent.model", tmp_path) == 0
         tuned, meta = load_model(tmp_path / "tuned.model")
         cfg = TrainConfig(learning_rate=0.01, weight_decay=1e-6, epochs=2, seed=3)
-        want, _ = train_sgd(parent, _load_training_split(SYNTH, "train"), cfg)
+        want, _ = train_sgd(parent, _load_dataset(SYNTH, "train", np.float32), cfg)
         assert layer_bytes(tuned) == layer_bytes(want)
         assert meta["finetune"][-1]["frozen_layers"] == 0
 
@@ -557,6 +569,16 @@ class TestFrozenFinetune:
                               f"{None if at == 'no spec object' else at!r}, which indexes no "
                               f"non-final layer of its 4 layers"), err
         assert not (tmp_path / "out").exists()
+
+    def test_finetune_metadata_that_is_no_list_is_user_error(self, child, tmp_path, capsys,
+                                                             dataset_cache):
+        net, meta = load_model(child)
+        model = tmp_path / "edited.model"
+        mio.save_model(net, model, metadata={**meta, "finetune": 5})
+        assert self.tune(model, tmp_path / "out") == 1
+        assert capsys.readouterr().err == (f"error: --model {str(model)!r}: metadata finetune "
+                                           "is 5, not the list of earlier tunings\n")
+        assert not (tmp_path / "out").exists() and not dataset_cache.exists()
 
     def test_frozen_weight_beyond_float32_is_refused_by_name(self, child, tmp_path, capsys):
         net, meta = load_model(child)
@@ -659,6 +681,18 @@ class TestDataSpec:
         assert run("train", "--data", "synth_images", "--arch", "6,4,3", "--epochs", "1",
                    "--out-dir", "out") == 0
         assert not dataset_cache.exists()
+
+    @pytest.mark.parametrize("dims", [(31, 2, 3), (2**32 - 1,) * 3],
+                             ids=["past the file", "product past an index"])
+    def test_corrupt_idx_header_is_one_error_line(self, tmp_path, capsys, dims):
+        write_idx(tmp_path / "idx")
+        images = tmp_path / "idx" / "train-images-idx3-ubyte"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, *dims) + images.read_bytes()[16:])
+        assert run("train", "--data", str(tmp_path / "idx"), "--arch", "6,4,3",
+                   "--out-dir", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {images}: truncated image data") and err.count("\n") == 1
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
     @pytest.mark.parametrize("data,refusal", [
@@ -775,7 +809,7 @@ class TestDatasetCache:
             finally:
                 tracemalloc.stop()
 
-        data, peak = traced_peak(lambda: _load_training_split(spec, "train"))
+        data, peak = traced_peak(lambda: _load_dataset(spec, "train", np.float32))
         _, draw_peak = traced_peak(lambda: mio.synth_lowrank_dataset(11, n + 500, d))
         assert peak < draw_peak + 0.25 * n * d * 4, \
             f"peak {peak / 2**20:.1f} MiB, the draw's {draw_peak / 2**20:.1f} MiB"
@@ -952,6 +986,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "diag-coordinate-oracle" in out
         assert "PASS" not in out
+
+    @pytest.mark.parametrize("level", ["verbose", "10"])
+    def test_morphkit_log_must_name_a_level(self, monkeypatch, capsys, level):
+        monkeypatch.setenv("MORPHKIT_LOG", "info")  # a level name, in any case
+        assert run("verify", "--list") == 0
+        capsys.readouterr()
+        monkeypatch.setenv("MORPHKIT_LOG", level)
+        assert run("verify", "--list") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: MORPHKIT_LOG={level!r} is not a log level: "
+            "use DEBUG, INFO, WARNING, ERROR or CRITICAL\n")
 
     def test_module_entry_point_runs(self):
         import morphkit.verify as verify_mod

@@ -472,6 +472,13 @@ class TestGeneratedRoundTrips:
         restored = dataclasses.replace(loaded, sparse_sweeps=37, sparse_objective=12.75)
         assert restored == sample_report()
 
+    @pytest.mark.parametrize("text", ["null", "5", '"x"', "[1]"])
+    def test_report_that_is_no_json_object_is_refused(self, tmp_path, text):
+        path = tmp_path / "r.report.json"
+        path.write_text(text)
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: not a report"):
+            load_report_json(path)
+
 
 class TestReadIdx:
     @pytest.mark.skipif(
@@ -547,6 +554,53 @@ class TestReadIdx:
         img.write_bytes(img.read_bytes()[:-5])
         with pytest.raises(IdxFormatError, match="truncated"):
             read_idx(img, lbl)
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+    @pytest.mark.parametrize("which,dims", [
+        ("image", (3, 2, 3)), ("image", (1024, 1024, 64)), ("image", (2**32 - 1,) * 3),
+        ("image", (0, 2**32 - 1, 2**32 - 1)), ("label", (3,)), ("label", (2**32 - 1,)),
+    ], ids=["one image past the file", "64 MiB", "product past an index",
+            "no images of a width past an index", "one label past the file",
+            "labels past the file"])
+    def test_header_that_declares_more_than_the_file_is_refused_unread(self, tmp_path, gz,
+                                                                       which, dims):
+        img, lbl = write_idx_fixture(tmp_path, np.zeros((2, 2, 3), np.uint8), [0, 1], gz=gz)
+        path, magic = (img, 0x00000803) if which == "image" else (lbl, 0x00000801)
+        opener = gzip.open if gz else open
+        with opener(path, "rb") as fh:
+            data = fh.read()[4 + 4 * len(dims):]
+        with opener(path, "wb") as fh:
+            fh.write(struct.pack(f">{1 + len(dims)}I", magic, *dims) + data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IdxFormatError, match=f"^{re.escape(str(path))}: truncated"):
+                read_idx(img, lbl)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{peak} bytes allocated before the refusal"
+
+    @pytest.mark.parametrize("damage", ["truncated", "bad crc", "flipped byte", "not gzip"])
+    def test_damaged_gzip_is_refused_by_name(self, tmp_path, damage):
+        img, lbl = write_idx_fixture(tmp_path, np.arange(240, dtype=np.uint8).reshape(4, 6, 10),
+                                     [0, 1, 2, 3], gz=True)
+        raw = img.read_bytes()
+        mid = len(raw) // 2
+        img.write_bytes({"truncated": raw[:-12], "bad crc": raw[:-8] + bytes(4) + raw[-4:],
+                         "flipped byte": raw[:mid] + bytes([raw[mid] ^ 0xFF]) + raw[mid + 1:],
+                         "not gzip": b"IDX" + raw[3:]}[damage])
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(str(img))}: corrupt gzip data"):
+            read_idx(img, lbl)
+
+    def test_bytes_after_the_data_are_ignored(self, tmp_path):
+        pixels = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
+        img, lbl = write_idx_fixture(tmp_path, pixels, [0, 1])
+        want = read_idx(img, lbl)
+        img.write_bytes(img.read_bytes() + b"tail")
+        lbl.write_bytes(lbl.read_bytes() + b"tail")
+        data = read_idx(img, lbl)
+        assert data.features.tobytes() == want.features.tobytes()
+        assert data.labels.tobytes() == want.labels.tobytes()
 
 
 class TestSynthDataset:
