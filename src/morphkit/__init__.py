@@ -47,12 +47,10 @@ from .network import (
     Mlp,
     TapOutputs,
     TrainConfig,
-    apply_activation,
     evaluate,
     forward,
     init_weights,
     loss_and_gradients,
-    train_above,
     train_sgd,
 )
 from .sparse import (
@@ -64,4 +62,4 @@ from .sparse import (
     similarity_matrix,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -22,7 +22,7 @@ which the first of them writes from the draw a block of rows at a time.
 so later morphs of that parent read neither the split nor run the pass.
 `finetune` trains what a morph changed: for a child whose metadata records
 `spec.insert_after`, it holds layers 0 to `insert_after`, the parent's, at
-their bytes and trains the layers above (`network.train_above`); a model
+their bytes and trains the layers above (`train_sgd`'s `frozen`); a model
 without a `spec`, such as a parent, is trained in full. Each tuning's
 entry in the tuned model's `finetune` metadata list records its
 `frozen_layers`.
@@ -47,8 +47,7 @@ from .morph import (
     sample_rows,
 )
 from .network import (
-    ACTIVATION_KINDS, EpochStats, Layer, Mlp, TrainConfig, evaluate, init_weights, train_above,
-    train_sgd,
+    ACTIVATION_KINDS, EpochStats, Layer, Mlp, TrainConfig, evaluate, init_weights, train_sgd,
 )
 from .sparse import SparseConfig
 from .verify import CHECKS, run_checks
@@ -279,8 +278,8 @@ def _morph_probe(args, parent: Mlp) -> PreparedProbe:
     if resolved is None:
         return prepare_probe(parent, args.at, data.features[rows])
     digest = parent_digest(parent, args.at)
-    path = mio.probe_cache_path(mio.dataset_cache_path(name, p, "train"), "train",
-                                args.probe_size, args.seed, args.at, digest)
+    path = mio.probe_cache_path(mio.dataset_cache_path(name, p, "train"), args.probe_size,
+                                args.seed, args.at, digest)
     shapes = [(len(rows), parent.layers[k].d_out) for k in (args.at, args.at + 1)]
     prepared = mio.read_cached_probe(path, args.at, digest, shapes)
     if prepared is None:
@@ -368,7 +367,7 @@ def cmd_finetune(args) -> int:
     data = _load_dataset(args.data, "train", np.float32)
     eval_data = _load_dataset(args.eval_data, "test") if args.eval_data else None
     cfg = _train_config(args)
-    net, history = train_above(net, data, cfg, frozen)
+    net, history = train_sgd(net, data, cfg, frozen)
     if eval_data is None:  # the float64 split, read only once the float32 one is let go
         if data.features.dtype == np.float32:
             del data

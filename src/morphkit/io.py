@@ -56,6 +56,7 @@ import mmap
 import os
 import secrets
 import struct
+import typing
 import zlib
 from dataclasses import dataclass
 
@@ -484,19 +485,20 @@ def dataset_cache_path(generator: str, params: dict, split: str, dtype=np.float6
                        f"-{split}{kind}")
 
 
-def probe_cache_path(dataset_entry: str, split: str, probe_size: int, seed: int,
+def probe_cache_path(dataset_entry: str, probe_size: int, seed: int,
                      insert_after: int, parent_digest: str) -> str:
-    """The cache entry of a parent's probe pass on rows of a cached split:
-    `probe-<32 hex>.npys` next to `dataset_entry`, the split's entry. Its
-    name hashes DATASET_CACHE_FORMAT, the numpy version, the split entry's
-    name, the split, the probe size, the row-sampling seed, the insertion
-    point and `morph.parent_digest` of the parent. Like a draw's
-    `latent @ basis`, the pass is matrix products whose bits depend on the
-    BLAS and its thread count, which the key does not hold: a hit has the
-    bits of a fresh pass on the same machine, numpy build and thread
-    count."""
+    """The cache entry of a parent's probe pass on rows of a cached train
+    split: `probe-<32 hex>.npys` next to `dataset_entry`, the split's entry.
+    Its name hashes DATASET_CACHE_FORMAT, the numpy version, the split
+    entry's name, the split "train" (kept in the key since a morph read any
+    split, so entries written then stay hits), the probe size, the
+    row-sampling seed, the insertion point and `morph.parent_digest` of the
+    parent. Like a draw's `latent @ basis`, the pass is matrix products
+    whose bits depend on the BLAS and its thread count, which the key does
+    not hold: a hit has the bits of a fresh pass on the same machine, numpy
+    build and thread count."""
     return _cache_path("probe", {
-        "dataset_entry": os.path.basename(dataset_entry), "split": split,
+        "dataset_entry": os.path.basename(dataset_entry), "split": "train",
         "probe_size": probe_size, "seed": seed, "insert_after": insert_after,
         "parent_digest": parent_digest,
     }, "")
@@ -610,6 +612,11 @@ def save_report_json(report: MorphReport, path) -> None:
         pass
 
 
+# the JSON values a report field of each annotated type takes (a bool never)
+_REPORT_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+                      str: (str, "a string")}
+
+
 def load_report_json(path) -> MorphReport:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -619,10 +626,15 @@ def load_report_json(path) -> MorphReport:
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: not a report: expected a JSON object, "
                                f"got {type(doc).__name__}")
-    names = {f.name for f in dataclasses.fields(MorphReport)}
-    unknown = set(doc) - names
+    types = typing.get_type_hints(MorphReport)
+    unknown = set(doc) - set(types)
     if unknown:
         raise ModelFormatError(f"{path}: unknown report fields {sorted(unknown)}")
+    for name, value in doc.items():
+        accepted, what = _REPORT_JSON_TYPES[types[name]]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ModelFormatError(f"{path}: report field {name!r} is {value!r}, "
+                                   f"and it must be {what}")
     try:
         return MorphReport(**doc)
     except TypeError as exc:

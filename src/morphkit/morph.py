@@ -216,7 +216,7 @@ def _probe_pass(mlp: Mlp, insert_after: int, probe) -> tuple[np.ndarray, np.ndar
             f"probe has {n} row{'' if n == 1 else 's'}; a morph needs at least 2 "
             f"(use a larger probe)"
         )
-    a1 = _layer_outputs(Mlp(mlp.layers[: insert_after + 1]), probe, keep_pre=False)[1][-1]
+    a1 = _layer_outputs(Mlp(mlp.layers[: insert_after + 1]), probe)[-1]
     return a1, _pre_activation(mlp.layers[insert_after + 1], a1)
 
 

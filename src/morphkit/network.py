@@ -6,8 +6,8 @@ per-layer tap points (pre-activation and activation matrices) because the
 layer-insertion algorithms regress against them. A small SGD-with-momentum
 trainer with softmax cross-entropy loss produces parent models; it computes
 in float32 and returns float64 weights, as every other function here takes.
-`train_above` fine-tunes a morphed child with it: it trains the layers
-above the insertion on the outputs of the layers below, held fixed.
+The same trainer fine-tunes a morphed child: with `frozen`, it trains the
+layers above the insertion on the outputs of the layers below, held fixed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,7 +29,7 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)
 # An array whose sum of squares is at most this has no entry beyond
 # sqrt(0.5) * FLOAT32_MAX, rounding of the sum included
 _FLOAT32_SAFE_SUM = 0.5 * FLOAT32_MAX**2
-# `train_above` runs the frozen layers over blocks of about this many
+# `train_sgd` runs the frozen layers over blocks of about this many
 # feature entries (1 MiB of float32)
 _FROZEN_BLOCK_ENTRIES = 1 << 18
 
@@ -41,14 +40,9 @@ def _check_kind(kind: str) -> str:
     return kind
 
 
-def apply_activation(kind: str, m: np.ndarray) -> np.ndarray:
-    """Apply the named elementwise activation, preserving shape."""
-    _check_kind(kind)
-    return _activate(kind, np.asarray(m, dtype=np.float64))
-
-
 def _activate(kind: str, m: np.ndarray, in_place: bool = False) -> np.ndarray:
-    """`apply_activation` without the checks; `in_place` overwrites `m` and
+    """The named elementwise activation of `m`, a kind `Layer` accepted,
+    unchecked, preserving shape and dtype; `in_place` overwrites `m` and
     returns it (identity then costs nothing). Same bits either way."""
     out = m if in_place else None
     if kind == "relu":
@@ -218,29 +212,28 @@ def _forward_layer(layer: Layer, a: np.ndarray) -> np.ndarray:
     return _activate(layer.activation, _pre_activation(layer, a), in_place=True)
 
 
-def _layer_outputs(mlp: Mlp, x: np.ndarray, keep_pre: bool = True):
-    """The forward pass on a batch `_checked_input` accepted, unchecked:
-    (pre-activations, activations), one per layer. Without `keep_pre` each
-    layer is one `_forward_layer` call and no pre-activation is kept (the
-    list is empty). The activations have the same bits either way."""
-    pres: list[np.ndarray] = []
-    acts: list[np.ndarray] = []
-    a = x
+def _layer_outputs(mlp: Mlp, x: np.ndarray) -> list[np.ndarray]:
+    """The forward pass on a batch `_checked_input` accepted, unchecked: the
+    activations, one per layer, each one `_forward_layer` call, with no
+    pre-activation kept."""
+    acts = []
     for layer in mlp.layers:
-        if keep_pre:
-            pres.append(_pre_activation(layer, a))
-            a = _activate(layer.activation, pres[-1])
-        else:
-            a = _forward_layer(layer, a)
-        acts.append(a)
-    return pres, acts
+        x = _forward_layer(layer, x)
+        acts.append(x)
+    return acts
 
 
 def forward(mlp: Mlp, x) -> TapOutputs:
-    """Run the batch through every layer, capturing all tap points."""
+    """Run the batch through every layer, capturing all tap points. The
+    activations have the bits of the `_layer_outputs` pass."""
     x, _ = _checked_input(mlp, x)
-    pres, acts = _layer_outputs(mlp, x)
-    return TapOutputs(input=x, pre_activations=pres, activations=acts)
+    taps = TapOutputs(input=x, pre_activations=[], activations=[])
+    a = x
+    for layer in mlp.layers:
+        taps.pre_activations.append(_pre_activation(layer, a))
+        a = _activate(layer.activation, taps.pre_activations[-1])
+        taps.activations.append(a)
+    return taps
 
 
 @dataclass(frozen=True)
@@ -336,7 +329,7 @@ def loss_and_gradients(
     `labels` get `train_sgd`'s data check, with `x` named "input". The
     gradients come from the backward calls of `train_sgd`'s step."""
     x, labels, _ = _checked_data(mlp, x, labels, "input")
-    acts = [x, *_layer_outputs(mlp, x, keep_pre=False)[1]]
+    acts = [x, *_layer_outputs(mlp, x)]
     rows = np.arange(x.shape[0])
     loss, log_probs = _cross_entropy(acts[-1], labels, rows)
     delta = _output_delta(log_probs, labels, rows)
@@ -352,7 +345,7 @@ def evaluate(mlp: Mlp, data) -> tuple[float, float]:
     `train_sgd`'s data check with the features named "evaluation features";
     the forward pass keeps no pre-activation."""
     x, labels, _ = _checked_data(mlp, data.features, data.labels, "evaluation features")
-    logits = _layer_outputs(mlp, x, keep_pre=False)[1][-1]
+    logits = _layer_outputs(mlp, x)[-1]
     loss, _ = _cross_entropy(logits, labels, np.arange(len(labels)))
     return loss, int(np.count_nonzero(logits.argmax(axis=1) == labels)) / len(labels)
 
@@ -389,28 +382,12 @@ def _check_float32_range(arr: np.ndarray, name: str, total: float | None = None)
                               f"and training computes in float32")
 
 
-def _checked_training(mlp: Mlp, data, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """`train_sgd`'s up-front checks of `mlp`, `data` and `cfg`: the data
-    check as "training features", then the float32 range of the learning
-    rate, the weight decay, the features, and every weight and bias.
-    Returns the checked features (float32 ones as given) and labels."""
-    x, labels, x_total = _checked_data(mlp, data.features, data.labels, "training features",
-                                       keep_float32=True)
-    for field in ("learning_rate", "weight_decay"):
-        value = getattr(cfg, field)
-        if value > FLOAT32_MAX:
-            raise OutOfRangeError(f"{field}: {value:.6g} is beyond {FLOAT32_MAX:.6g}, the largest "
-                                  f"finite float32 value, and training computes in float32")
-    _check_float32_range(x, "training features", x_total)
-    for k, l in enumerate(mlp.layers):
-        _check_float32_range(l.weight, f"layer {k} weight")
-        if l.bias is not None:
-            _check_float32_range(l.bias, f"layer {k} bias")
-    return x, labels
-
-
-def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
-    """SGD with momentum on softmax cross-entropy, computed in float32.
+def train_sgd(mlp: Mlp, data, cfg: TrainConfig,
+              frozen: int = 0) -> tuple[Mlp, list[EpochStats]]:
+    """SGD with momentum on softmax cross-entropy, computed in float32, of
+    every layer of `mlp` but the first `frozen`, which it holds fixed (a
+    fine-tune of a morphed child holds the parent's layers up to the
+    insertion). At least one layer must be left to train.
 
     Returns a trained copy (the input network is untouched) and one stats
     row per epoch, `epoch` 1 to cfg.epochs: the mean loss and accuracy over
@@ -424,30 +401,60 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
     The data is checked once, up front, as "training features" (the check
     `evaluate` and `loss_and_gradients` make too), and so is the float32
     range of the learning rate, the weight decay, the features (from the
-    sum of squares the data check read), the weights and the biases.
-    Float32 features are trained on as given: checked in place, with no
-    float64 copy, and each mini-batch is gathered from them with no cast.
-    Features of any other dtype are checked as float64, and each mini-batch
-    is gathered and cast to float32 one at a time, so the whole split is
-    never copied. The cast rounds an entry as `features.astype(np.float32)`
-    does, so a split and its float32 rounding train to the same bytes. The
-    copy, the velocities, the hyperparameters and each mini-batch are
-    float32, and every step runs unchecked and updates the copy in place,
-    with the arithmetic of the out-of-place update, v = m*v - lr*(dw +
-    wd*W) and W = W + v, operation for operation. A step is one
-    `_forward_layer` call per layer, bottom up, then one `_backward_layer`
-    and one `_update_layer` call per layer, top down: a layer is updated as
-    soon as its gradient and the gradient for the layer below, which reads
-    its weight, exist. The trained weights come back as float64, each one a
-    float32 value; a non-finite one is a `TrainingDivergedError`, as a
-    non-finite loss is.
+    sum of squares the data check read), and every weight and bias, the
+    frozen ones included. Float32 features are trained on as given: checked
+    in place, with no float64 copy, and each mini-batch is gathered from
+    them with no cast. Features of any other dtype are checked as float64,
+    and each mini-batch is gathered and cast to float32 one at a time, so
+    the whole split is never copied. The cast rounds an entry as
+    `features.astype(np.float32)` does, so a split and its float32 rounding
+    train to the same bytes. With `frozen` layers, their float32 copies run
+    once over the features instead, a block of rows at a time (cast block
+    by block the same way), outputs that overflow float32 are an
+    `OutOfRangeError`, and the layers above train on those outputs as on
+    float32 features. The copy, the velocities, the hyperparameters and
+    each mini-batch are float32, and every step runs unchecked and updates
+    the copy in place, with the arithmetic of the out-of-place update, v =
+    m*v - lr*(dw + wd*W) and W = W + v, operation for operation. A step is
+    one `_forward_layer` call per trained layer, bottom up, then one
+    `_backward_layer` and one `_update_layer` call per trained layer, top
+    down: a layer is updated as soon as its gradient and the gradient for
+    the layer below, which reads its weight, exist. The trained weights
+    come back as float64, each one a float32 value, and the frozen layers
+    with their own float64 bytes; a non-finite trained weight is a
+    `TrainingDivergedError`, as a non-finite loss is.
     """
-    x, labels = _checked_training(mlp, data, cfg)
+    if not 0 <= frozen < len(mlp.layers):
+        raise ValueError(f"frozen must lie in [0, {len(mlp.layers)}) for a network of "
+                         f"{len(mlp.layers)} layers, got {frozen}")
+    x, labels, x_total = _checked_data(mlp, data.features, data.labels, "training features",
+                                       keep_float32=True)
+    for field in ("learning_rate", "weight_decay"):
+        value = getattr(cfg, field)
+        if value > FLOAT32_MAX:
+            raise OutOfRangeError(f"{field}: {value:.6g} is beyond {FLOAT32_MAX:.6g}, the largest "
+                                  f"finite float32 value, and training computes in float32")
+    _check_float32_range(x, "training features", x_total)
+    for k, l in enumerate(mlp.layers):
+        _check_float32_range(l.weight, f"layer {k} weight")
+        if l.bias is not None:
+            _check_float32_range(l.bias, f"layer {k} bias")
     if cfg.epochs == 0:
         return _copied(mlp, np.float64), []
     n = x.shape[0]
     net = _copied(mlp, np.float32)
-    layers = net.layers
+    if frozen:
+        lower = Mlp(net.layers[:frozen])
+        outputs = np.empty((n, lower.d_out), dtype=np.float32)
+        block = max(1, _FROZEN_BLOCK_ENTRIES // max(1, x.shape[1]))
+        for start in range(0, n, block):
+            outputs[start:start + block] = _layer_outputs(
+                lower, x[start:start + block].astype(np.float32, copy=False))[-1]
+        if not all_finite(outputs):
+            raise OutOfRangeError(f"layer {frozen - 1} outputs: not finite in float32 on the "
+                                  f"training features, so the layers above cannot train on them")
+        x = outputs
+    layers = net.layers[frozen:]
     history = []
 
     hyper = tuple(np.float32(v) for v in (cfg.learning_rate, cfg.momentum, cfg.weight_decay))
@@ -487,43 +494,7 @@ def train_sgd(mlp: Mlp, data, cfg: TrainConfig) -> tuple[Mlp, list[EpochStats]]:
     # the last update is checked by no later loss
     if not all(all_finite(a) for l in layers for a in (l.weight, l.bias) if a is not None):
         raise _diverged("a weight", cfg.epochs, cfg)
-    return _copied(net, np.float64), history
-
-
-def train_above(mlp: Mlp, data, cfg: TrainConfig,
-                frozen: int) -> tuple[Mlp, list[EpochStats]]:
-    """`train_sgd` on the layers above the first `frozen` of `mlp`, which
-    it holds fixed: a fine-tune of the layers a morph changed, the
-    parent's layers below the insertion left as they are.
-
-    With `frozen` 0 or no epochs it is `train_sgd(mlp, data, cfg)`. Else it
-    makes every check `train_sgd` makes on the whole network, with the same
-    error types and messages. It then runs float32 copies of the frozen
-    layers once over the features, a block of rows at a time (float64 ones
-    cast a block at a time, as `train_sgd` casts a mini-batch, so neither a
-    split nor its float32 rounding is ever copied whole, and both give the
-    same bytes), and refuses outputs that overflow float32. It trains the
-    upper layers on those outputs with `train_sgd`, and returns them under
-    the frozen layers' own float64 bytes, with `train_sgd`'s history.
-    """
-    if not 0 <= frozen < len(mlp.layers):
-        raise ValueError(f"frozen must lie in [0, {len(mlp.layers)}) for a network of "
-                         f"{len(mlp.layers)} layers, got {frozen}")
-    if frozen == 0 or cfg.epochs == 0:
-        return train_sgd(mlp, data, cfg)
-    x, labels = _checked_training(mlp, data, cfg)
-    lower = _copied(Mlp(mlp.layers[:frozen]), np.float32)
-    outputs = np.empty((x.shape[0], lower.d_out), dtype=np.float32)
-    rows = max(1, _FROZEN_BLOCK_ENTRIES // max(1, x.shape[1]))
-    for start in range(0, x.shape[0], rows):
-        block = x[start:start + rows].astype(np.float32, copy=False)
-        outputs[start:start + rows] = _layer_outputs(lower, block, keep_pre=False)[1][-1]
-    if not all_finite(outputs):
-        raise OutOfRangeError(f"layer {frozen - 1} outputs: not finite in float32 on the "
-                              f"training features, so the layers above cannot train on them")
-    upper, history = train_sgd(Mlp(mlp.layers[frozen:]), SimpleNamespace(
-        features=outputs, labels=labels), cfg)
-    return Mlp(_copied(Mlp(mlp.layers[:frozen]), np.float64).layers + upper.layers), history
+    return _copied(Mlp(mlp.layers[:frozen] + layers), np.float64), history
 
 
 def _diverged(what: str, epoch: int, cfg: TrainConfig) -> TrainingDivergedError:

@@ -19,9 +19,7 @@ import pytest
 from morphkit import verify
 from morphkit.io import Dataset, synth_lowrank_dataset
 from morphkit.morph import MorphSpec, morph, sample_rows
-from morphkit.network import (
-    Layer, Mlp, TrainConfig, evaluate, init_weights, train_above, train_sgd,
-)
+from morphkit.network import Layer, Mlp, TrainConfig, evaluate, init_weights, train_sgd
 from morphkit.sparse import SparseConfig
 
 DESK_INSERT_AFTER = 0
@@ -62,7 +60,7 @@ def desk_parent(train):
 def desk_finetune(child, train):
     """The child fine-tuned as `morphkit finetune` tunes it: the layers
     above the insertion trained, layers 0 to `insert_after` held fixed."""
-    return train_above(child, train, DESK_FINETUNE, DESK_INSERT_AFTER + 1)[0]
+    return train_sgd(child, train, DESK_FINETUNE, DESK_INSERT_AFTER + 1)[0]
 
 
 def desk_spec(algorithm, **kw):

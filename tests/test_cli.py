@@ -1,6 +1,7 @@
 """End-to-end CLI tests driving main() in-process."""
 
 import dataclasses
+import importlib
 import json
 import logging
 import os
@@ -536,7 +537,7 @@ class TestFrozenFinetune:
         cfg = TrainConfig(learning_rate=0.01, weight_decay=1e-6, epochs=2, seed=3)
         split = _load_dataset(SYNTH, "train", np.float32)
         lower = _copied(Mlp(net.layers[:2]), np.float32)
-        outputs = _layer_outputs(lower, split.features, keep_pre=False)[1][-1]
+        outputs = _layer_outputs(lower, split.features)[-1]
         upper, _ = train_sgd(Mlp(net.layers[2:]), mio.Dataset(outputs, split.labels), cfg)
         assert layer_bytes(tuned)[2:] == layer_bytes(upper)
 
@@ -550,6 +551,18 @@ class TestFrozenFinetune:
         want, _ = train_sgd(parent, _load_dataset(SYNTH, "train", np.float32), cfg)
         assert layer_bytes(tuned) == layer_bytes(want)
         assert meta["finetune"][-1]["frozen_layers"] == 0
+
+    def test_calls_the_cli_binding_of_train_sgd_once_with_the_frozen_count(
+            self, child, parent_dir, tmp_path, monkeypatch):
+        # `morphkit.cli.train_sgd` is the binding the benchmark's tracer wraps
+        cli = importlib.import_module("morphkit.cli")
+        original, calls = cli.train_sgd, []
+        monkeypatch.setattr(cli, "train_sgd", lambda mlp, data, cfg, frozen:
+                            calls.append(frozen) or original(mlp, data, cfg, frozen))
+        assert self.tune(child, tmp_path / "child") == 0
+        assert calls == [load_model(child)[1]["spec"]["insert_after"] + 1] == [2]
+        assert self.tune(parent_dir / "parent.model", tmp_path / "parent") == 0
+        assert calls == [2, 0]
 
     def test_zero_epochs_keep_the_child_bytes(self, child, tmp_path):
         assert self.tune(child, tmp_path, "--epochs", "0") == 0
@@ -1065,6 +1078,17 @@ class TestReport:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run("report", "--out-dir", str(empty)) == 1
+
+    @pytest.mark.parametrize("field, value", [("compression_ratio", None), ("n_sparse", "71")])
+    def test_field_of_the_wrong_type_is_one_error_line(self, base_report, tmp_path, capsys,
+                                                       field, value):
+        report = tmp_path / "bad.report.json"
+        report.write_text(json.dumps({**json.loads(base_report.read_text()), field: value}))
+        assert run("report", str(report), "--out-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {report}: report field {field!r} is {value!r}")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "report.csv").exists()
 
 
 def test_command_sequence_runs_without_scipy(tmp_path):

@@ -479,6 +479,25 @@ class TestGeneratedRoundTrips:
         with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: not a report"):
             load_report_json(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("compression_ratio", None), ("compression_ratio", "0.5"), ("compression_ratio", True),
+        ("n_sparse", "71"), ("n_sparse", 71.0), ("n_sparse", False), ("n_sparse", None),
+        ("algorithm", 1), ("run_id", None), ("sparse_stop_reason", ["converged"]),
+    ])
+    def test_report_field_of_the_wrong_type_is_refused(self, tmp_path, field, value):
+        path = tmp_path / "r.report.json"
+        path.write_text(json.dumps({**dataclasses.asdict(sample_report()), field: value}))
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: report field "
+                                                   f"{re.escape(repr(field))} is "):
+            load_report_json(path)
+
+    @pytest.mark.parametrize("field, value", [("compression_ratio", 1), ("acc_parent", 0),
+                                              ("sparse_objective", float("nan"))])
+    def test_report_float_field_takes_an_integer_or_nan(self, tmp_path, field, value):
+        path = tmp_path / "r.report.json"
+        path.write_text(json.dumps({**dataclasses.asdict(sample_report()), field: value}))
+        assert float_or_nan_equal(getattr(load_report_json(path), field), value)
+
 
 class TestReadIdx:
     @pytest.mark.skipif(
@@ -822,21 +841,29 @@ class TestDatasetCache:
 
     def test_probe_path_hashes_every_key_part(self, monkeypatch):
         split = mio.dataset_cache_path("synth", {"n": 10}, "train")
-        key = dict(dataset_entry=split, split="train", probe_size=4096, seed=0,
-                   insert_after=0, parent_digest="ab" * 32)
+        key = dict(dataset_entry=split, probe_size=4096, seed=0, insert_after=0,
+                   parent_digest="ab" * 32)
         path = mio.probe_cache_path(**key)
         changed = {"dataset_entry": mio.dataset_cache_path("synth", {"n": 11}, "train"),
-                   "split": "test", "probe_size": 4095, "seed": 1, "insert_after": 1,
-                   "parent_digest": "cd" * 32}
+                   "probe_size": 4095, "seed": 1, "insert_after": 1, "parent_digest": "cd" * 32}
         others = [mio.probe_cache_path(**{**key, name: value}) for name, value in changed.items()]
         for target, name, value in ((mio.np, "__version__", "0.0.0"),
                                     (mio, "DATASET_CACHE_FORMAT", mio.DATASET_CACHE_FORMAT + 1)):
             with monkeypatch.context() as m:
                 m.setattr(target, name, value)
                 others.append(mio.probe_cache_path(**key))
-        assert len({path, *others}) == 9
+        assert len({path, *others}) == 8
         assert os.path.dirname(path) == os.path.dirname(split)
         assert re.fullmatch(r"probe-[0-9a-f]{32}[.]npys", os.path.basename(path))
+
+    def test_probe_path_keeps_the_key_of_entries_written_with_a_split(self):
+        # the key still holds "split": "train", as when the caller passed the
+        # split, so an entry written then is a hit now
+        split = mio.dataset_cache_path("synth", {"n": 10}, "train")
+        old_key = {"dataset_entry": os.path.basename(split), "split": "train",
+                   "probe_size": 4096, "seed": 0, "insert_after": 0, "parent_digest": "ab" * 32}
+        assert mio.probe_cache_path(split, 4096, 0, 0, "ab" * 32) == \
+            mio._cache_path("probe", old_key, "")
 
     def test_probe_entry_round_trip(self, tmp_path):
         parent = random_net(3)

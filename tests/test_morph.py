@@ -29,7 +29,7 @@ from morphkit.morph import (
     preservation_error,
     sample_rows,
 )
-from morphkit.network import Layer, Mlp, apply_activation, forward, init_weights
+from morphkit.network import Layer, Mlp, _activate, forward, init_weights
 from morphkit.sparse import SparseConfig
 from morphkit.verify import (
     check_identity_preservation,
@@ -357,7 +357,7 @@ class TestAlg3:
                          algorithm="alg3", sparse=SparseConfig(lam=0.0, alpha=0.0), seed=27)
         child, _ = morph(parent, spec, probe)
         taps = forward(parent, probe)
-        a_new = apply_activation("relu", taps.activations[0] @ child.layers[1].weight)
+        a_new = _activate("relu", taps.activations[0] @ child.layers[1].weight)
         direct = a_new @ child.layers[2].weight + child.layers[2].bias
         np.testing.assert_allclose(
             forward(child, probe).pre_activations[2], direct, atol=1e-12
@@ -604,7 +604,7 @@ class TestFoldBeta:
         # them; the children keep the nonzero-coefficient neurons that fire
         assert beta.shape == (plain.width,)
         w1 = init_weights(5, plain.width, "relu", plain.seed)
-        fires = apply_activation("relu", forward(parent, probe).activations[0] @ w1).any(axis=0)
+        fires = _activate("relu", forward(parent, probe).activations[0] @ w1).any(axis=0)
         kept = (beta != 0) & fires
         assert 0 < kept.sum() < (beta != 0).sum()  # one nonzero-coefficient neuron is silent
         assert child_a.layers[1].weight.tobytes() == w1[:, kept].tobytes()

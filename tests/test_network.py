@@ -24,12 +24,10 @@ from morphkit.network import (
     _activate,
     _copied,
     _layer_outputs,
-    apply_activation,
     evaluate,
     forward,
     init_weights,
     loss_and_gradients,
-    train_above,
     train_sgd,
 )
 from morphkit.verify import (
@@ -50,17 +48,17 @@ class TestLayer:
 class TestActivations:
     def test_relu_example(self):
         np.testing.assert_array_equal(
-            apply_activation("relu", np.array([[-1.0, 2.0]])), [[0.0, 2.0]]
+            _activate("relu", np.array([[-1.0, 2.0]])), [[0.0, 2.0]]
         )
 
     def test_zero_values(self):
-        assert apply_activation("tanh", np.zeros((1, 1)))[0, 0] == 0.0
-        assert apply_activation("sigmoid", np.zeros((1, 1)))[0, 0] == 0.5
+        assert _activate("tanh", np.zeros((1, 1)))[0, 0] == 0.0
+        assert _activate("sigmoid", np.zeros((1, 1)))[0, 0] == 0.5
 
     def test_relu_absolute_value_identity(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 7))
-        lhs = apply_activation("relu", x) + apply_activation("relu", -x)
+        lhs = _activate("relu", x) + _activate("relu", -x)
         np.testing.assert_allclose(lhs, np.abs(x), atol=1e-12)
 
     def test_monotone_and_bounded(self):
@@ -68,17 +66,17 @@ class TestActivations:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for kind in ACTIVATION_KINDS:
-                y = apply_activation(kind, x)
+                y = _activate(kind, x)
                 assert (np.diff(y[0]) >= 0).all(), kind
                 # the training step's in-place path gives the same bits
                 assert _activate(kind, x.copy(), in_place=True).tobytes() == y.tobytes(), kind
-            s = apply_activation("sigmoid", x)[0]
-        assert (apply_activation("relu", x) >= 0).all()
+            s = _activate("sigmoid", x)[0]
+        assert (_activate("relu", x) >= 0).all()
         # exp(800) overflows without a warning, so sigmoid saturates exactly
         assert (s[0], s[-1]) == (0.0, 1.0)
         assert (s[1:-1] > 0).all() and (s[1:-1] < 1).all()
         # tanh saturates to exactly +-1.0 in float64 beyond |x| ~ 19
-        t = apply_activation("tanh", np.linspace(-15, 15, 4001).reshape(1, -1))
+        t = _activate("tanh", np.linspace(-15, 15, 4001).reshape(1, -1))
         assert (t > -1).all() and (t < 1).all()
 
     def test_positive_homogeneity_holds_for_relu_and_identity(self):
@@ -87,8 +85,8 @@ class TestActivations:
         for s in (0.0, 0.3, 2.5):
             for kind in ("relu", "identity"):
                 np.testing.assert_allclose(
-                    apply_activation(kind, s * x),
-                    s * apply_activation(kind, x),
+                    _activate(kind, s * x),
+                    s * _activate(kind, x),
                     atol=1e-12,
                 )
 
@@ -97,13 +95,14 @@ class TestActivations:
         x = rng.normal(size=(4, 6))
         s = 2.5
         for kind in ("sigmoid", "tanh"):
-            lhs = apply_activation(kind, s * x)
-            rhs = s * apply_activation(kind, x)
+            lhs = _activate(kind, s * x)
+            rhs = s * _activate(kind, x)
             assert np.abs(lhs - rhs).max() > 1e-3, kind
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            apply_activation("gelu", np.zeros((1, 1)))
+        # `Layer` refuses the kind, so `_activate` never sees it
+        with pytest.raises(ValueError, match="^unknown activation 'gelu'"):
+            Layer(np.zeros((1, 1)), None, "gelu")
 
 
 class TestInitWeights:
@@ -147,7 +146,7 @@ class TestForward:
         for k, layer in enumerate(net.layers):
             np.testing.assert_allclose(
                 taps.activations[k],
-                apply_activation(layer.activation, taps.pre_activations[k]),
+                _activate(layer.activation, taps.pre_activations[k]),
                 atol=1e-12,
             )
 
@@ -539,12 +538,15 @@ class TestTrainSgd:
 
 
 class TestTrainAbove:
+    """`train_sgd` with `frozen` layers: the fine-tune of the layers above
+    an insertion."""
+
     @staticmethod
     def frozen_outputs(net, k, features):
         """The outputs of float32 copies of the first `k` layers on the
         float32 rounding of `features`, in one pass."""
         lower = _copied(Mlp(net.layers[:k]), np.float32)
-        return _layer_outputs(lower, features.astype(np.float32), keep_pre=False)[1][-1]
+        return _layer_outputs(lower, features.astype(np.float32))[-1]
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(run=training_runs(), data=st.data())
@@ -553,7 +555,7 @@ class TestTrainAbove:
         assume(len(net.layers) >= 2)
         k = data.draw(st.integers(1, len(net.layers) - 1))
         snapshot = layer_bytes(net)
-        tuned, history = train_above(net, split, cfg, k)
+        tuned, history = train_sgd(net, split, cfg, k)
         upper, want_history = train_sgd(
             Mlp(net.layers[k:]), Dataset(self.frozen_outputs(net, k, split.features),
                                          split.labels), cfg)
@@ -568,28 +570,17 @@ class TestTrainAbove:
         data = synth_dataset(9, 40, 4, 3)
         cfg = TrainConfig(epochs=2, batch_size=16, seed=1)
         want, want_history = train_sgd(net, data, cfg)
-        tuned, history = train_above(net, data, cfg, 0)
+        tuned, history = train_sgd(net, data, cfg, 0)
         assert layer_bytes(tuned) == layer_bytes(want) and history == want_history
         for k in (1, 2):
-            tuned, history = train_above(net, data, TrainConfig(epochs=0), k)
+            tuned, history = train_sgd(net, data, TrainConfig(epochs=0), k)
             assert layer_bytes(tuned) == layer_bytes(net) and history == []
-
-    def test_calls_train_sgd_through_its_module_name(self, monkeypatch):
-        # so a wrapper bound there, as the benchmark's tracer binds one, sees it
-        network = importlib.import_module("morphkit.network")
-        net = random_mlp(np.random.default_rng(22), [4, 5, 6, 3], ["relu", "tanh", "identity"])
-        calls = []
-        original = network.train_sgd
-        monkeypatch.setattr(network, "train_sgd",
-                            lambda mlp, *a: calls.append(mlp.d_in) or original(mlp, *a))
-        network.train_above(net, synth_dataset(9, 40, 4, 3), TrainConfig(epochs=1), 2)
-        assert calls == [6]
 
     @pytest.mark.parametrize("k", [-1, 3])
     def test_must_leave_a_layer_to_train(self, k):
         net = random_mlp(np.random.default_rng(22), [4, 5, 6, 3], ["relu", "tanh", "identity"])
         with pytest.raises(ValueError, match=r"^frozen must lie in \[0, 3\)"):
-            train_above(net, synth_dataset(9, 40, 4, 3), TrainConfig(epochs=1), k)
+            train_sgd(net, synth_dataset(9, 40, 4, 3), TrainConfig(epochs=1), k)
 
     def test_float64_split_and_its_float32_rounding_give_the_same_bytes(self):
         # 3,000 rows of 200 features are three blocks of the frozen pass
@@ -598,8 +589,8 @@ class TestTrainAbove:
         rounded = Dataset(data.features.astype(np.float32), data.labels)
         net = random_mlp(rng, [200, 8, 6, 3], ["relu", "relu", "identity"])
         cfg = TrainConfig(epochs=1, batch_size=256, seed=2)
-        tuned, history = train_above(net, data, cfg, 1)
-        want, want_history = train_above(net, rounded, cfg, 1)
+        tuned, history = train_sgd(net, data, cfg, 1)
+        want, want_history = train_sgd(net, rounded, cfg, 1)
         assert layer_bytes(tuned) == layer_bytes(want) and history == want_history
 
     def test_split_is_cast_one_block_at_a_time(self):
@@ -612,7 +603,7 @@ class TestTrainAbove:
                    Layer(init_weights(32, 10, "identity", 3), np.zeros(10), "identity")])
         tracemalloc.start()
         try:
-            train_above(net, data, TrainConfig(epochs=1, batch_size=48), 1)
+            train_sgd(net, data, TrainConfig(epochs=1, batch_size=48), 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -638,9 +629,9 @@ class TestTrainAbove:
         else:
             data = synth_dataset(9, 40, 5, 3)
         with pytest.raises(MorphkitError) as want:
-            train_sgd(net, data, cfg)
+            train_sgd(net, data, cfg, 0)
         with pytest.raises(type(want.value)) as got:
-            train_above(net, data, cfg, 2)
+            train_sgd(net, data, cfg, 2)
         assert str(got.value) == str(want.value)
         if where.startswith("layer"):
             assert isinstance(got.value, OutOfRangeError)
@@ -652,7 +643,7 @@ class TestTrainAbove:
         data = synth_dataset(9, 40, 4, 3)
         data.features[:] = np.abs(data.features) + 1.0
         with pytest.raises(OutOfRangeError, match="^layer 0 outputs: not finite in float32"):
-            train_above(net, data, TrainConfig(epochs=1), 1)
+            train_sgd(net, data, TrainConfig(epochs=1), 1)
 
 
 class TestEvaluate:
@@ -728,13 +719,13 @@ class TestEvaluate:
                             lambda mlp, x, name, *rest: checks.append((x, name))
                             or checked(mlp, x, name, *rest))
         monkeypatch.setattr(network, "_layer_outputs",
-                            lambda mlp, x, keep_pre: passes.append(keep_pre) or outputs(mlp, x, keep_pre))
+                            lambda mlp, x: passes.append(x) or outputs(mlp, x))
         monkeypatch.setattr(network, "forward", lambda *a: pytest.fail("forward called"))
         data = synth_dataset(8, 40, 4, 3)
         net = random_mlp(np.random.default_rng(19), [4, 5, 3], ["relu", "identity"])
         loss, accuracy = evaluate(net, data)
         assert [(x is data.features, name) for x, name in checks] == [(True, "evaluation features")]
-        assert passes == [False]
+        assert len(passes) == 1
         # the bits of the checked forward pass that keeps every tap
         monkeypatch.undo()
         logits = forward(net, data.features).activations[-1]
