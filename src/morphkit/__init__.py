@@ -62,4 +62,4 @@ from .sparse import (
     similarity_matrix,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

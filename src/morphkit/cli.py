@@ -13,11 +13,14 @@ paths are joined under --out-dir. Set MORPHKIT_LOG to a logging level name
 (DEBUG, INFO, WARNING, ERROR or CRITICAL) to adjust verbosity.
 --data is a generator spec whose name matches `synth` or `lowrank` exactly,
 `mnist`, or a directory of IDX files. `train`, `morph` and `finetune` read
-its train split; `eval --split` chooses a split, and `finetune --eval-data`
-is read at its test split. Every split of a synthetic spec comes from one
-draw, and later reads get it from the dataset cache (`morphkit.io`).
-`train` and `finetune` train on the cache's float32 rounding of the split,
-which the first of them writes from the draw a block of rows at a time.
+its train split; `eval --split` chooses a split, and `finetune` records
+its accuracy on the test split of `--eval-data` (default: --data). Every
+split of a synthetic spec comes from one draw, and later reads get it from
+the dataset cache (`morphkit.io`). `train` and `finetune` train on the
+cache's float32 rounding of the train split, which the first of them
+writes from the draw a block of rows at a time once `train_sgd`'s float32
+range rule has cleared it; after that, of the two, only `train` reads the
+float64 train split, for row 0 of its history.
 `morph` caches the parent's probe pass on a synthetic split the same way,
 so later morphs of that parent read neither the split nor run the pass.
 `finetune` trains what a morph changed: for a child whose metadata records
@@ -47,7 +50,8 @@ from .morph import (
     sample_rows,
 )
 from .network import (
-    ACTIVATION_KINDS, EpochStats, Layer, Mlp, TrainConfig, evaluate, init_weights, train_sgd,
+    ACTIVATION_KINDS, EpochStats, Layer, Mlp, TrainConfig, _check_float32_range, evaluate,
+    init_weights, train_sgd,
 )
 from .sparse import SparseConfig
 from .verify import CHECKS, run_checks
@@ -149,14 +153,14 @@ def _load_dataset(spec: str, split: str, dtype=np.float64) -> mio.Dataset:
     splits come from one draw, so they share class means: a float64 miss
     draws once and caches each split (`io.read_cached_split`), and the
     arrays are read-only, hit or miss. With `dtype` float32 the rows are
-    the cache's float32 entry, which `train_sgd` reads: a miss writes it
-    from the float64 split, rounded a block of rows at a time as the
+    the cache's float32 entry, which `train_sgd` reads. A miss refuses a
+    float64 split beyond float32's range with `train_sgd`'s error
+    (`_check_float32_range`) and writes no entry; otherwise it writes the
+    entry from the split, rounded a block of rows at a time as the
     per-batch cast would round it, lets the split go and reads the entry
     back, so no float32 copy of the split is ever held next to the draw. A
-    split beyond float32's range gets no entry and is handed back as
-    float64, for `train_sgd` to refuse by name; so is a split whose entry
-    cannot be written or read back, which trains to the bytes the entry
-    would."""
+    split whose entry cannot be written or read back is handed back as
+    float64, and trains to the bytes the entry would."""
     resolved = _resolve_synthetic(spec)
     if resolved is None:
         return mio.read_idx(*_idx_pair(spec, split))
@@ -169,6 +173,7 @@ def _load_dataset(spec: str, split: str, dtype=np.float64) -> mio.Dataset:
         return cached
     if np.dtype(dtype) == np.float32:
         full = _load_dataset(spec, split)
+        _check_float32_range(full.features, "training features")
         if not mio.write_cached_split(path, full, dtype):
             return full
         del full
@@ -365,14 +370,9 @@ def cmd_finetune(args) -> int:
                             "not the list of earlier tunings")
     report = _load_report(args)
     data = _load_dataset(args.data, "train", np.float32)
-    eval_data = _load_dataset(args.eval_data, "test") if args.eval_data else None
+    eval_data = _load_dataset(args.eval_data or args.data, "test")
     cfg = _train_config(args)
     net, history = train_sgd(net, data, cfg, frozen)
-    if eval_data is None:  # the float64 split, read only once the float32 one is let go
-        if data.features.dtype == np.float32:
-            del data
-            data = _load_dataset(args.data, "train")
-        eval_data = data
     _, accuracy = evaluate(net, eval_data)  # before any write, so a refusal leaves no file
     out = _out_path(args, args.out)
     # each tuning appends its schedule and what it held fixed; the parent's
@@ -475,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.add_argument("--eval-data", default=None,
                    help="dataset spec whose test split gives the recorded accuracy of the "
-                   "tuned model (default: the training split)")
+                   "tuned model (default: --data)")
     p.add_argument("--out", default="finetuned.model")
     p.add_argument("--history", default="history.csv")
     p.add_argument("--out-dir", default=".")

@@ -1,18 +1,20 @@
 """Model serialization, IDX dataset ingestion, synthetic data, the cache
 of synthetic splits and probe passes, and report files.
 
-Model files and cache entries share one container (`_encode_records`,
-`_decode_records`): npy records whose headers must match byte for byte,
-then a chained CRC-32 of the records' bytes as a uint32 scalar record,
-with nothing after it. A model file (schema 3) opens with one uint8 record
-holding its UTF-8 JSON header (schema version, each layer's widths,
-activation and whether it has a bias, and the metadata), followed by each
-layer's weights and then bias as little-endian float64 C-order records, so
-a load reproduces every weight bit for bit. The two uses differ only in
-policy: a corrupt model is a `ModelFormatError` naming the file, a corrupt
-cache entry is a miss. Schema 3 is the only model format read: the JSON
-model files of schema 1 and 2 are refused, and morphkit 0.1.0, the last
-version to read them, converts one by loading it and saving it again.
+Model files and cache entries share one container, written only by
+`_encode_records` (each array cast and written a block of rows at a time)
+and read by `_decode_records`: npy records whose headers must match byte
+for byte, then a chained CRC-32 of the records' bytes as a uint32 scalar
+record, with nothing after it. A model file (schema 3) opens with one
+uint8 record holding its UTF-8 JSON header (schema version, each layer's
+widths, activation and whether it has a bias, and the metadata), followed
+by each layer's weights and then bias as little-endian float64 C-order
+records, so a load reproduces every weight bit for bit. The two uses
+differ only in policy: a corrupt model is a `ModelFormatError` naming the
+file, a corrupt cache entry is a miss. Schema 3 is the only model format
+read: the JSON model files of schema 1 and 2 are refused, and morphkit
+0.1.0, the last version to read them, converts one by loading it and
+saving it again.
 IDX files follow the classic big-endian layout (magic, dims,
 unsigned bytes); gzipped files are handled transparently by extension.
 One reader (`_read_idx_file`) reads each whole file before its header
@@ -26,6 +28,8 @@ One is the float32 rounding of such a split's features with its labels,
 under the same name with `-float32` after the split, which training reads
 (written from the float64 split the first time something trains on it),
 so a split that is trained on takes 1.5 times its float64 bytes on disk.
+The rounding is not checked here: the caller clears the split with
+`network._check_float32_range` first.
 One is a parent's probe pass on rows of a float64 split
 (`probe_cache_path`), named by a hash of the split's entry, the row sample,
 the insertion point and a digest of the parent. Every read checks dtype,
@@ -62,8 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdxFormatError, ModelFormatError, MorphkitError, OutOfRangeError
-from .linalg import all_finite
+from .errors import IdxFormatError, ModelFormatError, MorphkitError
 from .morph import MorphReport, PreparedProbe
 from .network import ACTIVATION_KINDS, Layer, Mlp
 
@@ -81,8 +84,9 @@ _UINT32_LE = np.dtype("<u4")
 # what a probe pass computes.
 DATASET_CACHE_FORMAT = 1
 
-# `synth_lowrank_dataset` draws its noise, and `write_cached_split` rounds
-# a split, in blocks of rows of about this many entries (2 MiB of float64)
+# `synth_lowrank_dataset` draws its noise, and `_encode_records` casts and
+# writes an array, in blocks of rows of about this many entries (2 MiB of
+# float64)
 _BLOCK_ENTRIES = 1 << 18
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -155,8 +159,8 @@ def _whole_labels(labels: np.ndarray) -> np.ndarray:
     return whole
 
 
-def _checksum(arrays) -> int:
-    crc = 0
+def _checksum(arrays, crc: int = 0) -> int:
+    """The CRC-32 of the bytes of `arrays`, chained in order from `crc`."""
     for array in arrays:
         crc = zlib.crc32(array, crc)
     return crc
@@ -200,33 +204,22 @@ def _byte_string_at(buf, offset: int) -> np.ndarray:
     return _record_at(buf, offset, _UINT8, (int(digits),))[0]
 
 
-def _encode_records(fh, arrays) -> None:
-    """Write the C-contiguous little-endian `arrays` to the binary file `fh`
-    as npy records, then the CRC-32 of their bytes, chained in order, as a
-    uint32 scalar record."""
-    crc = np.array(_checksum(arrays), dtype=_UINT32_LE)
-    for array in (*arrays, crc):
-        np.lib.format.write_array(fh, array, allow_pickle=False)
-
-
-def _encode_split(fh, features: np.ndarray, dtype: np.dtype, labels: np.ndarray) -> None:
-    """`_encode_records(fh, [features.astype(dtype), labels])`, byte for
-    byte, with the features cast and written a block of rows at a time, so
-    that no cast copy of them is ever held whole. A rounding to another
-    dtype with a non-finite entry, such as a float64 value beyond float32's
-    range, raises `OutOfRangeError`."""
-    fh.write(_npy_header(dtype, features.shape))
+def _encode_records(fh, arrays, dtypes=None) -> None:
+    """Write `arrays` to the binary file `fh` as npy records, each cast to
+    its entry of `dtypes` (by default its own dtype, little-endian) in C
+    order, then the CRC-32 of their bytes, chained in order, as a uint32
+    scalar record: the bytes of `np.lib.format.write_array` of each cast
+    array and of the checksum. Each array is cast and written a block of
+    rows at a time, so no cast or C-order copy of it is ever held whole."""
     crc = 0
-    rows = max(1, _BLOCK_ENTRIES // max(1, features.shape[1]))
-    for start in range(0, features.shape[0], rows):
-        with np.errstate(over="ignore"):
-            block = np.ascontiguousarray(features[start:start + rows], dtype=dtype)
-        if dtype != features.dtype and not all_finite(block):
-            raise OutOfRangeError(f"the {dtype.name} rounding of the features is not finite")
-        fh.write(block)
-        crc = zlib.crc32(block, crc)
-    for array in (labels, np.array(zlib.crc32(labels, crc), dtype=_UINT32_LE)):
-        np.lib.format.write_array(fh, array, allow_pickle=False)
+    for array, dtype in zip(arrays, dtypes or [a.dtype.newbyteorder("<") for a in arrays]):
+        fh.write(_npy_header(dtype, array.shape))
+        rows = max(1, _BLOCK_ENTRIES // max(1, math.prod(array.shape[1:])))
+        for start in range(0, len(array), rows):
+            block = np.ascontiguousarray(array[start:start + rows], dtype=dtype)
+            fh.write(block)
+            crc = _checksum((block,), crc)
+    fh.write(_npy_header(_UINT32_LE, ()) + struct.pack("<I", crc))
 
 
 def _decode_records(buf, layout) -> list[np.ndarray]:
@@ -262,8 +255,7 @@ def save_model(mlp: Mlp, path, metadata: dict | None = None) -> None:
     header += b" " * (-len(header) % _FLOAT64_LE.itemsize)  # aligns every float64 record
     arrays = [np.frombuffer(header, dtype=_UINT8)]
     for layer in mlp.layers:
-        arrays += [np.ascontiguousarray(a, dtype=_FLOAT64_LE)
-                   for a in (layer.weight, layer.bias) if a is not None]
+        arrays += [a for a in (layer.weight, layer.bias) if a is not None]
     with _atomic_open(path, binary=True) as fh:
         _encode_records(fh, arrays)
 
@@ -527,15 +519,14 @@ def _read_entry(path, layout, what: str) -> list[np.ndarray] | None:
 
 def _write_entry(path, encode, what: str) -> bool:
     """Write a cache entry at `path` in one atomic replace, `encode` writing
-    its records to the open binary file; returns whether it was written.
-    A cache that cannot be written, or records that `encode` refuses with
-    `OutOfRangeError`, are logged and skipped and leave no file: the caller
-    already holds the arrays."""
+    its records to the open binary file; returns whether it was written. A
+    cache that cannot be written is logged and skipped and leaves no file:
+    the caller already holds the arrays."""
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with _atomic_open(path, binary=True) as fh:
             encode(fh)
-    except (OSError, OutOfRangeError) as exc:
+    except OSError as exc:
         log.info("%s cache not written (%s): %s", what, exc, path)
         return False
     return True
@@ -552,13 +543,11 @@ def read_cached_split(path, shape: tuple, dtype=np.float64) -> Dataset | None:
 
 def write_cached_split(path, data: Dataset, dtype=None) -> bool:
     """Cache `data` at `path` (see `_write_entry`), its features in their
-    own dtype or rounded to `dtype`, a block of rows at a time
-    (`_encode_split`). Returns whether the entry was written: a rounding
-    with a non-finite entry is not."""
-    dtype = np.dtype(data.features.dtype if dtype is None else dtype).newbyteorder("<")
-    labels = np.ascontiguousarray(data.labels, dtype=_INT64_LE)
-    return _write_entry(path, lambda fh: _encode_split(fh, data.features, dtype, labels),
-                        "dataset")
+    own dtype or rounded to `dtype` as `astype` rounds them, a block of rows
+    at a time (`_encode_records`). Returns whether the entry was written."""
+    dtypes = None if dtype is None else [np.dtype(dtype).newbyteorder("<"), _INT64_LE]
+    return _write_entry(path, lambda fh: _encode_records(fh, [data.features, data.labels],
+                                                         dtypes), "dataset")
 
 
 def read_cached_probe(path, insert_after: int, parent_digest: str,
@@ -573,9 +562,8 @@ def read_cached_probe(path, insert_after: int, parent_digest: str,
 
 def write_cached_probe(path, prepared: PreparedProbe) -> None:
     """Cache `prepared`'s arrays at `path` (see `_write_entry`)."""
-    arrays = [np.ascontiguousarray(a, dtype=_FLOAT64_LE)
-              for a in (prepared.a1, prepared.downstream_pre)]
-    _write_entry(path, lambda fh: _encode_records(fh, arrays), "probe")
+    _write_entry(path, lambda fh: _encode_records(fh, [prepared.a1, prepared.downstream_pre]),
+                 "probe")
 
 
 def _format_value(value) -> str:
@@ -632,9 +620,13 @@ def load_report_json(path) -> MorphReport:
         raise ModelFormatError(f"{path}: unknown report fields {sorted(unknown)}")
     for name, value in doc.items():
         accepted, what = _REPORT_JSON_TYPES[types[name]]
-        if isinstance(value, bool) or not isinstance(value, accepted):
+        try:
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise TypeError
+            doc[name] = types[name](value)  # a float field's integer becomes a float
+        except (TypeError, OverflowError):  # or an integer too large for a float
             raise ModelFormatError(f"{path}: report field {name!r} is {value!r}, "
-                                   f"and it must be {what}")
+                                   f"and it must be {what}") from None
     try:
         return MorphReport(**doc)
     except TypeError as exc:

@@ -426,19 +426,30 @@ class TestEvalAndFinetune:
         recorded = load_report_json(report).acc_after_finetune
         assert np.float64(recorded).tobytes() == np.float64(accuracy).tobytes()
 
-    def test_finetune_without_eval_data_records_the_tuned_train_accuracy(
-            self, parent_dir, base_report, tmp_path):
-        # the tuned model's accuracy, not the last epoch's running mean over
-        # mini-batches taken before their updates
+    def test_finetune_without_eval_data_records_the_test_accuracy_of_data(
+            self, parent_dir, base_report, tmp_path, caplog, capsys):
+        # --eval-data defaults to --data: the recorded accuracy is the one
+        # `eval --split test` gives the tuned model, and a warm finetune reads
+        # the float32 train entry and the test split, never the float64 train
+        # split
         report = tmp_path / "tuned.report.json"
         report.write_bytes(base_report.read_bytes())
-        assert run("finetune", "--model", str(parent_dir / "parent.model"), "--data", HARD,
-                   "--epochs", "1", "--lr", "0.05", "--seed", "3", "--report", str(report),
-                   "--out", "tuned.model", "--out-dir", str(tmp_path)) == 0
-        tuned, _ = load_model(tmp_path / "tuned.model")
-        _, accuracy = evaluate(tuned, _load_dataset(HARD, "train"))
+        finetune = ("finetune", "--model", str(parent_dir / "parent.model"), "--data", HARD,
+                    "--epochs", "1", "--lr", "0.05", "--seed", "3", "--report", str(report),
+                    "--out", "tuned.model", "--out-dir", str(tmp_path))
+        caplog.set_level(logging.INFO, logger="morphkit.io")
+        assert run(*finetune) == 0  # a cold cache: draws HARD and writes its entries
+        caplog.clear()
+        assert run(*finetune) == 0
+        reads = [r.getMessage() for r in caplog.records if r.name == "morphkit.io"]
+        assert [r.split(": ")[0] for r in reads] == ["dataset cache hit"] * 2
+        assert reads[0].endswith("-train-float32.npys") and reads[1].endswith("-test.npys")
+        capsys.readouterr()
+        assert run("eval", "--model", str(tmp_path / "tuned.model"), "--data", HARD,
+                   "--split", "test") == 0
+        evaluated = float(capsys.readouterr().out.split(" accuracy ")[1])
         recorded = load_report_json(report).acc_after_finetune
-        assert np.float64(recorded).tobytes() == np.float64(accuracy).tobytes()
+        assert np.float64(recorded).tobytes() == np.float64(evaluated).tobytes()
 
     def test_same_run_under_two_out_dirs_gives_identical_files(self, tmp_path):
         # model metadata records the request, not where its files live
@@ -865,13 +876,23 @@ class TestDatasetCache:
             (tmp_path / "b" / "tuned.model").read_bytes()
 
     def test_split_beyond_float32_is_refused_by_name_and_not_cached(self, tmp_path, capsys,
-                                                                    dataset_cache):
-        data = "lowrank:n=80,test=30,d=30,classes=3,side_dims=4,seed=5,spacing=1e300"
-        assert run("train", "--data", data, "--arch", "30,6,3", "--epochs", "1",
-                   "--out-dir", str(tmp_path)) == 1
-        assert "training features: an entry of magnitude" in capsys.readouterr().err
-        assert not list(dataset_cache.glob("*-float32.npys"))
-        assert not (tmp_path / "parent.model").exists()
+                                                                    dataset_cache, monkeypatch):
+        drawn = mio.synth_lowrank_dataset
+
+        def at_the_edge(*args, **kwargs):
+            data = drawn(*args, **kwargs)
+            data.features[0, 0] = 3.40282350e38  # beyond FLOAT32_MAX, and rounds to it
+            return data
+
+        # an entry that overflows the rounding, and one the rounding keeps finite
+        for data, generator in (("lowrank:n=80,test=30,d=30,classes=3,side_dims=4,seed=5,"
+                                 "spacing=1e300", drawn), (LOWRANK, at_the_edge)):
+            monkeypatch.setattr(mio, "synth_lowrank_dataset", generator)
+            assert run("train", "--data", data, "--arch", "30,6,3", "--epochs", "1",
+                       "--out-dir", str(tmp_path)) == 1
+            assert "training features: an entry of magnitude" in capsys.readouterr().err
+            assert not list(dataset_cache.glob("*-float32.npys"))
+            assert not (tmp_path / "parent.model").exists()
 
     def test_second_morph_of_a_parent_reads_no_split(self, tmp_path, monkeypatch,
                                                      dataset_cache):

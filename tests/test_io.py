@@ -311,6 +311,45 @@ SCHEMA2_MODEL = ('{"schema_version": 2, "layers": [{"in": 2, "out": 1, "activati
                  ' "weights": "AAAAAAAA+D/////////v/w==", "bias": null}], "metadata": {"seed": 3}}')
 
 
+def write_array_records(arrays) -> bytes:
+    """`np.lib.format.write_array` of each of the C-contiguous `arrays`,
+    then of the CRC-32 of their data, chained in order, as a uint32 scalar."""
+    buf, crc = io.BytesIO(), 0
+    for array in arrays:
+        np.lib.format.write_array(buf, array, allow_pickle=False)
+        crc = zlib.crc32(array, crc)
+    np.lib.format.write_array(buf, np.array(crc, dtype="<u4"))
+    return buf.getvalue()
+
+
+class TestRecordWriter:
+    """`_encode_records`, the one writer of model files and cache entries,
+    writes the bytes of `write_array` of each cast array and the checksum."""
+
+    _rng = np.random.default_rng(3)
+    _big = _rng.normal(size=(2 * (mio._BLOCK_ENTRIES // 30) + 7, 30))  # three blocks of rows
+    CASES = {
+        "uint8 header": ([np.frombuffer(b'{"layers": []}  ', dtype=np.uint8)], None),
+        "float64 2-D and 1-D": ([_rng.normal(size=(5, 3)), _rng.normal(size=3)], None),
+        "int64 labels": ([np.arange(7, dtype=np.int64) % 3], None),
+        "float32 rounding": ([_big, np.arange(len(_big)) % 3], [np.dtype("<f4"), np.dtype("<i8")]),
+        "zero rows": ([np.zeros((0, 4)), np.zeros(0, dtype=np.int64)], None),
+        "beyond one block": ([_big], None),
+        "non-contiguous view": ([_big[::3, 1::2]], None),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bytes_are_those_of_write_array(self, case):
+        arrays, dtypes = self.CASES[case]
+        cast = [a.astype(d) for a, d in zip(arrays, dtypes or [a.dtype for a in arrays])]
+        assert all(a.flags.c_contiguous for a in cast)
+        buf = io.BytesIO()
+        mio._encode_records(buf, arrays, dtypes)
+        assert buf.getvalue() == write_array_records(cast)
+        back = mio._decode_records(buf.getvalue(), [(a.dtype, a.shape) for a in cast])
+        assert [a.tobytes() for a in back] == [a.tobytes() for a in cast]
+
+
 class TestModelCorruption:
     """Any change to a schema-3 file's bytes is refused, naming the file."""
 
@@ -351,7 +390,7 @@ class TestModelCorruption:
 
     def test_verify_check_refuses_a_loader_that_skips_the_checksum(self, monkeypatch):
         verify.check_model_roundtrip(0)
-        monkeypatch.setattr(mio, "_checksum", lambda arrays: 0)  # written and read as 0
+        monkeypatch.setattr(mio, "_checksum", lambda arrays, crc=0: 0)  # written and read as 0
         with pytest.raises(AssertionError, match="flipped loaded"):
             verify.check_model_roundtrip(0)
 
@@ -483,6 +522,7 @@ class TestGeneratedRoundTrips:
         ("compression_ratio", None), ("compression_ratio", "0.5"), ("compression_ratio", True),
         ("n_sparse", "71"), ("n_sparse", 71.0), ("n_sparse", False), ("n_sparse", None),
         ("algorithm", 1), ("run_id", None), ("sparse_stop_reason", ["converged"]),
+        pytest.param("acc_parent", 10**400, id="acc_parent-beyond-float"),
     ])
     def test_report_field_of_the_wrong_type_is_refused(self, tmp_path, field, value):
         path = tmp_path / "r.report.json"
@@ -496,7 +536,13 @@ class TestGeneratedRoundTrips:
     def test_report_float_field_takes_an_integer_or_nan(self, tmp_path, field, value):
         path = tmp_path / "r.report.json"
         path.write_text(json.dumps({**dataclasses.asdict(sample_report()), field: value}))
-        assert float_or_nan_equal(getattr(load_report_json(path), field), value)
+        # an integer is loaded as a float, so its CSV cell reads as the other floats do
+        report = load_report_json(path)
+        assert float_or_nan_equal(getattr(report, field), float(value))
+        write_report_csv([report], tmp_path / "r.csv")
+        with open(tmp_path / "r.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row[field] == repr(float(value))
 
 
 class TestReadIdx:
@@ -813,11 +859,10 @@ class TestDatasetCache:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
     def test_interrupted_write_leaves_no_entry(self, tmp_path, monkeypatch):
-        def failing_write(fh, array, **kw):
-            fh.write(b"\x93NUMPY")
+        def failing_checksum(arrays, crc=0):  # after the writer's first block
             raise OSError("disk full")
 
-        monkeypatch.setattr(mio.np.lib.format, "write_array", failing_write)
+        monkeypatch.setattr(mio, "_checksum", failing_checksum)
         mio.write_cached_split(tmp_path / "entry.npys", synth_dataset(0, 5, 3, 2))
         assert list(tmp_path.iterdir()) == []
 
@@ -999,8 +1044,9 @@ def _failing_dump(doc, fh, **kw):
     raise RuntimeError("interrupted mid-write")
 
 
-def _failing_write_array(fh, array, **kw):
-    fh.write(b"\x93NUMPY")
+def _failing_checksum(arrays, crc=0):
+    # `_encode_records` calls it after writing each block, so the write
+    # stops with a header and a block of bytes in the file
     raise RuntimeError("interrupted mid-write")
 
 
@@ -1011,7 +1057,7 @@ class TestAtomicWrites:
         path = tmp_path / "net.model"
         save_model(random_net(0), path, metadata={"v": 1})
         before = path.read_bytes()
-        monkeypatch.setattr(mio.np.lib.format, "write_array", _failing_write_array)
+        monkeypatch.setattr(mio, "_checksum", _failing_checksum)
         with pytest.raises(RuntimeError, match="interrupted"):
             save_model(random_net(1), path, metadata={"v": 2})
         assert path.read_bytes() == before
